@@ -36,6 +36,7 @@ from .model import (
     Value,
     domain_of,
     reads,
+    topological_order,
     type_size,
 )
 from .table_logic import Valuation, eval_condition
@@ -280,7 +281,6 @@ def build_dependency_graph(spec: Specification) -> DependencyVerdict:
     for comp in spec.components:
         nodes.extend(v.qualified for v in comp.variables)
         nodes.extend(m.qualified for m in comp.machines)
-    index = {name: i for i, name in enumerate(nodes)}
     edges: dict[str, set[str]] = {name: set() for name in nodes}  # u -> readers of u
 
     def add_edges(target: str, cond: Condition) -> None:
@@ -297,23 +297,11 @@ def build_dependency_graph(spec: Specification) -> DependencyVerdict:
             for t in m.transitions:
                 add_edges(m.qualified, t.guard)
 
-    indegree = {name: 0 for name in nodes}
-    for u, readers in edges.items():
-        for v in readers:
-            indegree[v] += 1
-    ready = sorted((name for name in nodes if indegree[name] == 0), key=index.__getitem__)
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for v in sorted(edges[node], key=index.__getitem__):
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                ready.append(v)
-        ready.sort(key=index.__getitem__)
+    order = topological_order(nodes, edges)
     if len(order) == len(nodes):
         return DependencyVerdict(order=order)
-    remaining = {name for name in nodes if name not in set(order)}
+    remaining = set(nodes).difference(order)
+    index = {name: i for i, name in enumerate(nodes)}
     return DependencyVerdict(cycle=_shortest_cycle(remaining, edges, index))
 
 

@@ -1,5 +1,12 @@
 """Command-line front end: check, simulate, explore, gen, trace.
 
+Every command runs the same pipeline: load the named files (``_load``),
+gate on the static checks where the command has ``--force`` (``_gate``),
+run, render to stdout, and return an exit code.  A step that ends the
+command early raises ``_Exit`` with its code, diagnostics and message, or
+lets a ``SpecError`` through; ``main`` is the only place that prints those
+diagnostics, and it turns a ``SpecError`` into exit 1.
+
 Exit codes: 0 clean, 1 findings or errors, 2 usage problems, 3 resource
 limits.  Reports go to stdout, diagnostics to stderr; output is
 deterministic for identical inputs and flags.
@@ -10,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -41,68 +49,72 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
+class _Exit(Exception):
+    """Ends a command early; ``main`` prints the diagnostics, then the message."""
+
+    def __init__(
+        self, code: int, diagnostics: list[Diagnostic] | None = None, message: str | None = None
+    ) -> None:
+        self.code = code
+        self.diagnostics = diagnostics or []
+        self.message = message
+
+
 def _print_diagnostics(diags: list[Diagnostic]) -> None:
     use_color = color_enabled(sys.stderr)
     for d in diags:
         print(d.render(color=use_color), file=sys.stderr)
 
 
-def _read(path: str) -> str | None:
-    p = Path(path)
-    if not p.is_file():
-        return None
-    return p.read_text(encoding="utf-8")
+@dataclass
+class _Project:
+    specs: list[Specification] = field(default_factory=list)
+    diagrams: list[ProblemDiagram] = field(default_factory=list)
+    requirements: list[Requirement] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
-class _Loader:
-    """Parses project files by extension and accumulates diagnostics."""
-
-    def __init__(self) -> None:
-        self.specs: list[Specification] = []
-        self.diagrams: list[ProblemDiagram] = []
-        self.requirements: list[Requirement] = []
-        self.diagnostics: list[Diagnostic] = []
-        self.usage_error: str | None = None
-
-    def load(self, paths: list[str]) -> None:
-        for path in paths:
-            text = _read(path)
-            if text is None:
-                self.usage_error = f"no such file: {path}"
-                return
-            try:
-                if path.endswith(".rsml"):
-                    self.specs.append(resolve(parse_spec(text, path), path))
-                elif path.endswith(".pf"):
-                    self.diagrams.extend(parse_pf(text, path))
-                elif path.endswith(".req"):
-                    self.requirements.extend(parse_requirements(text, path))
-                else:
-                    self.usage_error = f"unrecognized file extension: {path}"
-                    return
-            except SpecError as exc:
-                self.diagnostics.extend(exc.diagnostics)
+def _load(paths: list[str], rsml_only: bool = False, strict: bool = True) -> _Project:
+    """Parse the named files by extension.  A missing file or an unknown
+    extension is a usage exit.  Parse errors accumulate over every file; a
+    strict load then exits with all of them."""
+    project = _Project()
+    for path in paths:
+        file = Path(path)
+        if not file.is_file():
+            raise _Exit(EXIT_USAGE, message=f"no such file: {path}")
+        text = file.read_text(encoding="utf-8")
+        if rsml_only and not path.endswith(".rsml"):
+            raise _Exit(EXIT_USAGE, message=f"expected a .rsml file: {path}")
+        try:
+            if path.endswith(".rsml"):
+                project.specs.append(resolve(parse_spec(text, path), path))
+            elif path.endswith(".pf"):
+                project.diagrams.extend(parse_pf(text, path))
+            elif path.endswith(".req"):
+                project.requirements.extend(parse_requirements(text, path))
+            else:
+                raise _Exit(EXIT_USAGE, message=f"unrecognized file extension: {path}")
+        except SpecError as exc:
+            project.diagnostics.extend(exc.diagnostics)
+    if strict and project.diagnostics:
+        raise _Exit(EXIT_FINDINGS, project.diagnostics)
+    return project
 
 
-def _load_spec(path: str) -> tuple[Specification | None, list[Diagnostic], str | None]:
-    text = _read(path)
-    if text is None:
-        return None, [], f"no such file: {path}"
-    if not path.endswith(".rsml"):
-        return None, [], f"expected a .rsml file: {path}"
-    try:
-        return resolve(parse_spec(text, path), path), [], None
-    except SpecError as exc:
-        return None, exc.diagnostics, None
+def _gate(spec: Specification, args: argparse.Namespace, verb: str) -> None:
+    """Static checks guard simulate and gen; --force skips their verdict."""
+    errors = [d for d in analyze(spec, args.cap).diagnostics if d.severity == "error"]
+    if errors and not args.force:
+        raise _Exit(
+            EXIT_FINDINGS, errors, f"static checks failed; rerun with --force to {verb} anyway"
+        )
 
 
-def _gate_on_analysis(spec: Specification, cap: int, force: bool) -> list[Diagnostic]:
-    """Static checks that guard simulate/gen; --force downgrades them."""
-    report = analyze(spec, cap)
-    errors = [d for d in report.diagnostics if d.severity == "error"]
-    if errors and not force:
-        return errors
-    return []
+def _columns(rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -152,20 +164,16 @@ def _requirement_tag_diags(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    loader = _Loader()
-    loader.load(args.paths)
-    if loader.usage_error:
-        print(loader.usage_error, file=sys.stderr)
-        return EXIT_USAGE
-    diags = list(loader.diagnostics)
+    project = _load(args.paths, strict=False)
+    diags = project.diagnostics
     reports: list[tuple[Specification, AnalysisReport]] = []
-    for diagram in loader.diagrams:
+    for diagram in project.diagrams:
         diags.extend(check_pf(diagram))
-    if loader.requirements or any(d.requirements for d in loader.diagrams):
+    if project.requirements or any(d.requirements for d in project.diagrams):
         diags.extend(
-            _requirement_tag_diags(loader.requirements, loader.diagrams, loader.specs)
+            _requirement_tag_diags(project.requirements, project.diagrams, project.specs)
         )
-    for spec in loader.specs:
+    for spec in project.specs:
         report = analyze(spec, args.cap)
         reports.append((spec, report))
         diags.extend(report.diagnostics)
@@ -280,39 +288,20 @@ def _trace_text(spec: Specification, trace: Trace) -> str:
         )
         rows.append((str(state.step), inputs_text, changes, machines))
         prev = state
-    widths = [max(len(row[col]) for row in rows) for col in range(4)]
-    lines = [
-        "  ".join(cell.ljust(widths[col]) for col, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
+    lines = _columns(rows)
     if trace.violation:
         lines.append(f"invariant '{trace.violation[0]}' violated at step {trace.violation[1]}")
     return "\n".join(lines)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec, diags, usage = _load_spec(args.spec)
-    if usage:
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
-    if spec is None:
-        _print_diagnostics(diags)
-        return EXIT_FINDINGS
-    script_text = _read(args.script)
-    if script_text is None:
-        print(f"no such file: {args.script}", file=sys.stderr)
-        return EXIT_USAGE
-    gate = _gate_on_analysis(spec, args.cap, args.force)
-    if gate:
-        _print_diagnostics(gate)
-        print("static checks failed; rerun with --force to simulate anyway", file=sys.stderr)
-        return EXIT_FINDINGS
-    try:
-        script = parse_script(script_text, spec, args.script)
-        trace = run_script(spec, script, keep_going=args.keep_going)
-    except SpecError as exc:
-        _print_diagnostics(exc.diagnostics)
-        return EXIT_FINDINGS
+    spec = _load([args.spec], rsml_only=True).specs[0]
+    script_file = Path(args.script)
+    if not script_file.is_file():
+        raise _Exit(EXIT_USAGE, message=f"no such file: {args.script}")
+    _gate(spec, args, "simulate")
+    script = parse_script(script_file.read_text(encoding="utf-8"), spec, args.script)
+    trace = run_script(spec, script, keep_going=args.keep_going)
     if args.format == "json":
         print(json.dumps(_trace_json(spec, trace), indent=2))
     else:
@@ -338,18 +327,8 @@ def _exploration_json(spec: Specification, report: ExplorationReport) -> dict:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    spec, diags, usage = _load_spec(args.spec)
-    if usage:
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
-    if spec is None:
-        _print_diagnostics(diags)
-        return EXIT_FINDINGS
-    try:
-        report = explore(spec, max_states=args.max_states, max_depth=args.max_depth)
-    except SpecError as exc:
-        _print_diagnostics(exc.diagnostics)
-        return EXIT_FINDINGS
+    spec = _load([args.spec], rsml_only=True).specs[0]
+    report = explore(spec, max_states=args.max_states, max_depth=args.max_depth)
     if args.format == "json":
         print(json.dumps(_exploration_json(spec, report), indent=2))
     else:
@@ -375,47 +354,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec, diags, usage = _load_spec(args.spec)
-    if usage:
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
-    if spec is None:
-        _print_diagnostics(diags)
-        return EXIT_FINDINGS
-    gate = _gate_on_analysis(spec, args.cap, args.force)
-    if gate:
-        _print_diagnostics(gate)
-        print("static checks failed; rerun with --force to generate anyway", file=sys.stderr)
-        return EXIT_FINDINGS
-    try:
-        if args.mode == "chain":
-            result = gen_chain(spec, closed=args.closed)
-        else:
-            result = gen_flat(spec, closed=args.closed)
-    except SpecError as exc:
-        _print_diagnostics(exc.diagnostics)
-        return EXIT_FINDINGS
+    spec = _load([args.spec], rsml_only=True).specs[0]
+    _gate(spec, args, "generate")
+    generate = gen_chain if args.mode == "chain" else gen_flat
+    result = generate(spec, closed=args.closed)
     outdir = Path(args.out)
-    written: list[Path] = []
+    units = [(f"{result.context.name}.ebc", result.context)]
+    units += [(f"{machine.name}.ebm", machine) for machine in result.machines]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        ctx_path = outdir / f"{spec.name}_ctx.ebc"
-        ctx_path.write_text(render(result.context, ascii_mode=args.ascii), encoding="utf-8")
-        written.append(ctx_path)
-        if args.mode == "chain":
-            for machine in result.machines:
-                path = outdir / f"{machine.name}.ebm"
-                path.write_text(render(machine, ascii_mode=args.ascii), encoding="utf-8")
-                written.append(path)
-        else:
-            path = outdir / f"{spec.name}_mch.ebm"
-            path.write_text(render(result.machine, ascii_mode=args.ascii), encoding="utf-8")
-            written.append(path)
+        for name, unit in units:
+            (outdir / name).write_text(render(unit, ascii_mode=args.ascii), encoding="utf-8")
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_FINDINGS
-    for path in written:
-        print(path.as_posix())
+        raise _Exit(EXIT_FINDINGS, message=f"cannot write output: {exc}")
+    for name, _ in units:
+        print((outdir / name).as_posix())
     return EXIT_OK
 
 
@@ -424,15 +377,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _trace_report_text(report: TraceReport) -> str:
-    lines: list[str] = []
-    header = ("requirement", "pf-blocks", "rsml", "eventb")
-    rows = [header] + [
-        (row.requirement, str(len(row.pf_blocks)), str(len(row.rsml)), str(len(row.eventb)))
-        for row in report.rows
-    ]
-    widths = [max(len(r[col]) for r in rows) for col in range(4)]
-    for r in rows:
-        lines.append("  ".join(cell.ljust(widths[col]) for col, cell in enumerate(r)).rstrip())
+    lines = _columns(
+        [("requirement", "pf-blocks", "rsml", "eventb")]
+        + [
+            (row.requirement, str(len(row.pf_blocks)), str(len(row.rsml)), str(len(row.eventb)))
+            for row in report.rows
+        ]
+    )
     for row in report.rows:
         lines.append(f"{row.requirement}:")
         lines.append(f"  pf: {'; '.join(row.pf_blocks) or '-'}")
@@ -478,18 +429,11 @@ def _trace_report_json(report: TraceReport) -> dict:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    loader = _Loader()
-    loader.load([args.spec, args.pf, args.req])
-    if loader.usage_error:
-        print(loader.usage_error, file=sys.stderr)
-        return EXIT_USAGE
-    if loader.diagnostics:
-        _print_diagnostics(loader.diagnostics)
-        return EXIT_FINDINGS
+    project = _load([args.spec, args.pf, args.req])
     diags: list[Diagnostic] = []
-    for diagram in loader.diagrams:
+    for diagram in project.diagrams:
         diags.extend(check_pf(diagram))
-    spec = loader.specs[0] if loader.specs else None
+    spec = project.specs[0] if project.specs else None
     generated: GenResult | None = None
     if spec is not None:
         try:
@@ -497,10 +441,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         except SpecError as exc:
             diags.extend(exc.diagnostics)
     try:
-        graph = link(loader.requirements, loader.diagrams, spec, generated)
+        graph = link(project.requirements, project.diagrams, spec, generated)
     except SpecError as exc:
-        _print_diagnostics(diags + exc.diagnostics)
-        return EXIT_FINDINGS
+        raise _Exit(EXIT_FINDINGS, diags + exc.diagnostics)
     report = trace_report(graph, require_trace=args.require_trace)
     diags.extend(report.warnings)
     if args.format == "json":
@@ -581,12 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpecError as exc:
+        stop = _Exit(EXIT_FINDINGS, exc.diagnostics)
+    except _Exit as exc:
+        stop = exc
+    _print_diagnostics(stop.diagnostics)
+    if stop.message is not None:
+        print(stop.message, file=sys.stderr)
+    return stop.code
 
 
 if __name__ == "__main__":

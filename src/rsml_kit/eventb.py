@@ -42,6 +42,7 @@ from .model import (
     Value,
     VarOperand,
     reads,
+    topological_order,
 )
 
 OR = "∨"
@@ -420,27 +421,14 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
 
     # Component dependency: supplier before consumer; consumers are added first.
     comp_names = [c.name for c in spec.components]
-    comp_index = {name: i for i, name in enumerate(comp_names)}
     owner = {v.qualified: v.owner for v in spec.variables}
     owner.update({m.qualified: m.owner for m in spec.machines})
     successors: dict[str, set[str]] = {name: set() for name in comp_names}
-    indegree = {name: 0 for name in comp_names}
     for comp in spec.components:
         for ref in comp_reads[comp.name]:
-            supplier = owner[ref.name]
-            if supplier != comp.name and comp.name not in successors[supplier]:
-                successors[supplier].add(comp.name)
-                indegree[comp.name] += 1
-    ready = sorted((n for n in comp_names if indegree[n] == 0), key=comp_index.__getitem__)
-    topo: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        topo.append(node)
-        for succ in sorted(successors[node], key=comp_index.__getitem__):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-        ready.sort(key=comp_index.__getitem__)
+            if owner[ref.name] != comp.name:
+                successors[owner[ref.name]].add(comp.name)
+    topo = topological_order(comp_names, successors)
     if len(topo) != len(comp_names):
         cyclic = ", ".join(n for n in comp_names if n not in topo)
         raise SpecError(

@@ -12,8 +12,9 @@ literals live in a single global namespace.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from . import ast_nodes as ast
 from .diagnostics import Span, SpecError, error
@@ -201,6 +202,26 @@ def reads(*conds: Condition, live_only: bool) -> list[DomainRef]:
     return list(found)
 
 
+def topological_order(nodes: list[str], successors: Mapping[str, Iterable[str]]) -> list[str]:
+    """Kahn's algorithm taking the earliest ready node in ``nodes`` order
+    first.  A node on a cycle, and every node behind one, is left out."""
+    index = {node: i for i, node in enumerate(nodes)}
+    indegree = dict.fromkeys(nodes, 0)
+    for node in nodes:
+        for succ in successors[node]:
+            indegree[succ] += 1
+    ready = [i for i, node in enumerate(nodes) if indegree[node] == 0]  # ascending, so a heap
+    order: list[str] = []
+    while ready:
+        node = nodes[heapq.heappop(ready)]
+        order.append(node)
+        for succ in successors[node]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, index[succ])
+    return order
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 
@@ -295,7 +316,6 @@ class Specification:
     # independently resolved models compare by declared content alone.
     var_map: dict = field(init=False, compare=False, repr=False)
     machine_map: dict = field(init=False, compare=False, repr=False)
-    literal_types: dict = field(init=False, compare=False, repr=False)
     assign_map: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -309,11 +329,6 @@ class Specification:
                 self.machine_map[m.qualified] = m
             for a in comp.assigns:
                 self.assign_map[a.target.qualified] = a
-        self.literal_types = {"TRUE": BOOL, "FALSE": BOOL}
-        for t in self.types:
-            if isinstance(t, EnumType):
-                for lit in t.literals:
-                    self.literal_types[lit] = t
         bare_counts: dict[str, int] = {}
         for name in list(self.var_map) + list(self.machine_map):
             bare = name.split(".", 1)[1]
@@ -342,14 +357,6 @@ class Specification:
         """Bare name when unambiguous across the model, else qualified."""
         bare = qualified.split(".", 1)[1] if "." in qualified else qualified
         return bare if self._bare_counts.get(bare, 0) == 1 else qualified
-
-    def type_named(self, name: str) -> TypeDef | None:
-        if name == "bool":
-            return BOOL
-        for t in self.types:
-            if t.name == name:
-                return t
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ class ExplorationReport:
     violations: list[tuple[str, Trace]]  # shortest counterexample per invariant
     limit: Optional[str] = None  # "states" | "depth" when the search was cut off
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.limit is None
-
 
 def _make_state(spec: Specification, values: dict[str, Value], states: dict[str, str], step: int) -> SystemState:
     ordered_values = tuple((v.qualified, values[v.qualified]) for v in spec.variables)

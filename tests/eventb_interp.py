@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .diagnostics import SpecError, error
+from rsml_kit.diagnostics import SpecError, error
 
 Value = Union[str, int]
 

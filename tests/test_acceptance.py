@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, MUTEX_TOY, spec_from
+from eventb_interp import eval_expr, parse_context, parse_machine
 from oracle_helpers import oracle_condition, oracle_verdicts
 from rsml_kit.analysis import (
     GuardSet,
@@ -28,7 +29,6 @@ from rsml_kit.analysis import (
 from rsml_kit.cli import main
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.eventb import gen_flat, render
-from rsml_kit.eventb_interp import eval_expr, parse_context, parse_machine
 from rsml_kit.model import (
     AndOrTable,
     Compare,

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,6 +161,28 @@ class TestSimulate:
         assert main(["simulate", STARTSTOP, str(script)]) == 1
         assert "not an input: HMI_Stop_Ena" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", PF, SCRIPT], f"expected a .rsml file: {PF}\n"),
+            (["simulate", STARTSTOP, "nope.script"], "no such file: nope.script\n"),
+        ],
+    )
+    def test_usage_errors(self, capsys, argv, message):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_forced_conflict_is_a_diagnostic(self, conflicting_file, tmp_path, capsys, fmt):
+        script = tmp_path / "s.script"
+        script.write_text("b=TRUE\n", encoding="utf-8")
+        argv = ["simulate", conflicting_file, str(script), "--force", "--format", fmt]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error[NondeterministicFiring]" in out.err and "Traceback" not in out.err
+
 
 class TestExplore:
     def test_corpus_defaults(self, capsys):
@@ -182,6 +207,14 @@ class TestExplore:
         assert payload["violations"][0]["invariant"] == "mutual_exclusion"
         steps = payload["violations"][0]["counterexample"]["steps"]
         assert len(steps) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_conflict_mid_search_is_a_diagnostic(self, conflicting_file, capsys, fmt):
+        # explore has no static-check gate: the conflict surfaces as a step fails.
+        assert main(["explore", conflicting_file, "--format", fmt]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error[NondeterministicFiring]" in out.err and "Traceback" not in out.err
 
 
 class TestGen:
@@ -219,6 +252,11 @@ class TestGen:
         assert main(["gen", conflicting_file, "-o", str(tmp_path / "x")]) == 1
         capsys.readouterr()
         assert main(["gen", conflicting_file, "-o", str(tmp_path / "x"), "--force"]) == 0
+
+    @pytest.mark.parametrize("flags", [["--closed"], ["--mode", "chain"]])
+    def test_force_generates_broken_model(self, conflicting_file, tmp_path, capsys, flags):
+        assert main(["gen", conflicting_file, "-o", str(tmp_path / "x"), "--force", *flags]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestTrace:
@@ -283,3 +321,17 @@ class TestDeterminism:
         main(["gen", STARTSTOP, "-o", str(out_b)])
         for name in ("startstop_ctx.ebc", "startstop_mch.ebm"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+class TestEntryPoint:
+    def test_module_runs_as_a_script(self):
+        root = CORPUS.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "rsml_kit.cli", "check", "corpus/twocomp.rsml"],
+            cwd=root,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == "2 guard sets: 2 complete, 2 consistent"

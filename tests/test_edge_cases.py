@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import spec_from
+from eventb_interp import eval_expr, parse_machine
 from rsml_kit.analysis import (
     check_completeness,
     check_consistency,
@@ -16,7 +17,6 @@ from rsml_kit.analysis import (
 )
 from rsml_kit.diagnostics import Diagnostic, SpecError
 from rsml_kit.eventb import gen_flat, render
-from rsml_kit.eventb_interp import eval_expr, parse_machine
 from rsml_kit.model import resolve
 from rsml_kit.parser import parse_spec
 from rsml_kit.simulator import (

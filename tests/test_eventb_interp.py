@@ -4,8 +4,7 @@ import itertools
 
 import pytest
 
-from rsml_kit.eventb import gen_flat, render
-from rsml_kit.eventb_interp import (
+from eventb_interp import (
     apply_event,
     eval_expr,
     parse_context,
@@ -13,6 +12,7 @@ from rsml_kit.eventb_interp import (
     parse_machine,
     set_members,
 )
+from rsml_kit.eventb import gen_flat, render
 
 
 class TestGuardParsing:

@@ -10,6 +10,7 @@ from rsml_kit.model import (
     IntRangeType,
     domain_of,
     resolve,
+    topological_order,
     type_size,
 )
 from rsml_kit.parser import parse_spec
@@ -316,3 +317,15 @@ component B {
         inv = mutex_toy.invariants[0]
         refs = {row.lhs.ref for row in inv.body.table.rows}
         assert refs == {"HMI.Strt_Req", "HMI.Stop_Req"}
+
+
+class TestTopologicalOrder:
+    def test_ties_break_by_node_position(self):
+        # d releases c before a in its successor list; a still comes first.
+        successors = {"a": [], "b": [], "c": [], "d": ["c", "a"]}
+        assert topological_order(["a", "b", "c", "d"], successors) == ["b", "d", "a", "c"]
+
+    def test_cycle_and_everything_behind_it_are_left_out(self):
+        # b <-> c is a cycle; d is reached only through it.
+        successors = {"a": ["b"], "b": ["c"], "c": ["b", "d"], "d": [], "e": []}
+        assert topological_order(["a", "b", "c", "d", "e"], successors) == ["a", "e"]
