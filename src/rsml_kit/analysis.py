@@ -3,10 +3,12 @@
 Every assignment case list and every state's outgoing transition set forms a
 guard set.  A guard set is *complete* when every valuation of its referenced
 domain enables at least one condition, and *consistent* when no valuation
-enables two conditions with different actions.  Checking enumerates the
-referenced domain exhaustively, capped at a configurable number of
-valuations; a guard set containing `else` is complete by construction and is
-never enumerated.
+enables two conditions with different actions.  Checking covers every
+valuation of the referenced domain at once: each condition becomes a truth
+mask, an int with one bit per valuation, and the verdicts are ORs and ANDs
+of masks.  The domain size is capped at a configurable number of valuations;
+a guard set containing `else` is complete by construction and builds no
+mask for completeness.
 
 The referenced domain is every variable and state-tested machine that a row
 of the guard set's tables mentions, all-dot rows included
@@ -17,29 +19,39 @@ nothing and closes no cycle.
 
 Witness valuations are the lexicographically smallest under the domain
 ordering of the referenced variables (first-occurrence order), which keeps
-diagnostics stable across runs.
+diagnostics stable across runs: bit n of a mask is the n-th valuation in
+that order, so a witness is the lowest set bit of a mask.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
 from .model import (
+    CELL_DONT_CARE,
+    CELL_TRUE,
+    AndOrTable,
     Condition,
     DomainRef,
     ElseCondition,
+    LitOperand,
+    Predicate,
     Specification,
+    StateTest,
+    TableCondition,
     Value,
     domain_of,
     reads,
     topological_order,
     type_size,
 )
-from .table_logic import Valuation, eval_condition
+from .table_logic import OPS, Valuation
 
 DEFAULT_CAP = 10**7
 
@@ -186,22 +198,104 @@ def referenced_domain(
     return [(ref, _ref_domain(spec, ref)) for ref in refs]
 
 
-def _valuations(
-    domains: list[tuple[DomainRef, list[Value]]]
-) -> Iterator[tuple[dict[str, Value], Valuation]]:
-    """Lexicographic enumeration over the referenced domain.  Yields the
-    witness dict (insertion order = reference order) and a Valuation."""
-    refs = [ref for ref, _ in domains]
-    value_lists = [values for _, values in domains]
-    for combo in itertools.product(*value_lists):
-        witness = {ref.name: value for ref, value in zip(refs, combo)}
-        v = Valuation()
-        for ref, value in zip(refs, combo):
-            if ref.kind == "machine":
-                v.states[ref.name] = value  # type: ignore[assignment]
-            else:
-                v.values[ref.name] = value
-        yield witness, v
+# ---------------------------------------------------------------------------
+# Truth masks
+
+
+class _DomainIndex:
+    """Mixed-radix index of a referenced domain, first-referenced variable
+    most significant, and truth masks over it: bit n of a mask is the truth
+    at the n-th valuation in lexicographic order."""
+
+    def __init__(self, domains: list[tuple[DomainRef, list[Value]]]):
+        self.domains = domains
+        self.position = {ref: k for k, (ref, _) in enumerate(domains)}
+        sizes = [len(values) for _, values in domains]
+        self.strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+        self.size = math.prod(sizes)
+        self.full = (1 << self.size) - 1
+
+    def where(self, ref: DomainRef, holds: Callable[[Value], bool]) -> int:
+        """Points at which ``ref`` has a value that ``holds``: one block of
+        ``stride`` bits per such value, then that pattern repeated up to the
+        domain size by shift-and-OR doubling (linear in the mask size, where
+        multiplying by a repunit and dividing would be quadratic)."""
+        k = self.position[ref]
+        values, stride = self.domains[k][1], self.strides[k]
+        block = (1 << stride) - 1
+        mask = 0
+        for a, value in enumerate(values):
+            if holds(value):
+                mask |= block << (a * stride)
+        period = len(values) * stride
+        while period < self.size:
+            mask |= mask << period
+            period *= 2
+        return mask & self.full
+
+    def predicate(self, pred: Predicate) -> int:
+        if isinstance(pred, StateTest):
+            return self.where(DomainRef("machine", pred.machine), lambda s: s == pred.state)
+        test, lhs, rhs = OPS[pred.op], DomainRef("var", pred.lhs.ref), pred.rhs
+        if isinstance(rhs, LitOperand):
+            return self.where(lhs, lambda a: test(a, rhs.value))
+        # Variable against variable: the union over each right-hand value b.
+        right = DomainRef("var", rhs.ref)
+        mask = 0
+        for b in self.domains[self.position[right]][1]:
+            lhs_holds = self.where(lhs, lambda a, b=b: test(a, b))
+            mask |= lhs_holds & self.where(right, lambda r, b=b: r == b)
+        return mask
+
+    def table(self, t: AndOrTable) -> int:
+        """OR of the columns; a column is the AND of its non-dot rows, each
+        complemented where the cell is F."""
+        rows: dict[int, int] = {}  # built on first use, so an all-dot row costs nothing
+        mask = 0
+        for col in range(t.column_count):
+            column = self.full
+            for r, pred in enumerate(t.rows):
+                cell = t.cells[r][col]
+                if cell == CELL_DONT_CARE:
+                    continue
+                if r not in rows:
+                    rows[r] = self.predicate(pred)
+                column &= rows[r] if cell == CELL_TRUE else self.full ^ rows[r]
+            mask |= column
+        return mask
+
+    def witness(self, bit: int) -> dict[str, Value]:
+        """The valuation at ``bit``, keyed in reference order."""
+        return {
+            ref.name: values[(bit // stride) % len(values)]
+            for (ref, values), stride in zip(self.domains, self.strides)
+        }
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+class _GuardSetMasks:
+    """The truth mask of each table condition of a guard set, by position,
+    built on first use; building checks the cap, so a verdict that needs no
+    mask never trips it.  `else` needs none: completeness stops at it and
+    consistency skips it."""
+
+    def __init__(self, g: GuardSet, spec: Specification, cap: int | None):
+        self.g, self.spec, self.cap = g, spec, cap
+
+    @functools.cached_property
+    def index(self) -> _DomainIndex:
+        return _DomainIndex(referenced_domain(self.g, self.spec, self.cap))
+
+    @functools.cached_property
+    def tables(self) -> dict[int, int]:
+        return {
+            idx: self.index.table(cond.table)
+            for idx, (cond, _) in enumerate(self.g.conditions)
+            if isinstance(cond, TableCondition)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +316,41 @@ def witness_valuation(g: GuardSet, spec: Specification, witness: dict[str, Value
     return v
 
 
+def _completeness(masks: _GuardSetMasks) -> CompletenessVerdict:
+    if any(isinstance(cond, ElseCondition) for cond, _ in masks.g.conditions):
+        return CompletenessVerdict(complete=True, by_else=True)
+    index = masks.index
+    uncovered = index.full ^ functools.reduce(operator.or_, masks.tables.values(), 0)
+    if uncovered:
+        return CompletenessVerdict(complete=False, witness=index.witness(_lowest_bit(uncovered)))
+    return CompletenessVerdict(complete=True)
+
+
+def _consistency(masks: _GuardSetMasks) -> ConsistencyVerdict:
+    if sum(isinstance(cond, TableCondition) for cond, _ in masks.g.conditions) < 2:
+        return ConsistencyVerdict(consistent=True)
+    actions = [action for _, action in masks.g.conditions]
+    conflicts: list[tuple[int, int, int]] = []  # (first shared bit, i, j)
+    overlaps: list[tuple[int, int, int]] = []
+    for (i, mask_i), (j, mask_j) in itertools.combinations(masks.tables.items(), 2):
+        both = mask_i & mask_j
+        if both:
+            (overlaps if actions[i] == actions[j] else conflicts).append((_lowest_bit(both), i, j))
+    witness = masks.index.witness
+    if conflicts:
+        bit, i, j = min(conflicts)
+        return ConsistencyVerdict(consistent=False, witness=witness(bit), pair=(i, j))
+    return ConsistencyVerdict(
+        consistent=True, overlaps=[(i, j, witness(bit)) for bit, i, j in sorted(overlaps)]
+    )
+
+
 def check_completeness(
     g: GuardSet, spec: Specification, cap: int | None = DEFAULT_CAP
 ) -> CompletenessVerdict:
     """Complete iff every valuation of the referenced domain enables some
-    condition.  `else` short-circuits: no enumeration happens at all."""
-    if any(isinstance(cond, ElseCondition) for cond, _ in g.conditions):
-        return CompletenessVerdict(complete=True, by_else=True)
-    domains = referenced_domain(g, spec, cap)
-    for witness, v in _valuations(domains):
-        if not any(eval_condition(cond, v) for cond, _ in g.conditions):
-            return CompletenessVerdict(complete=False, witness=witness)
-    return CompletenessVerdict(complete=True)
+    condition.  `else` short-circuits: no mask is built at all."""
+    return _completeness(_GuardSetMasks(g, spec, cap))
 
 
 def check_consistency(
@@ -242,27 +359,7 @@ def check_consistency(
     """Conflict iff two conditions with different actions hold together.
     Overlapping conditions with the *same* action are only warned about.
     `else` never overlaps a sibling by construction and is skipped."""
-    indexed = [
-        (idx, cond, action)
-        for idx, (cond, action) in enumerate(g.conditions)
-        if not isinstance(cond, ElseCondition)
-    ]
-    if len(indexed) < 2:
-        return ConsistencyVerdict(consistent=True)
-    domains = referenced_domain(g, spec, cap)
-    overlaps: dict[tuple[int, int], dict[str, Value]] = {}
-    for witness, v in _valuations(domains):
-        truths = [(idx, action) for idx, cond, action in indexed if eval_condition(cond, v)]
-        for a in range(len(truths)):
-            for b in range(a + 1, len(truths)):
-                i, action_i = truths[a]
-                j, action_j = truths[b]
-                if action_i != action_j:
-                    return ConsistencyVerdict(consistent=False, witness=witness, pair=(i, j))
-                overlaps.setdefault((i, j), witness)
-    return ConsistencyVerdict(
-        consistent=True, overlaps=[(i, j, w) for (i, j), w in overlaps.items()]
-    )
+    return _consistency(_GuardSetMasks(g, spec, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +442,10 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
         completeness: CompletenessVerdict | None = None
         consistency: ConsistencyVerdict | None = None
         failure: Diagnostic | None = None
+        masks = _GuardSetMasks(g, spec, cap)
         try:
-            completeness = check_completeness(g, spec, cap)
-            consistency = check_consistency(g, spec, cap)
+            completeness = _completeness(masks)
+            consistency = _consistency(masks)
         except DomainTooLarge as exc:
             failure = exc.diagnostics[0]
         results.append(GuardSetResult(g, size, completeness, consistency, failure))

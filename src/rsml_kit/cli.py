@@ -103,9 +103,11 @@ def _load(paths: list[str], rsml_only: bool = False, strict: bool = True) -> _Pr
 
 
 def _gate(spec: Specification, args: argparse.Namespace, verb: str) -> None:
-    """Static checks guard simulate and gen; --force skips their verdict."""
+    """Static checks guard simulate and gen; --force skips them."""
+    if args.force:
+        return
     errors = [d for d in analyze(spec, args.cap).diagnostics if d.severity == "error"]
-    if errors and not args.force:
+    if errors:
         raise _Exit(
             EXIT_FINDINGS, errors, f"static checks failed; rerun with --force to {verb} anyway"
         )

@@ -7,9 +7,11 @@ variable per specification variable plus a ``<Machine>_state`` variable per
 state machine, typing invariants in declaration order, one event per
 assignment case (``Set_<Var>_<Value>``), one per transition
 (``<Machine>_<From>_to_<To>``), and one unguarded environment event
-(``Env_Set_<Var>``) per input variable.  Chain mode starts from a machine
-containing only the terminal outputs, driven nondeterministically, and adds
-one component per refinement step.
+(``Env_Set_<Var>``) per input variable.  A later case of the same
+assignment that sets the same value, or a later transition of the same
+machine with the same source and target, appends its index (``_<i>``).
+Chain mode starts from a machine containing only the terminal outputs,
+driven nondeterministically, and adds one component per refinement step.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of row literals (T as written, F negated, dot omitted).  An
@@ -280,8 +282,11 @@ def _component_events(
     events: list[EventBEvent] = []
     for a in comp.assigns:
         bare = a.target.name
+        claimed: set[str] = set()
         for idx, case in enumerate(a.cases):
-            event_name = names.claim(f"Set_{bare}_{_value_token(case.value)}", "event")
+            base = f"Set_{bare}_{_value_token(case.value)}"
+            event_name = names.claim(f"{base}_{idx}" if base in claimed else base, "event")
+            claimed.add(base)
             guards = [
                 Labeled(f"@grd{i}", text)
                 for i, text in enumerate(translate_condition(case.condition), start=1)
@@ -294,8 +299,11 @@ def _component_events(
                 Provenance("case", f"case:{a.target.qualified}#{idx}", "event", event_name)
             )
     for m in comp.machines:
+        claimed = set()
         for idx, t in enumerate(m.transitions):
-            event_name = names.claim(f"{m.name}_{t.source}_to_{t.target}", "event")
+            base = f"{m.name}_{t.source}_to_{t.target}"
+            event_name = names.claim(f"{base}_{idx}" if base in claimed else base, "event")
+            claimed.add(base)
             guards = [Labeled("@grd1", f"{m.name}_state = {t.source}")]
             guards += [
                 Labeled(f"@grd{i}", text)

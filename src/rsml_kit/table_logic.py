@@ -36,7 +36,7 @@ class Valuation:
         return Valuation(dict(self.values), dict(self.states))
 
 
-_OPS = {
+OPS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,
@@ -51,7 +51,7 @@ def eval_predicate(p: Predicate, v: Valuation) -> bool:
         return v.states[p.machine] == p.state
     lhs = v.values[p.lhs.ref]
     rhs = p.rhs.value if isinstance(p.rhs, LitOperand) else v.values[p.rhs.ref]
-    return _OPS[p.op](lhs, rhs)
+    return OPS[p.op](lhs, rhs)
 
 
 def eval_column(t: AndOrTable, col: int, v: Valuation) -> bool:

@@ -78,3 +78,40 @@ def oracle_verdicts(conditions, domains):
                 if conflict is not None:
                     break
     return (incomplete is None, incomplete, conflict is None, conflict, conflict_pair)
+
+
+def oracle_domain(conditions, values_of: dict):
+    """[(name, values)] for every variable and machine that a row of the
+    conditions' tables mentions, all-dot rows included, in first-occurrence
+    order (row order, left operand before right).  values_of maps each name
+    to its value list."""
+    names: list = []
+    for cond, _ in conditions:
+        tables = cond.siblings if isinstance(cond, ElseCondition) else (cond.table,)
+        for table in tables:
+            for pred in table.rows:
+                if isinstance(pred, StateTest):
+                    mentioned = [pred.machine]
+                else:
+                    mentioned = [pred.lhs.ref]
+                    if not isinstance(pred.rhs, LitOperand):
+                        mentioned.append(pred.rhs.ref)
+                for name in mentioned:
+                    if name not in names:
+                        names.append(name)
+    return [(name, values_of[name]) for name in names]
+
+
+def oracle_overlaps(conditions, domains):
+    """Pairs (i, j), i < j, of conditions with the same action that hold
+    together, each with the first valuation where they do; listed in the
+    order in which plain enumeration meets them."""
+    names = [name for name, _ in domains]
+    first: dict = {}
+    for combo in itertools.product(*[values for _, values in domains]):
+        env = dict(zip(names, combo))
+        truth = [oracle_condition(c, env) for c, _ in conditions]
+        for i, j in itertools.combinations(range(len(conditions)), 2):
+            if truth[i] and truth[j] and conditions[i][1] == conditions[j][1]:
+                first.setdefault((i, j), env)
+    return [(i, j, env) for (i, j), env in first.items()]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, MUTEX_TOY
+from rsml_kit import cli
 from rsml_kit.cli import main
 
 STARTSTOP = str(CORPUS / "startstop.rsml")
@@ -257,6 +258,14 @@ class TestGen:
     def test_force_generates_broken_model(self, conflicting_file, tmp_path, capsys, flags):
         assert main(["gen", conflicting_file, "-o", str(tmp_path / "x"), "--force", *flags]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_force_skips_the_static_checks(self, monkeypatch, tmp_path):
+        def analyze(*args, **kwargs):
+            raise AssertionError("--force must not run the static checks")
+
+        monkeypatch.setattr(cli, "analyze", analyze)
+        assert main(["gen", STARTSTOP, "-o", str(tmp_path / "x"), "--force"]) == 0
+        assert main(["simulate", STARTSTOP, SCRIPT, "--force"]) == 0
 
 
 class TestTrace:

@@ -205,7 +205,7 @@ class TestFlatMachine:
         assert false_event.comment == "trace: REQ-001"
         assert true_event.comment == "trace: REQ-001, REQ-002"
 
-    def test_same_value_twice_is_a_name_collision(self):
+    def test_same_value_twice_appends_the_case_index(self):
         spec = spec_from(
             """
 specification s
@@ -218,12 +218,26 @@ component C {
     when table { b = TRUE : T } then TRUE
     when else then FALSE
   }
+  statemachine M {
+    initial A ;
+    state A {
+      goto B when table { a = TRUE : T }
+      goto B when table { b = TRUE : T }
+    }
+    state B { goto A when table { a = TRUE : T } }
+  }
 }
 """
         )
-        with pytest.raises(SpecError) as exc:
-            gen_flat(spec)
-        assert exc.value.code == "NameCollision"
+        result = gen_flat(spec, closed=True)
+        assert [e.name for e in result.machine.events] == [
+            "Set_o_TRUE",
+            "Set_o_TRUE_1",
+            "Set_o_FALSE",
+            "M_A_to_B",
+            "M_A_to_B_1",
+            "M_B_to_A",
+        ]
 
     def test_initialisation_sets_every_variable(self, traffic):
         result = gen_flat(traffic)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from conftest import spec_from
 from eventb_interp import (
     apply_event,
     eval_expr,
@@ -12,7 +13,9 @@ from eventb_interp import (
     parse_machine,
     set_members,
 )
+from rsml_kit.cli import main
 from rsml_kit.eventb import gen_flat, render
+from rsml_kit.table_logic import Valuation, eval_condition
 
 
 class TestGuardParsing:
@@ -151,3 +154,74 @@ class TestAsciiRoundTrip:
             "Gearbox": "NEUTRAL",
         }
         assert ascii_m.enabled_events(env) == plain.enabled_events(env)
+
+
+TWICE = """
+specification twice
+component C {
+  input a : bool
+  input b : bool
+  output o : bool
+  statemachine M {
+    initial Idle ;
+    state Idle {
+      goto Run when table { a = TRUE : T }
+      goto Run when table { a = FALSE : T  b = TRUE : T }
+      goto Idle when else
+    }
+    state Run {
+      goto Idle when table { a = FALSE : T }
+      goto Run when else
+    }
+  }
+  assign o {
+    when table { a = TRUE : T } then TRUE
+    when table { a = FALSE : T  b = TRUE : T } then TRUE
+    when else then FALSE
+  }
+}
+"""
+
+
+class TestRepeatedActionRoundTrip:
+    """Two cases that set the same value, and two transitions with the same
+    source and target, each keep an event of their own."""
+
+    def test_every_case_and_transition_fires_its_own_event(self, tmp_path, capsys):
+        path = tmp_path / "twice.rsml"
+        path.write_text(TWICE, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        assert main(["gen", str(path), "-o", str(tmp_path)]) == 0
+        machine = parse_machine((tmp_path / "twice_mch.ebm").read_text(encoding="utf-8"))
+        names = [
+            "Set_o_TRUE",
+            "Set_o_TRUE_1",
+            "Set_o_FALSE",
+            "M_Idle_to_Run",
+            "M_Idle_to_Run_1",
+            "M_Idle_to_Idle",
+            "M_Run_to_Idle",
+            "M_Run_to_Run",
+        ]
+        assert [e.name for e in machine.events] == names + ["Env_Set_a", "Env_Set_b"]
+
+        spec = spec_from(TWICE)
+        (assign,) = spec.components[0].assigns
+        (m,) = spec.components[0].machines
+        guarded = [(case.condition, None, "o", case.value) for case in assign.cases]
+        guarded += [(t.guard, t.source, "M_state", t.target) for t in m.transitions]
+        for a, b, state in itertools.product(["FALSE", "TRUE"], ["FALSE", "TRUE"], m.states):
+            v = Valuation({"C.a": a, "C.b": b}, {"C.M": state})
+            expected = [
+                name
+                for name, (cond, source, _, _) in zip(names, guarded)
+                if source in (None, state) and eval_condition(cond, v)
+            ]
+            env = {"a": a, "b": b, "o": "FALSE", "M_state": state}
+            enabled = [n for n in machine.enabled_events(env) if not n.startswith("Env_")]
+            assert enabled == expected
+            for name in enabled:
+                _, _, variable, value = guarded[names.index(name)]
+                assert apply_event(machine, machine.event(name), env, {}) == [
+                    {**env, variable: value}
+                ]
