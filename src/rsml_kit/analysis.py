@@ -71,8 +71,8 @@ class DomainTooLarge(SpecError):
         super().__init__(
             error(
                 "DomainTooLarge",
-                f"guard set {owner} would enumerate {product} valuations "
-                f"(cap is {cap})",
+                f"guard set {owner}: the referenced domain has {product} points, "
+                f"over the cap of {cap}",
                 span,
             )
         )
@@ -180,9 +180,16 @@ def _ref_size(spec: Specification, ref: DomainRef) -> int:
     return type_size(spec.variable(ref.name).type)
 
 
-def domain_product(g: GuardSet, spec: Specification) -> int:
-    refs = reads(*(cond for cond, _ in g.conditions), live_only=False)
+def _guard_set_reads(g: GuardSet) -> list[DomainRef]:
+    return reads(*(cond for cond, _ in g.conditions), live_only=False)
+
+
+def _product(spec: Specification, refs: list[DomainRef]) -> int:
     return math.prod(_ref_size(spec, ref) for ref in refs)
+
+
+def domain_product(g: GuardSet, spec: Specification) -> int:
+    return _product(spec, _guard_set_reads(g))
 
 
 def referenced_domain(
@@ -190,11 +197,16 @@ def referenced_domain(
 ) -> list[tuple[DomainRef, list[Value]]]:
     """Referenced variables with their enumerable domains.  Raises
     :class:`DomainTooLarge` when the product exceeds the cap."""
+    return _domain(g, spec, cap, _guard_set_reads(g))
+
+
+def _domain(
+    g: GuardSet, spec: Specification, cap: int | None, refs: list[DomainRef]
+) -> list[tuple[DomainRef, list[Value]]]:
     if cap is not None:
-        product = domain_product(g, spec)
+        product = _product(spec, refs)
         if product > cap:
             raise DomainTooLarge(g.owner, product, cap, g.span)
-    refs = reads(*(cond for cond, _ in g.conditions), live_only=False)
     return [(ref, _ref_domain(spec, ref)) for ref in refs]
 
 
@@ -284,10 +296,11 @@ class _GuardSetMasks:
 
     def __init__(self, g: GuardSet, spec: Specification, cap: int | None):
         self.g, self.spec, self.cap = g, spec, cap
+        self.refs = _guard_set_reads(g)  # the referenced domain, walked once
 
     @functools.cached_property
     def index(self) -> _DomainIndex:
-        return _DomainIndex(referenced_domain(self.g, self.spec, self.cap))
+        return _DomainIndex(_domain(self.g, self.spec, self.cap, self.refs))
 
     @functools.cached_property
     def tables(self) -> dict[int, int]:
@@ -305,8 +318,7 @@ class _GuardSetMasks:
 def witness_valuation(g: GuardSet, spec: Specification, witness: dict[str, Value]) -> Valuation:
     """Split a witness back into variable values and machine states so it can
     be replayed through condition evaluation."""
-    refs = reads(*(cond for cond, _ in g.conditions), live_only=False)
-    machine_refs = {ref.name for ref in refs if ref.kind == "machine"}
+    machine_refs = {ref.name for ref in _guard_set_reads(g) if ref.kind == "machine"}
     v = Valuation()
     for name, value in witness.items():
         if name in machine_refs:
@@ -438,11 +450,11 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
     guard_sets, diagnostics = collect_guard_sets(spec)
     results: list[GuardSetResult] = []
     for g in guard_sets:
-        size = domain_product(g, spec)
+        masks = _GuardSetMasks(g, spec, cap)
+        size = _product(spec, masks.refs)
         completeness: CompletenessVerdict | None = None
         consistency: ConsistencyVerdict | None = None
         failure: Diagnostic | None = None
-        masks = _GuardSetMasks(g, spec, cap)
         try:
             completeness = _completeness(masks)
             consistency = _consistency(masks)

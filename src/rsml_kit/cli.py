@@ -484,7 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="parse, resolve and statically analyse")
     p_check.add_argument("paths", nargs="+", help=".rsml/.pf/.req files")
-    p_check.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="enumeration cap")
+    p_check.add_argument(
+        "--cap",
+        type=_positive_int,
+        default=DEFAULT_CAP,
+        help="most points a guard set's referenced domain may have",
+    )
     p_check.add_argument("--warnings-as-errors", action="store_true")
     p_check.add_argument("--format", choices=["text", "json"], default="text")
     p_check.set_defaults(func=cmd_check)

@@ -12,18 +12,40 @@ a component chain within one step.  Machine states are always read from the
 previous step (the snapshot taken at step entry), which breaks self-cycles
 and makes the order of machine updates irrelevant.  Unfired assignments and
 machines keep their previous value/state.
+
+Every step runs through one :class:`_Stepper`, built once per call of
+:func:`explore`, :func:`run_script`, :func:`initial_state` or
+:func:`step_core`.  Inside it a state is packed: a ``(values,
+machine_states)`` pair of plain tuples in declaration order.  Each machine,
+assignment and invariant memoizes its outcome on the values it reads
+(``model.reads(..., live_only=True)``, so all-dot rows are left out), and a
+machine also on its own current state, since its transitions are filtered by
+source: a guard set is evaluated by ``table_logic.eval_condition`` once per
+distinct key, and every later step with that key reuses the fired index and
+value, or re-raises the same ``NondeterministicFiring``.  A memo holds at most
+one entry per point of its node's read domain.  Named :class:`SystemState`
+records are built only for states that are output: every step of a script,
+and the counterexample states of an exploration.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .analysis import build_dependency_graph
-from .diagnostics import SpecError, error
-from .model import Specification, Value, domain_of, value_in_domain
+from .diagnostics import Diagnostic, SpecError, error
+from .model import (
+    Condition,
+    Specification,
+    Value,
+    domain_of,
+    reads,
+    value_in_domain,
+)
 from .table_logic import Valuation, eval_condition
 
 
@@ -34,15 +56,6 @@ class SystemState:
     values: tuple[tuple[str, Value], ...]  # (qualified name, value), declaration order
     states: tuple[tuple[str, str], ...]  # (qualified machine, state)
     step: int
-
-    def valuation(self) -> Valuation:
-        return Valuation(dict(self.values), dict(self.states))
-
-    def value(self, qualified: str) -> Value:
-        return dict(self.values)[qualified]
-
-    def machine_state(self, qualified: str) -> str:
-        return dict(self.states)[qualified]
 
     def key(self) -> tuple:
         """Identity for deduplication: the valuation without the step index."""
@@ -76,10 +89,8 @@ class ExplorationReport:
     limit: Optional[str] = None  # "states" | "depth" when the search was cut off
 
 
-def _make_state(spec: Specification, values: dict[str, Value], states: dict[str, str], step: int) -> SystemState:
-    ordered_values = tuple((v.qualified, values[v.qualified]) for v in spec.variables)
-    ordered_states = tuple((m.qualified, states[m.qualified]) for m in spec.machines)
-    return SystemState(ordered_values, ordered_states, step)
+Packed = tuple[tuple[Value, ...], tuple[str, ...]]  # (values, machine states)
+PackedInputs = list[tuple[int, Value]]  # (slot, value)
 
 
 def evaluation_order(spec: Specification) -> list[str]:
@@ -91,26 +102,195 @@ def evaluation_order(spec: Specification) -> list[str]:
     return verdict.order
 
 
-def violated_invariants(spec: Specification, v: Valuation) -> list[str]:
-    return [inv.name for inv in spec.invariants if not eval_condition(inv.body, v)]
+class _Stepper:
+    """The step semantics over packed states, memoized per node.
+
+    A step works on one row: the variable values in declaration order, then
+    the machine states.  Guards read the row with the machine part left at
+    the step-entry snapshot; invariants read it with the new machine states.
+    A node's memo key is ``itemgetter(*slots)(row)`` over the slots it reads.
+    """
+
+    def __init__(self, spec: Specification, order: list[str] | None = None):
+        self.spec = spec
+        if order is None:
+            order = evaluation_order(spec)
+        self.var_names = tuple(v.qualified for v in spec.variables)
+        self.machine_names = tuple(m.qualified for m in spec.machines)
+        self.width = len(self.var_names)
+        self.slot = {name: k for k, name in enumerate(self.var_names)}
+        self.machine_slot = {name: self.width + k for k, name in enumerate(self.machine_names)}
+        self.initial: Packed = (
+            tuple(v.initial_value for v in spec.variables),
+            tuple(m.initial for m in spec.machines),
+        )
+        # (name, is machine, target slot, key of row, memo, outcome on a miss)
+        self.nodes: list[tuple[str, bool, int, Callable, dict, Callable]] = []
+        for node in order:
+            machine = spec.machine_map.get(node)
+            if machine is not None:
+                own = self.machine_slot[node]
+                slots, view = self._reader([t.guard for t in machine.transitions], own)
+                fire = self._machine_outcome(node, own, view)
+                self.nodes.append((node, True, own - self.width, slots, {}, fire))
+                continue
+            assign = spec.assign_map.get(node)
+            if assign is None:
+                continue  # inputs and unassigned variables keep their value
+            slots, view = self._reader([case.condition for case in assign.cases])
+            fire = self._assign_outcome(node, view)
+            self.nodes.append((node, False, self.slot[node], slots, {}, fire))
+        # (name, key of row, memo, body, view)
+        self.invariants: list[tuple[str, Callable, dict, Condition, Callable]] = []
+        for inv in spec.invariants:
+            slots, view = self._reader([inv.body])
+            self.invariants.append((inv.name, slots, {}, inv.body, view))
+
+    def _reader(self, conds: list[Condition], *extra: int) -> tuple[Callable, Callable]:
+        """The memo key of a node reading ``conds`` (plus the ``extra``
+        slots), and the :class:`Valuation` of exactly what they read."""
+        named = [
+            (ref, (self.machine_slot if ref.kind == "machine" else self.slot)[ref.name])
+            for ref in reads(*conds, live_only=True)
+        ]
+        slots = [*extra, *(slot for _, slot in named)]
+        key = operator.itemgetter(*slots) if slots else (lambda row: ())
+
+        def view(row: list) -> Valuation:
+            v = Valuation()
+            for ref, slot in named:
+                (v.states if ref.kind == "machine" else v.values)[ref.name] = row[slot]
+            return v
+
+        return key, view
+
+    def _machine_outcome(self, node: str, own: int, view: Callable) -> Callable:
+        machine = self.spec.machine_map[node]
+
+        def outcome(row: list):
+            current = row[own]
+            v = view(row)
+            enabled = [
+                (idx, t)
+                for idx, t in enumerate(machine.transitions)
+                if t.source == current and eval_condition(t.guard, v)
+            ]
+            targets = {t.target for _, t in enabled}
+            if len(targets) > 1:
+                return error(
+                    "NondeterministicFiring",
+                    f"{self.spec.display_name(node)}: transitions to "
+                    f"{sorted(targets)} enabled together in state {current}",
+                    machine.span,
+                )
+            if enabled:
+                idx, t = enabled[0]
+                return idx, t.target
+            return None
+
+        return outcome
+
+    def _assign_outcome(self, node: str, view: Callable) -> Callable:
+        assign = self.spec.assign_map[node]
+
+        def outcome(row: list):
+            v = view(row)
+            enabled = [
+                (idx, case)
+                for idx, case in enumerate(assign.cases)
+                if eval_condition(case.condition, v)
+            ]
+            case_values = {case.value for _, case in enabled}
+            if len(case_values) > 1:
+                return error(
+                    "NondeterministicFiring",
+                    f"{self.spec.display_name(node)}: cases "
+                    f"{[i for i, _ in enabled]} enabled together with "
+                    "different values",
+                    assign.span,
+                )
+            if enabled:
+                idx, case = enabled[0]
+                return idx, case.value
+            return None
+
+        return outcome
+
+    def violated(self, row: list) -> list[str]:
+        """Invariants false on ``row`` (values, then machine states)."""
+        violated = []
+        for name, key_of, memo, body, view in self.invariants:
+            key = key_of(row)
+            try:
+                truth = memo[key]
+            except KeyError:
+                truth = memo[key] = eval_condition(body, view(row))
+            if not truth:
+                violated.append(name)
+        return violated
+
+    def advance(
+        self, state: Packed, inputs: PackedInputs, fired: list | None = None
+    ) -> tuple[Packed, list[str]]:
+        """One step from ``state``: the packed successor and the invariants
+        it violates.  ``fired`` collects ``(node, is machine, index)``."""
+        values, states = state
+        row = [*values, *states]
+        for slot, value in inputs:
+            row[slot] = value
+        new_states = list(states)
+        for node, is_machine, target, key_of, memo, fire in self.nodes:
+            key = key_of(row)
+            try:
+                outcome = memo[key]
+            except KeyError:
+                outcome = memo[key] = fire(row)
+            if outcome is None:
+                continue
+            if outcome.__class__ is Diagnostic:
+                raise SpecError(outcome)
+            idx, value = outcome
+            if is_machine:
+                new_states[target] = value
+            else:
+                row[target] = value
+            if fired is not None:
+                fired.append((node, is_machine, idx))
+        row[self.width :] = new_states
+        return (tuple(row[: self.width]), tuple(new_states)), self.violated(row)
+
+    def packed_inputs(self, inputs: dict[str, Value]) -> PackedInputs:
+        # Names that are not variables are read by no guard, so they are dropped.
+        return [(self.slot[name], value) for name, value in inputs.items() if name in self.slot]
+
+    def pack(self, state: SystemState) -> Packed:
+        return tuple(value for _, value in state.values), tuple(s for _, s in state.states)
+
+    def unpack(self, state: Packed, step: int) -> SystemState:
+        values, states = state
+        return SystemState(
+            tuple(zip(self.var_names, values)), tuple(zip(self.machine_names, states)), step
+        )
+
+    def start(self) -> Packed:
+        """The initial state; raises if an invariant is already violated."""
+        violated = self.violated([*self.initial[0], *self.initial[1]])
+        if violated:
+            raise SpecError(
+                error(
+                    "InvariantViolatedInitially",
+                    f"invariant '{violated[0]}' is violated in the initial state",
+                    self.spec.span,
+                )
+            )
+        return self.initial
 
 
 def initial_state(spec: Specification) -> SystemState:
     """Every variable at its init (or domain default), every machine at its
     initial state, step 0.  Raises if an invariant is already violated."""
-    values = {v.qualified: v.initial_value for v in spec.variables}
-    states = {m.qualified: m.initial for m in spec.machines}
-    state = _make_state(spec, values, states, 0)
-    violated = violated_invariants(spec, state.valuation())
-    if violated:
-        raise SpecError(
-            error(
-                "InvariantViolatedInitially",
-                f"invariant '{violated[0]}' is violated in the initial state",
-                spec.span,
-            )
-        )
-    return state
+    stepper = _Stepper(spec, order=[])  # takes no step, so needs no order
+    return stepper.unpack(stepper.start(), 0)
 
 
 def check_inputs(spec: Specification, inputs: dict[str, Value]) -> None:
@@ -140,68 +320,15 @@ def step_core(
 ) -> StepResult:
     """Single synchronous step; invariant violations are reported in the
     result rather than raised."""
-    if order is None:
-        order = evaluation_order(spec)
-    values = dict(cur.values)
-    snapshot = dict(cur.states)  # machine states as read by every guard
-    new_states = dict(cur.states)
-    values.update(inputs)
-
-    view = Valuation(values, snapshot)
-    fired_cases: dict[str, int] = {}
-    fired_transitions: dict[str, int] = {}
-
-    for node in order:
-        machine = spec.machine_map.get(node)
-        if machine is not None:
-            current = snapshot[node]
-            enabled = [
-                (idx, t)
-                for idx, t in enumerate(machine.transitions)
-                if t.source == current and eval_condition(t.guard, view)
-            ]
-            targets = {t.target for _, t in enabled}
-            if len(targets) > 1:
-                raise SpecError(
-                    error(
-                        "NondeterministicFiring",
-                        f"{spec.display_name(node)}: transitions to "
-                        f"{sorted(targets)} enabled together in state {current}",
-                        machine.span,
-                    )
-                )
-            if enabled:
-                idx, t = enabled[0]
-                new_states[node] = t.target
-                fired_transitions[node] = idx
-            continue
-        assign = spec.assign_map.get(node)
-        if assign is None:
-            continue  # inputs and unassigned variables keep their value
-        enabled_cases = [
-            (idx, case)
-            for idx, case in enumerate(assign.cases)
-            if eval_condition(case.condition, view)
-        ]
-        case_values = {case.value for _, case in enabled_cases}
-        if len(case_values) > 1:
-            raise SpecError(
-                error(
-                    "NondeterministicFiring",
-                    f"{spec.display_name(node)}: cases "
-                    f"{[i for i, _ in enabled_cases]} enabled together with "
-                    "different values",
-                    assign.span,
-                )
-            )
-        if enabled_cases:
-            idx, case = enabled_cases[0]
-            values[node] = case.value
-            fired_cases[node] = idx
-
-    state = _make_state(spec, values, new_states, cur.step + 1)
-    violations = violated_invariants(spec, Valuation(values, new_states))
-    return StepResult(state, fired_cases, fired_transitions, violations)
+    stepper = _Stepper(spec, order)
+    fired: list[tuple[str, bool, int]] = []
+    succ, violations = stepper.advance(stepper.pack(cur), stepper.packed_inputs(inputs), fired)
+    return StepResult(
+        stepper.unpack(succ, cur.step + 1),
+        {node: idx for node, is_machine, idx in fired if not is_machine},
+        {node: idx for node, is_machine, idx in fired if is_machine},
+        violations,
+    )
 
 
 def step(
@@ -281,16 +408,16 @@ def run_script(
 ) -> Trace:
     """Fold :func:`step` over the script rows; stops at the first invariant
     violation unless keep_going is set."""
-    order = evaluation_order(spec)
-    state = initial_state(spec)
-    trace = Trace(state, [])
+    stepper = _Stepper(spec)
+    state = stepper.start()
+    trace = Trace(stepper.unpack(state, 0), [])
     for row in script:
         check_inputs(spec, row)
-        result = step_core(spec, state, row, order)
-        state = result.state
-        trace.steps.append((row, state))
-        if result.violations and trace.violation is None:
-            trace.violation = (result.violations[0], state.step)
+        state, violations = stepper.advance(state, stepper.packed_inputs(row))
+        step_index = len(trace.steps) + 1
+        trace.steps.append((row, stepper.unpack(state, step_index)))
+        if violations and trace.violation is None:
+            trace.violation = (violations[0], step_index)
             if not keep_going:
                 break
     return trace
@@ -318,63 +445,65 @@ def explore(
 ) -> ExplorationReport:
     """Breadth-first search under full environment nondeterminism: the
     successors of a state are its steps under every input combination.
-    Returns shortest counterexamples (BFS order) per violated invariant."""
-    order = evaluation_order(spec)
+    Returns shortest counterexamples (BFS order) per violated invariant.
+    States are kept packed; parents as ``(parent, combination index)``."""
+    stepper = _Stepper(spec)
     combos = input_combinations(spec)
+    packed_combos = [stepper.packed_inputs(combo) for combo in combos]
 
-    values = {v.qualified: v.initial_value for v in spec.variables}
-    states = {m.qualified: m.initial for m in spec.machines}
-    init = _make_state(spec, values, states, 0)
+    init = stepper.initial
+    parents: dict[Packed, tuple[Packed, int] | None] = {init: None}  # also the visited set
+    violations: dict[str, Packed] = {}
+    for name in stepper.violated([*init[0], *init[1]]):
+        violations.setdefault(name, init)
 
-    visited: dict[tuple, int] = {init.key(): 0}
-    parents: dict[tuple, tuple[tuple, dict[str, Value], SystemState] | None] = {init.key(): None}
-    violations: dict[str, tuple] = {}
-    for name in violated_invariants(spec, init.valuation()):
-        violations.setdefault(name, init.key())
-
-    frontier: list[SystemState] = [init]
+    frontier: list[Packed] = [init]
+    depth = 0  # of every state in the frontier
     limit: str | None = None
     depth_reached = 0
 
     while frontier and limit is None:
-        next_frontier: list[SystemState] = []
+        next_frontier: list[Packed] = []
         for state in frontier:
-            depth = visited[state.key()]
-            for combo in combos:
-                result = step_core(spec, state, combo, order)
-                succ = result.state
-                key = succ.key()
-                if key in visited:
+            for index, combo in enumerate(packed_combos):
+                succ, violated = stepper.advance(state, combo)
+                if succ in parents:
                     continue
-                if len(visited) >= max_states:
+                if len(parents) >= max_states:
                     limit = "states"
                     break
                 if depth + 1 > max_depth:
                     limit = "depth"
                     break
-                visited[key] = depth + 1
-                parents[key] = (state.key(), combo, succ)
-                depth_reached = max(depth_reached, depth + 1)
-                for name in result.violations:
-                    violations.setdefault(name, key)
+                parents[succ] = (state, index)
+                depth_reached = depth + 1
+                for name in violated:
+                    violations.setdefault(name, succ)
                 next_frontier.append(succ)
             if limit is not None:
                 break
         frontier = next_frontier
+        depth += 1
 
     traces = [
-        (name, _rebuild_trace(init, parents, key, name))
-        for name, key in sorted(violations.items())
+        (name, _rebuild_trace(stepper, combos, parents, state, name))
+        for name, state in sorted(violations.items())
     ]
-    return ExplorationReport(len(visited), depth_reached, traces, limit)
+    return ExplorationReport(len(parents), depth_reached, traces, limit)
 
 
-def _rebuild_trace(init: SystemState, parents: dict, key: tuple, invariant: str) -> Trace:
-    steps: list[tuple[dict[str, Value], SystemState]] = []
-    cursor = key
-    while parents[cursor] is not None:
-        parent_key, combo, state = parents[cursor]
-        steps.append((combo, state))
-        cursor = parent_key
-    steps.reverse()
-    return Trace(init, steps, violation=(invariant, len(steps)))
+def _rebuild_trace(
+    stepper: _Stepper,
+    combos: list[dict[str, Value]],
+    parents: dict[Packed, tuple[Packed, int] | None],
+    state: Packed,
+    invariant: str,
+) -> Trace:
+    path: list[tuple[int, Packed]] = []
+    cursor = state
+    while (parent := parents[cursor]) is not None:
+        path.append((parent[1], cursor))
+        cursor = parent[0]
+    path.reverse()
+    steps = [(combos[index], stepper.unpack(s, k)) for k, (index, s) in enumerate(path, start=1)]
+    return Trace(stepper.unpack(cursor, 0), steps, violation=(invariant, len(steps)))

@@ -32,9 +32,6 @@ class Valuation:
     values: dict[str, Value] = field(default_factory=dict)
     states: dict[str, str] = field(default_factory=dict)
 
-    def copy(self) -> "Valuation":
-        return Valuation(dict(self.values), dict(self.states))
-
 
 OPS = {
     "=": lambda a, b: a == b,

@@ -65,6 +65,16 @@ def spec_from(text: str, filename: str = "<test>") -> Specification:
     return resolve(parse_spec(text, filename), filename)
 
 
+def state_value(state, qualified: str):
+    """The value of a variable in a ``simulator.SystemState``."""
+    return dict(state.values)[qualified]
+
+
+def machine_state(state, qualified: str) -> str:
+    """The state of a machine in a ``simulator.SystemState``."""
+    return dict(state.states)[qualified]
+
+
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return CORPUS

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import spec_from
+from conftest import machine_state, spec_from, state_value
 from eventb_interp import eval_expr, parse_machine
 from rsml_kit.analysis import (
     check_completeness,
@@ -117,7 +117,7 @@ component C {
 """
         )
         s1 = step(spec, initial_state(spec), {"C.b": "TRUE"})
-        assert s1.machine_state("C.M") == "B"
+        assert machine_state(s1, "C.M") == "B"
 
 
 class TestTrafficExploration:
@@ -156,7 +156,7 @@ class TestInterpreterTransitionAgreement:
                 fired = step_core(traffic, state, combo).fired_transitions.get("Ctl.Light")
                 env = {k.split(".", 1)[1]: v for k, v in state.values}
                 env.update({k.split(".", 1)[1]: v for k, v in combo.items()})
-                env["Light_state"] = state.machine_state("Ctl.Light")
+                env["Light_state"] = machine_state(state, "Ctl.Light")
                 enabled = [
                     e.name
                     for e in machine.events

@@ -1,5 +1,5 @@
 """The guard-set checker's exact verdicts against brute-force enumeration,
-and the enumeration cap at its boundary."""
+and the domain cap at its boundary."""
 
 from __future__ import annotations
 
@@ -191,5 +191,8 @@ def test_product_one_over_cap_is_reported(tmp_path, capsys):
             "guard set C.p: domain 9, complete, consistent",
             "2 guard sets: 1 complete, 1 consistent",
         ],
-        ["9:3: error[DomainTooLarge]: guard set C.o would enumerate 9 valuations (cap is 8)"],
+        [
+            "9:3: error[DomainTooLarge]: guard set C.o: the referenced domain has 9 points, "
+            "over the cap of 8"
+        ],
     )

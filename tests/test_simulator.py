@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import spec_from
+from conftest import machine_state, spec_from, state_value
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
     explore,
@@ -24,14 +24,14 @@ class TestInitialState:
     def test_defaults_and_declared_inits(self, startstop):
         s0 = initial_state(startstop)
         assert s0.step == 0
-        assert s0.value(CP) == "PRESSED"  # first literal
-        assert s0.value(SW) == "USED"
-        assert s0.value(GB) == "NEUTRAL"
-        assert s0.value(ENA) == "TRUE"  # explicit init
+        assert state_value(s0, CP) == "PRESSED"  # first literal
+        assert state_value(s0, SW) == "USED"
+        assert state_value(s0, GB) == "NEUTRAL"
+        assert state_value(s0, ENA) == "TRUE"  # explicit init
 
     def test_machine_starts_in_initial_state(self, traffic):
         s0 = initial_state(traffic)
-        assert s0.machine_state("Ctl.Light") == "Red"
+        assert machine_state(s0, "Ctl.Light") == "Red"
 
     def test_initially_violated_invariant(self):
         text = """
@@ -47,37 +47,37 @@ invariant must_hold : table { b = TRUE : T }
 class TestStep:
     def test_pressed_clutch_disables_stop(self, startstop):
         s1 = step(startstop, initial_state(startstop), {CP: "PRESSED"})
-        assert s1.value(ENA) == "FALSE"
+        assert state_value(s1, ENA) == "FALSE"
         assert s1.step == 1
 
     def test_release_all_enables_stop(self, startstop):
         s0 = initial_state(startstop)
         s1 = step(startstop, s0, {CP: "RELEASED", SW: "NOT_USED", GB: "NEUTRAL"})
-        assert s1.value(ENA) == "TRUE"
+        assert state_value(s1, ENA) == "TRUE"
 
     def test_unassigned_inputs_persist(self, startstop):
         s0 = initial_state(startstop)
         s1 = step(startstop, s0, {CP: "RELEASED"})
-        assert s1.value(SW) == "USED"
-        assert s1.value(GB) == "NEUTRAL"
+        assert state_value(s1, SW) == "USED"
+        assert state_value(s1, GB) == "NEUTRAL"
 
     def test_framing_untargeted_variables_unchanged(self, traffic):
         s0 = initial_state(traffic)
         s1 = step(traffic, s0, {})
         # Cmd defaults to GO, so Light fires Red->Green; Out_Red reads the
         # prior-step state (Red) and stays TRUE.
-        assert s1.machine_state("Ctl.Light") == "Green"
-        assert s1.value("Ctl.Out_Red") == "TRUE"
+        assert machine_state(s1, "Ctl.Light") == "Green"
+        assert state_value(s1, "Ctl.Out_Red") == "TRUE"
 
     def test_machine_state_read_is_one_step_delayed(self, traffic):
         s0 = initial_state(traffic)
         s1 = step(traffic, s0, {"Ctl.Cmd": "GO"})
         s2 = step(traffic, s1, {"Ctl.Cmd": "HALT"})
         # Light goes back to Red, while Out_Red sees Green from step 1.
-        assert s2.machine_state("Ctl.Light") == "Red"
-        assert s2.value("Ctl.Out_Red") == "FALSE"
+        assert machine_state(s2, "Ctl.Light") == "Red"
+        assert state_value(s2, "Ctl.Out_Red") == "FALSE"
         s3 = step(traffic, s2, {"Ctl.Cmd": "HALT"})
-        assert s3.value("Ctl.Out_Red") == "TRUE"
+        assert state_value(s3, "Ctl.Out_Red") == "TRUE"
 
     def test_determinism(self, startstop):
         s0 = initial_state(startstop)
@@ -140,13 +140,13 @@ component C {
 """
         spec = spec_from(text)
         s1 = step(spec, initial_state(spec), {"C.b": "TRUE"})
-        assert s1.value("C.o") == "ON"
+        assert state_value(s1, "C.o") == "ON"
 
     def test_values_flow_through_component_chain_in_one_step(self, twocomp):
         s0 = initial_state(twocomp)
         s1 = step(twocomp, s0, {"Sensor.Raw": 3})
-        assert s1.value("Sensor.Level") == "HIGH"
-        assert s1.value("Controller.Alarm") == "TRUE"
+        assert state_value(s1, "Sensor.Level") == "HIGH"
+        assert state_value(s1, "Controller.Alarm") == "TRUE"
 
 
 class TestScripts:
@@ -162,7 +162,7 @@ class TestScripts:
             {SW: "NOT_USED"},
         ]
         trace = run_script(startstop, script)
-        values = [state.value(ENA) for _, state in trace.steps]
+        values = [state_value(state, ENA) for _, state in trace.steps]
         assert values == ["FALSE", "FALSE", "TRUE"]
 
     def test_script_parsing(self, startstop):
@@ -219,8 +219,8 @@ class TestExplore:
         inputs, state = trace.steps[0]
         assert inputs["HMI.Driver_Wants_Start"] == "TRUE"
         assert inputs["HMI.Driver_Wants_Stop"] == "TRUE"
-        assert state.value("HMI.Strt_Req") == "TRUE"
-        assert state.value("HMI.Stop_Req") == "TRUE"
+        assert state_value(state, "HMI.Strt_Req") == "TRUE"
+        assert state_value(state, "HMI.Stop_Req") == "TRUE"
 
     def test_max_states_limit(self, startstop):
         report = explore(startstop, max_states=1)
