@@ -15,7 +15,10 @@ of the guard set's tables mentions, all-dot rows included
 (``model.reads(..., live_only=False)``); it sets the ``domain N`` count, the
 cap check and the witnesses.  The dependency graph reads live rows only
 (``live_only=True``): an all-dot row is never evaluated, so it orders
-nothing and closes no cycle.
+nothing and closes no cycle.  Components can depend on each other in a
+cycle without any variable doing so; that is only a warning, because the
+step does not mind and only the refinement chain needs the components
+ordered.
 
 Witness valuations are the lexicographically smallest under the domain
 ordering of the referenced variables (first-occurrence order), which keeps
@@ -46,12 +49,13 @@ from .model import (
     StateTest,
     TableCondition,
     Value,
+    component_dependencies,
     domain_of,
     reads,
     topological_order,
     type_size,
 )
-from .table_logic import OPS, Valuation
+from .table_logic import OPS
 
 DEFAULT_CAP = 10**7
 
@@ -315,19 +319,6 @@ class _GuardSetMasks:
 # Checks
 
 
-def witness_valuation(g: GuardSet, spec: Specification, witness: dict[str, Value]) -> Valuation:
-    """Split a witness back into variable values and machine states so it can
-    be replayed through condition evaluation."""
-    machine_refs = {ref.name for ref in _guard_set_reads(g) if ref.kind == "machine"}
-    v = Valuation()
-    for name, value in witness.items():
-        if name in machine_refs:
-            v.states[name] = value  # type: ignore[assignment]
-        else:
-            v.values[name] = value
-    return v
-
-
 def _completeness(masks: _GuardSetMasks) -> CompletenessVerdict:
     if any(isinstance(cond, ElseCondition) for cond, _ in masks.g.conditions):
         return CompletenessVerdict(complete=True, by_else=True)
@@ -387,24 +378,17 @@ def build_dependency_graph(spec: Specification) -> DependencyVerdict:
     """Topological evaluation order over variables and machines, or the
     shortest read-cycle among variables."""
     nodes: list[str] = []
+    computed: list[tuple[str, list[Condition]]] = []  # node, the conditions it reads through
     for comp in spec.components:
-        nodes.extend(v.qualified for v in comp.variables)
-        nodes.extend(m.qualified for m in comp.machines)
+        nodes += [v.qualified for v in comp.variables] + [m.qualified for m in comp.machines]
+        computed += [(a.target.qualified, [c.condition for c in a.cases]) for a in comp.assigns]
+        computed += [(m.qualified, [t.guard for t in m.transitions]) for m in comp.machines]
     edges: dict[str, set[str]] = {name: set() for name in nodes}  # u -> readers of u
-
-    def add_edges(target: str, cond: Condition) -> None:
+    for target, conds in computed:
         # A data variable reading itself is a genuine length-1 cycle.
-        for ref in reads(cond, live_only=True):
+        for ref in reads(*conds, live_only=True):
             if ref.kind == "var":
                 edges[ref.name].add(target)
-
-    for comp in spec.components:
-        for a in comp.assigns:
-            for case in a.cases:
-                add_edges(a.target.qualified, case.condition)
-        for m in comp.machines:
-            for t in m.transitions:
-                add_edges(m.qualified, t.guard)
 
     order = topological_order(nodes, edges)
     if len(order) == len(nodes):
@@ -504,6 +488,16 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
         cycle = ", ".join(spec.display_name(n) for n in dependency.cycle)
         diagnostics.append(
             error("CyclicDependency", f"same-step dependency cycle: [{cycle}]", spec.span)
+        )
+    cyclic = component_dependencies(spec).cyclic
+    if cyclic:
+        diagnostics.append(
+            warning(
+                "ComponentCycle",
+                f"component dependency cycle among: {', '.join(cyclic)}; "
+                "gen --mode chain will refuse this specification",
+                spec.span,
+            )
         )
     return AnalysisReport(results, dependency, diagnostics)
 

@@ -2,16 +2,27 @@
 
 The context declares one carrier set with a partition axiom per enum type
 and per state machine; bool maps to the builtin BOOL and int ranges to
-interval membership, so neither produces a set.  The flat machine holds one
-variable per specification variable plus a ``<Machine>_state`` variable per
-state machine, typing invariants in declaration order, one event per
-assignment case (``Set_<Var>_<Value>``), one per transition
-(``<Machine>_<From>_to_<To>``), and one unguarded environment event
-(``Env_Set_<Var>``) per input variable.  A later case of the same
-assignment that sets the same value, or a later transition of the same
-machine with the same source and target, appends its index (``_<i>``).
-Chain mode starts from a machine containing only the terminal outputs,
-driven nondeterministically, and adds one component per refinement step.
+interval membership, so neither produces a set.
+
+One assembler builds every machine.  Each component is translated once per
+``gen`` call into its events: one per assignment case (``Set_<Var>_<Value>``)
+and one per transition (``<Machine>_<From>_to_<To>``).  A later case of the
+same assignment that sets the same value, or a later transition of the same
+machine with the same source and target, appends its index (``_<i>``).  A
+machine then claims the context names; adds the variables it holds (one per
+specification variable, one ``<Machine>_state`` per state machine) with
+their typing invariants and initial values, in declaration order; claims
+and appends the events of the components it adds; and gives each held
+variable that no added component computes an unguarded setter:
+``Set_<Var>`` for a terminal output (one that no component reads) whose
+component is not added yet, ``Env_Set_<Var>`` for an input, or for another
+component's variable or machine, unless the machine is closed.
+
+The flat machine adds every component in declaration order and appends the
+specification's invariants.  Chain mode orders the components suppliers
+first (``model.component_dependencies``) and builds one machine per prefix
+of the reverse order: the most abstract holds only the terminal outputs,
+and each refinement adds the next component with what it reads.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of row literals (T as written, F negated, dot omitted).  An
@@ -24,7 +35,7 @@ Rendering is deterministic: identical input yields identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .diagnostics import SpecError, error
@@ -33,8 +44,8 @@ from .model import (
     BoolType,
     CELL_DONT_CARE,
     CELL_TRUE,
+    Component,
     Condition,
-    DomainRef,
     ElseCondition,
     EnumType,
     Specification,
@@ -43,8 +54,7 @@ from .model import (
     TypeDef,
     Value,
     VarOperand,
-    reads,
-    topological_order,
+    component_dependencies,
 )
 
 OR = "∨"
@@ -229,10 +239,6 @@ def _type_set(t: TypeDef) -> str:
     return f"{t.lo} {UPTO} {t.hi}"
 
 
-def _typing_predicate(bare: str, t: TypeDef) -> str:
-    return f"{bare} {MEMBER} {_type_set(t)}"
-
-
 def _machine_set(m: StateMachine) -> str:
     return f"T_{m.name}_States"
 
@@ -269,134 +275,152 @@ def gen_context(spec: Specification) -> EventBContext:
 
 
 # ---------------------------------------------------------------------------
-# Machine generation
+# Machine assembly
 
 
-def _component_events(
-    spec: Specification,
-    comp_name: str,
-    names: _Names,
-    provenance: list[Provenance],
-) -> list[EventBEvent]:
-    comp = next(c for c in spec.components if c.name == comp_name)
+def _guards(cond: Condition, start: int = 1) -> list[Labeled]:
+    texts = translate_condition(cond)
+    return [Labeled(f"@grd{i}", text) for i, text in enumerate(texts, start=start)]
+
+
+def _suffixed(bases: list[str]) -> list[str]:
+    """Event names: a base repeated within one assignment or machine gets
+    its index appended."""
+    return [f"{base}_{i}" if base in bases[:i] else base for i, base in enumerate(bases)]
+
+
+def _component_events(comp: Component) -> tuple[list[EventBEvent], list[Provenance]]:
+    """The component's events, assignment cases before transitions, with
+    their provenance.  Names are not claimed here: every machine that adds
+    the component claims them itself."""
     events: list[EventBEvent] = []
+    provenance: list[Provenance] = []
     for a in comp.assigns:
         bare = a.target.name
-        claimed: set[str] = set()
-        for idx, case in enumerate(a.cases):
-            base = f"Set_{bare}_{_value_token(case.value)}"
-            event_name = names.claim(f"{base}_{idx}" if base in claimed else base, "event")
-            claimed.add(base)
-            guards = [
-                Labeled(f"@grd{i}", text)
-                for i, text in enumerate(translate_condition(case.condition), start=1)
-            ]
+        bases = [f"Set_{bare}_{_value_token(case.value)}" for case in a.cases]
+        for idx, (case, name) in enumerate(zip(a.cases, _suffixed(bases))):
             actions = [Labeled("@act1", f"{bare} := {case.value}")]
-            events.append(
-                EventBEvent(event_name, guards, actions, comment=_trace_comment(case.trace))
-            )
-            provenance.append(
-                Provenance("case", f"case:{a.target.qualified}#{idx}", "event", event_name)
-            )
+            comment = _trace_comment(case.trace)
+            events.append(EventBEvent(name, _guards(case.condition), actions, comment))
+            provenance.append(Provenance("case", f"case:{a.target.qualified}#{idx}", "event", name))
     for m in comp.machines:
-        claimed = set()
-        for idx, t in enumerate(m.transitions):
-            base = f"{m.name}_{t.source}_to_{t.target}"
-            event_name = names.claim(f"{base}_{idx}" if base in claimed else base, "event")
-            claimed.add(base)
-            guards = [Labeled("@grd1", f"{m.name}_state = {t.source}")]
-            guards += [
-                Labeled(f"@grd{i}", text)
-                for i, text in enumerate(translate_condition(t.guard), start=2)
-            ]
+        bases = [f"{m.name}_{t.source}_to_{t.target}" for t in m.transitions]
+        for idx, (t, name) in enumerate(zip(m.transitions, _suffixed(bases))):
+            guards = [Labeled("@grd1", f"{m.name}_state = {t.source}"), *_guards(t.guard, 2)]
             actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
-            events.append(EventBEvent(event_name, guards, actions, comment=_trace_comment(t.trace)))
-            provenance.append(
-                Provenance("transition", f"transition:{m.qualified}#{idx}", "event", event_name)
-            )
-    return events
+            events.append(EventBEvent(name, guards, actions, _trace_comment(t.trace)))
+            source = f"transition:{m.qualified}#{idx}"
+            provenance.append(Provenance("transition", source, "event", name))
+    return events, provenance
 
 
-def _machine_variables(
-    spec: Specification, names: _Names, include: set[str] | None = None
-) -> tuple[list[str], list[Labeled], list[Labeled], list[Provenance]]:
-    """Variables, typing invariants and initialisation actions, in
-    declaration order, optionally restricted to a qualified-name set."""
-    variables: list[str] = []
-    invariants: list[Labeled] = []
-    init_actions: list[Labeled] = []
-    provenance: list[Provenance] = []
-    items: list[tuple[str, str, TypeDef, Value, str]] = []
-    for comp in spec.components:
-        for v in comp.variables:
-            if include is not None and v.qualified not in include:
-                continue
-            items.append((v.name, v.qualified, v.type, v.initial_value, "variable"))
-        for m in comp.machines:
-            if include is not None and m.qualified not in include:
-                continue
-            items.append(
-                (f"{m.name}_state", m.qualified, None, m.initial, "machine")  # type: ignore[arg-type]
-            )
-    for idx, (bare, qualified, vtype, init, kind) in enumerate(items, start=1):
-        names.claim(bare, "variable")
-        variables.append(bare)
-        label = f"@inv{idx}"
-        if kind == "machine":
-            m = spec.machine(qualified)
-            invariants.append(Labeled(label, f"{bare} {MEMBER} {_machine_set(m)}"))
-        else:
-            invariants.append(Labeled(label, _typing_predicate(bare, vtype)))
-            provenance.append(Provenance("variable", f"var:{qualified}", "invariant", label))
-        init_actions.append(Labeled(f"@act{idx}", f"{bare} := {init}"))
-    return variables, invariants, init_actions, provenance
+class _Assembler:
+    """Builds every machine of one ``gen`` call from each component's
+    events, translated once.  ``terminal`` holds the outputs no component
+    reads."""
 
+    def __init__(
+        self,
+        spec: Specification,
+        context: EventBContext,
+        closed: bool,
+        terminal: frozenset[str] = frozenset(),
+    ) -> None:
+        self.spec, self.context, self.closed, self.terminal = spec, context, closed, terminal
+        self.events = {comp.name: _component_events(comp) for comp in spec.components}
+        # Per component: (Event-B variable, source, carrier set, initial value,
+        # direction or "machine"), its variables before its machines.
+        self.held = {
+            comp.name: [
+                (v.name, v.qualified, _type_set(v.type), v.initial_value, v.direction)
+                for v in comp.variables
+            ]
+            + [
+                (f"{m.name}_state", m.qualified, _machine_set(m), m.initial, "machine")
+                for m in comp.machines
+            ]
+            for comp in spec.components
+        }
 
-def _claim_context_names(names: _Names, context: EventBContext) -> None:
-    # Machine-level names share one namespace with sets and constants.
-    for set_name, constants in context.sets:
-        names.claim(set_name, "carrier set")
-        for c in constants:
-            names.claim(c, f"constant of {set_name}")
+    def machine(
+        self,
+        name: str,
+        refines: Optional[str],
+        added: list[Component],
+        include: set[str] | None = None,
+        with_invariants: bool = False,
+    ) -> tuple[EventBMachine, list[Provenance]]:
+        """The machine holding the events of the ``added`` components and
+        the variables in ``include`` (all when None), in declaration order.
+        A held variable or machine that no added component computes gets a
+        setter: ``Set_<v>`` for a terminal output, ``Env_Set_<v>`` for an
+        input or another component's variable or machine, unless closed."""
+        names = _Names()
+        # Machine-level names share one namespace with sets and constants.
+        for set_name, constants in self.context.sets:
+            names.claim(set_name, "carrier set")
+            for c in constants:
+                names.claim(c, f"constant of {set_name}")
+        added_names = {comp.name for comp in added}
+        held = [
+            (comp.name in added_names, *item)
+            for comp in self.spec.components
+            for item in self.held[comp.name]
+            if include is None or item[1] in include
+        ]
+        variables: list[str] = []
+        invariants: list[Labeled] = []
+        init_actions: list[Labeled] = []
+        provenance: list[Provenance] = []
+        for _, bare, source, carrier, init, direction in held:
+            variables.append(names.claim(bare, "variable"))
+            label = f"@inv{len(variables)}"
+            invariants.append(Labeled(label, f"{bare} {MEMBER} {carrier}"))
+            init_actions.append(Labeled(f"@act{len(variables)}", f"{bare} := {init}"))
+            if direction != "machine":
+                provenance.append(Provenance("variable", f"var:{source}", "invariant", label))
+        if with_invariants:
+            for inv in self.spec.invariants:
+                label = f"@inv{len(invariants) + 1}"
+                comment = inv.name + (f" trace: {', '.join(inv.trace)}" if inv.trace else "")
+                invariants.append(Labeled(label, table_formula(inv.body.table), comment=comment))
+                provenance.append(
+                    Provenance("invariant", f"invariant:{inv.name}", "invariant", label)
+                )
+
+        events: list[EventBEvent] = []
+        for comp in added:
+            comp_events, comp_provenance = self.events[comp.name]
+            for event in comp_events:
+                names.claim(event.name, "event")
+            events += comp_events
+            provenance += comp_provenance
+        for owner_added, bare, source, carrier, _, direction in held:
+            if source in self.terminal and not owner_added:
+                event_name = f"Set_{bare}"
+            elif (direction == "input" or not owner_added) and not self.closed:
+                event_name = f"Env_Set_{bare}"
+            else:
+                continue  # closed, or an added component computes or fixes it
+            actions = [Labeled("@act1", f"{bare} {BECOMES_MEMBER} {carrier}")]
+            events.append(EventBEvent(names.claim(event_name, "event"), [], actions))
+            if direction != "machine":
+                provenance.append(Provenance("variable", f"var:{source}", "event", event_name))
+
+        machine = EventBMachine(
+            name, self.context.name, refines, variables, invariants, init_actions, events
+        )
+        return machine, provenance
 
 
 def gen_flat(spec: Specification, closed: bool = False) -> GenResult:
     """Single machine covering the whole specification; `closed` omits the
     environment events that drive the input variables."""
     context = gen_context(spec)
-    names = _Names()
-    _claim_context_names(names, context)
-    provenance: list[Provenance] = []
-    variables, invariants, init_actions, var_prov = _machine_variables(spec, names)
-    provenance.extend(var_prov)
-
-    label_base = len(invariants)
-    for offset, inv in enumerate(spec.invariants, start=1):
-        label = f"@inv{label_base + offset}"
-        comment = inv.name
-        if inv.trace:
-            comment += f" trace: {', '.join(inv.trace)}"
-        invariants.append(Labeled(label, table_formula(inv.body.table), comment=comment))
-        provenance.append(Provenance("invariant", f"invariant:{inv.name}", "invariant", label))
-
-    events: list[EventBEvent] = []
-    for comp in spec.components:
-        events.extend(_component_events(spec, comp.name, names, provenance))
-    if not closed:
-        for v in spec.inputs:
-            event_name = names.claim(f"Env_Set_{v.name}", "event")
-            actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
-            events.append(EventBEvent(event_name, [], actions))
-            provenance.append(Provenance("variable", f"var:{v.qualified}", "event", event_name))
-
-    machine = EventBMachine(
-        f"{spec.name}_mch", context.name, None, variables, invariants, init_actions, events
+    machine, provenance = _Assembler(spec, context, closed).machine(
+        f"{spec.name}_mch", None, list(spec.components), with_invariants=True
     )
     return GenResult(context, [machine], provenance)
-
-
-# ---------------------------------------------------------------------------
-# Refinement chain
 
 
 def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
@@ -407,106 +431,35 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     context = gen_context(spec)
     # Live rows only: an all-dot row is never evaluated, so it neither links
     # two components nor keeps an output from being terminal.
-    comp_reads: dict[str, list[DomainRef]] = {
-        comp.name: reads(
-            *(case.condition for a in comp.assigns for case in a.cases),
-            *(t.guard for m in comp.machines for t in m.transitions),
-            live_only=True,
-        )
-        for comp in spec.components
-    }
-    vars_read_anywhere = {
-        ref.name for refs in comp_reads.values() for ref in refs if ref.kind == "var"
-    }
-
-    terminal = [
-        v
-        for v in spec.variables
-        if v.direction == "output" and v.qualified not in vars_read_anywhere
-    ]
+    deps = component_dependencies(spec)
+    read = {ref.name for refs in deps.reads.values() for ref in refs if ref.kind == "var"}
+    terminal = frozenset(
+        v.qualified for v in spec.variables if v.direction == "output" and v.qualified not in read
+    )
     if not terminal:
         raise SpecError(error("NoOutputs", "no output variables", spec.span))
+    if deps.cyclic:
+        cyclic = ", ".join(deps.cyclic)
+        message = f"component dependency cycle among: {cyclic}"
+        raise SpecError(error("CyclicDependency", message, spec.span))
 
-    # Component dependency: supplier before consumer; consumers are added first.
-    comp_names = [c.name for c in spec.components]
-    owner = {v.qualified: v.owner for v in spec.variables}
-    owner.update({m.qualified: m.owner for m in spec.machines})
-    successors: dict[str, set[str]] = {name: set() for name in comp_names}
-    for comp in spec.components:
-        for ref in comp_reads[comp.name]:
-            if owner[ref.name] != comp.name:
-                successors[owner[ref.name]].add(comp.name)
-    topo = topological_order(comp_names, successors)
-    if len(topo) != len(comp_names):
-        cyclic = ", ".join(n for n in comp_names if n not in topo)
-        raise SpecError(
-            error("CyclicDependency", f"component dependency cycle among: {cyclic}", spec.span)
-        )
-    add_order = list(reversed(topo))
-
+    assembler = _Assembler(spec, context, closed, terminal)
+    by_name = {comp.name: comp for comp in spec.components}
+    added: list[Component] = []
+    include = set(terminal)  # grows with each added component and what it reads
     machines: list[EventBMachine] = []
-    provenance: list[Provenance] = []
-    terminal_q = {v.qualified for v in terminal}
-
-    for i in range(len(add_order) + 1):
-        added = add_order[:i]
-        added_set = set(added)
-        include: set[str] = set(terminal_q)
-        for comp in spec.components:
-            if comp.name in added_set:
-                include.update(v.qualified for v in comp.variables)
-                include.update(m.qualified for m in comp.machines)
-                include.update(ref.name for ref in comp_reads[comp.name])
-
-        names = _Names()
-        _claim_context_names(names, context)
-        step_prov: list[Provenance] = []
-        variables, invariants, init_actions, _ = _machine_variables(spec, names, include)
-
-        events: list[EventBEvent] = []
-        for comp_name in added:
-            events.extend(_component_events(spec, comp_name, names, step_prov))
-
-        written = {
-            a.target.qualified
-            for comp in spec.components
-            if comp.name in added_set
-            for a in comp.assigns
-        }
-        for comp in spec.components:
-            for v in comp.variables:
-                if v.qualified not in include or v.qualified in written:
-                    continue
-                if v.qualified in terminal_q and v.owner not in added_set:
-                    event_name = names.claim(f"Set_{v.name}", "event")
-                elif v.direction == "input" or v.owner not in added_set:
-                    if closed:
-                        continue
-                    event_name = names.claim(f"Env_Set_{v.name}", "event")
-                else:
-                    continue  # output without an assignment spec: constant
-                actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
-                events.append(EventBEvent(event_name, [], actions))
-            for m in comp.machines:
-                # A machine observed by an added component but whose owner is
-                # not added yet is driven nondeterministically for now.
-                if m.qualified in include and m.owner not in added_set and not closed:
-                    event_name = names.claim(f"Env_Set_{m.name}_state", "event")
-                    actions = [
-                        Labeled(
-                            "@act1", f"{m.name}_state {BECOMES_MEMBER} {_machine_set(m)}"
-                        )
-                    ]
-                    events.append(EventBEvent(event_name, [], actions))
-
-        name = f"{spec.name}_m0" if i == 0 else f"{spec.name}_r{i}"
-        refines = None if i == 0 else machines[-1].name
-        machines.append(
-            EventBMachine(name, context.name, refines, variables, invariants, init_actions, events)
-        )
-        provenance = step_prov  # keep the provenance of the most refined machine
-
-    return GenResult(context, machines, provenance)
+    for i in range(len(deps.order) + 1):
+        if i:
+            comp = by_name[deps.order[-i]]  # consumers first
+            added.append(comp)
+            include.update(v.qualified for v in comp.variables)
+            include.update(m.qualified for m in comp.machines)
+            include.update(ref.name for ref in deps.reads[comp.name])
+        name = f"{spec.name}_r{i}" if i else f"{spec.name}_m0"
+        refines = machines[-1].name if machines else None
+        machine, provenance = assembler.machine(name, refines, added, include)
+        machines.append(machine)
+    return GenResult(context, machines, provenance)  # of the most refined machine
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ literals live in a single global namespace.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
@@ -222,6 +223,38 @@ def topological_order(nodes: list[str], successors: Mapping[str, Iterable[str]])
     return order
 
 
+@dataclass
+class ComponentDependencies:
+    """A component depends on the owner of every variable and machine its
+    live rows read (``reads`` per component name); ``order`` puts suppliers
+    before consumers and leaves out ``cyclic``, the components on or behind
+    a component-level cycle, in declaration order."""
+
+    reads: dict[str, list[DomainRef]]
+    order: list[str]
+    cyclic: list[str]
+
+
+def component_dependencies(spec: Specification) -> ComponentDependencies:
+    names = [c.name for c in spec.components]
+    comp_reads = {
+        comp.name: reads(
+            *(case.condition for a in comp.assigns for case in a.cases),
+            *(t.guard for m in comp.machines for t in m.transitions),
+            live_only=True,
+        )
+        for comp in spec.components
+    }
+    successors: dict[str, set[str]] = {name: set() for name in names}
+    for name, refs in comp_reads.items():
+        for ref in refs:
+            supplier = ref.name.partition(".")[0]  # qualified names are Owner.name
+            if supplier != name:
+                successors[supplier].add(name)
+    order = topological_order(names, successors)
+    return ComponentDependencies(comp_reads, order, [n for n in names if n not in order])
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 
@@ -329,11 +362,10 @@ class Specification:
                 self.machine_map[m.qualified] = m
             for a in comp.assigns:
                 self.assign_map[a.target.qualified] = a
-        bare_counts: dict[str, int] = {}
-        for name in list(self.var_map) + list(self.machine_map):
-            bare = name.split(".", 1)[1]
-            bare_counts[bare] = bare_counts.get(bare, 0) + 1
-        self._bare_counts = bare_counts
+        # A variable and a machine may share a qualified name; both count.
+        names = [(name, name.split(".", 1)[1]) for name in [*self.var_map, *self.machine_map]]
+        counts = Counter(bare for _, bare in names)
+        self._display_names = {name: bare if counts[bare] == 1 else name for name, bare in names}
 
     @property
     def variables(self) -> list[Variable]:
@@ -355,8 +387,7 @@ class Specification:
 
     def display_name(self, qualified: str) -> str:
         """Bare name when unambiguous across the model, else qualified."""
-        bare = qualified.split(".", 1)[1] if "." in qualified else qualified
-        return bare if self._bare_counts.get(bare, 0) == 1 else qualified
+        return self._display_names[qualified]
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ class SystemState:
     states: tuple[tuple[str, str], ...]  # (qualified machine, state)
     step: int
 
-    def key(self) -> tuple:
-        """Identity for deduplication: the valuation without the step index."""
-        return (self.values, self.states)
-
 
 @dataclass
 class StepResult:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from rsml_kit.ast_nodes import ElseNode, SpecNode, TableNode
 from rsml_kit.model import Specification, resolve
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec
 
@@ -73,6 +74,74 @@ def state_value(state, qualified: str):
 def machine_state(state, qualified: str) -> str:
     """The state of a machine in a ``simulator.SystemState``."""
     return dict(state.states)[qualified]
+
+
+def state_key(state) -> tuple:
+    """Identity of a ``simulator.SystemState`` for deduplication: the
+    valuation without the step index."""
+    return (state.values, state.states)
+
+
+# ---------------------------------------------------------------------------
+# Pretty-printing of surface trees.  format_spec(parse_spec(text)) re-parses
+# to an equal tree.
+
+
+def _fmt_trace(tags: list[str]) -> str:
+    return f" trace {', '.join(tags)}" if tags else ""
+
+
+def _fmt_table(table: TableNode, indent: str) -> str:
+    lines = [f"{indent}table {{"]
+    for row in table.rows:
+        cells = " ".join(row.cells)
+        lines.append(f"{indent}  {row.predicate} : {cells}")
+    lines.append(f"{indent}}}")
+    return "\n".join(lines)
+
+
+def _fmt_condition(cond, indent: str) -> str:
+    if isinstance(cond, ElseNode):
+        return "else"
+    return _fmt_table(cond, indent).lstrip()
+
+
+def format_spec(spec: SpecNode) -> str:
+    out: list[str] = [f"specification {spec.name}", ""]
+    for t in spec.types:
+        if t.literals is not None:
+            out.append(f"type {t.name} = {{ {', '.join(t.literals)} }}")
+        else:
+            lo, hi = t.bounds  # type: ignore[misc]
+            out.append(f"type {t.name} = int [{lo} .. {hi}]")
+    if spec.types:
+        out.append("")
+    for comp in spec.components:
+        out.append(f"component {comp.name} {{")
+        for v in comp.variables:
+            init = f" init {v.init}" if v.init is not None else ""
+            out.append(f"  {v.direction} {v.name} : {v.type_name}{init}")
+        for a in comp.assigns:
+            out.append(f"  assign {a.target} {{")
+            for case in a.cases:
+                cond = _fmt_condition(case.condition, "    ")
+                out.append(f"    when {cond} then {case.value}{_fmt_trace(case.trace)}")
+            out.append("  }")
+        for m in comp.machines:
+            out.append(f"  statemachine {m.name} {{")
+            out.append(f"    initial {m.initial} ;")
+            for st in m.states:
+                out.append(f"    state {st.name} {{")
+                for tr in st.transitions:
+                    cond = _fmt_condition(tr.condition, "      ")
+                    out.append(f"      goto {tr.target} when {cond}{_fmt_trace(tr.trace)}")
+                out.append("    }")
+            out.append("  }")
+        out.append("}")
+        out.append("")
+    for inv in spec.invariants:
+        out.append(f"invariant {inv.name} : {_fmt_table(inv.table, '').lstrip()}{_fmt_trace(inv.trace)}")
+    return "\n".join(out).rstrip() + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,45 @@
 evaluation path: truth-vector table semantics and naive enumeration for
 completeness/consistency verdicts, and the interpretive step semantics
 (every guard set evaluated at every step over freshly built dicts) with a
-breadth-first search and a script fold on top of it."""
+breadth-first search and a script fold on top of it, and the per-machine
+Event-B assembly that rebuilds every refinement from scratch."""
 
 from __future__ import annotations
 
 import itertools
 import operator
 
+from conftest import state_key
 from rsml_kit.diagnostics import SpecError, error
-from rsml_kit.model import ElseCondition, LitOperand, StateTest
+from rsml_kit.eventb import (
+    BECOMES_MEMBER,
+    MEMBER,
+    EventBContext,
+    EventBEvent,
+    EventBMachine,
+    GenResult,
+    Labeled,
+    Provenance,
+    _machine_set,
+    _Names,
+    _trace_comment,
+    _type_set,
+    _value_token,
+    gen_context,
+    table_formula,
+    translate_condition,
+)
+from rsml_kit.model import (
+    DomainRef,
+    ElseCondition,
+    LitOperand,
+    Specification,
+    StateTest,
+    TypeDef,
+    Value,
+    reads,
+    topological_order,
+)
 from rsml_kit.simulator import (
     ExplorationReport,
     StepResult,
@@ -128,6 +158,17 @@ def oracle_overlaps(conditions, domains):
             if truth[i] and truth[j] and conditions[i][1] == conditions[j][1]:
                 first.setdefault((i, j), env)
     return [(i, j, env) for (i, j), env in first.items()]
+
+
+def witness_valuation(g, witness: dict) -> Valuation:
+    """Split a guard-set witness back into variable values and machine
+    states so it can be replayed through condition evaluation."""
+    conds = [cond for cond, _ in g.conditions]
+    machines = {ref.name for ref in reads(*conds, live_only=False) if ref.kind == "machine"}
+    v = Valuation()
+    for name, value in witness.items():
+        (v.states if name in machines else v.values)[name] = value
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +290,11 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
     states = {m.qualified: m.initial for m in spec.machines}
     init = _make_state(spec, values, states, 0)
 
-    visited = {init.key(): 0}
-    parents: dict = {init.key(): None}
+    visited = {state_key(init): 0}
+    parents: dict = {state_key(init): None}
     violations: dict = {}
     for name in reference_violated(spec, Valuation(values, states)):
-        violations.setdefault(name, init.key())
+        violations.setdefault(name, state_key(init))
 
     frontier = [init]
     limit = None
@@ -261,11 +302,11 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
     while frontier and limit is None:
         next_frontier = []
         for state in frontier:
-            depth = visited[state.key()]
+            depth = visited[state_key(state)]
             for combo in combos:
                 result = reference_step(spec, state, combo, order)
                 succ = result.state
-                key = succ.key()
+                key = state_key(succ)
                 if key in visited:
                     continue
                 if len(visited) >= max_states:
@@ -275,7 +316,7 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
                     limit = "depth"
                     break
                 visited[key] = depth + 1
-                parents[key] = (state.key(), combo, succ)
+                parents[key] = (state_key(state), combo, succ)
                 depth_reached = max(depth_reached, depth + 1)
                 for name in result.violations:
                     violations.setdefault(name, key)
@@ -295,3 +336,244 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
         steps.reverse()
         traces.append((name, Trace(init, steps, violation=(name, len(steps)))))
     return ExplorationReport(len(visited), depth_reached, traces, limit)
+
+
+# ---------------------------------------------------------------------------
+# Reference Event-B assembly: every machine built from scratch, each
+# component's events translated again for every machine that holds it.
+
+def _ref_component_events(
+    spec: Specification,
+    comp_name: str,
+    names: _Names,
+    provenance: list[Provenance],
+) -> list[EventBEvent]:
+    comp = next(c for c in spec.components if c.name == comp_name)
+    events: list[EventBEvent] = []
+    for a in comp.assigns:
+        bare = a.target.name
+        claimed: set[str] = set()
+        for idx, case in enumerate(a.cases):
+            base = f"Set_{bare}_{_value_token(case.value)}"
+            event_name = names.claim(f"{base}_{idx}" if base in claimed else base, "event")
+            claimed.add(base)
+            guards = [
+                Labeled(f"@grd{i}", text)
+                for i, text in enumerate(translate_condition(case.condition), start=1)
+            ]
+            actions = [Labeled("@act1", f"{bare} := {case.value}")]
+            events.append(
+                EventBEvent(event_name, guards, actions, comment=_trace_comment(case.trace))
+            )
+            provenance.append(
+                Provenance("case", f"case:{a.target.qualified}#{idx}", "event", event_name)
+            )
+    for m in comp.machines:
+        claimed = set()
+        for idx, t in enumerate(m.transitions):
+            base = f"{m.name}_{t.source}_to_{t.target}"
+            event_name = names.claim(f"{base}_{idx}" if base in claimed else base, "event")
+            claimed.add(base)
+            guards = [Labeled("@grd1", f"{m.name}_state = {t.source}")]
+            guards += [
+                Labeled(f"@grd{i}", text)
+                for i, text in enumerate(translate_condition(t.guard), start=2)
+            ]
+            actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
+            events.append(EventBEvent(event_name, guards, actions, comment=_trace_comment(t.trace)))
+            provenance.append(
+                Provenance("transition", f"transition:{m.qualified}#{idx}", "event", event_name)
+            )
+    return events
+
+
+def _ref_machine_variables(
+    spec: Specification, names: _Names, include: set[str] | None = None
+) -> tuple[list[str], list[Labeled], list[Labeled], list[Provenance]]:
+    """Variables, typing invariants and initialisation actions, in
+    declaration order, optionally restricted to a qualified-name set."""
+    variables: list[str] = []
+    invariants: list[Labeled] = []
+    init_actions: list[Labeled] = []
+    provenance: list[Provenance] = []
+    items: list[tuple[str, str, TypeDef, Value, str]] = []
+    for comp in spec.components:
+        for v in comp.variables:
+            if include is not None and v.qualified not in include:
+                continue
+            items.append((v.name, v.qualified, v.type, v.initial_value, "variable"))
+        for m in comp.machines:
+            if include is not None and m.qualified not in include:
+                continue
+            items.append(
+                (f"{m.name}_state", m.qualified, None, m.initial, "machine")  # type: ignore[arg-type]
+            )
+    for idx, (bare, qualified, vtype, init, kind) in enumerate(items, start=1):
+        names.claim(bare, "variable")
+        variables.append(bare)
+        label = f"@inv{idx}"
+        if kind == "machine":
+            m = spec.machine(qualified)
+            invariants.append(Labeled(label, f"{bare} {MEMBER} {_machine_set(m)}"))
+        else:
+            invariants.append(Labeled(label, f"{bare} {MEMBER} {_type_set(vtype)}"))
+            provenance.append(Provenance("variable", f"var:{qualified}", "invariant", label))
+        init_actions.append(Labeled(f"@act{idx}", f"{bare} := {init}"))
+    return variables, invariants, init_actions, provenance
+
+
+def _ref_claim_context_names(names: _Names, context: EventBContext) -> None:
+    # Machine-level names share one namespace with sets and constants.
+    for set_name, constants in context.sets:
+        names.claim(set_name, "carrier set")
+        for c in constants:
+            names.claim(c, f"constant of {set_name}")
+
+
+def reference_gen_flat(spec: Specification, closed: bool = False) -> GenResult:
+    """Single machine covering the whole specification; `closed` omits the
+    environment events that drive the input variables."""
+    context = gen_context(spec)
+    names = _Names()
+    _ref_claim_context_names(names, context)
+    provenance: list[Provenance] = []
+    variables, invariants, init_actions, var_prov = _ref_machine_variables(spec, names)
+    provenance.extend(var_prov)
+
+    label_base = len(invariants)
+    for offset, inv in enumerate(spec.invariants, start=1):
+        label = f"@inv{label_base + offset}"
+        comment = inv.name
+        if inv.trace:
+            comment += f" trace: {', '.join(inv.trace)}"
+        invariants.append(Labeled(label, table_formula(inv.body.table), comment=comment))
+        provenance.append(Provenance("invariant", f"invariant:{inv.name}", "invariant", label))
+
+    events: list[EventBEvent] = []
+    for comp in spec.components:
+        events.extend(_ref_component_events(spec, comp.name, names, provenance))
+    if not closed:
+        for v in spec.inputs:
+            event_name = names.claim(f"Env_Set_{v.name}", "event")
+            actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
+            events.append(EventBEvent(event_name, [], actions))
+            provenance.append(Provenance("variable", f"var:{v.qualified}", "event", event_name))
+
+    machine = EventBMachine(
+        f"{spec.name}_mch", context.name, None, variables, invariants, init_actions, events
+    )
+    return GenResult(context, [machine], provenance)
+
+
+# ---------------------------------------------------------------------------
+# Refinement chain
+
+
+def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
+    """Refinement chain: a most-abstract machine with only the terminal
+    outputs set nondeterministically, then one refinement per component in
+    reverse dependency order, replacing nondeterministic setters with the
+    component's guarded events."""
+    context = gen_context(spec)
+    # Live rows only: an all-dot row is never evaluated, so it neither links
+    # two components nor keeps an output from being terminal.
+    comp_reads: dict[str, list[DomainRef]] = {
+        comp.name: reads(
+            *(case.condition for a in comp.assigns for case in a.cases),
+            *(t.guard for m in comp.machines for t in m.transitions),
+            live_only=True,
+        )
+        for comp in spec.components
+    }
+    vars_read_anywhere = {
+        ref.name for refs in comp_reads.values() for ref in refs if ref.kind == "var"
+    }
+
+    terminal = [
+        v
+        for v in spec.variables
+        if v.direction == "output" and v.qualified not in vars_read_anywhere
+    ]
+    if not terminal:
+        raise SpecError(error("NoOutputs", "no output variables", spec.span))
+
+    # Component dependency: supplier before consumer; consumers are added first.
+    comp_names = [c.name for c in spec.components]
+    owner = {v.qualified: v.owner for v in spec.variables}
+    owner.update({m.qualified: m.owner for m in spec.machines})
+    successors: dict[str, set[str]] = {name: set() for name in comp_names}
+    for comp in spec.components:
+        for ref in comp_reads[comp.name]:
+            if owner[ref.name] != comp.name:
+                successors[owner[ref.name]].add(comp.name)
+    topo = topological_order(comp_names, successors)
+    if len(topo) != len(comp_names):
+        cyclic = ", ".join(n for n in comp_names if n not in topo)
+        raise SpecError(
+            error("CyclicDependency", f"component dependency cycle among: {cyclic}", spec.span)
+        )
+    add_order = list(reversed(topo))
+
+    machines: list[EventBMachine] = []
+    provenance: list[Provenance] = []
+    terminal_q = {v.qualified for v in terminal}
+
+    for i in range(len(add_order) + 1):
+        added = add_order[:i]
+        added_set = set(added)
+        include: set[str] = set(terminal_q)
+        for comp in spec.components:
+            if comp.name in added_set:
+                include.update(v.qualified for v in comp.variables)
+                include.update(m.qualified for m in comp.machines)
+                include.update(ref.name for ref in comp_reads[comp.name])
+
+        names = _Names()
+        _ref_claim_context_names(names, context)
+        step_prov: list[Provenance] = []
+        variables, invariants, init_actions, _ = _ref_machine_variables(spec, names, include)
+
+        events: list[EventBEvent] = []
+        for comp_name in added:
+            events.extend(_ref_component_events(spec, comp_name, names, step_prov))
+
+        written = {
+            a.target.qualified
+            for comp in spec.components
+            if comp.name in added_set
+            for a in comp.assigns
+        }
+        for comp in spec.components:
+            for v in comp.variables:
+                if v.qualified not in include or v.qualified in written:
+                    continue
+                if v.qualified in terminal_q and v.owner not in added_set:
+                    event_name = names.claim(f"Set_{v.name}", "event")
+                elif v.direction == "input" or v.owner not in added_set:
+                    if closed:
+                        continue
+                    event_name = names.claim(f"Env_Set_{v.name}", "event")
+                else:
+                    continue  # output without an assignment spec: constant
+                actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
+                events.append(EventBEvent(event_name, [], actions))
+            for m in comp.machines:
+                # A machine observed by an added component but whose owner is
+                # not added yet is driven nondeterministically for now.
+                if m.qualified in include and m.owner not in added_set and not closed:
+                    event_name = names.claim(f"Env_Set_{m.name}_state", "event")
+                    actions = [
+                        Labeled(
+                            "@act1", f"{m.name}_state {BECOMES_MEMBER} {_machine_set(m)}"
+                        )
+                    ]
+                    events.append(EventBEvent(event_name, [], actions))
+
+        name = f"{spec.name}_m0" if i == 0 else f"{spec.name}_r{i}"
+        refines = None if i == 0 else machines[-1].name
+        machines.append(
+            EventBMachine(name, context.name, refines, variables, invariants, init_actions, events)
+        )
+        provenance = step_prov  # keep the provenance of the most refined machine
+
+    return GenResult(context, machines, provenance)

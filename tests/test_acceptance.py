@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, MUTEX_TOY, spec_from
+from conftest import CORPUS, MUTEX_TOY, spec_from, state_key
 from eventb_interp import eval_expr, parse_context, parse_machine
 from oracle_helpers import oracle_condition, oracle_verdicts
 from rsml_kit.analysis import (
@@ -339,15 +339,15 @@ def test_acceptance_5_generation_simulation_agreement():
         # Reachable states via fixed point over the step function.
         combos = input_combinations(spec)
         init = initial_state(spec)
-        states = {init.key(): init}
+        states = {state_key(init): init}
         frontier = [init]
         while frontier:
             nxt = []
             for state in frontier:
                 for combo in combos:
                     succ = step_core(spec, state, combo).state
-                    if succ.key() not in states:
-                        states[succ.key()] = succ
+                    if state_key(succ) not in states:
+                        states[state_key(succ)] = succ
                         nxt.append(succ)
             frontier = nxt
         assert len(states) == 17

@@ -53,3 +53,18 @@ def test_traced_explore(tmp_path):
     counts = traced["counts"]
     assert (counts["explores"], counts["reachable"], counts["depth"]) == (1, 17, 1)
     assert counts["step_calls"] == 17 * 16
+
+
+def test_traced_gen_chain(tmp_path):
+    out = tmp_path / "spans.json"
+    eb = tmp_path / "eb"
+    run = _inproc("traced", str(out), "gen", "--mode", "chain", "-o", str(eb), "corpus/twocomp.rsml")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].endswith("twocomp_r2.ebm")
+    traced = json.loads(out.read_text(encoding="utf-8"))
+    names = [name for name, *_ in traced["spans"]]
+    assert {"main", "analyze", "build_dependency_graph", "gen_chain"} <= set(names)
+    assert names.count("render") == 4  # the context and three machines
+    assert traced["counts"]["output_bytes"] == sum(
+        len(f.read_bytes()) for f in eb.iterdir()
+    )

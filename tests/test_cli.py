@@ -30,6 +30,21 @@ component C {
 }
 """
 
+COMPONENT_CYCLE = """
+specification cycle
+component A {
+  input i : bool
+  output x1 : bool
+  output x2 : bool
+  assign x1 { when table { B.y = TRUE : T } then TRUE when else then FALSE }
+  assign x2 { when table { i = TRUE : T } then TRUE when else then FALSE }
+}
+component B {
+  output y : bool
+  assign y { when table { A.x2 = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+
 
 @pytest.fixture()
 def mutex_file(tmp_path: Path) -> str:
@@ -114,6 +129,36 @@ component C {
         assert main(["check", str(overlapping)]) == 0
         capsys.readouterr()
         assert main(["check", str(overlapping), "--warnings-as-errors"]) == 1
+
+    def test_component_cycle_is_a_warning(self, tmp_path, capsys):
+        # A.x1 reads B.y and B.y reads A.x2: no variable cycle, but no order
+        # of the components either.
+        spec = tmp_path / "cycle.rsml"
+        spec.write_text(COMPONENT_CYCLE, encoding="utf-8")
+        message = (
+            "component dependency cycle among: A, B; "
+            "gen --mode chain will refuse this specification"
+        )
+        assert main(["check", str(spec)]) == 0
+        out = capsys.readouterr()
+        assert out.err == f"{spec}:2:1: warning[ComponentCycle]: {message}\n"
+        assert out.out.endswith("3 guard sets: 3 complete, 3 consistent\n")
+        assert main(["check", str(spec), "--format", "json"]) == 0
+        [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert (diag["severity"], diag["code"], diag["message"]) == (
+            "warning",
+            "ComponentCycle",
+            message,
+        )
+        assert main(["check", str(spec), "--warnings-as-errors"]) == 1
+        capsys.readouterr()
+        # The gate considers errors only; the chain itself still refuses.
+        assert main(["gen", str(spec), "-o", str(tmp_path / "flat")]) == 0
+        capsys.readouterr()
+        assert main(["gen", str(spec), "-o", str(tmp_path / "chain"), "--mode", "chain"]) == 1
+        assert "error[CyclicDependency]: component dependency cycle among: A, B" in (
+            capsys.readouterr().err
+        )
 
     def test_unknown_trace_tag_found(self, tmp_path, capsys):
         bad = tmp_path / "bad.rsml"

@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import machine_state, spec_from, state_value
+from conftest import machine_state, spec_from, state_key, state_value
 from eventb_interp import eval_expr, parse_machine
+from oracle_helpers import witness_valuation
 from rsml_kit.analysis import (
     check_completeness,
     check_consistency,
     collect_guard_sets,
     referenced_domain,
-    witness_valuation,
 )
 from rsml_kit.diagnostics import Diagnostic, SpecError
 from rsml_kit.eventb import gen_flat, render
@@ -60,7 +60,7 @@ component C {
         verdict = check_completeness(assign_set, spec)
         assert not verdict.complete
         assert verdict.witness == {"C.M": "A", "C.cmd": "HALT"}
-        v = witness_valuation(assign_set, spec, verdict.witness)
+        v = witness_valuation(assign_set, verdict.witness)
         assert not any(eval_condition(c, v) for c, _ in assign_set.conditions)
 
     def test_transition_guard_sets_checked_per_state(self, traffic):
@@ -135,15 +135,15 @@ class TestInterpreterTransitionAgreement:
         machine = parse_machine(render(result.machine))
         combos = input_combinations(traffic)
         init = initial_state(traffic)
-        states = {init.key(): init}
+        states = {state_key(init): init}
         frontier = [init]
         while frontier:
             nxt = []
             for state in frontier:
                 for combo in combos:
                     succ = step_core(traffic, state, combo).state
-                    if succ.key() not in states:
-                        states[succ.key()] = succ
+                    if state_key(succ) not in states:
+                        states[state_key(succ)] = succ
                         nxt.append(succ)
             frontier = nxt
         event_name = {

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from rsml_kit.ast_nodes import ElseNode, TableNode, format_spec
+from conftest import format_spec
+from rsml_kit.ast_nodes import ElseNode, TableNode
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.lexer import tokenize
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec

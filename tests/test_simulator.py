@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import machine_state, spec_from, state_value
+from conftest import machine_state, spec_from, state_key, state_value
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
     explore,
@@ -240,7 +240,7 @@ class TestExplore:
         )
         reachable_keys = _reachable_keys(startstop)
         for state in trace.states:
-            assert state.key() in reachable_keys
+            assert state_key(state) in reachable_keys
 
     def test_explorer_matches_naive_fixed_point(self, startstop):
         assert explore(startstop).reachable == len(_reachable_keys(startstop))
@@ -249,14 +249,15 @@ class TestExplore:
 def _reachable_keys(spec):
     """Set-based fixed point over step_core, independent of BFS bookkeeping."""
     combos = input_combinations(spec)
-    seen = {initial_state(spec).key(): initial_state(spec)}
+    init = initial_state(spec)
+    seen = {state_key(init): init}
     changed = True
     while changed:
         changed = False
         for state in list(seen.values()):
             for combo in combos:
                 succ = step_core(spec, state, combo).state
-                if succ.key() not in seen:
-                    seen[succ.key()] = succ
+                if state_key(succ) not in seen:
+                    seen[state_key(succ)] = succ
                     changed = True
     return set(seen.keys())
