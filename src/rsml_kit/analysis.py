@@ -192,10 +192,6 @@ def _product(spec: Specification, refs: list[DomainRef]) -> int:
     return math.prod(_ref_size(spec, ref) for ref in refs)
 
 
-def domain_product(g: GuardSet, spec: Specification) -> int:
-    return _product(spec, _guard_set_reads(g))
-
-
 def referenced_domain(
     g: GuardSet, spec: Specification, cap: int | None = DEFAULT_CAP
 ) -> list[tuple[DomainRef, list[Value]]]:

@@ -1,4 +1,5 @@
-"""Surface syntax trees produced by the parser, before name resolution.
+"""Surface syntax trees produced by the parser, before name resolution:
+specifications, problem diagrams and the requirements registry.
 
 Spans are carried for diagnostics but excluded from equality so that a
 pretty-printed and re-parsed tree compares equal to the original.
@@ -160,3 +161,71 @@ class SpecNode:
     components: list[ComponentNode]
     invariants: list[InvariantNode]
     span: Span | None = field(default=None, compare=False)
+
+
+# ---------------------------------------------------------------------------
+# Requirements registry and problem diagrams
+
+
+@dataclass
+class Requirement:
+    id: str
+    prose: str
+    phase: Optional[str]
+    declared_in: str
+    span: Span | None = field(default=None, compare=False)
+
+
+@dataclass
+class PfDomain:
+    name: str
+    kind: str  # "given" | "designed" | "biddable" | "lexical"
+    span: Span | None = field(default=None, compare=False)
+
+
+@dataclass
+class Interface:
+    end_a: str
+    end_b: str
+    phenomena: list[str]
+    span: Span | None = field(default=None, compare=False)
+
+
+@dataclass
+class PfRequirement:
+    id: str
+    prose: str
+    constrains: Optional[tuple[str, list[str]]]  # (domain, phenomena)
+    refs: list[tuple[str, list[str]]]
+    trace: list[str]
+    span: Span | None = field(default=None, compare=False)
+
+
+@dataclass
+class ProblemDiagram:
+    name: str
+    machines: list[tuple[str, Span | None]]  # every `machine` clause as parsed
+    domains: list[PfDomain]
+    interfaces: list[Interface]
+    requirements: list[PfRequirement]
+    span: Span | None = field(default=None, compare=False)
+
+    @property
+    def machine(self) -> str | None:
+        return self.machines[0][0] if self.machines else None
+
+    def phenomena_of(self, domain: str) -> set[str]:
+        out: set[str] = set()
+        for itf in self.interfaces:
+            if domain in (itf.end_a, itf.end_b):
+                out.update(itf.phenomena)
+        return out
+
+    @property
+    def all_phenomena(self) -> list[str]:
+        seen: list[str] = []
+        for itf in self.interfaces:
+            for p in itf.phenomena:
+                if p not in seen:
+                    seen.append(p)
+        return seen

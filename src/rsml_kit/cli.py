@@ -22,18 +22,12 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import DEFAULT_CAP, AnalysisReport, analyze, summary_line
-from .diagnostics import Diagnostic, SpecError, color_enabled, error
+from .ast_nodes import ProblemDiagram, Requirement
+from .diagnostics import Diagnostic, SpecError, color_enabled
 from .eventb import GenResult, gen_chain, gen_flat, render
 from .model import Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
-from .pftrace import (
-    ProblemDiagram,
-    Requirement,
-    TraceReport,
-    check_pf,
-    link,
-    trace_report,
-)
+from .pftrace import TraceReport, check_pf, check_trace_tags, link, trace_report
 from .simulator import (
     ExplorationReport,
     SystemState,
@@ -123,48 +117,6 @@ def _columns(rows: list[tuple[str, ...]]) -> list[str]:
 # check
 
 
-def _requirement_tag_diags(
-    requirements: list[Requirement],
-    diagrams: list[ProblemDiagram],
-    specs: list[Specification],
-) -> list[Diagnostic]:
-    ids = {r.id for r in requirements}
-    diags: list[Diagnostic] = []
-
-    def check_tag(tag: str, where, what: str) -> None:
-        if tag not in ids:
-            diags.append(
-                error("UnknownRequirementId", f"{what}: trace tag {tag} names no requirement", where)
-            )
-
-    for diagram in diagrams:
-        for req in diagram.requirements:
-            if req.id not in ids:
-                diags.append(
-                    error(
-                        "UnknownRequirementId",
-                        f"requirement block {req.id} names no registered requirement",
-                        req.span,
-                    )
-                )
-            for tag in req.trace:
-                check_tag(tag, req.span, f"requirement block {req.id}")
-    for spec in specs:
-        for comp in spec.components:
-            for a in comp.assigns:
-                for case in a.cases:
-                    for tag in case.trace:
-                        check_tag(tag, case.span, f"case of {a.target.qualified}")
-            for m in comp.machines:
-                for t in m.transitions:
-                    for tag in t.trace:
-                        check_tag(tag, t.span, f"transition of {m.qualified}")
-        for inv in spec.invariants:
-            for tag in inv.trace:
-                check_tag(tag, inv.span, f"invariant {inv.name}")
-    return diags
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     project = _load(args.paths, strict=False)
     diags = project.diagnostics
@@ -172,9 +124,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for diagram in project.diagrams:
         diags.extend(check_pf(diagram))
     if project.requirements or any(d.requirements for d in project.diagrams):
-        diags.extend(
-            _requirement_tag_diags(project.requirements, project.diagrams, project.specs)
-        )
+        diags.extend(check_trace_tags(project.requirements, project.diagrams, project.specs))
     for spec in project.specs:
         report = analyze(spec, args.cap)
         reports.append((spec, report))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import ast_nodes as ast
 from .diagnostics import Span, SpecError, error
@@ -170,8 +170,7 @@ def condition_tables(cond: Condition) -> tuple[AndOrTable, ...]:
     return cond.siblings
 
 
-@dataclass(frozen=True)
-class DomainRef:
+class DomainRef(NamedTuple):
     """A variable, or a state machine observed through state tests, that a
     condition reads."""
 
@@ -362,7 +361,8 @@ class Specification:
                 self.machine_map[m.qualified] = m
             for a in comp.assigns:
                 self.assign_map[a.target.qualified] = a
-        # A variable and a machine may share a qualified name; both count.
+        # Variables and machines never share a qualified name (the resolver
+        # rejects it), but a bare name shown alone must be unique over both.
         names = [(name, name.split(".", 1)[1]) for name in [*self.var_map, *self.machine_map]]
         counts = Counter(bare for _, bare in names)
         self._display_names = {name: bare if counts[bare] == 1 else name for name, bare in names}
@@ -498,6 +498,13 @@ class _Resolver:
                         m.span,
                     )
                     continue
+                if m.name in variables:
+                    self.error(
+                        "DuplicateName",
+                        f"state machine '{m.name}' collides with variable '{m.name}' "
+                        f"in component '{comp.name}'",
+                        m.span,
+                    )
                 names.add(m.name)
                 self.machine_nodes[f"{comp.name}.{m.name}"] = m
             self.comp_vars[comp.name] = variables

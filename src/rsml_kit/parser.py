@@ -39,11 +39,16 @@ from .ast_nodes import (
     ComponentNode,
     ConditionNode,
     ElseNode,
+    Interface,
     IntLit,
     InvariantNode,
     NameRef,
     Operand,
+    PfDomain,
+    PfRequirement,
     PredicateNode,
+    ProblemDiagram,
+    Requirement,
     RowNode,
     SpecNode,
     StateMachineNode,
@@ -56,7 +61,6 @@ from .ast_nodes import (
 )
 from .diagnostics import Span, SpecError, error
 from .lexer import KEYWORDS, Token, tokenize
-from .pftrace import Interface, PfDomain, PfRequirement, ProblemDiagram, Requirement
 
 _RELOPS = ("=", "!=", "<", "<=", ">", ">=")
 _CELLS = ("T", "F", ".")

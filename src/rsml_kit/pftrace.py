@@ -1,6 +1,6 @@
-"""Problem-diagram model with well-formedness checks, the requirements
-registry, and the traceability graph linking requirements, problem-diagram
-elements, specification elements and generated Event-B elements.
+"""Problem-diagram well-formedness checks, the trace-tag check, and the
+traceability graph linking requirements, problem-diagram elements,
+specification elements and generated Event-B elements.
 
 The graph has exactly three kinds of edges: declared trace tags (including a
 problem-diagram requirement block whose id names a registered requirement),
@@ -12,77 +12,13 @@ and never evaluated.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Optional
 
+from .ast_nodes import ProblemDiagram, Requirement
 from .diagnostics import Diagnostic, Span, SpecError, error, warning
 from .eventb import GenResult
 from .model import Specification
-
-
-@dataclass
-class Requirement:
-    id: str
-    prose: str
-    phase: Optional[str]
-    declared_in: str
-    span: Span | None = field(default=None, compare=False)
-
-
-@dataclass
-class PfDomain:
-    name: str
-    kind: str  # "given" | "designed" | "biddable" | "lexical"
-    span: Span | None = field(default=None, compare=False)
-
-
-@dataclass
-class Interface:
-    end_a: str
-    end_b: str
-    phenomena: list[str]
-    span: Span | None = field(default=None, compare=False)
-
-
-@dataclass
-class PfRequirement:
-    id: str
-    prose: str
-    constrains: Optional[tuple[str, list[str]]]  # (domain, phenomena)
-    refs: list[tuple[str, list[str]]]
-    trace: list[str]
-    span: Span | None = field(default=None, compare=False)
-
-
-@dataclass
-class ProblemDiagram:
-    name: str
-    machines: list[tuple[str, Span | None]]  # every `machine` clause as parsed
-    domains: list[PfDomain]
-    interfaces: list[Interface]
-    requirements: list[PfRequirement]
-    span: Span | None = field(default=None, compare=False)
-
-    @property
-    def machine(self) -> str | None:
-        return self.machines[0][0] if self.machines else None
-
-    def phenomena_of(self, domain: str) -> set[str]:
-        out: set[str] = set()
-        for itf in self.interfaces:
-            if domain in (itf.end_a, itf.end_b):
-                out.update(itf.phenomena)
-        return out
-
-    @property
-    def all_phenomena(self) -> list[str]:
-        seen: list[str] = []
-        for itf in self.interfaces:
-            for p in itf.phenomena:
-                if p not in seen:
-                    seen.append(p)
-        return seen
-
 
 # ---------------------------------------------------------------------------
 # Well-formedness
@@ -122,7 +58,7 @@ def check_pf(diagram: ProblemDiagram) -> list[Diagnostic]:
             )
         )
     for req in diagram.requirements:
-        clauses = ([("constrains", *diagram_constrains(req))] if req.constrains else []) + [
+        clauses = ([("constrains", *req.constrains)] if req.constrains else []) + [
             ("refs", domain, phenomena) for domain, phenomena in req.refs
         ]
         for clause, domain, phenomena in clauses:
@@ -157,11 +93,6 @@ def check_pf(diagram: ProblemDiagram) -> list[Diagnostic]:
                         )
                     )
     return diags
-
-
-def diagram_constrains(req: PfRequirement) -> tuple[str, list[str]]:
-    assert req.constrains is not None
-    return req.constrains
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +135,16 @@ class TraceEdge:
 class TraceGraph:
     nodes: dict[tuple[str, str], TraceNode]
     edges: list[TraceEdge]
+    # Undirected neighbours of each node, in edge order.
+    adjacent: dict[tuple[str, str], list[tuple[str, str]]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def neighbours(self, key: tuple[str, str]) -> list[tuple[str, str]]:
-        out = []
+    def __post_init__(self) -> None:
+        self.adjacent = {key: [] for key in self.nodes}
         for e in self.edges:
-            if e.source == key:
-                out.append(e.target)
-            elif e.target == key:
-                out.append(e.source)
-        return out
+            self.adjacent[e.source].append(e.target)
+            self.adjacent[e.target].append(e.source)
 
     def reachable(self, key: tuple[str, str]) -> list[TraceNode]:
         """Nodes connected to `key`.  Requirement nodes are reached but never
@@ -225,12 +157,73 @@ class TraceGraph:
             cur = queue.popleft()
             if cur != key and cur[0] == REQ:
                 continue
-            for nxt in self.neighbours(cur):
+            for nxt in self.adjacent[cur]:
                 if nxt not in seen:
                     seen.add(nxt)
                     found.append(self.nodes[nxt])
                     queue.append(nxt)
         return found
+
+
+def _tagged(
+    diagrams: list[ProblemDiagram], specs: list[Specification]
+) -> Iterator[tuple[str, str, str, str | None, list[str], Span | None]]:
+    """Every element that names requirements, in declaration order, as
+    (node kind, ident, display, owner, tags, span).  A requirement block
+    comes twice: first with owner None and its own id as the one tag, then
+    with its trace tags."""
+    for diagram in diagrams:
+        for req in diagram.requirements:
+            ident = f"{diagram.name}.{req.id}"
+            yield PF_BLOCK, ident, ident, None, [req.id], req.span
+            yield PF_BLOCK, ident, ident, f"requirement block {req.id}", req.trace, req.span
+    for spec in specs:
+        for comp in spec.components:
+            for a in comp.assigns:
+                target = a.target.qualified
+                for idx, case in enumerate(a.cases):
+                    yield (
+                        RSML_CASE,
+                        f"case:{target}#{idx}",
+                        f"case {spec.display_name(target)}#{idx}",
+                        f"case of {target}",
+                        case.trace,
+                        case.span,
+                    )
+            for m in comp.machines:
+                for idx, t in enumerate(m.transitions):
+                    yield (
+                        RSML_TRANSITION,
+                        f"transition:{m.qualified}#{idx}",
+                        f"transition {spec.display_name(m.qualified)} {t.source}->{t.target}",
+                        f"transition of {m.qualified}",
+                        t.trace,
+                        t.span,
+                    )
+        for inv in spec.invariants:
+            name = f"invariant {inv.name}"
+            yield RSML_INVARIANT, f"invariant:{inv.name}", name, name, inv.trace, inv.span
+
+
+def check_trace_tags(
+    requirements: list[Requirement],
+    diagrams: list[ProblemDiagram],
+    specs: list[Specification],
+) -> list[Diagnostic]:
+    """One error per trace tag, or requirement block id, that names no
+    registered requirement."""
+    ids = {r.id for r in requirements}
+    diags: list[Diagnostic] = []
+    for _, _, _, owner, tags, span in _tagged(diagrams, specs):
+        for tag in tags:
+            if tag in ids:
+                continue
+            if owner is None:
+                message = f"requirement block {tag} names no registered requirement"
+            else:
+                message = f"{owner}: trace tag {tag} names no requirement"
+            diags.append(error("UnknownRequirementId", message, span))
+    return diags
 
 
 def link(
@@ -239,12 +232,14 @@ def link(
     spec: Specification | None,
     generated: GenResult | None,
 ) -> TraceGraph:
-    """Build the traceability graph.  Raises on trace tags (or requirement
-    block ids) that name no registered requirement."""
+    """Build the traceability graph.  Raises the :func:`check_trace_tags`
+    errors, if any."""
+    specs = [spec] if spec is not None else []
+    unknown = check_trace_tags(requirements, diagrams, specs)
+    if unknown:
+        raise SpecError(unknown)
     nodes: dict[tuple[str, str], TraceNode] = {}
     edges: list[TraceEdge] = []
-    unknown: list[Diagnostic] = []
-    req_ids = {r.id for r in requirements}
 
     def add_node(kind: str, ident: str, display: str) -> tuple[str, str]:
         key = (kind, ident)
@@ -252,67 +247,21 @@ def link(
             nodes[key] = TraceNode(kind, ident, display)
         return key
 
-    def declared(source: tuple[str, str], tag: str, where: Span | None) -> None:
-        if tag not in req_ids:
-            unknown.append(
-                error("UnknownRequirementId", f"trace tag {tag} names no requirement", where)
-            )
-            return
-        edges.append(TraceEdge(EDGE_DECLARED, source, (REQ, tag)))
-
     for r in requirements:
         add_node(REQ, r.id, r.id)
-
+    for kind, ident, display, _, tags, _ in _tagged(diagrams, specs):
+        key = add_node(kind, ident, display)
+        edges.extend(TraceEdge(EDGE_DECLARED, key, (REQ, tag)) for tag in tags)
     for diagram in diagrams:
-        for req in diagram.requirements:
-            key = add_node(PF_BLOCK, f"{diagram.name}.{req.id}", f"{diagram.name}.{req.id}")
-            if req.id in req_ids:
-                edges.append(TraceEdge(EDGE_DECLARED, key, (REQ, req.id)))
-            else:
-                unknown.append(
-                    error(
-                        "UnknownRequirementId",
-                        f"requirement block {req.id} names no registered requirement",
-                        req.span,
-                    )
-                )
-            for tag in req.trace:
-                declared(key, tag, req.span)
         for phenomenon in diagram.all_phenomena:
             add_node(PHENOMENON, f"{diagram.name}/{phenomenon}", phenomenon)
 
     if spec is not None:
-        for comp in spec.components:
-            for v in comp.variables:
-                add_node(RSML_VARIABLE, v.qualified, spec.display_name(v.qualified))
-            for a in comp.assigns:
-                for idx, case in enumerate(a.cases):
-                    ident = f"case:{a.target.qualified}#{idx}"
-                    key = add_node(
-                        RSML_CASE, ident, f"case {spec.display_name(a.target.qualified)}#{idx}"
-                    )
-                    for tag in case.trace:
-                        declared(key, tag, case.span)
-            for m in comp.machines:
-                for idx, t in enumerate(m.transitions):
-                    ident = f"transition:{m.qualified}#{idx}"
-                    key = add_node(
-                        RSML_TRANSITION,
-                        ident,
-                        f"transition {spec.display_name(m.qualified)} "
-                        f"{t.source}->{t.target}",
-                    )
-                    for tag in t.trace:
-                        declared(key, tag, t.span)
-        for inv in spec.invariants:
-            key = add_node(RSML_INVARIANT, f"invariant:{inv.name}", f"invariant {inv.name}")
-            for tag in inv.trace:
-                declared(key, tag, inv.span)
-
-        # Name-match edges: phenomenon name == bare variable name, byte-equal.
-        bare_vars = {}
+        bare_vars: dict[str, list[str]] = {}
         for v in spec.variables:
+            add_node(RSML_VARIABLE, v.qualified, spec.display_name(v.qualified))
             bare_vars.setdefault(v.name, []).append(v.qualified)
+        # Name-match edges: phenomenon name == bare variable name, byte-equal.
         for diagram in diagrams:
             for phenomenon in diagram.all_phenomena:
                 for qualified in bare_vars.get(phenomenon, []):
@@ -346,8 +295,6 @@ def link(
             if source in nodes and target in nodes:
                 edges.append(TraceEdge(EDGE_PROVENANCE, source, target))
 
-    if unknown:
-        raise SpecError(unknown)
     return TraceGraph(nodes, edges)
 
 
@@ -372,14 +319,21 @@ class TraceReport:
 
 def trace_report(graph: TraceGraph, require_trace: bool = False) -> TraceReport:
     """Per-requirement reachability rows (requirement id order), orphan
-    warnings, and untraced-element warnings when require_trace is set."""
+    warnings, and untraced-element warnings when require_trace is set.
+
+    A case or transition reaches a requirement exactly when that
+    requirement's row reaches it: the same path read backwards, never
+    crossing another requirement.  So the untraced elements are those in
+    no row."""
     rows: list[TraceRow] = []
     warnings: list[Diagnostic] = []
+    in_rows: set[TraceNode] = set()
     req_keys = sorted(
         (key for key in graph.nodes if key[0] == REQ), key=lambda key: key[1]
     )
     for key in req_keys:
         reachable = graph.reachable(key)
+        in_rows.update(reachable)
         row = TraceRow(
             requirement=key[1],
             pf_blocks=[n.display for n in reachable if n.kind == PF_BLOCK],
@@ -395,10 +349,8 @@ def trace_report(graph: TraceGraph, require_trace: bool = False) -> TraceReport:
                 )
             )
     if require_trace:
-        for key, node in graph.nodes.items():
-            if node.kind not in (RSML_CASE, RSML_TRANSITION):
-                continue
-            if not any(n.kind == REQ for n in graph.reachable(key)):
+        for node in graph.nodes.values():
+            if node.kind in (RSML_CASE, RSML_TRANSITION) and node not in in_rows:
                 warnings.append(
                     warning("UntracedElement", f"{node.display} reaches no requirement")
                 )

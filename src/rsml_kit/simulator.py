@@ -327,26 +327,6 @@ def step_core(
     )
 
 
-def step(
-    spec: Specification,
-    cur: SystemState,
-    inputs: dict[str, Value],
-    order: list[str] | None = None,
-) -> SystemState:
-    """Like :func:`step_core` but raises on an invariant violation."""
-    check_inputs(spec, inputs)
-    result = step_core(spec, cur, inputs, order)
-    if result.violations:
-        raise SpecError(
-            error(
-                "InvariantViolated",
-                f"invariant '{result.violations[0]}' violated at step {result.state.step}",
-                spec.span,
-            )
-        )
-    return result.state
-
-
 # ---------------------------------------------------------------------------
 # Scripts
 

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from rsml_kit.analysis import GuardSet, _guard_set_reads, _product
 from rsml_kit.ast_nodes import ElseNode, SpecNode, TableNode
-from rsml_kit.model import Specification, resolve
+from rsml_kit.diagnostics import SpecError, error
+from rsml_kit.model import Specification, Value, resolve
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec
+from rsml_kit.simulator import SystemState, check_inputs, step_core
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -80,6 +83,31 @@ def state_key(state) -> tuple:
     """Identity of a ``simulator.SystemState`` for deduplication: the
     valuation without the step index."""
     return (state.values, state.states)
+
+
+def step(
+    spec: Specification,
+    cur: SystemState,
+    inputs: dict[str, Value],
+    order: list[str] | None = None,
+) -> SystemState:
+    """Like ``simulator.step_core`` but raises on an invariant violation."""
+    check_inputs(spec, inputs)
+    result = step_core(spec, cur, inputs, order)
+    if result.violations:
+        raise SpecError(
+            error(
+                "InvariantViolated",
+                f"invariant '{result.violations[0]}' violated at step {result.state.step}",
+                spec.span,
+            )
+        )
+    return result.state
+
+
+def domain_product(g: GuardSet, spec: Specification) -> int:
+    """Size of a guard set's referenced domain, without the cap check."""
+    return _product(spec, _guard_set_reads(g))
 
 
 # ---------------------------------------------------------------------------

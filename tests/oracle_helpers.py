@@ -2,16 +2,18 @@
 evaluation path: truth-vector table semantics and naive enumeration for
 completeness/consistency verdicts, and the interpretive step semantics
 (every guard set evaluated at every step over freshly built dicts) with a
-breadth-first search and a script fold on top of it, and the per-machine
-Event-B assembly that rebuilds every refinement from scratch."""
+breadth-first search and a script fold on top of it, the per-machine
+Event-B assembly that rebuilds every refinement from scratch, and the trace
+report that scans every edge per neighbour lookup."""
 
 from __future__ import annotations
 
 import itertools
 import operator
+from collections import deque
 
 from conftest import state_key
-from rsml_kit.diagnostics import SpecError, error
+from rsml_kit.diagnostics import SpecError, error, warning
 from rsml_kit.eventb import (
     BECOMES_MEMBER,
     MEMBER,
@@ -40,6 +42,18 @@ from rsml_kit.model import (
     Value,
     reads,
     topological_order,
+)
+from rsml_kit.pftrace import (
+    _EB_KINDS,
+    _RSML_KINDS,
+    PF_BLOCK,
+    REQ,
+    RSML_CASE,
+    RSML_TRANSITION,
+    TraceGraph,
+    TraceNode,
+    TraceReport,
+    TraceRow,
 )
 from rsml_kit.simulator import (
     ExplorationReport,
@@ -577,3 +591,55 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
         provenance = step_prov  # keep the provenance of the most refined machine
 
     return GenResult(context, machines, provenance)
+
+
+# ---------------------------------------------------------------------------
+# Reference trace report: every neighbour lookup scans every edge, and each
+# case or transition runs its own search for a requirement.
+
+
+def _reference_reachable(graph: TraceGraph, key: tuple[str, str]) -> list[TraceNode]:
+    seen = {key}
+    queue = deque([key])
+    found: list[TraceNode] = []
+    while queue:
+        cur = queue.popleft()
+        if cur != key and cur[0] == REQ:
+            continue
+        for e in graph.edges:
+            if e.source == cur:
+                nxt = e.target
+            elif e.target == cur:
+                nxt = e.source
+            else:
+                continue
+            if nxt not in seen:
+                seen.add(nxt)
+                found.append(graph.nodes[nxt])
+                queue.append(nxt)
+    return found
+
+
+def reference_trace_report(graph: TraceGraph, require_trace: bool = False) -> TraceReport:
+    rows: list[TraceRow] = []
+    warnings = []
+    for key in sorted((key for key in graph.nodes if key[0] == REQ), key=lambda key: key[1]):
+        reachable = _reference_reachable(graph, key)
+        row = TraceRow(
+            requirement=key[1],
+            pf_blocks=[n.display for n in reachable if n.kind == PF_BLOCK],
+            rsml=[n.display for n in reachable if n.kind in _RSML_KINDS],
+            eventb=[n.display for n in reachable if n.kind in _EB_KINDS],
+        )
+        rows.append(row)
+        if not row.rsml:
+            warnings.append(
+                warning("OrphanRequirement", f"requirement {key[1]} reaches no specification element")
+            )
+    if require_trace:
+        for key, node in graph.nodes.items():
+            if node.kind not in (RSML_CASE, RSML_TRANSITION):
+                continue
+            if not any(n.kind == REQ for n in _reference_reachable(graph, key)):
+                warnings.append(warning("UntracedElement", f"{node.display} reaches no requirement"))
+    return TraceReport(rows, warnings, list(graph.edges))

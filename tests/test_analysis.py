@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import spec_from
+from conftest import domain_product, spec_from
 from oracle_helpers import oracle_verdicts
 from rsml_kit.analysis import (
     DomainTooLarge,
@@ -14,7 +14,6 @@ from rsml_kit.analysis import (
     check_completeness,
     check_consistency,
     collect_guard_sets,
-    domain_product,
     referenced_domain,
     summary_line,
 )

@@ -68,3 +68,16 @@ def test_traced_gen_chain(tmp_path):
     assert traced["counts"]["output_bytes"] == sum(
         len(f.read_bytes()) for f in eb.iterdir()
     )
+
+
+def test_traced_trace(tmp_path):
+    out = tmp_path / "spans.json"
+    run = _inproc(
+        "traced", str(out), "trace", STARTSTOP, "corpus/startstop.pf", "corpus/startstop.req"
+    )
+    assert run.returncode == 0, run.stderr
+    assert "edges: 4 declared, 4 name-match, 9 provenance" in run.stdout
+    traced = json.loads(out.read_text(encoding="utf-8"))
+    names = {name for name, *_ in traced["spans"]}
+    assert {"main", "parse_pf", "parse_requirements", "check_pf", "link", "trace_report"} <= names
+    assert traced["counts"]["edges"] == 17

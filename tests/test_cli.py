@@ -351,6 +351,56 @@ class TestTrace:
         assert "UnknownRequirementId" in capsys.readouterr().err
 
 
+    def test_check_and_trace_word_an_unknown_tag_alike(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rsml"
+        bad.write_text(
+            (CORPUS / "startstop.rsml").read_text(encoding="utf-8").replace("REQ-002", "REQ-999"),
+            encoding="utf-8",
+        )
+        expected = (
+            f"{bad}:22:5: error[UnknownRequirementId]: case of "
+            "SSE_Driver_Needs_HMI.HMI_Stop_Ena: trace tag REQ-999 names no requirement"
+        )
+        for command in ("check", "trace"):
+            assert main([command, str(bad), PF, REQ]) == 1
+            assert expected in capsys.readouterr().err.splitlines()
+
+
+SHARED_NAME = """
+specification shared
+component C {
+  input b : bool
+  output M : bool
+  statemachine M { initial A ; state A { goto B when table { b = TRUE : T } } state B { } }
+  assign M { when table { b = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "SPEC"],
+        ["simulate", "SPEC", "SCRIPT"],
+        ["explore", "SPEC"],
+        ["gen", "SPEC", "-o", "OUT"],
+        ["gen", "SPEC", "-o", "OUT", "--force"],
+        ["trace", "SPEC", PF, REQ],
+    ],
+    ids=["check", "simulate", "explore", "gen", "gen-force", "trace"],
+)
+def test_variable_and_machine_sharing_a_name_is_rejected(tmp_path, capsys, argv):
+    spec, script = tmp_path / "shared.rsml", tmp_path / "shared.script"
+    spec.write_text(SHARED_NAME, encoding="utf-8")
+    script.write_text("b=TRUE\n", encoding="utf-8")
+    paths = {"SPEC": str(spec), "SCRIPT": str(script), "OUT": str(tmp_path / "out")}
+    assert main([paths.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        f"{spec}:6:3: error[DuplicateName]: state machine 'M' collides with variable 'M' "
+        "in component 'C'\n"
+    )
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import machine_state, spec_from, state_key, state_value
+from conftest import machine_state, spec_from, state_key, state_value, step
 from eventb_interp import eval_expr, parse_machine
 from oracle_helpers import witness_valuation
 from rsml_kit.analysis import (
@@ -24,7 +24,6 @@ from rsml_kit.simulator import (
     initial_state,
     input_combinations,
     parse_script,
-    step,
     step_core,
 )
 from rsml_kit.table_logic import eval_condition

@@ -8,13 +8,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import spec_from
+from conftest import domain_product, spec_from
 from oracle_helpers import oracle_domain, oracle_overlaps, oracle_verdicts
 from rsml_kit.analysis import (
     GuardSet,
     check_completeness,
     check_consistency,
-    domain_product,
     referenced_domain,
 )
 from rsml_kit.cli import main

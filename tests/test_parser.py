@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from conftest import format_spec
+from conftest import CORPUS, format_spec
 from rsml_kit.ast_nodes import ElseNode, TableNode
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.lexer import tokenize
@@ -257,3 +261,16 @@ problem P {
 """
         diagram = parse_pf(text, "p.pf")[0]
         assert diagram.requirements[0].trace == ["REQ-2", "REQ-3"]
+
+
+def test_parser_imports_no_later_phase():
+    """Problem diagrams are surface nodes: parsing needs neither the trace
+    layer nor the Event-B generator."""
+    probe = "import sys, rsml_kit.parser; print(*(m in sys.modules for m in sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "rsml_kit.pftrace", "rsml_kit.eventb"],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import machine_state, spec_from, state_key, state_value
+from conftest import machine_state, spec_from, state_key, state_value, step
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
     explore,
@@ -10,7 +10,6 @@ from rsml_kit.simulator import (
     input_combinations,
     parse_script,
     run_script,
-    step,
     step_core,
 )
 
