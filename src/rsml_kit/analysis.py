@@ -12,13 +12,14 @@ mask for completeness.
 
 The referenced domain is every variable and state-tested machine that a row
 of the guard set's tables mentions, all-dot rows included
-(``model.reads(..., live_only=False)``); it sets the ``domain N`` count, the
-cap check and the witnesses.  The dependency graph reads live rows only
-(``live_only=True``): an all-dot row is never evaluated, so it orders
-nothing and closes no cycle.  Components can depend on each other in a
-cycle without any variable doing so; that is only a warning, because the
-step does not mind and only the refinement chain needs the components
-ordered.
+(``model.reads(..., live_only=False)``), each over its type's ``values`` or
+its machine's states; it sets the ``domain N`` count, the cap check and the
+witnesses.  Masks read each table's ``columns``, never its cells.  The
+dependency graph reads live rows only (``live_only=True``): an all-dot row
+is never evaluated, so it orders nothing and closes no cycle.  Components
+can depend on each other in a cycle without any variable doing so; that is
+only a warning, because the step does not mind and only the refinement
+chain needs the components ordered.
 
 Witness valuations are the lexicographically smallest under the domain
 ordering of the referenced variables (first-occurrence order), which keeps
@@ -33,12 +34,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
 from .model import (
-    CELL_DONT_CARE,
-    CELL_TRUE,
     AndOrTable,
     Condition,
     DomainRef,
@@ -50,10 +49,8 @@ from .model import (
     TableCondition,
     Value,
     component_dependencies,
-    domain_of,
     reads,
     topological_order,
-    type_size,
 )
 from .table_logic import OPS
 
@@ -172,42 +169,14 @@ def collect_guard_sets(spec: Specification) -> tuple[list[GuardSet], list[Diagno
 # Referenced domains
 
 
-def _ref_domain(spec: Specification, ref: DomainRef) -> list[Value]:
-    if ref.kind == "machine":
-        return list(spec.machine(ref.name).states)
-    return domain_of(spec.variable(ref.name).type)
-
-
-def _ref_size(spec: Specification, ref: DomainRef) -> int:
-    if ref.kind == "machine":
-        return len(spec.machine(ref.name).states)
-    return type_size(spec.variable(ref.name).type)
-
-
-def _guard_set_reads(g: GuardSet) -> list[DomainRef]:
-    return reads(*(cond for cond, _ in g.conditions), live_only=False)
-
-
-def _product(spec: Specification, refs: list[DomainRef]) -> int:
-    return math.prod(_ref_size(spec, ref) for ref in refs)
-
-
 def referenced_domain(
     g: GuardSet, spec: Specification, cap: int | None = DEFAULT_CAP
 ) -> list[tuple[DomainRef, list[Value]]]:
     """Referenced variables with their enumerable domains.  Raises
     :class:`DomainTooLarge` when the product exceeds the cap."""
-    return _domain(g, spec, cap, _guard_set_reads(g))
-
-
-def _domain(
-    g: GuardSet, spec: Specification, cap: int | None, refs: list[DomainRef]
-) -> list[tuple[DomainRef, list[Value]]]:
-    if cap is not None:
-        product = _product(spec, refs)
-        if product > cap:
-            raise DomainTooLarge(g.owner, product, cap, g.span)
-    return [(ref, _ref_domain(spec, ref)) for ref in refs]
+    masks = _GuardSetMasks(g, spec, cap)
+    masks.check_cap()
+    return [(ref, list(values)) for ref, values in masks.domains]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +188,7 @@ class _DomainIndex:
     most significant, and truth masks over it: bit n of a mask is the truth
     at the n-th valuation in lexicographic order."""
 
-    def __init__(self, domains: list[tuple[DomainRef, list[Value]]]):
+    def __init__(self, domains: list[tuple[DomainRef, Sequence[Value]]]):
         self.domains = domains
         self.position = {ref: k for k, (ref, _) in enumerate(domains)}
         sizes = [len(values) for _, values in domains]
@@ -260,19 +229,16 @@ class _DomainIndex:
         return mask
 
     def table(self, t: AndOrTable) -> int:
-        """OR of the columns; a column is the AND of its non-dot rows, each
-        complemented where the cell is F."""
+        """OR of the columns; a column is the AND of its literals' rows,
+        each complemented where the literal wants false."""
         rows: dict[int, int] = {}  # built on first use, so an all-dot row costs nothing
         mask = 0
-        for col in range(t.column_count):
+        for literals in t.columns:
             column = self.full
-            for r, pred in enumerate(t.rows):
-                cell = t.cells[r][col]
-                if cell == CELL_DONT_CARE:
-                    continue
+            for r, wants_true in literals:
                 if r not in rows:
-                    rows[r] = self.predicate(pred)
-                column &= rows[r] if cell == CELL_TRUE else self.full ^ rows[r]
+                    rows[r] = self.predicate(t.rows[r])
+                column &= rows[r] if wants_true else self.full ^ rows[r]
             mask |= column
         return mask
 
@@ -289,18 +255,36 @@ def _lowest_bit(mask: int) -> int:
 
 
 class _GuardSetMasks:
-    """The truth mask of each table condition of a guard set, by position,
-    built on first use; building checks the cap, so a verdict that needs no
-    mask never trips it.  `else` needs none: completeness stops at it and
-    consistency skips it."""
+    """The referenced domain of a guard set, walked once into ``(ref,
+    values)`` pairs and its ``size``, and the truth mask of each table
+    condition by position, built on first use; building checks the cap, so
+    a verdict that needs no mask never trips it.  `else` needs none:
+    completeness stops at it and consistency skips it."""
 
     def __init__(self, g: GuardSet, spec: Specification, cap: int | None):
-        self.g, self.spec, self.cap = g, spec, cap
-        self.refs = _guard_set_reads(g)  # the referenced domain, walked once
+        self.g, self.cap = g, cap
+        self.domains = [
+            (
+                ref,
+                spec.machine(ref.name).states
+                if ref.kind == "machine"
+                else spec.variable(ref.name).type.values,
+            )
+            for ref in reads(*(cond for cond, _ in g.conditions), live_only=False)
+        ]
+        # A range's len() overflows past sys.maxsize; its bounds do not.
+        self.size = math.prod(
+            v.stop - v.start if isinstance(v, range) else len(v) for _, v in self.domains
+        )
+
+    def check_cap(self) -> None:
+        if self.cap is not None and self.size > self.cap:
+            raise DomainTooLarge(self.g.owner, self.size, self.cap, self.g.span)
 
     @functools.cached_property
     def index(self) -> _DomainIndex:
-        return _DomainIndex(_domain(self.g, self.spec, self.cap, self.refs))
+        self.check_cap()
+        return _DomainIndex(self.domains)
 
     @functools.cached_property
     def tables(self) -> dict[int, int]:
@@ -431,7 +415,6 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
     results: list[GuardSetResult] = []
     for g in guard_sets:
         masks = _GuardSetMasks(g, spec, cap)
-        size = _product(spec, masks.refs)
         completeness: CompletenessVerdict | None = None
         consistency: ConsistencyVerdict | None = None
         failure: Diagnostic | None = None
@@ -440,7 +423,7 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
             consistency = _consistency(masks)
         except DomainTooLarge as exc:
             failure = exc.diagnostics[0]
-        results.append(GuardSetResult(g, size, completeness, consistency, failure))
+        results.append(GuardSetResult(g, masks.size, completeness, consistency, failure))
 
     for r in results:
         owner = _display_owner(spec, r.guard_set)

@@ -4,18 +4,20 @@ Every command runs the same pipeline: load the named files (``_load``),
 gate on the static checks where the command has ``--force`` (``_gate``),
 run, render to stdout, and return an exit code.  A step that ends the
 command early raises ``_Exit`` with its code, diagnostics and message, or
-lets a ``SpecError`` through; ``main`` is the only place that prints those
+lets a ``SpecError`` through; ``_run``, under ``main``, alone prints those
 diagnostics, and it turns a ``SpecError`` into exit 1.
 
-Exit codes: 0 clean, 1 findings or errors, 2 usage problems, 3 resource
-limits.  Reports go to stdout, diagnostics to stderr; output is
-deterministic for identical inputs and flags.
+Exit codes: 0 clean, 1 findings or errors (also when stdout is closed
+early), 2 usage problems, 3 resource limits.  Reports go to stdout,
+diagnostics to stderr; output is deterministic for identical inputs and
+flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -481,6 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # Stdout was closed early (``rsmlkit ... | head``).  Point it at
+        # devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FINDINGS
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -25,10 +25,11 @@ of the reverse order: the most abstract holds only the terminal outputs,
 and each refinement adds the next component with what it reads.
 
 A table condition becomes a single guard: the disjunction over columns of
-the conjunction of row literals (T as written, F negated, dot omitted).  An
-`else` condition is negated and pushed inward; when the result is a pure
-conjunction of atoms it is split into one guard per conjunct, otherwise it
-stays a single guard.  Negating an atom rewrites its operator.
+the conjunction of each column's literals (``AndOrTable.columns``: T as
+written, F negated; a dot is no literal).  An `else` condition is negated
+and pushed inward; when the result is a pure conjunction of atoms it is
+split into one guard per conjunct, otherwise it stays a single guard.
+Negating an atom rewrites its operator.
 
 Rendering is deterministic: identical input yields identical bytes.
 """
@@ -42,8 +43,7 @@ from .diagnostics import SpecError, error
 from .model import (
     AndOrTable,
     BoolType,
-    CELL_DONT_CARE,
-    CELL_TRUE,
+    Column,
     Component,
     Condition,
     ElseCondition,
@@ -159,22 +159,15 @@ def _atom(pred, negated: bool = False) -> str:
     return f"{_bare(pred.lhs.ref)} {op} {rhs}"
 
 
-def _column_atoms(table: AndOrTable, col: int, negated: bool) -> list[str]:
-    atoms = []
-    for row, pred in enumerate(table.rows):
-        cell = table.cells[row][col]
-        if cell == CELL_DONT_CARE:
-            continue
-        wants_true = cell == CELL_TRUE
-        atoms.append(_atom(pred, negated=(wants_true == negated)))
-    return atoms
+def _column_atoms(table: AndOrTable, column: Column, negated: bool) -> list[str]:
+    return [_atom(table.rows[r], negated=(wants_true == negated)) for r, wants_true in column]
 
 
 def table_formula(table: AndOrTable) -> str:
     """Disjunction over columns of the conjunction of row literals."""
     disjuncts: list[str] = []
-    for col in range(table.column_count):
-        atoms = _column_atoms(table, col, negated=False)
+    for column in table.columns:
+        atoms = _column_atoms(table, column, negated=False)
         if not atoms:
             return TRUTH  # an all-dot column makes the table constant true
         disjuncts.append(f"({f' {AND} '.join(atoms)})" if len(atoms) > 1 else atoms[0])
@@ -187,11 +180,11 @@ def translate_condition(cond: Condition) -> list[str]:
     into several guards when it is a pure conjunction."""
     if not isinstance(cond, ElseCondition):
         return [table_formula(cond.table)]
-    groups: list[list[str]] = []
-    for table in cond.siblings:
-        for col in range(table.column_count):
-            atoms = _column_atoms(table, col, negated=True)
-            groups.append(atoms)
+    groups = [
+        _column_atoms(table, column, negated=True)
+        for table in cond.siblings
+        for column in table.columns
+    ]
     if any(not g for g in groups):
         # Complement of a constant-true column: unsatisfiable guard.
         return [FALSITY]

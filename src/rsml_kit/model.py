@@ -21,13 +21,18 @@ from . import ast_nodes as ast
 from .diagnostics import Span, SpecError, error
 
 # ---------------------------------------------------------------------------
-# Types and their value domains
+# Types and their value domains: a type's ``values`` is its domain in order,
+# and the only form of it that other modules read.
 
 
 @dataclass(frozen=True)
 class EnumType:
     name: str
     literals: tuple[str, ...]
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        return self.literals
 
 
 @dataclass(frozen=True)
@@ -36,10 +41,19 @@ class IntRangeType:
     lo: int
     hi: int
 
+    @property
+    def values(self) -> range:
+        """lo..hi inclusive, as a range, so no list is built."""
+        return range(self.lo, self.hi + 1)
+
 
 @dataclass(frozen=True)
 class BoolType:
     name: str = "bool"
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        return ("FALSE", "TRUE")
 
 
 TypeDef = Union[EnumType, IntRangeType, BoolType]
@@ -50,37 +64,15 @@ Value = Union[str, int]
 
 
 def domain_of(t: TypeDef) -> list[Value]:
-    """Ordered, finite value list: declaration order for enums,
+    """The type's values as a list: declaration order for enums,
     [FALSE, TRUE] for bool, lo..hi inclusive for ranges."""
-    if isinstance(t, EnumType):
-        return list(t.literals)
-    if isinstance(t, BoolType):
-        return ["FALSE", "TRUE"]
-    return list(range(t.lo, t.hi + 1))
+    return list(t.values)
 
 
-def type_size(t: TypeDef) -> int:
-    if isinstance(t, EnumType):
-        return len(t.literals)
-    if isinstance(t, BoolType):
-        return 2
-    return t.hi - t.lo + 1
-
-
-def first_value(t: TypeDef) -> Value:
-    if isinstance(t, EnumType):
-        return t.literals[0]
-    if isinstance(t, BoolType):
-        return "FALSE"
-    return t.lo
-
-
-def value_in_domain(value: Value, t: TypeDef) -> bool:
-    if isinstance(t, EnumType):
-        return value in t.literals
-    if isinstance(t, BoolType):
-        return value in ("FALSE", "TRUE")
-    return isinstance(value, int) and t.lo <= value <= t.hi
+def in_domain(value: Value, t: TypeDef) -> bool:
+    """``value in t.values``, but a name is never looked for in an int
+    range: ``range`` answers that by scanning every element."""
+    return isinstance(value, int) == isinstance(t, IntRangeType) and value in t.values
 
 
 # ---------------------------------------------------------------------------
@@ -118,34 +110,31 @@ class StateTest:
 Predicate = Union[Compare, StateTest]
 
 CELL_TRUE = "T"
-CELL_FALSE = "F"
 CELL_DONT_CARE = "."
+
+Column = tuple[tuple[int, bool], ...]  # (row index, wants true) per non-dot cell
 
 
 @dataclass
 class AndOrTable:
-    """Rows are predicates; each column is a conjunction over its non-dot
-    cells; the table is the disjunction of its columns."""
+    """Rows are predicates; ``cells[row][column]`` is T, F or a dot.  Column
+    c is the conjunction of its literals ``columns[c]``, the table the
+    disjunction of its columns; ``live`` is the rows some column consults."""
 
     rows: tuple[Predicate, ...]
-    cells: tuple[tuple[str, ...], ...]  # cells[row][column]
+    cells: tuple[tuple[str, ...], ...]
     span: Span | None = field(default=None, compare=False)
+    columns: tuple[Column, ...] = field(init=False, compare=False, repr=False)
+    live: tuple[Predicate, ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def column_count(self) -> int:
-        return len(self.cells[0]) if self.cells else 0
-
-    def live_rows(self) -> list[Predicate]:
-        """Predicates that some column actually consults.  A row whose cells
-        are all don't-care is never evaluated, so the evaluation-order reads
-        (``reads(..., live_only=True)``: the dependency graph and refinement
-        chain generation) leave it out; the referenced domain of the checks
-        still counts it."""
-        return [
-            pred
-            for idx, pred in enumerate(self.rows)
-            if any(cell != CELL_DONT_CARE for cell in self.cells[idx])
-        ]
+    def __post_init__(self) -> None:
+        self.columns = tuple(
+            tuple((r, cell == CELL_TRUE) for r, cell in enumerate(column) if cell != CELL_DONT_CARE)
+            for column in zip(*self.cells)
+        )
+        self.live = tuple(
+            pred for pred, row in zip(self.rows, self.cells) if row.count(CELL_DONT_CARE) < len(row)
+        )
 
 
 @dataclass
@@ -186,13 +175,13 @@ def reads(*conds: Condition, live_only: bool) -> list[DomainRef]:
     ``live_only=False`` counts every row, all-dot rows included: this is the
     referenced domain that completeness and consistency are checked over.
     ``live_only=True`` counts only rows some column consults
-    (:meth:`AndOrTable.live_rows`): this is what a step actually evaluates,
+    (:attr:`AndOrTable.live`): this is what a step actually evaluates,
     and it orders the dependency graph and refinement chain generation, so
     a dead row never creates a dependency or a cycle."""
     found: dict[DomainRef, None] = {}
     for cond in conds:
         for table in condition_tables(cond):
-            for pred in table.live_rows() if live_only else table.rows:
+            for pred in table.live if live_only else table.rows:
                 if isinstance(pred, StateTest):
                     found[DomainRef("machine", pred.machine)] = None
                 else:
@@ -226,8 +215,9 @@ def topological_order(nodes: list[str], successors: Mapping[str, Iterable[str]])
 class ComponentDependencies:
     """A component depends on the owner of every variable and machine its
     live rows read (``reads`` per component name); ``order`` puts suppliers
-    before consumers and leaves out ``cyclic``, the components on or behind
-    a component-level cycle, in declaration order."""
+    before consumers and leaves out the components on or behind a
+    component-level cycle.  ``cyclic`` holds those on a cycle, in
+    declaration order."""
 
     reads: dict[str, list[DomainRef]]
     order: list[str]
@@ -251,7 +241,21 @@ def component_dependencies(spec: Specification) -> ComponentDependencies:
             if supplier != name:
                 successors[supplier].add(name)
     order = topological_order(names, successors)
-    return ComponentDependencies(comp_reads, order, [n for n in names if n not in order])
+    cyclic = [n for n in names if n not in order and _reaches_itself(n, successors)]
+    return ComponentDependencies(comp_reads, order, cyclic)
+
+
+def _reaches_itself(node: str, successors: Mapping[str, Iterable[str]]) -> bool:
+    seen: set[str] = set()
+    stack = list(successors[node])
+    while stack:
+        succ = stack.pop()
+        if succ == node:
+            return True
+        if succ not in seen:
+            seen.add(succ)
+            stack.extend(successors[succ])
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +278,7 @@ class Variable:
     @property
     def initial_value(self) -> Value:
         """Declared init, or the first value of the type's domain."""
-        return self.init if self.init is not None else first_value(self.type)
+        return self.init if self.init is not None else self.type.values[0]
 
 
 @dataclass
@@ -479,7 +483,7 @@ class _Resolver:
                     init = self.literal_value(decl.init)
                     if init is None:
                         continue
-                    if not value_in_domain(init, t):
+                    if not in_domain(init, t):
                         self.error(
                             "TypeMismatch",
                             f"init value {init} is not in the domain of type '{t.name}'",
@@ -697,12 +701,12 @@ class _Resolver:
             cells.append(tuple(row.cells))
         if not ok:
             return None
+        table = AndOrTable(tuple(rows), tuple(cells), span=node.span)
         # An all-dot column makes the whole table constant true, which is
         # only meaningful as the single-column constant-true table.
-        ncols = len(cells[0]) if cells else 0
-        if ncols > 1:
-            for col in range(ncols):
-                if all(row[col] == CELL_DONT_CARE for row in cells):
+        if len(table.columns) > 1:
+            for col, literals in enumerate(table.columns):
+                if not literals:
                     self.error(
                         "EmptyColumn",
                         f"column {col + 1} is all don't-care; write the "
@@ -710,7 +714,7 @@ class _Resolver:
                         node.span,
                     )
                     return None
-        return AndOrTable(tuple(rows), tuple(cells), span=node.span)
+        return table
 
     def resolve_condition_list(
         self, nodes: list[ast.ConditionNode], comp: str | None
@@ -768,7 +772,7 @@ class _Resolver:
                     if value is None:
                         ok = False
                         continue
-                    if not value_in_domain(value, target.type):
+                    if not in_domain(value, target.type):
                         self.error(
                             "TypeMismatch",
                             f"case value {value} is not in the domain of "

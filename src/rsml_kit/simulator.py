@@ -42,9 +42,8 @@ from .model import (
     Condition,
     Specification,
     Value,
-    domain_of,
+    in_domain,
     reads,
-    value_in_domain,
 )
 from .table_logic import Valuation, eval_condition
 
@@ -298,7 +297,7 @@ def check_inputs(spec: Specification, inputs: dict[str, Value]) -> None:
             raise SpecError(
                 error("NotAnInput", f"not an input: {spec.display_name(name)}", spec.span)
             )
-        if not value_in_domain(value, var.type):
+        if not in_domain(value, var.type):
             raise SpecError(
                 error(
                     "TypeMismatch",
@@ -407,7 +406,7 @@ def input_combinations(spec: Specification) -> list[dict[str, Value]]:
     """Every total assignment of the input variables, enumerated in domain
     order (inputs in declaration order)."""
     inputs = spec.inputs
-    domains = [domain_of(v.type) for v in inputs]
+    domains = [v.type.values for v in inputs]
     return [
         {var.qualified: value for var, value in zip(inputs, combo)}
         for combo in itertools.product(*domains)

@@ -1,9 +1,10 @@
 """Evaluation semantics for predicates, AND/OR table columns and tables, and
 `else` conditions over a variable valuation.
 
-A column holds when every row matches its cell: T needs the row predicate
-true, F needs it false, and a dot is "don't care".  A table holds when some
-column holds, and `else` holds when none of its sibling tables do.
+A column holds when each of its literals (``AndOrTable.columns``) holds: T
+needs the row predicate true, F needs it false, and a dot is no literal.  A
+table holds when some column holds, and `else` holds when none of its
+sibling tables do.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass, field
 
 from .model import (
     AndOrTable,
-    CELL_DONT_CARE,
-    CELL_TRUE,
     Condition,
     ElseCondition,
     LitOperand,
@@ -52,17 +51,11 @@ def eval_predicate(p: Predicate, v: Valuation) -> bool:
 
 
 def eval_column(t: AndOrTable, col: int, v: Valuation) -> bool:
-    for row, pred in enumerate(t.rows):
-        cell = t.cells[row][col]
-        if cell == CELL_DONT_CARE:
-            continue
-        if eval_predicate(pred, v) != (cell == CELL_TRUE):
-            return False
-    return True
+    return all(eval_predicate(t.rows[r], v) == wants for r, wants in t.columns[col])
 
 
 def eval_table(t: AndOrTable, v: Valuation) -> bool:
-    return any(eval_column(t, col, v) for col in range(t.column_count))
+    return any(eval_column(t, col, v) for col in range(len(t.columns)))
 
 
 def eval_condition(c: Condition, v: Valuation) -> bool:

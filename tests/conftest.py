@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 
-from rsml_kit.analysis import GuardSet, _guard_set_reads, _product
+from rsml_kit.analysis import GuardSet, referenced_domain
 from rsml_kit.ast_nodes import ElseNode, SpecNode, TableNode
 from rsml_kit.diagnostics import SpecError, error
 from rsml_kit.model import Specification, Value, resolve
@@ -107,7 +108,7 @@ def step(
 
 def domain_product(g: GuardSet, spec: Specification) -> int:
     """Size of a guard set's referenced domain, without the cap check."""
-    return _product(spec, _guard_set_reads(g))
+    return math.prod(len(values) for _, values in referenced_domain(g, spec, cap=None))
 
 
 # ---------------------------------------------------------------------------

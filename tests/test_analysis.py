@@ -86,6 +86,26 @@ component C {
             referenced_domain(g, spec, cap=10**7)
         assert "1000000000" in str(exc.value)
 
+    def test_domain_wider_than_a_machine_word(self):
+        # len() of this range would overflow; the size comes from its bounds.
+        spec = spec_from(
+            """
+specification s
+type R = int [0 .. 100000000000000000000]
+component C {
+  input x : R
+  output o : bool
+  assign o { when table { x = 0 : T } then TRUE when table { x = 0 : F } then FALSE }
+}
+"""
+        )
+        [result] = analyze(spec).results
+        assert result.domain_size == 10**20 + 1
+        assert result.error.message == (
+            "guard set C.o: the referenced domain has 100000000000000000001 points, "
+            "over the cap of 10000000"
+        )
+
 
 class TestCompleteness:
     def test_else_short_circuits(self, startstop):

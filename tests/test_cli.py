@@ -45,6 +45,13 @@ component B {
 }
 """
 
+COMPONENT_BEHIND_CYCLE = """
+component C {
+  output z : bool
+  assign z { when table { A.x1 = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+
 
 @pytest.fixture()
 def mutex_file(tmp_path: Path) -> str:
@@ -158,6 +165,15 @@ component C {
         assert main(["gen", str(spec), "-o", str(tmp_path / "chain"), "--mode", "chain"]) == 1
         assert "error[CyclicDependency]: component dependency cycle among: A, B" in (
             capsys.readouterr().err
+        )
+        # C reads A's output: it is behind the cycle, not on it, so neither
+        # message names it.
+        spec.write_text(COMPONENT_CYCLE + COMPONENT_BEHIND_CYCLE, encoding="utf-8")
+        assert main(["check", str(spec)]) == 0
+        assert capsys.readouterr().err == f"{spec}:2:1: warning[ComponentCycle]: {message}\n"
+        assert main(["gen", str(spec), "-o", str(tmp_path / "chain"), "--mode", "chain"]) == 1
+        assert capsys.readouterr().err == (
+            f"{spec}:2:1: error[CyclicDependency]: component dependency cycle among: A, B\n"
         )
 
     def test_unknown_trace_tag_found(self, tmp_path, capsys):
@@ -439,3 +455,32 @@ class TestEntryPoint:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[-1] == "2 guard sets: 2 complete, 2 consistent"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", STARTSTOP],
+            ["simulate", STARTSTOP, SCRIPT],
+            ["explore", STARTSTOP],
+            ["gen", STARTSTOP, "-o", "OUT"],
+            ["trace", STARTSTOP, PF, REQ],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_ends_quietly(self, tmp_path, argv):
+        argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts: every write fails
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rsml_kit.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr

@@ -1,5 +1,6 @@
 """The guard-set checker's exact verdicts against brute-force enumeration,
-and the domain cap at its boundary."""
+Event-B guard translation against the AND/OR grid, and the domain cap at
+its boundary."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import domain_product, spec_from
-from oracle_helpers import oracle_domain, oracle_overlaps, oracle_verdicts
+from eventb_interp import eval_expr, parse_guard
+from oracle_helpers import oracle_condition, oracle_domain, oracle_overlaps, oracle_verdicts
 from rsml_kit.analysis import (
     GuardSet,
     check_completeness,
@@ -17,6 +19,7 @@ from rsml_kit.analysis import (
     referenced_domain,
 )
 from rsml_kit.cli import main
+from rsml_kit.eventb import translate_condition
 from rsml_kit.model import (
     AndOrTable,
     Compare,
@@ -135,6 +138,31 @@ def test_verdicts_equal_brute_force(g):
     assert [(i, j, _items(w)) for i, j, w in consistency.overlaps] == [
         (i, j, _items(w)) for i, j, w in overlaps
     ]
+
+
+# ---------------------------------------------------------------------------
+# Guard translation, read back by the Event-B interpreter
+
+# Event-B names: a variable by its bare name, a machine by its state variable.
+_EVENTB_NAME = {v.qualified: v.name for v in MIXED.variables}
+_EVENTB_NAME.update({m.qualified: f"{m.name}_state" for m in MIXED.machines})
+
+
+@st.composite
+def points(draw):
+    return {name: draw(st.sampled_from(values)) for name, values in _VALUES.items()}
+
+
+@given(guard_sets(), st.lists(points(), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_translated_guards_equal_the_grid(g, envs):
+    for cond, _ in g.conditions:
+        guards = [parse_guard(text) for text in translate_condition(cond)]
+        for env in envs:
+            eventb_env = {_EVENTB_NAME[name]: value for name, value in env.items()}
+            assert all(eval_expr(guard, eventb_env) for guard in guards) == oracle_condition(
+                cond, env
+            )
 
 
 # ---------------------------------------------------------------------------

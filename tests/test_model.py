@@ -11,9 +11,9 @@ from rsml_kit.model import (
     domain_of,
     resolve,
     topological_order,
-    type_size,
 )
 from rsml_kit.parser import parse_spec
+from rsml_kit.simulator import parse_script
 
 
 def codes(exc: SpecError) -> list[str]:
@@ -30,10 +30,37 @@ class TestDomains:
     def test_enum_declaration_order(self):
         assert domain_of(EnumType("E", ("PRESSED", "RELEASED"))) == ["PRESSED", "RELEASED"]
 
+    def test_int_range_values(self):
+        t = IntRangeType("R", -1, 2)
+        assert t.values == range(-1, 3)
+        assert 2 in t.values and "1" not in t.values and 3 not in t.values
+
+    def test_bool_values(self):
+        assert BOOL.values == ("FALSE", "TRUE")
+        assert 1 not in BOOL.values
+
+    def test_enum_values(self):
+        t = EnumType("E", ("PRESSED", "RELEASED"))
+        assert t.values == ("PRESSED", "RELEASED")
+        assert "USED" not in t.values
+
+    def test_wide_range_takes_a_script_value_without_a_list(self):
+        spec = spec_from(
+            "specification s type R = int [0 .. 1000000000000] "
+            "component C { input x : R output o : bool "
+            "assign o { when table { x = 7 : T } then TRUE when else then FALSE } }"
+        )
+        assert spec.variable("C.x").initial_value == 0
+        assert parse_script("x=1000000000000", spec) == [{"C.x": 10**12}]
+        # A name is refused at once, not by scanning the range for it.
+        with pytest.raises(SpecError) as exc:
+            parse_script("x=FOO", spec)
+        assert codes(exc.value) == ["TypeMismatch"]
+
     @pytest.mark.parametrize("lo,hi", [(0, 0), (-3, 5), (7, 23)])
     def test_range_size(self, lo, hi):
         t = IntRangeType("R", lo, hi)
-        assert len(domain_of(t)) == hi - lo + 1 == type_size(t)
+        assert len(domain_of(t)) == hi - lo + 1 == len(t.values)
 
 
 class TestResolveStopEnable:
@@ -228,6 +255,25 @@ component C {
         with pytest.raises(SpecError) as exc:
             spec_from(text)
         assert "EmptyColumn" in codes(exc.value)
+        assert exc.value.diagnostics[0].message.startswith("column 2 is all don't-care")
+
+    def test_first_all_dot_column_is_named(self):
+        text = """
+specification s
+component C {
+  input b : bool
+  output o : bool
+  assign o { when table { b = TRUE : . T . } then TRUE when else then FALSE }
+}
+"""
+        with pytest.raises(SpecError) as exc:
+            spec_from(text)
+        [diag] = exc.value.diagnostics
+        assert (diag.code, diag.message) == (
+            "EmptyColumn",
+            "column 1 is all don't-care; write the constant-true table as a single "
+            "all-dot column",
+        )
 
     def test_multiple_errors_collected(self):
         text = """

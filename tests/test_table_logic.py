@@ -166,7 +166,7 @@ def tables_and_valuations(draw):
 @settings(max_examples=300, deadline=None)
 def test_table_is_disjunction_of_columns(tv):
     table, v = tv
-    expected = any(eval_column(table, c, v) for c in range(table.column_count))
+    expected = any(eval_column(table, c, v) for c in range(len(table.columns)))
     assert eval_table(table, v) == expected
     assert eval_table(table, v) == oracle_table(table, dict(v.values))
 
@@ -176,7 +176,7 @@ def test_table_is_disjunction_of_columns(tv):
 def test_dot_weakening_is_monotone(tv, data):
     table, v = tv
     row = data.draw(st.integers(0, len(table.rows) - 1))
-    col = data.draw(st.integers(0, table.column_count - 1))
+    col = data.draw(st.integers(0, len(table.columns) - 1))
     weakened_cells = [list(r) for r in table.cells]
     weakened_cells[row][col] = "."
     weakened = AndOrTable(table.rows, tuple(tuple(r) for r in weakened_cells))
