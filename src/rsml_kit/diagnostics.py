@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ERROR = "error"
 WARNING = "warning"
@@ -14,8 +15,7 @@ INFO = "info"
 _SEVERITY_COLORS = {ERROR: "31", WARNING: "33", INFO: "36"}
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """Half-open source region; line and column are 1-based."""
 
     file: str

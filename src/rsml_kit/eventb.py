@@ -37,6 +37,7 @@ Rendering is deterministic: identical input yields identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .diagnostics import SpecError, error
@@ -101,6 +102,19 @@ class EventBEvent:
     guards: list[Labeled]
     actions: list[Labeled]
     comment: Optional[str] = None
+
+    @cached_property
+    def block(self) -> str:
+        """The event's rendered lines.  Every machine of one ``gen`` call
+        shares the event objects of a component, so each is rendered once."""
+        lines = [f"  event {self.name}{_comment_suffix(self.comment)}"]
+        if self.guards:
+            lines.append("    when")
+            lines.extend(f"      {guard.label} {guard.text}" for guard in self.guards)
+        lines.append("    then")
+        lines.extend(f"      {act.label} {act.text}" for act in self.actions)
+        lines.append("  end")
+        return "\n".join(lines)
 
 
 @dataclass
@@ -201,8 +215,8 @@ def translate_condition(cond: Condition) -> list[str]:
 class _Names:
     """Tracks the flat Event-B namespace and rejects collisions."""
 
-    def __init__(self) -> None:
-        self.taken: dict[str, str] = {}
+    def __init__(self, taken: dict[str, str] | None = None) -> None:
+        self.taken: dict[str, str] = dict(taken or {})
 
     def claim(self, name: str, what: str) -> str:
         if name in self.taken:
@@ -320,6 +334,12 @@ class _Assembler:
         terminal: frozenset[str] = frozenset(),
     ) -> None:
         self.spec, self.context, self.closed, self.terminal = spec, context, closed, terminal
+        # Machine-level names share one namespace with sets and constants.
+        self.context_names = _Names()
+        for set_name, constants in context.sets:
+            self.context_names.claim(set_name, "carrier set")
+            for c in constants:
+                self.context_names.claim(c, f"constant of {set_name}")
         self.events = {comp.name: _component_events(comp) for comp in spec.components}
         # Per component: (Event-B variable, source, carrier set, initial value,
         # direction or "machine"), its variables before its machines.
@@ -348,12 +368,7 @@ class _Assembler:
         A held variable or machine that no added component computes gets a
         setter: ``Set_<v>`` for a terminal output, ``Env_Set_<v>`` for an
         input or another component's variable or machine, unless closed."""
-        names = _Names()
-        # Machine-level names share one namespace with sets and constants.
-        for set_name, constants in self.context.sets:
-            names.claim(set_name, "carrier set")
-            for c in constants:
-                names.claim(c, f"constant of {set_name}")
+        names = _Names(self.context_names.taken)
         added_names = {comp.name for comp in added}
         held = [
             (comp.name in added_names, *item)
@@ -509,15 +524,6 @@ def _render_machine(mch: EventBMachine) -> str:
             for act in mch.init_actions:
                 lines.append(f"      {act.label} {act.text}")
             lines.append("  end")
-        for event in mch.events:
-            lines.append(f"  event {event.name}{_comment_suffix(event.comment)}")
-            if event.guards:
-                lines.append("    when")
-                for guard in event.guards:
-                    lines.append(f"      {guard.label} {guard.text}")
-            lines.append("    then")
-            for act in event.actions:
-                lines.append(f"      {act.label} {act.text}")
-            lines.append("  end")
+        lines.extend(event.block for event in mch.events)
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -5,12 +5,23 @@ Keywords are reserved in every file format so that diagnostics stay uniform.
 `--` starts a line comment.  The comparison operators may be written either
 in ASCII (`!=`, `<=`, `>=`) or with the usual mathematical glyphs
 (`≠`, `≤`, `≥`); the lexer normalizes to the ASCII spelling.
+
+One compiled pattern does the scanning: each match skips the blanks,
+newlines and comments before a token and then matches exactly one token,
+the end of the input, or one character no token starts with.  Its
+alternatives keep maximal munch: a comment before a negative integer, a
+``REQ-`` id before an identifier, longer operators before their prefixes.
+A token is a flat tuple; the parser builds its :class:`Span` only when it
+asks for one.  Columns count characters from 1, so a tab or a carriage
+return is one column.  A comment advances no column: the end-of-file token
+after a trailing comment sits where that comment starts.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import accumulate
+from typing import NamedTuple
 
 from .diagnostics import Span, SpecError, error
 
@@ -29,22 +40,44 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest operators first so maximal munch wins.
-_OPERATORS = ["<->", "..", "!=", "<=", ">=", "=", "<", ">", ":", ";",
-              "{", "}", "(", ")", "[", "]", ",", "."]
-
 _UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
 
-_REQID_RE = re.compile(r"REQ-[A-Za-z0-9_]+")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?[0-9]+")
+# A string body: `\"` and `\\` are escapes; any other backslash is itself.
+# The lookahead keeps the reading unique, so backtracking cannot turn an
+# escaped quote into a closing one.
+_STRING_BODY = r'"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*'
+
+# The skip part is greedy and one of the alternatives always matches after
+# it (BAD takes any character, EOF the end), so the engine never backtracks
+# into the skip.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|--[^\n]*)*"
+    r"(?:"
+    rf"(?P<STRING>{_STRING_BODY}\")"
+    r"|(?P<GLYPH>[≠≤≥])"
+    r"|(?P<REQID>REQ-[A-Za-z0-9_]+)"
+    r"|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<INT>-?[0-9]+)"
+    r"|(?P<OP><->|\.\.|[!<>]=|[=<>:;{}()\[\],.])"
+    r"|(?P<EOF>\Z)"
+    r"|(?P<BAD>.)"
+    r")"
+)
+_UNTERMINATED_RE = re.compile(_STRING_BODY)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ID" | "INT" | "STRING" | "REQID" | "EOF" | keyword | operator
     value: str
-    span: Span
+    file: str
+    line: int
+    column: int
+    length: int
+
+    @property
+    def span(self) -> Span:
+        return tuple.__new__(Span, self[2:])  # the last four fields are a Span's
 
     def describe(self) -> str:
         if self.kind == "EOF":
@@ -56,79 +89,46 @@ class Token:
 
 def tokenize(text: str, filename: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    keywords = KEYWORDS
+    # line_starts[k] is the index where line k + 1 starts; the last entry lies
+    # past the end of the text.
+    line_starts = list(accumulate([len(part) + 1 for part in text.split("\n")], initial=0))
     line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    def span(length: int) -> Span:
-        return Span(filename, line, col, length)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0
+    next_line = line_starts[1]
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        while start >= next_line:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            end = i + 1
-            chunks = []
-            while end < n and text[end] != '"':
-                if text[end] == "\n":
-                    raise SpecError(error("Syntax", "unterminated string", span(end - i)))
-                if text[end] == "\\" and end + 1 < n and text[end + 1] in ('"', "\\"):
-                    chunks.append(text[end + 1])
-                    end += 2
-                else:
-                    chunks.append(text[end])
-                    end += 1
-            if end >= n:
-                raise SpecError(error("Syntax", "unterminated string", span(end - i)))
-            tokens.append(Token("STRING", "".join(chunks), span(end + 1 - i)))
-            col += end + 1 - i
-            i = end + 1
-            continue
-        if ch in _UNICODE_OPS:
-            tokens.append(Token(_UNICODE_OPS[ch], _UNICODE_OPS[ch], span(1)))
-            i += 1
-            col += 1
-            continue
-        m = _REQID_RE.match(text, i)
-        if m:
-            tokens.append(Token("REQID", m.group(), span(len(m.group()))))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = word if word in KEYWORDS else "ID"
-            tokens.append(Token(kind, word, span(len(word))))
-            col += len(word)
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            tokens.append(Token("INT", m.group(), span(len(m.group()))))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, span(len(op))))
-                col += len(op)
-                i += len(op)
-                break
-        else:
-            raise SpecError(error("Syntax", f"unexpected character {ch!r}", span(1)))
-    tokens.append(Token("EOF", "", Span(filename, line, col, 0)))
+            line_start = next_line
+            next_line = line_starts[line]
+        value = text[start:end]
+        if kind == "ID":
+            if value in keywords:
+                kind = value
+        elif kind == "OP":
+            kind = value
+        elif kind == "STRING":
+            value = value[1:-1]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
+        elif kind == "GLYPH":
+            kind = value = _UNICODE_OPS[value]
+        elif kind == "EOF":
+            # A comment on the last line does not advance the column; the
+            # match starts where the previous token ends.
+            comment = text.find("--", max(m.start(), line_start))
+            column = (start if comment < 0 else comment) - line_start + 1
+            append(new(Token, ("EOF", "", filename, line, column, 0)))
+            break
+        elif kind == "BAD":
+            here = Span(filename, line, start - line_start + 1, 1)
+            if value != '"':
+                raise SpecError(error("Syntax", f"unexpected character {value!r}", here))
+            length = _UNTERMINATED_RE.match(text, start).end() - start
+            raise SpecError(error("Syntax", "unterminated string", here._replace(length=length)))
+        append(new(Token, (kind, value, filename, line, start - line_start + 1, end - start)))
     return tokens

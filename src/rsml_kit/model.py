@@ -370,6 +370,8 @@ class Specification:
         names = [(name, name.split(".", 1)[1]) for name in [*self.var_map, *self.machine_map]]
         counts = Counter(bare for _, bare in names)
         self._display_names = {name: bare if counts[bare] == 1 else name for name, bare in names}
+        # The simulator's steppers, one per evaluation order, built on first use.
+        self._steppers: dict = {}
 
     @property
     def variables(self) -> list[Variable]:
@@ -407,6 +409,8 @@ class _Resolver:
         self.type_map: dict[str, TypeDef] = {"bool": BOOL}
         self.literal_types: dict[str, TypeDef] = {"TRUE": BOOL, "FALSE": BOOL}
         self.comp_vars: dict[str, dict[str, Variable]] = {}
+        # bare name -> its variables, in component then declaration order
+        self.vars_by_name: dict[str, list[Variable]] = {}
         self.machine_nodes: dict[str, ast.StateMachineNode] = {}  # qualified -> node
         self.comp_machine_names: dict[str, set[str]] = {}
 
@@ -513,6 +517,8 @@ class _Resolver:
                 self.machine_nodes[f"{comp.name}.{m.name}"] = m
             self.comp_vars[comp.name] = variables
             self.comp_machine_names[comp.name] = names
+            for var in variables.values():
+                self.vars_by_name.setdefault(var.name, []).append(var)
 
     # -- name lookup ------------------------------------------------------------
 
@@ -555,15 +561,11 @@ class _Resolver:
                 return own, False
             candidates = [
                 v
-                for cname, vs in self.comp_vars.items()
-                if cname != comp
-                for v in vs.values()
-                if v.name == ref.name and v.direction == "output"
+                for v in self.vars_by_name.get(ref.name, ())
+                if v.owner != comp and v.direction == "output"
             ]
         else:
-            candidates = [
-                v for vs in self.comp_vars.values() for v in vs.values() if v.name == ref.name
-            ]
+            candidates = self.vars_by_name.get(ref.name, [])
         if len(candidates) == 1:
             return candidates[0], False
         if len(candidates) > 1:
@@ -820,12 +822,7 @@ class _Resolver:
             return None
         target = self.comp_vars.get(comp.name, {}).get(ref.name)
         if target is None:
-            candidates = [
-                v
-                for cname, vs in self.comp_vars.items()
-                for v in vs.values()
-                if v.name == ref.name and cname != comp.name
-            ]
+            candidates = [v for v in self.vars_by_name.get(ref.name, ()) if v.owner != comp.name]
             if candidates:
                 self.error(
                     "MultipleWriters",

@@ -33,6 +33,8 @@ Grammar for ``.rsml``::
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .ast_nodes import (
     AssignNode,
     CaseNode,
@@ -71,30 +73,33 @@ PF_DOMAIN_KINDS = ("given", "designed", "biddable", "lexical")
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.tokens = tokenize(text, filename)
+        # One EOF more than there are tokens, so peeking one past the end is safe.
+        self.kinds = [*map(itemgetter(0), self.tokens), "EOF"]
         self.pos = 0
+        self.cur = self.tokens[0]  # always tokens[pos]
         self.filename = filename
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def peek(self, *kinds: str, ahead: int = 0) -> bool:
-        idx = self.pos + ahead
-        return idx < len(self.tokens) and self.tokens[idx].kind in kinds
+    def peek(self, kind: str, ahead: int = 0) -> bool:
+        return self.kinds[self.pos + ahead] == kind
 
     def advance(self) -> Token:
         tok = self.cur
         if tok.kind != "EOF":
             self.pos += 1
+            self.cur = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.cur.kind != kind:
+        tok = self.cur
+        if tok.kind != kind:
             expected = what or (kind.lower() if kind in ("ID", "INT", "STRING", "REQID") else f"'{kind}'")
-            self.fail(f"expected {expected}, found {self.cur.describe()}")
-        return self.advance()
+            self.fail(f"expected {expected}, found {tok.describe()}")
+        if kind != "EOF":
+            self.pos += 1
+            self.cur = self.tokens[self.pos]
+        return tok
 
     def fail(self, message: str, span: Span | None = None) -> None:
         raise SpecError(error("Syntax", message, span or self.cur.span))
@@ -105,7 +110,7 @@ class _Parser:
         tok = self.cur
         if tok.kind == "INT":
             self.advance()
-            return IntLit(int(tok.value), span=tok.span)
+            return IntLit(int(tok.value), tok.span)
         if tok.kind in ("TRUE", "FALSE"):
             self.advance()
             return NameRef(tok.value, span=tok.span)
@@ -132,13 +137,13 @@ class _Parser:
             self.expect(",")
             state = self.expect("ID")
             self.expect(")")
-            return StateTestNode(machine, state.value, span=head.span)
+            return StateTestNode(machine, state.value, head.span)
         lhs = self.parse_operand()
         if self.cur.kind not in _RELOPS:
             self.fail(f"expected comparison operator, found {self.cur.describe()}")
         op = self.advance().kind
         rhs = self.parse_operand()
-        return PredicateNode(lhs, op, rhs, span=lhs.span)
+        return PredicateNode(lhs, op, rhs, lhs.span)
 
     def parse_table(self) -> TableNode:
         head = self.expect("table")
@@ -149,12 +154,14 @@ class _Parser:
         while not self.peek("}"):
             pred = self.parse_predicate()
             self.expect(":")
-            cells: list[str] = []
-            while self.cur.kind in _CELLS:
-                cells.append(self.advance().kind)
+            start = end = self.pos
+            while self.kinds[end] in _CELLS:
+                end += 1
+            cells = self.kinds[start:end]
+            self.pos, self.cur = end, self.tokens[end]
             if not cells:
                 self.fail("table row has no cells")
-            rows.append(RowNode(pred, cells, span=pred.span))
+            rows.append(RowNode(pred, cells, pred.span))
         self.expect("}")
         width = len(rows[0].cells)
         for idx, row in enumerate(rows[1:], start=2):
@@ -163,12 +170,12 @@ class _Parser:
                     f"ragged table: row 1 has {width} cells, row {idx} has {len(row.cells)}",
                     row.span,
                 )
-        return TableNode(rows, span=head.span)
+        return TableNode(rows, head.span)
 
     def parse_condition(self) -> ConditionNode:
         if self.peek("else"):
             tok = self.advance()
-            return ElseNode(span=tok.span)
+            return ElseNode(tok.span)
         return self.parse_table()
 
     def parse_trace(self) -> list[str]:
@@ -220,7 +227,7 @@ class _Parser:
                 self.fail(
                     f"expected 'type', 'component' or 'invariant', found {self.cur.describe()}"
                 )
-        return SpecNode(name, types, components, invariants, span=head.span)
+        return SpecNode(name, types, components, invariants, head.span)
 
     def parse_typedef(self) -> TypeDeclNode:
         head = self.expect("type")
@@ -233,14 +240,14 @@ class _Parser:
             self.expect("..")
             hi = int(self.expect("INT").value)
             self.expect("]")
-            return TypeDeclNode(name, None, (lo, hi), span=head.span)
+            return TypeDeclNode(name, None, (lo, hi), head.span)
         self.expect("{")
         literals = [self.expect("ID").value]
         while self.peek(","):
             self.advance()
             literals.append(self.expect("ID").value)
         self.expect("}")
-        return TypeDeclNode(name, literals, None, span=head.span)
+        return TypeDeclNode(name, literals, None, head.span)
 
     def parse_component(self) -> ComponentNode:
         head = self.expect("component")
@@ -260,7 +267,7 @@ class _Parser:
                     self.advance()
                     init = self.parse_operand()
                 variables.append(
-                    VarDeclNode(direction, var_tok.value, type_name, init, span=var_tok.span)
+                    VarDeclNode(direction, var_tok.value, type_name, init, var_tok.span)
                 )
             elif self.peek("assign"):
                 assigns.append(self.parse_assign())
@@ -274,7 +281,7 @@ class _Parser:
                     f"found {self.cur.describe()}"
                 )
         self.expect("}")
-        return ComponentNode(name, variables, assigns, machines, span=head.span)
+        return ComponentNode(name, variables, assigns, machines, head.span)
 
     def parse_assign(self) -> AssignNode:
         head = self.expect("assign")
@@ -292,12 +299,12 @@ class _Parser:
             self.expect("then")
             value = self.parse_operand()
             trace = self.parse_trace()
-            cases.append(CaseNode(cond, value, trace, span=when.span))
+            cases.append(CaseNode(cond, value, trace, when.span))
         if not cases:
             self.fail("assignment needs at least one 'when' case")
         self.expect("}")
         self.check_condition_set([c.condition for c in cases], "among assignment cases")
-        return AssignNode(target, cases, span=head.span)
+        return AssignNode(target, cases, head.span)
 
     def parse_statemachine(self) -> StateMachineNode:
         head = self.expect("statemachine")
@@ -318,14 +325,14 @@ class _Parser:
                 self.expect("when")
                 cond = self.parse_condition()
                 trace = self.parse_trace()
-                transitions.append(TransitionNode(target, cond, trace, span=goto.span))
+                transitions.append(TransitionNode(target, cond, trace, goto.span))
             self.expect("}")
             self.check_condition_set(
                 [t.condition for t in transitions], f"among transitions of state '{st_name}'"
             )
-            states.append(StateNode(st_name, transitions, span=st_head.span))
+            states.append(StateNode(st_name, transitions, st_head.span))
         self.expect("}")
-        return StateMachineNode(name, initial, states, span=head.span)
+        return StateMachineNode(name, initial, states, head.span)
 
     def parse_invariant(self) -> InvariantNode:
         head = self.expect("invariant")
@@ -333,7 +340,7 @@ class _Parser:
         self.expect(":")
         table = self.parse_table()
         trace = self.parse_trace()
-        return InvariantNode(name, table, trace, span=head.span)
+        return InvariantNode(name, table, trace, head.span)
 
     # -- .req ----------------------------------------------------------------
 
@@ -353,7 +360,7 @@ class _Parser:
                     rid.span, "DuplicateRequirement", f"requirement id {rid.value} already declared"
                 )
             seen[rid.value] = rid.span
-            reqs.append(Requirement(rid.value, prose, phase, self.filename, span=head.span))
+            reqs.append(Requirement(rid.value, prose, phase, self.filename, head.span))
         return reqs
 
     # -- .pf -----------------------------------------------------------------
@@ -389,14 +396,14 @@ class _Parser:
                         f"unknown domain kind '{kind_tok.value}' "
                         f"(expected one of: {', '.join(PF_DOMAIN_KINDS)})",
                     )
-                domains.append(PfDomain(dom_tok.value, kind_tok.value, span=dom_tok.span))
+                domains.append(PfDomain(dom_tok.value, kind_tok.value, dom_tok.span))
             elif self.peek("interface"):
                 if_head = self.advance()
                 end_a = self.expect("ID").value
                 self.expect("<->")
                 end_b = self.expect("ID").value
                 phenomena = self.parse_phenomena()
-                interfaces.append(Interface(end_a, end_b, phenomena, span=if_head.span))
+                interfaces.append(Interface(end_a, end_b, phenomena, if_head.span))
             elif self.peek("requirement"):
                 requirements.append(self.parse_pf_requirement())
             elif self.peek("EOF"):
@@ -407,7 +414,7 @@ class _Parser:
                     f"found {self.cur.describe()}"
                 )
         self.expect("}")
-        return ProblemDiagram(name, machines, domains, interfaces, requirements, span=head.span)
+        return ProblemDiagram(name, machines, domains, interfaces, requirements, head.span)
 
     def parse_phenomena(self) -> list[str]:
         self.expect("{")
@@ -441,7 +448,7 @@ class _Parser:
                 self.fail(f"expected 'constrains' or 'refs', found {self.cur.describe()}")
         self.expect("}")
         trace = self.parse_trace()
-        return PfRequirement(rid.value, prose, constrains, refs, trace, span=rid.span)
+        return PfRequirement(rid.value, prose, constrains, refs, trace, rid.span)
 
 
 def parse_spec(text: str, filename: str = "<spec>") -> SpecNode:

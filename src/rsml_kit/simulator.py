@@ -13,19 +13,21 @@ previous step (the snapshot taken at step entry), which breaks self-cycles
 and makes the order of machine updates irrelevant.  Unfired assignments and
 machines keep their previous value/state.
 
-Every step runs through one :class:`_Stepper`, built once per call of
+Every step runs through a :class:`_Stepper`, built once per model and
+evaluation order and kept on the :class:`Specification`, so calls of
 :func:`explore`, :func:`run_script`, :func:`initial_state` or
-:func:`step_core`.  Inside it a state is packed: a ``(values,
-machine_states)`` pair of plain tuples in declaration order.  Each machine,
-assignment and invariant memoizes its outcome on the values it reads
-(``model.reads(..., live_only=True)``, so all-dot rows are left out), and a
-machine also on its own current state, since its transitions are filtered by
-source: a guard set is evaluated by ``table_logic.eval_condition`` once per
-distinct key, and every later step with that key reuses the fired index and
-value, or re-raises the same ``NondeterministicFiring``.  A memo holds at most
-one entry per point of its node's read domain.  Named :class:`SystemState`
-records are built only for states that are output: every step of a script,
-and the counterexample states of an exploration.
+:func:`step_core` on one model share it and its memos.  Inside it a state
+is packed: a ``(values, machine_states)`` pair of plain tuples in
+declaration order.  Each machine, assignment and invariant memoizes its
+outcome on the values it reads (``model.reads(..., live_only=True)``, so
+all-dot rows are left out), and a machine also on its own current state,
+since its transitions are filtered by source: a guard set is evaluated by
+``table_logic.eval_condition`` once per distinct key, and every later step
+with that key reuses the fired index and value, or re-raises the same
+``NondeterministicFiring``.  A memo holds at most one entry per point of
+its node's read domain.  Named :class:`SystemState` records are built only
+for states that are output: every step of a script, and the counterexample
+states of an exploration.
 """
 
 from __future__ import annotations
@@ -281,10 +283,20 @@ class _Stepper:
         return self.initial
 
 
+def _stepper(spec: Specification, order: list[str] | None = None) -> _Stepper:
+    """The model's stepper for ``order`` (None: the dependency order), built
+    on first use."""
+    key = None if order is None else tuple(order)
+    stepper = spec._steppers.get(key)
+    if stepper is None:
+        stepper = spec._steppers[key] = _Stepper(spec, order)
+    return stepper
+
+
 def initial_state(spec: Specification) -> SystemState:
     """Every variable at its init (or domain default), every machine at its
     initial state, step 0.  Raises if an invariant is already violated."""
-    stepper = _Stepper(spec, order=[])  # takes no step, so needs no order
+    stepper = _stepper(spec, order=[])  # takes no step, so needs no order
     return stepper.unpack(stepper.start(), 0)
 
 
@@ -315,7 +327,7 @@ def step_core(
 ) -> StepResult:
     """Single synchronous step; invariant violations are reported in the
     result rather than raised."""
-    stepper = _Stepper(spec, order)
+    stepper = _stepper(spec, order)
     fired: list[tuple[str, bool, int]] = []
     succ, violations = stepper.advance(stepper.pack(cur), stepper.packed_inputs(inputs), fired)
     return StepResult(
@@ -383,7 +395,7 @@ def run_script(
 ) -> Trace:
     """Fold :func:`step` over the script rows; stops at the first invariant
     violation unless keep_going is set."""
-    stepper = _Stepper(spec)
+    stepper = _stepper(spec)
     state = stepper.start()
     trace = Trace(stepper.unpack(state, 0), [])
     for row in script:
@@ -422,7 +434,7 @@ def explore(
     successors of a state are its steps under every input combination.
     Returns shortest counterexamples (BFS order) per violated invariant.
     States are kept packed; parents as ``(parent, combination index)``."""
-    stepper = _Stepper(spec)
+    stepper = _stepper(spec)
     combos = input_combinations(spec)
     packed_combos = [stepper.packed_inputs(combo) for combo in combos]
 

@@ -3,17 +3,19 @@ evaluation path: truth-vector table semantics and naive enumeration for
 completeness/consistency verdicts, and the interpretive step semantics
 (every guard set evaluated at every step over freshly built dicts) with a
 breadth-first search and a script fold on top of it, the per-machine
-Event-B assembly that rebuilds every refinement from scratch, and the trace
-report that scans every edge per neighbour lookup."""
+Event-B assembly that rebuilds every refinement from scratch, the trace
+report that scans every edge per neighbour lookup, and the character-loop
+tokenizer."""
 
 from __future__ import annotations
 
 import itertools
 import operator
+import re
 from collections import deque
 
 from conftest import state_key
-from rsml_kit.diagnostics import SpecError, error, warning
+from rsml_kit.diagnostics import Span, SpecError, error, warning
 from rsml_kit.eventb import (
     BECOMES_MEMBER,
     MEMBER,
@@ -32,6 +34,7 @@ from rsml_kit.eventb import (
     table_formula,
     translate_condition,
 )
+from rsml_kit.lexer import KEYWORDS
 from rsml_kit.model import (
     DomainRef,
     ElseCondition,
@@ -643,3 +646,89 @@ def reference_trace_report(graph: TraceGraph, require_trace: bool = False) -> Tr
             if not any(n.kind == REQ for n in _reference_reachable(graph, key)):
                 warnings.append(warning("UntracedElement", f"{node.display} reaches no requirement"))
     return TraceReport(rows, warnings, list(graph.edges))
+
+
+# ---------------------------------------------------------------------------
+# Tokens
+
+
+_REF_OPERATORS = ["<->", "..", "!=", "<=", ">=", "=", "<", ">", ":", ";",
+                  "{", "}", "(", ")", "[", "]", ",", "."]
+_REF_UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
+_REF_REQID_RE = re.compile(r"REQ-[A-Za-z0-9_]+")
+_REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_INT_RE = re.compile(r"-?[0-9]+")
+
+
+def reference_tokenize(text: str, filename: str) -> list[tuple[str, str, Span]]:
+    """``(kind, value, span)`` per token, scanned one character at a time:
+    blanks advance the column, a newline resets it, a comment skips to the
+    end of its line without advancing it."""
+    tokens: list[tuple[str, str, Span]] = []
+    line = 1
+    col = 1
+    i = 0
+    n = len(text)
+
+    def span(length: int) -> Span:
+        return Span(filename, line, col, length)
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            end = i + 1
+            chunks = []
+            while end < n and text[end] != '"':
+                if text[end] == "\n":
+                    raise SpecError(error("Syntax", "unterminated string", span(end - i)))
+                if text[end] == "\\" and end + 1 < n and text[end + 1] in ('"', "\\"):
+                    chunks.append(text[end + 1])
+                    end += 2
+                else:
+                    chunks.append(text[end])
+                    end += 1
+            if end >= n:
+                raise SpecError(error("Syntax", "unterminated string", span(end - i)))
+            tokens.append(("STRING", "".join(chunks), span(end + 1 - i)))
+            col += end + 1 - i
+            i = end + 1
+            continue
+        if ch in _REF_UNICODE_OPS:
+            tokens.append((_REF_UNICODE_OPS[ch], _REF_UNICODE_OPS[ch], span(1)))
+            i += 1
+            col += 1
+            continue
+        m = _REF_REQID_RE.match(text, i) or _REF_IDENT_RE.match(text, i) or _REF_INT_RE.match(text, i)
+        if m:
+            word = m.group()
+            if m.re is _REF_IDENT_RE:
+                kind = word if word in KEYWORDS else "ID"
+            else:
+                kind = "REQID" if m.re is _REF_REQID_RE else "INT"
+            tokens.append((kind, word, span(len(word))))
+            col += len(word)
+            i = m.end()
+            continue
+        for op in _REF_OPERATORS:
+            if text.startswith(op, i):
+                tokens.append((op, op, span(len(op))))
+                col += len(op)
+                i += len(op)
+                break
+        else:
+            raise SpecError(error("Syntax", f"unexpected character {ch!r}", span(1)))
+    tokens.append(("EOF", "", Span(filename, line, col, 0)))
+    return tokens

@@ -81,3 +81,20 @@ def test_traced_trace(tmp_path):
     names = {name for name, *_ in traced["spans"]}
     assert {"main", "parse_pf", "parse_requirements", "check_pf", "link", "trace_report"} <= names
     assert traced["counts"]["edges"] == 17
+
+
+def test_cli_import_loads_every_traced_module():
+    """The traced mode rebinds only the modules that ``import rsml_kit.cli``
+    loaded, so a layer imported lazily would silently lose its spans."""
+    code = (
+        "import sys\n"
+        "import rsml_kit.cli\n"
+        "loaded = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(ROOT / 'bench')!r})\n"
+        "from inproc import TRACED\n"
+        "print(sorted(m for m in TRACED if f'rsml_kit.{m}' not in loaded))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -365,6 +365,89 @@ component B {
         assert refs == {"HMI.Strt_Req", "HMI.Stop_Req"}
 
 
+def _messages(text: str) -> list[str]:
+    with pytest.raises(SpecError) as exc:
+        spec_from(text, "s.rsml")
+    return [d.render() for d in exc.value.diagnostics]
+
+
+_READ_O = "output o : bool\n  assign o {{ when table {{ {ref} = TRUE : T }} then TRUE when else then FALSE }}"
+
+
+class TestLookupPaths:
+    """Each path of the resolver's name lookup, with the exact message."""
+
+    def _read(self, comps: str, ref: str) -> str:
+        return f"specification s\n{comps}\ncomponent R {{\n  {_READ_O.format(ref=ref)}\n}}\n"
+
+    def test_own_variable_shadows_foreign_outputs(self):
+        text = (
+            "specification s\n"
+            "component A { output sig : bool }\n"
+            f"component R {{\n  internal sig : bool\n  {_READ_O.format(ref='sig')}\n}}\n"
+            "component Z { output sig : bool }\n"
+        )
+        pred = spec_from(text).components[1].assigns[0].cases[0].condition.table.rows[0]
+        assert pred.lhs.ref == "R.sig"
+
+    def test_unique_foreign_output_resolves(self):
+        comps = (
+            "component A { internal sig : bool }\n"
+            "component B { input sig : bool }\n"
+            "component C { output sig : bool }"
+        )
+        pred = spec_from(self._read(comps, "sig")).components[3].assigns[0].cases[0]
+        assert pred.condition.table.rows[0].lhs.ref == "C.sig"
+
+    def test_two_foreign_outputs_are_ambiguous(self):
+        comps = "component B { output sig : bool }\ncomponent A { output sig : bool }"
+        assert _messages(self._read(comps, "sig")) == [
+            "s.rsml:6:27: error[AmbiguousName]: 'sig' is ambiguous (A.sig, B.sig); "
+            "qualify it as Component.name"
+        ]
+
+    @pytest.mark.parametrize("direction", ["input", "internal"])
+    def test_qualified_foreign_non_output_is_a_cross_component_read(self, direction):
+        comps = f"component A {{ {direction} sig : bool }}"
+        assert _messages(self._read(comps, "A.sig")) == [
+            f"s.rsml:5:27: error[CrossComponentRead]: variable A.sig is {direction}; "
+            "only outputs are readable from other components"
+        ]
+
+    def test_bare_foreign_internal_is_unknown(self):
+        comps = "component A { internal sig : bool }"
+        assert _messages(self._read(comps, "sig")) == [
+            "s.rsml:5:27: error[UnknownName]: unknown variable 'sig'"
+        ]
+
+    def test_invariant_bare_name_counts_every_direction(self):
+        text = (
+            "specification s\n"
+            "component A { internal sig : bool }\n"
+            "component B { input sig : bool }\n"
+            "invariant i : table { sig = TRUE : T }\n"
+        )
+        assert _messages(text) == [
+            "s.rsml:4:23: error[AmbiguousName]: 'sig' is ambiguous (A.sig, B.sig); "
+            "qualify it as Component.name"
+        ]
+
+    def test_assigning_a_foreign_name_names_the_first_candidate(self):
+        text = (
+            "specification s\n"
+            "component A { input sig : bool }\n"
+            "component B { output sig : bool }\n"
+            "component C {\n"
+            "  input b : bool\n"
+            "  assign sig { when table { b = TRUE : T } then TRUE when else then FALSE }\n"
+            "}\n"
+        )
+        assert _messages(text) == [
+            "s.rsml:6:3: error[MultipleWriters]: variable A.sig is owned by component 'A'; "
+            "component 'C' cannot assign it"
+        ]
+
+
 class TestTopologicalOrder:
     def test_ties_break_by_node_position(self):
         # d releases c before a in its successor list; a still comes first.
