@@ -13,13 +13,15 @@ mask for completeness.
 The referenced domain is every variable and state-tested machine that a row
 of the guard set's tables mentions, all-dot rows included
 (``model.reads(..., live_only=False)``), each over its type's ``values`` or
-its machine's states; it sets the ``domain N`` count, the cap check and the
-witnesses.  Masks read each table's ``columns``, never its cells.  The
-dependency graph reads live rows only (``live_only=True``): an all-dot row
-is never evaluated, so it orders nothing and closes no cycle.  Components
-can depend on each other in a cycle without any variable doing so; that is
-only a warning, because the step does not mind and only the refinement
-chain needs the components ordered.
+its machine's states.  One ``_GuardSetMasks`` per guard set holds it, gives
+the ``domain N`` count, checks the cap, builds the masks from each table's
+``columns`` (never its cells) and decodes witnesses; :func:`analyze` emits
+each guard set's diagnostics as it checks it.  The dependency graph reads
+live rows only (``live_only=True``): an all-dot row is never evaluated, so
+it orders nothing and closes no cycle.  Components can depend on each other
+in a cycle without any variable doing so; that is only a warning, because
+the step does not mind and only the refinement chain needs the components
+ordered.
 
 Witness valuations are the lexicographically smallest under the domain
 ordering of the referenced variables (first-occurrence order), which keeps
@@ -34,7 +36,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
 from .model import (
@@ -113,7 +115,6 @@ class DependencyVerdict:
 @dataclass
 class AnalysisReport:
     results: list[GuardSetResult]
-    dependency: DependencyVerdict
     diagnostics: list[Diagnostic]
 
     @property
@@ -183,18 +184,53 @@ def referenced_domain(
 # Truth masks
 
 
-class _DomainIndex:
-    """Mixed-radix index of a referenced domain, first-referenced variable
-    most significant, and truth masks over it: bit n of a mask is the truth
-    at the n-th valuation in lexicographic order."""
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
-    def __init__(self, domains: list[tuple[DomainRef, Sequence[Value]]]):
-        self.domains = domains
-        self.position = {ref: k for k, (ref, _) in enumerate(domains)}
-        sizes = [len(values) for _, values in domains]
+
+class _GuardSetMasks:
+    """One guard set's referenced domain, walked once into ``(ref, values)``
+    pairs, and its truth masks.  The domain is a mixed radix, first
+    referenced most significant: bit n of a mask is the truth at the n-th
+    valuation in lexicographic order, and :meth:`witness` decodes it.
+    ``full`` gates every mask on the cap, so a verdict that needs no mask
+    never trips it.  `else` needs none: completeness stops at it and
+    consistency skips it."""
+
+    def __init__(self, g: GuardSet, spec: Specification, cap: int | None):
+        self.g, self.cap = g, cap
+        self.domains = [
+            (
+                ref,
+                spec.machine(ref.name).states
+                if ref.kind == "machine"
+                else spec.variable(ref.name).type.values,
+            )
+            for ref in reads(*(cond for cond, _ in g.conditions), live_only=False)
+        ]
+        self.position = {ref: k for k, (ref, _) in enumerate(self.domains)}
+        # A range's len() overflows past sys.maxsize; its bounds do not.
+        sizes = [v.stop - v.start if isinstance(v, range) else len(v) for _, v in self.domains]
         self.strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
         self.size = math.prod(sizes)
-        self.full = (1 << self.size) - 1
+
+    def check_cap(self) -> None:
+        if self.cap is not None and self.size > self.cap:
+            raise DomainTooLarge(self.g.owner, self.size, self.cap, self.g.span)
+
+    @functools.cached_property
+    def full(self) -> int:
+        self.check_cap()
+        return (1 << self.size) - 1
+
+    @functools.cached_property
+    def tables(self) -> dict[int, int]:
+        """The mask of each table condition, by position."""
+        return {
+            idx: self.table(cond.table)
+            for idx, (cond, _) in enumerate(self.g.conditions)
+            if isinstance(cond, TableCondition)
+        }
 
     def where(self, ref: DomainRef, holds: Callable[[Value], bool]) -> int:
         """Points at which ``ref`` has a value that ``holds``: one block of
@@ -231,14 +267,15 @@ class _DomainIndex:
     def table(self, t: AndOrTable) -> int:
         """OR of the columns; a column is the AND of its literals' rows,
         each complemented where the literal wants false."""
+        full = self.full
         rows: dict[int, int] = {}  # built on first use, so an all-dot row costs nothing
         mask = 0
         for literals in t.columns:
-            column = self.full
+            column = full
             for r, wants_true in literals:
                 if r not in rows:
                     rows[r] = self.predicate(t.rows[r])
-                column &= rows[r] if wants_true else self.full ^ rows[r]
+                column &= rows[r] if wants_true else full ^ rows[r]
             mask |= column
         return mask
 
@@ -250,51 +287,6 @@ class _DomainIndex:
         }
 
 
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-class _GuardSetMasks:
-    """The referenced domain of a guard set, walked once into ``(ref,
-    values)`` pairs and its ``size``, and the truth mask of each table
-    condition by position, built on first use; building checks the cap, so
-    a verdict that needs no mask never trips it.  `else` needs none:
-    completeness stops at it and consistency skips it."""
-
-    def __init__(self, g: GuardSet, spec: Specification, cap: int | None):
-        self.g, self.cap = g, cap
-        self.domains = [
-            (
-                ref,
-                spec.machine(ref.name).states
-                if ref.kind == "machine"
-                else spec.variable(ref.name).type.values,
-            )
-            for ref in reads(*(cond for cond, _ in g.conditions), live_only=False)
-        ]
-        # A range's len() overflows past sys.maxsize; its bounds do not.
-        self.size = math.prod(
-            v.stop - v.start if isinstance(v, range) else len(v) for _, v in self.domains
-        )
-
-    def check_cap(self) -> None:
-        if self.cap is not None and self.size > self.cap:
-            raise DomainTooLarge(self.g.owner, self.size, self.cap, self.g.span)
-
-    @functools.cached_property
-    def index(self) -> _DomainIndex:
-        self.check_cap()
-        return _DomainIndex(self.domains)
-
-    @functools.cached_property
-    def tables(self) -> dict[int, int]:
-        return {
-            idx: self.index.table(cond.table)
-            for idx, (cond, _) in enumerate(self.g.conditions)
-            if isinstance(cond, TableCondition)
-        }
-
-
 # ---------------------------------------------------------------------------
 # Checks
 
@@ -302,10 +294,9 @@ class _GuardSetMasks:
 def _completeness(masks: _GuardSetMasks) -> CompletenessVerdict:
     if any(isinstance(cond, ElseCondition) for cond, _ in masks.g.conditions):
         return CompletenessVerdict(complete=True, by_else=True)
-    index = masks.index
-    uncovered = index.full ^ functools.reduce(operator.or_, masks.tables.values(), 0)
+    uncovered = masks.full ^ functools.reduce(operator.or_, masks.tables.values(), 0)
     if uncovered:
-        return CompletenessVerdict(complete=False, witness=index.witness(_lowest_bit(uncovered)))
+        return CompletenessVerdict(complete=False, witness=masks.witness(_lowest_bit(uncovered)))
     return CompletenessVerdict(complete=True)
 
 
@@ -319,7 +310,7 @@ def _consistency(masks: _GuardSetMasks) -> ConsistencyVerdict:
         both = mask_i & mask_j
         if both:
             (overlaps if actions[i] == actions[j] else conflicts).append((_lowest_bit(both), i, j))
-    witness = masks.index.witness
+    witness = masks.witness
     if conflicts:
         bit, i, j = min(conflicts)
         return ConsistencyVerdict(consistent=False, witness=witness(bit), pair=(i, j))
@@ -411,63 +402,38 @@ def _shortest_cycle(
 
 
 def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisReport:
+    """Every guard set's verdicts and diagnostics in one pass, then the cycles."""
     guard_sets, diagnostics = collect_guard_sets(spec)
     results: list[GuardSetResult] = []
     for g in guard_sets:
         masks = _GuardSetMasks(g, spec, cap)
-        completeness: CompletenessVerdict | None = None
-        consistency: ConsistencyVerdict | None = None
-        failure: Diagnostic | None = None
+        r = GuardSetResult(g, masks.size, None, None)
+        results.append(r)
         try:
-            completeness = _completeness(masks)
-            consistency = _consistency(masks)
+            completeness = r.completeness = _completeness(masks)
+            consistency = r.consistency = _consistency(masks)
         except DomainTooLarge as exc:
-            failure = exc.diagnostics[0]
-        results.append(GuardSetResult(g, masks.size, completeness, consistency, failure))
-
-    for r in results:
-        owner = _display_owner(spec, r.guard_set)
-        if r.error is not None:
+            r.error = exc.diagnostics[0]
             diagnostics.append(r.error)
             continue
-        assert r.completeness is not None and r.consistency is not None
-        if not r.completeness.complete:
-            diagnostics.append(
-                error(
-                    "Incomplete",
-                    f"guard set {owner} is incomplete: no condition holds at "
-                    f"{_witness_str(spec, r.completeness.witness)}",
-                    r.guard_set.span,
-                )
-            )
-        if not r.consistency.consistent:
-            i, j = r.consistency.pair  # type: ignore[misc]
-            diagnostics.append(
-                error(
-                    "Conflict",
-                    f"guard set {owner} is inconsistent: conditions {i} and {j} "
-                    f"both hold at {_witness_str(spec, r.consistency.witness)} "
-                    "with different actions",
-                    r.guard_set.span,
-                )
-            )
-        else:
-            for i, j, witness in r.consistency.overlaps:
-                diagnostics.append(
-                    warning(
-                        "OverlappingEquivalentCases",
-                        f"guard set {owner}: conditions {i} and {j} overlap at "
-                        f"{_witness_str(spec, witness)} but agree on the action",
-                        r.guard_set.span,
-                    )
-                )
+        label = f"guard set {_display_owner(spec, g)}"
+        if not completeness.complete:
+            at = _witness_str(spec, completeness.witness)
+            text = f"{label} is incomplete: no condition holds at {at}"
+            diagnostics.append(error("Incomplete", text, g.span))
+        if not consistency.consistent:
+            i, j = consistency.pair  # type: ignore[misc]
+            at = _witness_str(spec, consistency.witness)
+            text = f"{label} is inconsistent: conditions {i} and {j} both hold at {at}"
+            diagnostics.append(error("Conflict", f"{text} with different actions", g.span))
+        for i, j, witness in consistency.overlaps:
+            at = _witness_str(spec, witness)
+            text = f"{label}: conditions {i} and {j} overlap at {at} but agree on the action"
+            diagnostics.append(warning("OverlappingEquivalentCases", text, g.span))
 
-    dependency = build_dependency_graph(spec)
-    if dependency.cycle is not None:
-        cycle = ", ".join(spec.display_name(n) for n in dependency.cycle)
-        diagnostics.append(
-            error("CyclicDependency", f"same-step dependency cycle: [{cycle}]", spec.span)
-        )
+    cycle = build_dependency_graph(spec).cycle
+    if cycle is not None:
+        diagnostics.append(cycle_error(spec, cycle))
     cyclic = component_dependencies(spec).cyclic
     if cyclic:
         diagnostics.append(
@@ -478,7 +444,13 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
                 spec.span,
             )
         )
-    return AnalysisReport(results, dependency, diagnostics)
+    return AnalysisReport(results, diagnostics)
+
+
+def cycle_error(spec: Specification, cycle: list[str]) -> Diagnostic:
+    """The ``CyclicDependency`` error for a same-step read cycle."""
+    names = ", ".join(spec.display_name(n) for n in cycle)
+    return error("CyclicDependency", f"same-step dependency cycle: [{names}]", spec.span)
 
 
 def _display_owner(spec: Specification, g: GuardSet) -> str:

@@ -70,16 +70,28 @@ class _Project:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
+def _read(path: str) -> str:
+    """The UTF-8 text of ``path``; a file that is missing or cannot be read
+    as UTF-8 text is a usage exit naming it."""
+    file = Path(path)
+    if not file.is_file():
+        raise _Exit(EXIT_USAGE, message=f"no such file: {path}")
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        where = f"{exc.reason} at byte {exc.start}"
+        raise _Exit(EXIT_USAGE, message=f"cannot read {path}: not UTF-8 text ({where})")
+    except OSError as exc:
+        raise _Exit(EXIT_USAGE, message=f"cannot read {path}: {exc.strerror}")
+
+
 def _load(paths: list[str], rsml_only: bool = False, strict: bool = True) -> _Project:
-    """Parse the named files by extension.  A missing file or an unknown
-    extension is a usage exit.  Parse errors accumulate over every file; a
+    """Parse the named files by extension.  A file that ``_read`` refuses
+    or an unknown extension is a usage exit.  Parse errors accumulate over every file; a
     strict load then exits with all of them."""
     project = _Project()
     for path in paths:
-        file = Path(path)
-        if not file.is_file():
-            raise _Exit(EXIT_USAGE, message=f"no such file: {path}")
-        text = file.read_text(encoding="utf-8")
+        text = _read(path)
         if rsml_only and not path.endswith(".rsml"):
             raise _Exit(EXIT_USAGE, message=f"expected a .rsml file: {path}")
         try:
@@ -250,11 +262,9 @@ def _trace_text(spec: Specification, trace: Trace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load([args.spec], rsml_only=True).specs[0]
-    script_file = Path(args.script)
-    if not script_file.is_file():
-        raise _Exit(EXIT_USAGE, message=f"no such file: {args.script}")
+    text = _read(args.script)
     _gate(spec, args, "simulate")
-    script = parse_script(script_file.read_text(encoding="utf-8"), spec, args.script)
+    script = parse_script(text, spec, args.script)
     trace = run_script(spec, script, keep_going=args.keep_going)
     if args.format == "json":
         print(json.dumps(_trace_json(spec, trace), indent=2))

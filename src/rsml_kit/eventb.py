@@ -73,9 +73,10 @@ FALSITY = "⊥"
 _OP_GLYPH = {"=": "=", "!=": NEQ, "<": "<", "<=": LEQ, ">": ">", ">=": GEQ}
 _OP_NEGATED = {"=": NEQ, "!=": "=", "<": GEQ, "<=": ">", ">": LEQ, ">=": "<"}
 
-# Replacement order matters: the becomes-member arrow before plain membership.
+# Every glyph is one character and no replacement holds one, so the passes
+# may run in any order; ":∈" becomes "::".  A pass per glyph beats one
+# str.translate, which has no fast path for multi-character replacements.
 _ASCII_MAP = [
-    (BECOMES_MEMBER, "::"),
     (MEMBER, ":"),
     (OR, "or"),
     (AND, "and"),

@@ -17,13 +17,14 @@ Grammar for ``.rsml``::
                                   | "int" "[" INT ".." INT "]" )
     component   ::= "component" ID "{" (vardecl | assign | statemachine)* "}"
     vardecl     ::= ("input"|"output"|"internal") ID ":" ID ("init" literal)?
-    assign      ::= "assign" ID "{" case+ "}"
+    assign      ::= "assign" name "{" case+ "}"
     case        ::= "when" cond "then" literal trace?
     cond        ::= table | "else"
     table       ::= "table" "{" row+ "}"
     row         ::= predicate ":" cell+          cell ::= "T" | "F" | "."
-    predicate   ::= operand relop operand | "in" "(" ID "," ID ")"
-    operand     ::= ID ("." ID)? | INT | "TRUE" | "FALSE"
+    predicate   ::= operand relop operand | "in" "(" name "," ID ")"
+    operand     ::= name | INT | "TRUE" | "FALSE"
+    name        ::= ID ("." ID)?
     statemachine::= "statemachine" ID "{" "initial" ID ";" state* "}"
     state       ::= "state" ID "{" transition* "}"
     transition  ::= "goto" ID "when" cond trace?
@@ -106,6 +107,14 @@ class _Parser:
 
     # -- shared pieces -----------------------------------------------------
 
+    def parse_name(self) -> NameRef:
+        """``ID ("." ID)?``, spanned at the first identifier."""
+        first = self.expect("ID")
+        if self.peek(".") and self.peek("ID", ahead=1):
+            self.advance()
+            return NameRef(self.advance().value, component=first.value, span=first.span)
+        return NameRef(first.value, span=first.span)
+
     def parse_operand(self) -> Operand:
         tok = self.cur
         if tok.kind == "INT":
@@ -115,12 +124,7 @@ class _Parser:
             self.advance()
             return NameRef(tok.value, span=tok.span)
         if tok.kind == "ID":
-            self.advance()
-            if self.peek(".") and self.peek("ID", ahead=1):
-                self.advance()
-                member = self.expect("ID")
-                return NameRef(member.value, component=tok.value, span=tok.span)
-            return NameRef(tok.value, span=tok.span)
+            return self.parse_name()
         self.fail(f"expected operand, found {tok.describe()}")
         raise AssertionError  # unreachable
 
@@ -128,12 +132,7 @@ class _Parser:
         if self.peek("in"):
             head = self.advance()
             self.expect("(")
-            machine_tok = self.expect("ID")
-            machine = NameRef(machine_tok.value, span=machine_tok.span)
-            if self.peek(".") and self.peek("ID", ahead=1):
-                self.advance()
-                member = self.expect("ID")
-                machine = NameRef(member.value, component=machine_tok.value, span=machine_tok.span)
+            machine = self.parse_name()
             self.expect(",")
             state = self.expect("ID")
             self.expect(")")
@@ -285,12 +284,7 @@ class _Parser:
 
     def parse_assign(self) -> AssignNode:
         head = self.expect("assign")
-        target_tok = self.expect("ID")
-        target = NameRef(target_tok.value, span=target_tok.span)
-        if self.peek(".") and self.peek("ID", ahead=1):
-            self.advance()
-            member = self.expect("ID")
-            target = NameRef(member.value, component=target_tok.value, span=target_tok.span)
+        target = self.parse_name()
         self.expect("{")
         cases: list[CaseNode] = []
         while self.peek("when"):

@@ -2,10 +2,11 @@
 exploration of the reachable state space.
 
 One step: (1) the given input values are applied (unmentioned inputs keep
-their value); (2) in dependency order, every state machine fires the enabled
-transition out of its current state, and every assignment specification sets
-its target to the value of the enabled case; (3) all declared invariants are
-evaluated on the resulting state.
+their value); (2) in dependency order, every state machine and assignment
+fires by one rule: its first enabled choice (a transition out of the
+machine's current state, or a case) fires, and enabled choices that disagree
+on the action are a ``NondeterministicFiring``; (3) all declared invariants
+are evaluated on the resulting state.
 
 Data variables are read at their current-step value, so values flow through
 a component chain within one step.  Machine states are always read from the
@@ -36,13 +37,15 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Union
 
-from .analysis import build_dependency_graph
+from .analysis import build_dependency_graph, cycle_error
 from .diagnostics import Diagnostic, SpecError, error
 from .model import (
+    AssignmentSpec,
     Condition,
     Specification,
+    StateMachine,
     Value,
     in_domain,
     reads,
@@ -88,13 +91,13 @@ class ExplorationReport:
 
 Packed = tuple[tuple[Value, ...], tuple[str, ...]]  # (values, machine states)
 PackedInputs = list[tuple[int, Value]]  # (slot, value)
+_Node = Union[StateMachine, AssignmentSpec]  # what a step fires
 
 
 def evaluation_order(spec: Specification) -> list[str]:
     verdict = build_dependency_graph(spec)
     if verdict.cycle is not None:
-        cycle = ", ".join(spec.display_name(n) for n in verdict.cycle)
-        raise SpecError(error("CyclicDependency", f"same-step dependency cycle: [{cycle}]", spec.span))
+        raise SpecError(cycle_error(spec, verdict.cycle))
     assert verdict.order is not None
     return verdict.order
 
@@ -124,33 +127,29 @@ class _Stepper:
         # (name, is machine, target slot, key of row, memo, outcome on a miss)
         self.nodes: list[tuple[str, bool, int, Callable, dict, Callable]] = []
         for node in order:
-            machine = spec.machine_map.get(node)
-            if machine is not None:
-                own = self.machine_slot[node]
-                slots, view = self._reader([t.guard for t in machine.transitions], own)
-                fire = self._machine_outcome(node, own, view)
-                self.nodes.append((node, True, own - self.width, slots, {}, fire))
-                continue
-            assign = spec.assign_map.get(node)
-            if assign is None:
+            owner = spec.machine_map.get(node) or spec.assign_map.get(node)
+            if owner is None:
                 continue  # inputs and unassigned variables keep their value
-            slots, view = self._reader([case.condition for case in assign.cases])
-            fire = self._assign_outcome(node, view)
-            self.nodes.append((node, False, self.slot[node], slots, {}, fire))
+            own = self.machine_slot.get(node)  # a machine also reads its own state
+            slots, view = self._reader([cond for cond, _, _ in _choices(owner)], own)
+            target = self.slot[node] if own is None else own - self.width
+            fire = self._outcome(node, owner, own, view)
+            self.nodes.append((node, own is not None, target, slots, {}, fire))
         # (name, key of row, memo, body, view)
         self.invariants: list[tuple[str, Callable, dict, Condition, Callable]] = []
         for inv in spec.invariants:
             slots, view = self._reader([inv.body])
             self.invariants.append((inv.name, slots, {}, inv.body, view))
 
-    def _reader(self, conds: list[Condition], *extra: int) -> tuple[Callable, Callable]:
-        """The memo key of a node reading ``conds`` (plus the ``extra``
-        slots), and the :class:`Valuation` of exactly what they read."""
+    def _reader(self, conds: list[Condition], own: int | None = None) -> tuple[Callable, Callable]:
+        """The memo key of a node reading ``conds`` (after its ``own``
+        state's slot, if any), and the :class:`Valuation` of exactly what
+        they read."""
         named = [
             (ref, (self.machine_slot if ref.kind == "machine" else self.slot)[ref.name])
             for ref in reads(*conds, live_only=True)
         ]
-        slots = [*extra, *(slot for _, slot in named)]
+        slots = ([] if own is None else [own]) + [slot for _, slot in named]
         key = operator.itemgetter(*slots) if slots else (lambda row: ())
 
         def view(row: list) -> Valuation:
@@ -161,55 +160,30 @@ class _Stepper:
 
         return key, view
 
-    def _machine_outcome(self, node: str, own: int, view: Callable) -> Callable:
-        machine = self.spec.machine_map[node]
+    def _outcome(self, node: str, owner: _Node, own: int | None, view: Callable) -> Callable:
+        """The firing rule, stated once: the first enabled choice fires, and
+        enabled choices that disagree on the action are a
+        ``NondeterministicFiring``.  A machine (``own`` is its state's slot)
+        chooses among the transitions out of its current state."""
 
         def outcome(row: list):
-            current = row[own]
+            current = None if own is None else row[own]
             v = view(row)
             enabled = [
-                (idx, t)
-                for idx, t in enumerate(machine.transitions)
-                if t.source == current and eval_condition(t.guard, v)
+                (idx, action)
+                for idx, (cond, action, source) in enumerate(_choices(owner))
+                if source == current and eval_condition(cond, v)
             ]
-            targets = {t.target for _, t in enabled}
-            if len(targets) > 1:
-                return error(
-                    "NondeterministicFiring",
-                    f"{self.spec.display_name(node)}: transitions to "
-                    f"{sorted(targets)} enabled together in state {current}",
-                    machine.span,
-                )
-            if enabled:
-                idx, t = enabled[0]
-                return idx, t.target
-            return None
-
-        return outcome
-
-    def _assign_outcome(self, node: str, view: Callable) -> Callable:
-        assign = self.spec.assign_map[node]
-
-        def outcome(row: list):
-            v = view(row)
-            enabled = [
-                (idx, case)
-                for idx, case in enumerate(assign.cases)
-                if eval_condition(case.condition, v)
-            ]
-            case_values = {case.value for _, case in enabled}
-            if len(case_values) > 1:
-                return error(
-                    "NondeterministicFiring",
-                    f"{self.spec.display_name(node)}: cases "
-                    f"{[i for i, _ in enabled]} enabled together with "
-                    "different values",
-                    assign.span,
-                )
-            if enabled:
-                idx, case = enabled[0]
-                return idx, case.value
-            return None
+            actions = {action for _, action in enabled}
+            if len(actions) > 1:
+                if own is None:
+                    cases = [idx for idx, _ in enabled]
+                    clash = f"cases {cases} enabled together with different values"
+                else:
+                    clash = f"transitions to {sorted(actions)} enabled together in state {current}"
+                name = self.spec.display_name(node)
+                return error("NondeterministicFiring", f"{name}: {clash}", owner.span)
+            return enabled[0] if enabled else None
 
         return outcome
 
@@ -281,6 +255,14 @@ class _Stepper:
                 )
             )
         return self.initial
+
+
+def _choices(owner: _Node) -> Iterator[tuple[Condition, Value, str | None]]:
+    """A node's ``(condition, action, source)`` choices, read off the model:
+    a machine's transitions, or an assignment's cases, which have no source."""
+    if isinstance(owner, StateMachine):
+        return ((t.guard, t.target, t.source) for t in owner.transitions)
+    return ((case.condition, case.value, None) for case in owner.cases)
 
 
 def _stepper(spec: Specification, order: list[str] | None = None) -> _Stepper:

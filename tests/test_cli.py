@@ -53,6 +53,54 @@ component C {
 """
 
 
+# One finding of every kind that `check` reports on a specification.
+MIXED_FINDINGS = """
+specification mix
+type T_O = { ON, OFF }
+type T_N = int [0 .. 99]
+component A {
+  input b : bool
+  input n : T_N
+  input m : T_N
+  output gap : T_O
+  output clash : T_O
+  output twice : T_O
+  output wide : T_O
+  internal x : bool
+  internal y : bool
+  output out : bool
+  assign gap { when table { b = TRUE : T } then ON }
+  assign clash {
+    when table { b = TRUE : T } then ON
+    when table { b = TRUE : T } then OFF
+    when else then OFF
+  }
+  assign twice {
+    when table { b = TRUE : T } then ON
+    when table { b = TRUE : . } then ON
+    when else then OFF
+  }
+  assign wide {
+    when table { n = 1 : T  m = 2 : T } then ON
+    when table { n = 2 : T } then OFF
+    when else then OFF
+  }
+  assign x { when table { y = TRUE : T } then TRUE when else then FALSE }
+  assign y { when table { x = TRUE : T } then TRUE when else then FALSE }
+  assign out { when table { B.back = TRUE : T } then TRUE when else then FALSE }
+  statemachine M {
+    initial Idle ;
+    state Idle { goto Done when table { b = TRUE : T } }
+    state Done { }
+  }
+}
+component B {
+  output back : bool
+  assign back { when table { A.gap = ON : T } then TRUE when else then FALSE }
+}
+"""
+
+
 @pytest.fixture()
 def mutex_file(tmp_path: Path) -> str:
     path = tmp_path / "mutex.rsml"
@@ -176,6 +224,53 @@ component C {
             f"{spec}:2:1: error[CyclicDependency]: component dependency cycle among: A, B\n"
         )
 
+    def test_mixed_findings_in_order(self, tmp_path, capsys):
+        # Absorbing states first, then each guard set's findings in
+        # declaration order (a cap overrun among them), then the same-step
+        # and component cycles.
+        spec = tmp_path / "mix.rsml"
+        spec.write_text(MIXED_FINDINGS, encoding="utf-8")
+        assert main(["check", str(spec), "--cap", "1000"]) == 1
+        out = capsys.readouterr()
+        assert out.err.splitlines() == [
+            f"{spec}:35:3: info[NoTransitions]: state 'Done' of A.M has no transitions; "
+            "complete (state is absorbing unless inputs change nothing)",
+            f"{spec}:16:3: error[Incomplete]: guard set gap is incomplete: "
+            "no condition holds at b=FALSE",
+            f"{spec}:17:3: error[Conflict]: guard set clash is inconsistent: "
+            "conditions 0 and 1 both hold at b=TRUE with different actions",
+            f"{spec}:22:3: warning[OverlappingEquivalentCases]: guard set twice: "
+            "conditions 0 and 1 overlap at b=TRUE but agree on the action",
+            f"{spec}:27:3: error[DomainTooLarge]: guard set A.wide: "
+            "the referenced domain has 10000 points, over the cap of 1000",
+            f"{spec}:37:18: error[Incomplete]: guard set M state Idle is incomplete: "
+            "no condition holds at b=FALSE",
+            f"{spec}:2:1: error[CyclicDependency]: same-step dependency cycle: [x, y]",
+            f"{spec}:2:1: warning[ComponentCycle]: component dependency cycle among: A, B; "
+            "gen --mode chain will refuse this specification",
+        ]
+        assert out.out.splitlines() == [
+            "guard set A.gap: domain 2, incomplete, consistent",
+            "guard set A.clash: domain 2, complete, conflicting",
+            "guard set A.twice: domain 2, complete, consistent",
+            "guard set A.wide: domain 10000, skipped (domain too large)",
+            "guard set A.x: domain 2, complete, consistent",
+            "guard set A.y: domain 2, complete, consistent",
+            "guard set A.out: domain 2, complete, consistent",
+            "guard set A.M state Idle: domain 2, incomplete, consistent",
+            "guard set B.back: domain 2, complete, consistent",
+            "9 guard sets: 7 complete, 7 consistent",
+        ]
+        # `else` makes A.wide complete before its consistency trips the cap.
+        assert main(["check", str(spec), "--cap", "1000", "--format", "json"]) == 1
+        [summary] = json.loads(capsys.readouterr().out)["summaries"]
+        assert summary["guard_sets"][3] == {
+            "owner": "A.wide",
+            "domain_size": 10000,
+            "complete": True,
+            "consistent": None,
+        }
+
     def test_unknown_trace_tag_found(self, tmp_path, capsys):
         bad = tmp_path / "bad.rsml"
         bad.write_text(
@@ -186,6 +281,58 @@ component C {
         )
         assert main(["check", str(bad), REQ]) == 1
         assert "UnknownRequirementId" in capsys.readouterr().err
+
+
+class TestUnreadableInput:
+    """Every command reads its files through one helper: a file that is not
+    UTF-8 text, or cannot be read, is a usage exit naming it."""
+
+    @pytest.fixture()
+    def latin1(self, tmp_path: Path):
+        def write(name: str) -> str:
+            path = tmp_path / name
+            path.write_bytes(b"-- caf\xe9 au lait\n")
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{bad}.rsml"],
+            ["check", STARTSTOP, "{bad}.pf"],
+            ["check", STARTSTOP, "{bad}.req"],
+            ["simulate", "{bad}.rsml", SCRIPT],
+            ["simulate", STARTSTOP, "{bad}.script"],
+            ["explore", "{bad}.rsml"],
+            ["gen", "{bad}.rsml", "-o", "out"],
+            ["trace", STARTSTOP, PF, "{bad}.req"],
+        ],
+        ids=["check", "check-pf", "check-req", "simulate", "script", "explore", "gen", "trace"],
+    )
+    def test_non_utf8_file_is_usage_error(self, latin1, capsys, argv):
+        [bad] = [latin1(arg.replace("{bad}", "bad")) for arg in argv if arg.startswith("{bad}")]
+        argv = [bad if arg.startswith("{bad}") else arg for arg in argv]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == (
+            "",
+            f"cannot read {bad}: not UTF-8 text (invalid continuation byte at byte 6)\n",
+        )
+
+    def test_other_read_failure_names_the_path(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        assert main(["check", STARTSTOP]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"cannot read {STARTSTOP}: Permission denied\n")
+
+    def test_missing_file_message_is_kept(self, capsys):
+        assert main(["check", STARTSTOP, "nope.req"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "no such file: nope.req\n")
 
 
 class TestSimulate:

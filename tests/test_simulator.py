@@ -148,6 +148,63 @@ component C {
         assert state_value(s1, "Controller.Alarm") == "TRUE"
 
 
+class TestNondeterministicFiringText:
+    """The exact diagnostic for each kind of node: the indices of every
+    enabled case, or the sorted targets of the transitions enabled out of
+    the current state (a transition from another state never counts)."""
+
+    def test_assignment_names_the_enabled_cases(self):
+        spec = spec_from(
+            """
+specification s
+type T_O = { ON, OFF, IDLE }
+component C {
+  input b : bool
+  output o : T_O
+  assign o {
+    when table { b = TRUE : T } then ON
+    when table { b = FALSE : T } then IDLE
+    when table { b = TRUE : T } then OFF
+    when table { b = TRUE : T } then ON
+  }
+}
+"""
+        )
+        with pytest.raises(SpecError) as exc:
+            step(spec, initial_state(spec), {"C.b": "TRUE"})
+        assert [d.render() for d in exc.value.diagnostics] == [
+            "<test>:7:3: error[NondeterministicFiring]: o: cases [0, 2, 3] enabled together "
+            "with different values"
+        ]
+
+    def test_machine_names_the_sorted_targets_in_its_state(self):
+        spec = spec_from(
+            """
+specification s
+component C {
+  input b : bool
+  statemachine M {
+    initial A ;
+    state A {
+      goto Z when table { b = TRUE : T }
+      goto B when table { b = TRUE : T }
+      goto Z when table { b = TRUE : . }
+    }
+    state B { goto Q when table { b = TRUE : T } }
+    state Q { }
+    state Z { }
+  }
+}
+"""
+        )
+        with pytest.raises(SpecError) as exc:
+            step(spec, initial_state(spec), {"C.b": "TRUE"})
+        assert [d.render() for d in exc.value.diagnostics] == [
+            "<test>:5:3: error[NondeterministicFiring]: M: transitions to ['B', 'Z'] "
+            "enabled together in state A"
+        ]
+
+
 class TestScripts:
     def test_empty_script(self, startstop):
         trace = run_script(startstop, [])
