@@ -35,7 +35,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
@@ -54,19 +53,28 @@ from .model import (
     reads,
     topological_order,
 )
+from .record import Record
 from .table_logic import OPS
 
 DEFAULT_CAP = 10**7
 
 
-@dataclass
-class GuardSet:
+class GuardSet(Record):
     """One unit of completeness/consistency checking."""
 
-    owner: str  # display label: assignment target or "machine state S"
-    kind: str  # "assign" | "state"
-    conditions: list[tuple[Condition, Value]]  # condition with action descriptor
-    span: Span | None = field(default=None, compare=False)
+    __slots__ = _fields = ("owner", "kind", "conditions", "span")
+
+    def __init__(
+        self,
+        owner: str,
+        kind: str,
+        conditions: list[tuple[Condition, Value]],
+        span: Span | None = None,
+    ):
+        self.owner = owner  # display label: assignment target or "machine state S"
+        self.kind = kind  # "assign" | "state"
+        self.conditions = conditions  # condition with action descriptor
+        self.span = span
 
 
 class DomainTooLarge(SpecError):
@@ -82,40 +90,65 @@ class DomainTooLarge(SpecError):
         self.product = product
 
 
-@dataclass
-class CompletenessVerdict:
-    complete: bool
-    witness: Optional[dict[str, Value]] = None  # referenced-domain valuation
-    by_else: bool = False
+class CompletenessVerdict(Record):
+    __slots__ = _fields = ("complete", "witness", "by_else")
+
+    def __init__(
+        self, complete: bool, witness: Optional[dict[str, Value]] = None, by_else: bool = False
+    ):
+        self.complete = complete
+        self.witness = witness  # referenced-domain valuation
+        self.by_else = by_else
 
 
-@dataclass
-class ConsistencyVerdict:
-    consistent: bool
-    witness: Optional[dict[str, Value]] = None
-    pair: Optional[tuple[int, int]] = None
-    overlaps: list[tuple[int, int, dict[str, Value]]] = field(default_factory=list)
+class ConsistencyVerdict(Record):
+    __slots__ = _fields = ("consistent", "witness", "pair", "overlaps")
+
+    def __init__(
+        self,
+        consistent: bool,
+        witness: Optional[dict[str, Value]] = None,
+        pair: Optional[tuple[int, int]] = None,
+        overlaps: list[tuple[int, int, dict[str, Value]]] | None = None,
+    ):
+        self.consistent = consistent
+        self.witness = witness
+        self.pair = pair
+        self.overlaps = [] if overlaps is None else overlaps
 
 
-@dataclass
-class GuardSetResult:
-    guard_set: GuardSet
-    domain_size: int
-    completeness: CompletenessVerdict | None
-    consistency: ConsistencyVerdict | None
-    error: Diagnostic | None = None  # DomainTooLarge diagnostics land here
+class GuardSetResult(Record):
+    __slots__ = _fields = ("guard_set", "domain_size", "completeness", "consistency", "error")
+
+    def __init__(
+        self,
+        guard_set: GuardSet,
+        domain_size: int,
+        completeness: CompletenessVerdict | None,
+        consistency: ConsistencyVerdict | None,
+        error: Diagnostic | None = None,
+    ):
+        self.guard_set = guard_set
+        self.domain_size = domain_size
+        self.completeness = completeness
+        self.consistency = consistency
+        self.error = error  # DomainTooLarge diagnostics land here
 
 
-@dataclass
-class DependencyVerdict:
-    order: Optional[list[str]] = None  # qualified node names, topological
-    cycle: Optional[list[str]] = None
+class DependencyVerdict(Record):
+    __slots__ = _fields = ("order", "cycle")
+
+    def __init__(self, order: Optional[list[str]] = None, cycle: Optional[list[str]] = None):
+        self.order = order  # qualified node names, topological
+        self.cycle = cycle
 
 
-@dataclass
-class AnalysisReport:
-    results: list[GuardSetResult]
-    diagnostics: list[Diagnostic]
+class AnalysisReport(Record):
+    __slots__ = _fields = ("results", "diagnostics")
+
+    def __init__(self, results: list[GuardSetResult], diagnostics: list[Diagnostic]):
+        self.results = results
+        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:
@@ -410,12 +443,14 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
         r = GuardSetResult(g, masks.size, None, None)
         results.append(r)
         try:
-            completeness = r.completeness = _completeness(masks)
-            consistency = r.consistency = _consistency(masks)
+            completeness = _completeness(masks)
+            consistency = _consistency(masks)
         except DomainTooLarge as exc:
             r.error = exc.diagnostics[0]
             diagnostics.append(r.error)
             continue
+        # Set only now: a guard set skipped for its cap has neither verdict.
+        r.completeness, r.consistency = completeness, consistency
         label = f"guard set {_display_owner(spec, g)}"
         if not completeness.complete:
             at = _witness_str(spec, completeness.witness)

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +29,7 @@ from .eventb import GenResult, gen_chain, gen_flat, render
 from .model import Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
 from .pftrace import TraceReport, check_pf, check_trace_tags, link, trace_report
+from .record import Record
 from .simulator import (
     ExplorationReport,
     SystemState,
@@ -62,22 +62,25 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
         print(d.render(color=use_color), file=sys.stderr)
 
 
-@dataclass
-class _Project:
-    specs: list[Specification] = field(default_factory=list)
-    diagrams: list[ProblemDiagram] = field(default_factory=list)
-    requirements: list[Requirement] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class _Project(Record):
+    """What ``_load`` read, filled in argument order."""
+
+    __slots__ = _fields = ("specs", "diagrams", "requirements", "diagnostics")
+
+    def __init__(self):
+        self.specs: list[Specification] = []
+        self.diagrams: list[ProblemDiagram] = []
+        self.requirements: list[Requirement] = []
+        self.diagnostics: list[Diagnostic] = []
 
 
 def _read(path: str) -> str:
     """The UTF-8 text of ``path``; a file that is missing or cannot be read
     as UTF-8 text is a usage exit naming it."""
-    file = Path(path)
-    if not file.is_file():
-        raise _Exit(EXIT_USAGE, message=f"no such file: {path}")
     try:
-        return file.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise _Exit(EXIT_USAGE, message=f"no such file: {path}")
     except UnicodeDecodeError as exc:
         where = f"{exc.reason} at byte {exc.start}"
         raise _Exit(EXIT_USAGE, message=f"cannot read {path}: not UTF-8 text ({where})")

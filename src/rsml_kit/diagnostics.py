@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .record import FrozenRecord
 
 ERROR = "error"
 WARNING = "warning"
@@ -27,12 +28,15 @@ class Span(NamedTuple):
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: str
-    code: str
-    message: str
-    span: Span | None = None
+class Diagnostic(FrozenRecord):
+    # Unlike a node's, a diagnostic's span is part of what it says.
+    __slots__ = _fields = _compared = ("severity", "code", "message", "span")
+
+    def __init__(self, severity: str, code: str, message: str, span: Span | None = None):
+        self.severity = severity
+        self.code = code
+        self.message = message
+        self.span = span
 
     def render(self, color: bool = False) -> str:
         where = f"{self.span}: " if self.span is not None else ""

@@ -36,7 +36,6 @@ Rendering is deterministic: identical input yields identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -57,6 +56,7 @@ from .model import (
     VarOperand,
     component_dependencies,
 )
+from .record import FrozenRecord, Record
 
 OR = "∨"
 AND = "∧"
@@ -90,19 +90,30 @@ _ASCII_MAP = [
 ]
 
 
-@dataclass
-class Labeled:
-    label: str
-    text: str
-    comment: Optional[str] = None
+class Labeled(Record):
+    __slots__ = _fields = ("label", "text", "comment")
+
+    def __init__(self, label: str, text: str, comment: Optional[str] = None):
+        self.label = label
+        self.text = text
+        self.comment = comment
 
 
-@dataclass
-class EventBEvent:
-    name: str
-    guards: list[Labeled]
-    actions: list[Labeled]
-    comment: Optional[str] = None
+class EventBEvent(Record):
+    _fields = ("name", "guards", "actions", "comment")
+    __slots__ = (*_fields, "__dict__")  # the cached ``block`` lives in __dict__
+
+    def __init__(
+        self,
+        name: str,
+        guards: list[Labeled],
+        actions: list[Labeled],
+        comment: Optional[str] = None,
+    ):
+        self.name = name
+        self.guards = guards
+        self.actions = actions
+        self.comment = comment
 
     @cached_property
     def block(self) -> str:
@@ -118,39 +129,60 @@ class EventBEvent:
         return "\n".join(lines)
 
 
-@dataclass
-class EventBContext:
-    name: str
-    sets: list[tuple[str, list[str]]]  # (set name, constants)
-    axioms: list[Labeled]
+class EventBContext(Record):
+    __slots__ = _fields = ("name", "sets", "axioms")
+
+    def __init__(self, name: str, sets: list[tuple[str, list[str]]], axioms: list[Labeled]):
+        self.name = name
+        self.sets = sets  # (set name, constants)
+        self.axioms = axioms
 
 
-@dataclass
-class EventBMachine:
-    name: str
-    sees: str
-    refines: Optional[str]
-    variables: list[str]
-    invariants: list[Labeled]
-    init_actions: list[Labeled]
-    events: list[EventBEvent]
+class EventBMachine(Record):
+    __slots__ = _fields = (
+        "name", "sees", "refines", "variables", "invariants", "init_actions", "events"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        sees: str,
+        refines: Optional[str],
+        variables: list[str],
+        invariants: list[Labeled],
+        init_actions: list[Labeled],
+        events: list[EventBEvent],
+    ):
+        self.name = name
+        self.sees = sees
+        self.refines = refines
+        self.variables = variables
+        self.invariants = invariants
+        self.init_actions = init_actions
+        self.events = events
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(FrozenRecord):
     """Generation edge: which model element produced which Event-B element."""
 
-    source_kind: str  # "case" | "transition" | "variable" | "invariant"
-    source_id: str
-    target_kind: str  # "event" | "invariant"
-    target_id: str
+    __slots__ = _fields = ("source_kind", "source_id", "target_kind", "target_id")
+
+    def __init__(self, source_kind: str, source_id: str, target_kind: str, target_id: str):
+        self.source_kind = source_kind  # "case" | "transition" | "variable" | "invariant"
+        self.source_id = source_id
+        self.target_kind = target_kind  # "event" | "invariant"
+        self.target_id = target_id
 
 
-@dataclass
-class GenResult:
-    context: EventBContext
-    machines: list[EventBMachine]
-    provenance: list[Provenance]
+class GenResult(Record):
+    __slots__ = _fields = ("context", "machines", "provenance")
+
+    def __init__(
+        self, context: EventBContext, machines: list[EventBMachine], provenance: list[Provenance]
+    ):
+        self.context = context
+        self.machines = machines
+        self.provenance = provenance
 
     @property
     def machine(self) -> EventBMachine:

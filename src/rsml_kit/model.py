@@ -14,32 +14,36 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import ast_nodes as ast
 from .diagnostics import Span, SpecError, error
+from .record import FrozenRecord, Record
 
 # ---------------------------------------------------------------------------
 # Types and their value domains: a type's ``values`` is its domain in order,
 # and the only form of it that other modules read.
 
 
-@dataclass(frozen=True)
-class EnumType:
-    name: str
-    literals: tuple[str, ...]
+class EnumType(FrozenRecord):
+    __slots__ = _fields = ("name", "literals")
+
+    def __init__(self, name: str, literals: tuple[str, ...]):
+        self.name = name
+        self.literals = literals
 
     @property
     def values(self) -> tuple[str, ...]:
         return self.literals
 
 
-@dataclass(frozen=True)
-class IntRangeType:
-    name: str
-    lo: int
-    hi: int
+class IntRangeType(FrozenRecord):
+    __slots__ = _fields = ("name", "lo", "hi")
+
+    def __init__(self, name: str, lo: int, hi: int):
+        self.name = name
+        self.lo = lo
+        self.hi = hi
 
     @property
     def values(self) -> range:
@@ -47,9 +51,11 @@ class IntRangeType:
         return range(self.lo, self.hi + 1)
 
 
-@dataclass(frozen=True)
-class BoolType:
-    name: str = "bool"
+class BoolType(FrozenRecord):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str = "bool"):
+        self.name = name
 
     @property
     def values(self) -> tuple[str, ...]:
@@ -79,32 +85,38 @@ def in_domain(value: Value, t: TypeDef) -> bool:
 # Predicates, tables, conditions
 
 
-@dataclass(frozen=True)
-class VarOperand:
-    ref: str  # qualified variable name
+class VarOperand(FrozenRecord):
+    __slots__ = _fields = ("ref",)
+
+    def __init__(self, ref: str):
+        self.ref = ref  # qualified variable name
 
 
-@dataclass(frozen=True)
-class LitOperand:
-    value: Value
+class LitOperand(FrozenRecord):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
 
 
 Operand = Union[VarOperand, LitOperand]
 
 
-@dataclass
-class Compare:
-    lhs: VarOperand
-    op: str  # "=", "!=", "<", "<=", ">", ">="
-    rhs: Operand
-    span: Span | None = field(default=None, compare=False)
+class Compare(Record):
+    __slots__ = _fields = ("lhs", "op", "rhs")
+
+    def __init__(self, lhs: VarOperand, op: str, rhs: Operand):
+        self.lhs = lhs
+        self.op = op  # "=", "!=", "<", "<=", ">", ">="
+        self.rhs = rhs
 
 
-@dataclass
-class StateTest:
-    machine: str  # qualified state-machine name
-    state: str
-    span: Span | None = field(default=None, compare=False)
+class StateTest(Record):
+    __slots__ = _fields = ("machine", "state")
+
+    def __init__(self, machine: str, state: str):
+        self.machine = machine  # qualified state-machine name
+        self.state = state
 
 
 Predicate = Union[Compare, StateTest]
@@ -115,39 +127,41 @@ CELL_DONT_CARE = "."
 Column = tuple[tuple[int, bool], ...]  # (row index, wants true) per non-dot cell
 
 
-@dataclass
-class AndOrTable:
+class AndOrTable(Record):
     """Rows are predicates; ``cells[row][column]`` is T, F or a dot.  Column
     c is the conjunction of its literals ``columns[c]``, the table the
     disjunction of its columns; ``live`` is the rows some column consults."""
 
-    rows: tuple[Predicate, ...]
-    cells: tuple[tuple[str, ...], ...]
-    span: Span | None = field(default=None, compare=False)
-    columns: tuple[Column, ...] = field(init=False, compare=False, repr=False)
-    live: tuple[Predicate, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("rows", "cells")
+    __slots__ = (*_fields, "columns", "live")
 
-    def __post_init__(self) -> None:
-        self.columns = tuple(
+    def __init__(self, rows: tuple[Predicate, ...], cells: tuple[tuple[str, ...], ...]):
+        self.rows = rows
+        self.cells = cells
+        self.columns: tuple[Column, ...] = tuple(
             tuple((r, cell == CELL_TRUE) for r, cell in enumerate(column) if cell != CELL_DONT_CARE)
-            for column in zip(*self.cells)
+            for column in zip(*cells)
         )
-        self.live = tuple(
-            pred for pred, row in zip(self.rows, self.cells) if row.count(CELL_DONT_CARE) < len(row)
+        self.live: tuple[Predicate, ...] = tuple(
+            pred for pred, row in zip(rows, cells) if row.count(CELL_DONT_CARE) < len(row)
         )
 
 
-@dataclass
-class TableCondition:
-    table: AndOrTable
+class TableCondition(Record):
+    __slots__ = _fields = ("table",)
+
+    def __init__(self, table: AndOrTable):
+        self.table = table
 
 
-@dataclass
-class ElseCondition:
+class ElseCondition(Record):
     """Complement of the sibling table conditions in the same case list or
     transition set."""
 
-    siblings: tuple[AndOrTable, ...]
+    __slots__ = _fields = ("siblings",)
+
+    def __init__(self, siblings: tuple[AndOrTable, ...]):
+        self.siblings = siblings
 
 
 Condition = Union[TableCondition, ElseCondition]
@@ -211,17 +225,19 @@ def topological_order(nodes: list[str], successors: Mapping[str, Iterable[str]])
     return order
 
 
-@dataclass
-class ComponentDependencies:
+class ComponentDependencies(Record):
     """A component depends on the owner of every variable and machine its
     live rows read (``reads`` per component name); ``order`` puts suppliers
     before consumers and leaves out the components on or behind a
     component-level cycle.  ``cyclic`` holds those on a cycle, in
     declaration order."""
 
-    reads: dict[str, list[DomainRef]]
-    order: list[str]
-    cyclic: list[str]
+    __slots__ = _fields = ("reads", "order", "cyclic")
+
+    def __init__(self, reads: dict[str, list[DomainRef]], order: list[str], cyclic: list[str]):
+        self.reads = reads
+        self.order = order
+        self.cyclic = cyclic
 
 
 def component_dependencies(spec: Specification) -> ComponentDependencies:
@@ -262,14 +278,24 @@ def _reaches_itself(node: str, successors: Mapping[str, Iterable[str]]) -> bool:
 # Declarations
 
 
-@dataclass
-class Variable:
-    name: str
-    owner: str
-    direction: str  # "input" | "output" | "internal"
-    type: TypeDef
-    init: Optional[Value]
-    span: Span | None = field(default=None, compare=False)
+class Variable(Record):
+    __slots__ = _fields = ("name", "owner", "direction", "type", "init", "span")
+
+    def __init__(
+        self,
+        name: str,
+        owner: str,
+        direction: str,
+        type: TypeDef,
+        init: Optional[Value],
+        span: Span | None = None,
+    ):
+        self.name = name
+        self.owner = owner
+        self.direction = direction  # "input" | "output" | "internal"
+        self.type = type
+        self.init = init
+        self.span = span
 
     @property
     def qualified(self) -> str:
@@ -281,38 +307,63 @@ class Variable:
         return self.init if self.init is not None else self.type.values[0]
 
 
-@dataclass
-class Case:
-    condition: Condition
-    value: Value
-    trace: tuple[str, ...]
-    span: Span | None = field(default=None, compare=False)
+class Case(Record):
+    __slots__ = _fields = ("condition", "value", "trace", "span")
+
+    def __init__(
+        self, condition: Condition, value: Value, trace: tuple[str, ...], span: Span | None = None
+    ):
+        self.condition = condition
+        self.value = value
+        self.trace = trace
+        self.span = span
 
 
-@dataclass
-class AssignmentSpec:
-    target: Variable
-    cases: tuple[Case, ...]
-    span: Span | None = field(default=None, compare=False)
+class AssignmentSpec(Record):
+    __slots__ = _fields = ("target", "cases", "span")
+
+    def __init__(self, target: Variable, cases: tuple[Case, ...], span: Span | None = None):
+        self.target = target
+        self.cases = cases
+        self.span = span
 
 
-@dataclass
-class Transition:
-    source: str
-    target: str
-    guard: Condition
-    trace: tuple[str, ...]
-    span: Span | None = field(default=None, compare=False)
+class Transition(Record):
+    __slots__ = _fields = ("source", "target", "guard", "trace", "span")
+
+    def __init__(
+        self,
+        source: str,
+        target: str,
+        guard: Condition,
+        trace: tuple[str, ...],
+        span: Span | None = None,
+    ):
+        self.source = source
+        self.target = target
+        self.guard = guard
+        self.trace = trace
+        self.span = span
 
 
-@dataclass
-class StateMachine:
-    name: str
-    owner: str
-    states: tuple[str, ...]
-    initial: str
-    transitions: tuple[Transition, ...]
-    span: Span | None = field(default=None, compare=False)
+class StateMachine(Record):
+    __slots__ = _fields = ("name", "owner", "states", "initial", "transitions", "span")
+
+    def __init__(
+        self,
+        name: str,
+        owner: str,
+        states: tuple[str, ...],
+        initial: str,
+        transitions: tuple[Transition, ...],
+        span: Span | None = None,
+    ):
+        self.name = name
+        self.owner = owner
+        self.states = states
+        self.initial = initial
+        self.transitions = transitions
+        self.span = span
 
     @property
     def qualified(self) -> str:
@@ -322,43 +373,61 @@ class StateMachine:
         return [t for t in self.transitions if t.source == state]
 
 
-@dataclass
-class InvariantDecl:
-    name: str
-    body: TableCondition
-    trace: tuple[str, ...]
-    span: Span | None = field(default=None, compare=False)
+class InvariantDecl(Record):
+    __slots__ = _fields = ("name", "body", "trace", "span")
+
+    def __init__(
+        self, name: str, body: TableCondition, trace: tuple[str, ...], span: Span | None = None
+    ):
+        self.name = name
+        self.body = body
+        self.trace = trace
+        self.span = span
 
 
-@dataclass
-class Component:
-    name: str
-    variables: tuple[Variable, ...]
-    assigns: tuple[AssignmentSpec, ...]
-    machines: tuple[StateMachine, ...]
-    span: Span | None = field(default=None, compare=False)
+class Component(Record):
+    __slots__ = _fields = ("name", "variables", "assigns", "machines")
+
+    def __init__(
+        self,
+        name: str,
+        variables: tuple[Variable, ...],
+        assigns: tuple[AssignmentSpec, ...],
+        machines: tuple[StateMachine, ...],
+    ):
+        self.name = name
+        self.variables = variables
+        self.assigns = assigns
+        self.machines = machines
 
 
-@dataclass
-class Specification:
-    name: str
-    types: tuple[TypeDef, ...]
-    components: tuple[Component, ...]
-    invariants: tuple[InvariantDecl, ...]
-    file: str = "<spec>"
-    span: Span | None = field(default=None, compare=False)
+class Specification(Record):
+    """A resolved model.  The lookup tables by qualified name are derived
+    from the components, so they are left out of equality and ``repr``: two
+    independently resolved models compare by declared content alone."""
 
-    # Lookup tables derived in __post_init__; excluded from equality so two
-    # independently resolved models compare by declared content alone.
-    var_map: dict = field(init=False, compare=False, repr=False)
-    machine_map: dict = field(init=False, compare=False, repr=False)
-    assign_map: dict = field(init=False, compare=False, repr=False)
+    _fields = ("name", "types", "components", "invariants", "file", "span")
+    __slots__ = (*_fields, "var_map", "machine_map", "assign_map", "_display_names", "_steppers")
 
-    def __post_init__(self) -> None:
-        self.var_map = {}
-        self.machine_map = {}
-        self.assign_map = {}
-        for comp in self.components:
+    def __init__(
+        self,
+        name: str,
+        types: tuple[TypeDef, ...],
+        components: tuple[Component, ...],
+        invariants: tuple[InvariantDecl, ...],
+        file: str = "<spec>",
+        span: Span | None = None,
+    ):
+        self.name = name
+        self.types = types
+        self.components = components
+        self.invariants = invariants
+        self.file = file
+        self.span = span
+        self.var_map: dict[str, Variable] = {}
+        self.machine_map: dict[str, StateMachine] = {}
+        self.assign_map: dict[str, AssignmentSpec] = {}
+        for comp in components:
             for v in comp.variables:
                 self.var_map[v.qualified] = v
             for m in comp.machines:
@@ -619,7 +688,7 @@ class _Resolver:
                     node.span,
                 )
                 return None
-            return StateTest(machine_q, node.state, span=node.span)
+            return StateTest(machine_q, node.state)
 
         if isinstance(node.lhs, ast.IntLit) or (
             node.lhs.component is None and node.lhs.name in self.literal_types
@@ -651,7 +720,7 @@ class _Resolver:
 
         if not self.check_predicate_types(lhs_var.type, node.op, rhs, node.span):
             return None
-        return Compare(VarOperand(lhs_var.qualified), node.op, rhs, span=node.span)
+        return Compare(VarOperand(lhs_var.qualified), node.op, rhs)
 
     def operand_type(self, operand: Operand) -> TypeDef | str:
         if isinstance(operand, VarOperand):
@@ -703,7 +772,7 @@ class _Resolver:
             cells.append(tuple(row.cells))
         if not ok:
             return None
-        table = AndOrTable(tuple(rows), tuple(cells), span=node.span)
+        table = AndOrTable(tuple(rows), tuple(cells))
         # An all-dot column makes the whole table constant true, which is
         # only meaningful as the single-column constant-true table.
         if len(table.columns) > 1:
@@ -801,7 +870,6 @@ class _Resolver:
                     tuple(self.comp_vars[comp.name].values()),
                     tuple(assigns),
                     tuple(machines),
-                    span=comp.span,
                 )
             )
         return components

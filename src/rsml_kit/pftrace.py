@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .ast_nodes import ProblemDiagram, Requirement
 from .diagnostics import Diagnostic, Span, SpecError, error, warning
 from .eventb import GenResult
 from .model import Specification
+from .record import FrozenRecord, Record
 
 # ---------------------------------------------------------------------------
 # Well-formedness
@@ -117,32 +117,35 @@ _RSML_KINDS = (RSML_CASE, RSML_TRANSITION, RSML_INVARIANT, RSML_VARIABLE)
 _EB_KINDS = (EB_EVENT, EB_INVARIANT)
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    kind: str
-    ident: str  # unique within kind
-    display: str
+class TraceNode(FrozenRecord):
+    __slots__ = _fields = ("kind", "ident", "display")
+
+    def __init__(self, kind: str, ident: str, display: str):
+        self.kind = kind
+        self.ident = ident  # unique within kind
+        self.display = display
 
 
-@dataclass(frozen=True)
-class TraceEdge:
-    kind: str
-    source: tuple[str, str]  # (node kind, ident)
-    target: tuple[str, str]
+class TraceEdge(FrozenRecord):
+    __slots__ = _fields = ("kind", "source", "target")
+
+    def __init__(self, kind: str, source: tuple[str, str], target: tuple[str, str]):
+        self.kind = kind
+        self.source = source  # (node kind, ident)
+        self.target = target
 
 
-@dataclass
-class TraceGraph:
-    nodes: dict[tuple[str, str], TraceNode]
-    edges: list[TraceEdge]
-    # Undirected neighbours of each node, in edge order.
-    adjacent: dict[tuple[str, str], list[tuple[str, str]]] = field(
-        init=False, repr=False, compare=False
-    )
+class TraceGraph(Record):
+    _fields = ("nodes", "edges")
+    __slots__ = (*_fields, "adjacent")
 
-    def __post_init__(self) -> None:
-        self.adjacent = {key: [] for key in self.nodes}
-        for e in self.edges:
+    def __init__(self, nodes: dict[tuple[str, str], TraceNode], edges: list[TraceEdge]):
+        self.nodes = nodes
+        self.edges = edges
+        # Undirected neighbours of each node, in edge order; derived, so
+        # left out of equality and repr.
+        self.adjacent: dict[tuple[str, str], list[tuple[str, str]]] = {key: [] for key in nodes}
+        for e in edges:
             self.adjacent[e.source].append(e.target)
             self.adjacent[e.target].append(e.source)
 
@@ -302,19 +305,23 @@ def link(
 # Matrix report
 
 
-@dataclass
-class TraceRow:
-    requirement: str
-    pf_blocks: list[str]
-    rsml: list[str]
-    eventb: list[str]
+class TraceRow(Record):
+    __slots__ = _fields = ("requirement", "pf_blocks", "rsml", "eventb")
+
+    def __init__(self, requirement: str, pf_blocks: list[str], rsml: list[str], eventb: list[str]):
+        self.requirement = requirement
+        self.pf_blocks = pf_blocks
+        self.rsml = rsml
+        self.eventb = eventb
 
 
-@dataclass
-class TraceReport:
-    rows: list[TraceRow]
-    warnings: list[Diagnostic]
-    edges: list[TraceEdge]
+class TraceReport(Record):
+    __slots__ = _fields = ("rows", "warnings", "edges")
+
+    def __init__(self, rows: list[TraceRow], warnings: list[Diagnostic], edges: list[TraceEdge]):
+        self.rows = rows
+        self.warnings = warnings
+        self.edges = edges
 
 
 def trace_report(graph: TraceGraph, require_trace: bool = False) -> TraceReport:

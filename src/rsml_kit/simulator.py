@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .analysis import build_dependency_graph, cycle_error
@@ -50,43 +49,71 @@ from .model import (
     in_domain,
     reads,
 )
+from .record import FrozenRecord, Record
 from .table_logic import Valuation, eval_condition
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(FrozenRecord):
     """Total valuation of every variable and machine at one step."""
 
-    values: tuple[tuple[str, Value], ...]  # (qualified name, value), declaration order
-    states: tuple[tuple[str, str], ...]  # (qualified machine, state)
-    step: int
+    __slots__ = _fields = ("values", "states", "step")
+
+    def __init__(
+        self, values: tuple[tuple[str, Value], ...], states: tuple[tuple[str, str], ...], step: int
+    ):
+        self.values = values  # (qualified name, value), declaration order
+        self.states = states  # (qualified machine, state)
+        self.step = step
 
 
-@dataclass
-class StepResult:
-    state: SystemState
-    fired_cases: dict[str, int]  # assignment target -> enabled case index
-    fired_transitions: dict[str, int]  # machine -> index into machine.transitions
-    violations: list[str]  # invariant names false in the resulting state
+class StepResult(Record):
+    __slots__ = _fields = ("state", "fired_cases", "fired_transitions", "violations")
+
+    def __init__(
+        self,
+        state: SystemState,
+        fired_cases: dict[str, int],
+        fired_transitions: dict[str, int],
+        violations: list[str],
+    ):
+        self.state = state
+        self.fired_cases = fired_cases  # assignment target -> enabled case index
+        self.fired_transitions = fired_transitions  # machine -> index into machine.transitions
+        self.violations = violations  # invariant names false in the resulting state
 
 
-@dataclass
-class Trace:
-    initial: SystemState
-    steps: list[tuple[dict[str, Value], SystemState]]
-    violation: Optional[tuple[str, int]] = None  # (invariant name, step index)
+class Trace(Record):
+    __slots__ = _fields = ("initial", "steps", "violation")
+
+    def __init__(
+        self,
+        initial: SystemState,
+        steps: list[tuple[dict[str, Value], SystemState]],
+        violation: Optional[tuple[str, int]] = None,
+    ):
+        self.initial = initial
+        self.steps = steps
+        self.violation = violation  # (invariant name, step index)
 
     @property
     def states(self) -> list[SystemState]:
         return [self.initial] + [s for _, s in self.steps]
 
 
-@dataclass
-class ExplorationReport:
-    reachable: int
-    depth: int
-    violations: list[tuple[str, Trace]]  # shortest counterexample per invariant
-    limit: Optional[str] = None  # "states" | "depth" when the search was cut off
+class ExplorationReport(Record):
+    __slots__ = _fields = ("reachable", "depth", "violations", "limit")
+
+    def __init__(
+        self,
+        reachable: int,
+        depth: int,
+        violations: list[tuple[str, Trace]],
+        limit: Optional[str] = None,
+    ):
+        self.reachable = reachable
+        self.depth = depth
+        self.violations = violations  # shortest counterexample per invariant
+        self.limit = limit  # "states" | "depth" when the search was cut off
 
 
 Packed = tuple[tuple[Value, ...], tuple[str, ...]]  # (values, machine states)

@@ -9,8 +9,6 @@ sibling tables do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .model import (
     AndOrTable,
     Condition,
@@ -20,16 +18,21 @@ from .model import (
     StateTest,
     Value,
 )
+from .record import Record
 
 
-@dataclass
-class Valuation:
+class Valuation(Record):
     """Variable values keyed by qualified name, plus the current state of
     each machine.  Totality over a specification is the simulator's job;
     evaluation only requires the names it actually touches."""
 
-    values: dict[str, Value] = field(default_factory=dict)
-    states: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("values", "states")
+
+    def __init__(
+        self, values: dict[str, Value] | None = None, states: dict[str, str] | None = None
+    ):
+        self.values = {} if values is None else values
+        self.states = {} if states is None else states
 
 
 OPS = {

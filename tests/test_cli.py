@@ -259,15 +259,14 @@ component C {
             "guard set A.out: domain 2, complete, consistent",
             "guard set A.M state Idle: domain 2, incomplete, consistent",
             "guard set B.back: domain 2, complete, consistent",
-            "9 guard sets: 7 complete, 7 consistent",
+            "9 guard sets: 6 complete, 7 consistent",
         ]
-        # `else` makes A.wide complete before its consistency trips the cap.
         assert main(["check", str(spec), "--cap", "1000", "--format", "json"]) == 1
         [summary] = json.loads(capsys.readouterr().out)["summaries"]
         assert summary["guard_sets"][3] == {
             "owner": "A.wide",
             "domain_size": 10000,
-            "complete": True,
+            "complete": None,
             "consistent": None,
         }
 
@@ -333,6 +332,17 @@ class TestUnreadableInput:
         assert main(["check", STARTSTOP, "nope.req"]) == 2
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", "no such file: nope.req\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "{dir}"], ["simulate", STARTSTOP, "{dir}"]],
+        ids=["check", "script"],
+    )
+    def test_directory_is_not_a_missing_file(self, tmp_path, capsys, argv):
+        argv = [str(tmp_path) if arg == "{dir}" else arg for arg in argv]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"cannot read {tmp_path}: Is a directory\n")
 
 
 class TestSimulate:
