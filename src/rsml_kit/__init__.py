@@ -9,5 +9,5 @@ refinement chain), and report requirement traceability end to end.
 __version__ = "0.1.0"
 
 from .diagnostics import Diagnostic, Span, SpecError  # noqa: F401
-from .model import Specification, domain_of, resolve  # noqa: F401
+from .model import Specification, resolve  # noqa: F401
 from .parser import parse_pf, parse_requirements, parse_spec  # noqa: F401

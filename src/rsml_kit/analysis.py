@@ -16,12 +16,9 @@ of the guard set's tables mentions, all-dot rows included
 its machine's states.  One ``_GuardSetMasks`` per guard set holds it, gives
 the ``domain N`` count, checks the cap, builds the masks from each table's
 ``columns`` (never its cells) and decodes witnesses; :func:`analyze` emits
-each guard set's diagnostics as it checks it.  The dependency graph reads
-live rows only (``live_only=True``): an all-dot row is never evaluated, so
-it orders nothing and closes no cycle.  Components can depend on each other
-in a cycle without any variable doing so; that is only a warning, because
-the step does not mind and only the refinement chain needs the components
-ordered.
+each guard set's diagnostics as it checks it, then both cycle diagnostics
+from one ``model.build_dependency_graph``: a same-step variable cycle is an
+error, and a component cycle without one only a warning.
 
 Witness valuations are the lexicographically smallest under the domain
 ordering of the referenced variables (first-occurrence order), which keeps
@@ -49,9 +46,9 @@ from .model import (
     StateTest,
     TableCondition,
     Value,
-    component_dependencies,
+    build_dependency_graph,
+    cycle_error,
     reads,
-    topological_order,
 )
 from .record import Record
 from .table_logic import OPS
@@ -133,14 +130,6 @@ class GuardSetResult(Record):
         self.completeness = completeness
         self.consistency = consistency
         self.error = error  # DomainTooLarge diagnostics land here
-
-
-class DependencyVerdict(Record):
-    __slots__ = _fields = ("order", "cycle")
-
-    def __init__(self, order: Optional[list[str]] = None, cycle: Optional[list[str]] = None):
-        self.order = order  # qualified node names, topological
-        self.cycle = cycle
 
 
 class AnalysisReport(Record):
@@ -370,67 +359,6 @@ def check_consistency(
 
 
 # ---------------------------------------------------------------------------
-# Dependency graph
-
-# Computing a variable reads the variables its conditions' live rows mention;
-# a machine reads its guards' variables.  Machine *state* is always read from
-# the previous step, so state tests contribute no edge; in particular a
-# machine guard testing the machine's own state is not a cycle.
-
-
-def build_dependency_graph(spec: Specification) -> DependencyVerdict:
-    """Topological evaluation order over variables and machines, or the
-    shortest read-cycle among variables."""
-    nodes: list[str] = []
-    computed: list[tuple[str, list[Condition]]] = []  # node, the conditions it reads through
-    for comp in spec.components:
-        nodes += [v.qualified for v in comp.variables] + [m.qualified for m in comp.machines]
-        computed += [(a.target.qualified, [c.condition for c in a.cases]) for a in comp.assigns]
-        computed += [(m.qualified, [t.guard for t in m.transitions]) for m in comp.machines]
-    edges: dict[str, set[str]] = {name: set() for name in nodes}  # u -> readers of u
-    for target, conds in computed:
-        # A data variable reading itself is a genuine length-1 cycle.
-        for ref in reads(*conds, live_only=True):
-            if ref.kind == "var":
-                edges[ref.name].add(target)
-
-    order = topological_order(nodes, edges)
-    if len(order) == len(nodes):
-        return DependencyVerdict(order=order)
-    remaining = set(nodes).difference(order)
-    index = {name: i for i, name in enumerate(nodes)}
-    return DependencyVerdict(cycle=_shortest_cycle(remaining, edges, index))
-
-
-def _shortest_cycle(
-    nodes: set[str], edges: dict[str, set[str]], index: dict[str, int]
-) -> list[str]:
-    best: list[str] | None = None
-    for start in sorted(nodes, key=index.__getitem__):
-        # BFS back to start within the remaining subgraph.
-        frontier = [[start]]
-        seen = {start}
-        found: list[str] | None = None
-        while frontier and found is None:
-            next_frontier: list[list[str]] = []
-            for path in frontier:
-                for succ in sorted(edges[path[-1]] & nodes, key=index.__getitem__):
-                    if succ == start:
-                        found = path
-                        break
-                    if succ not in seen:
-                        seen.add(succ)
-                        next_frontier.append(path + [succ])
-                if found is not None:
-                    break
-            frontier = next_frontier
-        if found is not None and (best is None or len(found) < len(best)):
-            best = found
-    assert best is not None
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Whole-spec analysis
 
 
@@ -466,26 +394,19 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
             text = f"{label}: conditions {i} and {j} overlap at {at} but agree on the action"
             diagnostics.append(warning("OverlappingEquivalentCases", text, g.span))
 
-    cycle = build_dependency_graph(spec).cycle
-    if cycle is not None:
-        diagnostics.append(cycle_error(spec, cycle))
-    cyclic = component_dependencies(spec).cyclic
-    if cyclic:
+    graph = build_dependency_graph(spec)
+    if graph.cycle is not None:
+        diagnostics.append(cycle_error(spec, graph.cycle))
+    if graph.cyclic:
         diagnostics.append(
             warning(
                 "ComponentCycle",
-                f"component dependency cycle among: {', '.join(cyclic)}; "
+                f"component dependency cycle among: {', '.join(graph.cyclic)}; "
                 "gen --mode chain will refuse this specification",
                 spec.span,
             )
         )
     return AnalysisReport(results, diagnostics)
-
-
-def cycle_error(spec: Specification, cycle: list[str]) -> Diagnostic:
-    """The ``CyclicDependency`` error for a same-step read cycle."""
-    names = ", ".join(spec.display_name(n) for n in cycle)
-    return error("CyclicDependency", f"same-step dependency cycle: [{names}]", spec.span)
 
 
 def _display_owner(spec: Specification, g: GuardSet) -> str:

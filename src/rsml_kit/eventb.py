@@ -20,9 +20,10 @@ component's variable or machine, unless the machine is closed.
 
 The flat machine adds every component in declaration order and appends the
 specification's invariants.  Chain mode orders the components suppliers
-first (``model.component_dependencies``) and builds one machine per prefix
-of the reverse order: the most abstract holds only the terminal outputs,
-and each refinement adds the next component with what it reads.
+first (the component grain of ``model.build_dependency_graph``) and builds
+one machine per prefix of the reverse order: the most abstract holds only
+the terminal outputs, and each refinement adds the next component with what
+it reads.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of each column's literals (``AndOrTable.columns``: T as
@@ -54,7 +55,7 @@ from .model import (
     TypeDef,
     Value,
     VarOperand,
-    component_dependencies,
+    build_dependency_graph,
 )
 from .record import FrozenRecord, Record
 
@@ -472,7 +473,7 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     context = gen_context(spec)
     # Live rows only: an all-dot row is never evaluated, so it neither links
     # two components nor keeps an output from being terminal.
-    deps = component_dependencies(spec)
+    deps = build_dependency_graph(spec)
     read = {ref.name for refs in deps.reads.values() for ref in refs if ref.kind == "var"}
     terminal = frozenset(
         v.qualified for v in spec.variables if v.direction == "output" and v.qualified not in read
@@ -489,9 +490,9 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     added: list[Component] = []
     include = set(terminal)  # grows with each added component and what it reads
     machines: list[EventBMachine] = []
-    for i in range(len(deps.order) + 1):
+    for i in range(len(deps.component_order) + 1):
         if i:
-            comp = by_name[deps.order[-i]]  # consumers first
+            comp = by_name[deps.component_order[-i]]  # consumers first
             added.append(comp)
             include.update(v.qualified for v in comp.variables)
             include.update(m.qualified for m in comp.machines)

@@ -8,6 +8,13 @@ reference denotes the enclosing component's own variable when one exists,
 otherwise the unique output of that name in some other component (shared
 variables are the only cross-component interface).  Type names and enum
 literals live in a single global namespace.
+
+The model also owns the one dependency graph (:func:`build_dependency_graph`),
+at two grains from one walk over each component's live rows: variables and
+machines, whose order the step fires in and whose shortest cycle ``check``
+reports, and components, whose order the refinement chain adds them in.  It
+reads live rows only (``live_only=True``): an all-dot row is never
+evaluated, so it orders nothing and closes no cycle.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import ast_nodes as ast
-from .diagnostics import Span, SpecError, error
+from .diagnostics import Diagnostic, Span, SpecError, error
 from .record import FrozenRecord, Record
 
 # ---------------------------------------------------------------------------
@@ -67,12 +74,6 @@ TypeDef = Union[EnumType, IntRangeType, BoolType]
 BOOL = BoolType()
 
 Value = Union[str, int]
-
-
-def domain_of(t: TypeDef) -> list[Value]:
-    """The type's values as a list: declaration order for enums,
-    [FALSE, TRUE] for bool, lo..hi inclusive for ranges."""
-    return list(t.values)
 
 
 def in_domain(value: Value, t: TypeDef) -> bool:
@@ -225,53 +226,106 @@ def topological_order(nodes: list[str], successors: Mapping[str, Iterable[str]])
     return order
 
 
-class ComponentDependencies(Record):
-    """A component depends on the owner of every variable and machine its
-    live rows read (``reads`` per component name); ``order`` puts suppliers
-    before consumers and leaves out the components on or behind a
-    component-level cycle.  ``cyclic`` holds those on a cycle, in
-    declaration order."""
+class Dependencies(Record):
+    """Both grains of the dependency graph.  ``order`` puts each variable
+    and machine after the variables it reads, or is None when ``cycle``
+    holds a shortest same-step cycle (through the earliest declared node of
+    the shortest).  ``reads`` is what each component's live rows read;
+    ``component_order`` puts suppliers first and leaves out the components
+    on or behind a cycle, and ``cyclic`` lists those on one."""
 
-    __slots__ = _fields = ("reads", "order", "cyclic")
+    __slots__ = _fields = ("order", "cycle", "reads", "component_order", "cyclic")
 
-    def __init__(self, reads: dict[str, list[DomainRef]], order: list[str], cyclic: list[str]):
-        self.reads = reads
+    def __init__(
+        self,
+        order: Optional[list[str]],
+        cycle: Optional[list[str]],
+        reads: dict[str, list[DomainRef]],
+        component_order: list[str],
+        cyclic: list[str],
+    ):
         self.order = order
+        self.cycle = cycle
+        self.reads = reads
+        self.component_order = component_order
         self.cyclic = cyclic
 
 
-def component_dependencies(spec: Specification) -> ComponentDependencies:
-    names = [c.name for c in spec.components]
-    comp_reads = {
-        comp.name: reads(
-            *(case.condition for a in comp.assigns for case in a.cases),
-            *(t.guard for m in comp.machines for t in m.transitions),
-            live_only=True,
-        )
+# Computing a variable reads the variables its cases' live rows mention; a
+# machine reads its guards' variables.  Machine *state* is read from the
+# previous step, so a state test adds no same-step edge (a guard testing its
+# own machine is no cycle), but it still makes a component depend on the
+# machine's owner.  A data variable reading itself is a cycle of length one.
+
+
+def build_dependency_graph(spec: Specification) -> Dependencies:
+    nodes = [
+        name
         for comp in spec.components
-    }
-    successors: dict[str, set[str]] = {name: set() for name in names}
-    for name, refs in comp_reads.items():
-        for ref in refs:
+        for name in (*(v.qualified for v in comp.variables), *(m.qualified for m in comp.machines))
+    ]
+    readers: dict[str, set[str]] = {name: set() for name in nodes}  # variable -> nodes reading it
+    comp_reads: dict[str, list[DomainRef]] = {}
+    consumers: dict[str, set[str]] = {comp.name: set() for comp in spec.components}
+    for comp in spec.components:
+        computed = [(a.target.qualified, [c.condition for c in a.cases]) for a in comp.assigns]
+        computed += [(m.qualified, [t.guard for t in m.transitions]) for m in comp.machines]
+        found: dict[DomainRef, None] = {}
+        for target, conds in computed:
+            for ref in reads(*conds, live_only=True):
+                found[ref] = None
+                if ref.kind == "var":
+                    readers[ref.name].add(target)
+        comp_reads[comp.name] = list(found)
+        for ref in found:
             supplier = ref.name.partition(".")[0]  # qualified names are Owner.name
-            if supplier != name:
-                successors[supplier].add(name)
-    order = topological_order(names, successors)
-    cyclic = [n for n in names if n not in order and _reaches_itself(n, successors)]
-    return ComponentDependencies(comp_reads, order, cyclic)
+            if supplier != comp.name:
+                consumers[supplier].add(comp.name)
+
+    order = topological_order(nodes, readers)
+    cycle = None
+    if len(order) < len(nodes):
+        left = _left_out(nodes, order)
+        cycle = min(filter(None, (_cycle_through(name, readers, left) for name in left)), key=len)
+    names = list(consumers)
+    component_order = topological_order(names, consumers)
+    left = _left_out(names, component_order)
+    cyclic = [name for name in left if _cycle_through(name, consumers, left)]
+    return Dependencies(None if cycle else order, cycle, comp_reads, component_order, cyclic)
 
 
-def _reaches_itself(node: str, successors: Mapping[str, Iterable[str]]) -> bool:
-    seen: set[str] = set()
-    stack = list(successors[node])
-    while stack:
-        succ = stack.pop()
-        if succ == node:
-            return True
-        if succ not in seen:
-            seen.add(succ)
-            stack.extend(successors[succ])
-    return False
+def _left_out(nodes: list[str], order: list[str]) -> dict[str, int]:
+    """The nodes a topological order left out, each with its index in ``nodes``."""
+    placed = set(order)
+    return {name: i for i, name in enumerate(nodes) if name not in placed}
+
+
+def _cycle_through(
+    start: str, successors: Mapping[str, Iterable[str]], nodes: Mapping[str, int]
+) -> Optional[list[str]]:
+    """The shortest cycle from ``start`` back to it inside ``nodes``, from
+    ``start`` on, or None.  Breadth first, each node's successors taken in
+    ``nodes`` index order, so of equally short cycles the first found wins."""
+    frontier = [[start]]
+    seen = {start}
+    while frontier:
+        next_frontier: list[list[str]] = []
+        for path in frontier:
+            ahead = [succ for succ in successors[path[-1]] if succ in nodes]
+            for succ in sorted(ahead, key=nodes.__getitem__):
+                if succ == start:
+                    return path
+                if succ not in seen:
+                    seen.add(succ)
+                    next_frontier.append(path + [succ])
+        frontier = next_frontier
+    return None
+
+
+def cycle_error(spec: Specification, cycle: list[str]) -> Diagnostic:
+    """The ``CyclicDependency`` error for a same-step read cycle."""
+    names = ", ".join(spec.display_name(n) for n in cycle)
+    return error("CyclicDependency", f"same-step dependency cycle: [{names}]", spec.span)
 
 
 # ---------------------------------------------------------------------------

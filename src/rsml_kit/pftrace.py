@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from .ast_nodes import ProblemDiagram, Requirement
 from .diagnostics import Diagnostic, Span, SpecError, error, warning
-from .eventb import GenResult
 from .model import Specification
 from .record import FrozenRecord, Record
+
+if TYPE_CHECKING:
+    from .eventb import GenResult
 
 # ---------------------------------------------------------------------------
 # Well-formedness

@@ -6,7 +6,9 @@ their value); (2) in dependency order, every state machine and assignment
 fires by one rule: its first enabled choice (a transition out of the
 machine's current state, or a case) fires, and enabled choices that disagree
 on the action are a ``NondeterministicFiring``; (3) all declared invariants
-are evaluated on the resulting state.
+are evaluated on the resulting state.  The order is the variable grain of
+``model.build_dependency_graph``; a model with a same-step cycle has none
+and is refused with ``model.cycle_error``.
 
 Data variables are read at their current-step value, so values flow through
 a component chain within one step.  Machine states are always read from the
@@ -38,7 +40,6 @@ import operator
 import re
 from typing import Callable, Iterator, Optional, Union
 
-from .analysis import build_dependency_graph, cycle_error
 from .diagnostics import Diagnostic, SpecError, error
 from .model import (
     AssignmentSpec,
@@ -46,6 +47,8 @@ from .model import (
     Specification,
     StateMachine,
     Value,
+    build_dependency_graph,
+    cycle_error,
     in_domain,
     reads,
 )

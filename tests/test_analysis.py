@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from conftest import domain_product, spec_from
+from conftest import CORPUS, domain_product, spec_from
 from oracle_helpers import oracle_verdicts
 from rsml_kit.analysis import (
     DomainTooLarge,
@@ -17,6 +17,7 @@ from rsml_kit.analysis import (
     referenced_domain,
     summary_line,
 )
+from rsml_kit.cli import main
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.model import (
     AndOrTable,
@@ -311,6 +312,102 @@ component C {
         verdict = build_dependency_graph(spec)
         assert verdict.cycle is None
         assert verdict.order == ["C.o"]
+
+    def test_shortest_cycle_wins_over_an_earlier_longer_one(self):
+        spec = spec_from(
+            """
+specification s
+component C {
+  output a : bool
+  output b : bool
+  output c : bool
+  output x : bool
+  output y : bool
+  output z : bool
+  assign a { when table { b = TRUE : T } then TRUE when else then FALSE }
+  assign b { when table { c = TRUE : T } then TRUE when else then FALSE }
+  assign c { when table { a = TRUE : T } then TRUE when else then FALSE }
+  assign x { when table { y = TRUE : T } then TRUE when else then FALSE }
+  assign y { when table { x = TRUE : T } then TRUE when else then FALSE }
+  assign z { when table { x = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+        )
+        # z reads x, so it is behind a cycle, but on none.
+        verdict = build_dependency_graph(spec)
+        assert verdict.order is None
+        assert verdict.cycle == ["C.x", "C.y"]
+        assert [d.message for d in analyze(spec).diagnostics] == [
+            "same-step dependency cycle: [x, y]"
+        ]
+
+    def test_equally_short_cycles_take_the_earliest_declared_variable(self):
+        spec = spec_from(
+            """
+specification s
+component C {
+  output p : bool
+  output q : bool
+  output r : bool
+  output t : bool
+  assign r { when table { t = TRUE : T } then TRUE when else then FALSE }
+  assign t { when table { r = TRUE : T } then TRUE when else then FALSE }
+  assign p { when table { q = TRUE : T } then TRUE when else then FALSE }
+  assign q { when table { p = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+        )
+        assert build_dependency_graph(spec).cycle == ["C.p", "C.q"]
+
+    def test_component_grain_orders_suppliers_first(self):
+        graph = build_dependency_graph(spec_from((CORPUS / "twocomp.rsml").read_text()))
+        assert graph.order is not None and graph.cycle is None
+        assert graph.component_order == ["Sensor", "Controller"] and graph.cyclic == []
+        assert [ref.name for ref in graph.reads["Controller"]] == ["Sensor.Level"]
+
+    def test_component_cycle_through_state_tests_only(self, tmp_path, capsys):
+        # A's machine tests B's and B's tests A's: the components need each
+        # other, but machine state is read from the previous step, so no
+        # variable depends on another within one.
+        text = """
+specification s
+component A {
+  output a : bool
+  statemachine M {
+    initial Idle ;
+    state Idle {
+      goto Busy when table { in(B.N, On) : T }
+      goto Idle when else
+    }
+    state Busy {
+      goto Idle when table { in(B.N, Off) : T }
+      goto Busy when else
+    }
+  }
+  assign a { when table { in(M, Busy) : T } then TRUE when else then FALSE }
+}
+component B {
+  output b : bool
+  statemachine N {
+    initial Off ;
+    state Off { goto On when table { in(A.M, Idle) : T } goto Off when else }
+    state On { goto Off when table { in(A.M, Busy) : T } goto On when else }
+  }
+  assign b { when table { in(N, On) : T } then TRUE when else then FALSE }
+}
+"""
+        spec = spec_from(text)
+        verdict = build_dependency_graph(spec)
+        assert verdict.cycle is None and verdict.order is not None
+        assert [d.code for d in analyze(spec).diagnostics] == ["ComponentCycle"]
+        path = tmp_path / "s.rsml"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["gen", str(path), "-o", str(tmp_path / "out"), "--mode", "chain"]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}:2:1: error[CyclicDependency]: component dependency cycle among: A, B\n"
+        )
 
 
 class TestAnalyzeReport:

@@ -28,7 +28,6 @@ from rsml_kit.model import (
     StateTest,
     TableCondition,
     VarOperand,
-    domain_of,
 )
 
 MIXED = spec_from(
@@ -55,7 +54,7 @@ component C {
     "mixed.rsml",
 )
 
-_VALUES = {v.qualified: domain_of(v.type) for v in MIXED.variables}
+_VALUES = {v.qualified: list(v.type.values) for v in MIXED.variables}
 _VALUES.update({m.qualified: list(m.states) for m in MIXED.machines})
 _KIND = {
     "C.B1": "bool",

@@ -21,7 +21,6 @@ from oracle_helpers import (
     reference_step,
 )
 from rsml_kit.diagnostics import SpecError
-from rsml_kit.model import domain_of
 from rsml_kit.simulator import evaluation_order, explore, parse_script, run_script, step_core
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -151,7 +150,7 @@ def specs(draw):
 
 
 def _script(draw, spec) -> list[dict]:
-    inputs = [(v.qualified, domain_of(v.type)) for v in spec.inputs]
+    inputs = [(v.qualified, list(v.type.values)) for v in spec.inputs]
     return [
         {name: draw(st.sampled_from(values)) for name, values in inputs if draw(st.booleans())}
         for _ in range(draw(st.integers(0, 6)))
