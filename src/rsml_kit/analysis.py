@@ -37,7 +37,6 @@ from typing import Callable, Optional
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
 from .model import (
     AndOrTable,
-    Condition,
     DomainRef,
     ElseCondition,
     LitOperand,
@@ -57,21 +56,12 @@ DEFAULT_CAP = 10**7
 
 
 class GuardSet(Record):
-    """One unit of completeness/consistency checking."""
+    """One unit of completeness/consistency checking.  ``owner`` is its
+    display label (assignment target or "machine state S"), ``kind`` is
+    "assign" | "state", and ``conditions`` pairs each condition with its
+    action descriptor."""
 
     __slots__ = _fields = ("owner", "kind", "conditions", "span")
-
-    def __init__(
-        self,
-        owner: str,
-        kind: str,
-        conditions: list[tuple[Condition, Value]],
-        span: Span | None = None,
-    ):
-        self.owner = owner  # display label: assignment target or "machine state S"
-        self.kind = kind  # "assign" | "state"
-        self.conditions = conditions  # condition with action descriptor
-        self.span = span
 
 
 class DomainTooLarge(SpecError):
@@ -88,14 +78,9 @@ class DomainTooLarge(SpecError):
 
 
 class CompletenessVerdict(Record):
+    # witness: a valuation of the referenced domain
     __slots__ = _fields = ("complete", "witness", "by_else")
-
-    def __init__(
-        self, complete: bool, witness: Optional[dict[str, Value]] = None, by_else: bool = False
-    ):
-        self.complete = complete
-        self.witness = witness  # referenced-domain valuation
-        self.by_else = by_else
+    _defaults = {"witness": None, "by_else": False}
 
 
 class ConsistencyVerdict(Record):
@@ -115,29 +100,13 @@ class ConsistencyVerdict(Record):
 
 
 class GuardSetResult(Record):
+    # error: where a DomainTooLarge diagnostic lands
     __slots__ = _fields = ("guard_set", "domain_size", "completeness", "consistency", "error")
-
-    def __init__(
-        self,
-        guard_set: GuardSet,
-        domain_size: int,
-        completeness: CompletenessVerdict | None,
-        consistency: ConsistencyVerdict | None,
-        error: Diagnostic | None = None,
-    ):
-        self.guard_set = guard_set
-        self.domain_size = domain_size
-        self.completeness = completeness
-        self.consistency = consistency
-        self.error = error  # DomainTooLarge diagnostics land here
+    _defaults = {"error": None}
 
 
 class AnalysisReport(Record):
     __slots__ = _fields = ("results", "diagnostics")
-
-    def __init__(self, results: list[GuardSetResult], diagnostics: list[Diagnostic]):
-        self.results = results
-        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:

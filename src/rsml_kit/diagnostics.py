@@ -32,12 +32,6 @@ class Diagnostic(FrozenRecord):
     # Unlike a node's, a diagnostic's span is part of what it says.
     __slots__ = _fields = _compared = ("severity", "code", "message", "span")
 
-    def __init__(self, severity: str, code: str, message: str, span: Span | None = None):
-        self.severity = severity
-        self.code = code
-        self.message = message
-        self.span = span
-
     def render(self, color: bool = False) -> str:
         where = f"{self.span}: " if self.span is not None else ""
         severity = self.severity

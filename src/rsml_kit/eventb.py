@@ -40,7 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Union
 
-from .diagnostics import SpecError, error
+from .diagnostics import Span, SpecError, error
 from .model import (
     AndOrTable,
     BoolType,
@@ -93,28 +93,13 @@ _ASCII_MAP = [
 
 class Labeled(Record):
     __slots__ = _fields = ("label", "text", "comment")
-
-    def __init__(self, label: str, text: str, comment: Optional[str] = None):
-        self.label = label
-        self.text = text
-        self.comment = comment
+    _defaults = {"comment": None}
 
 
 class EventBEvent(Record):
     _fields = ("name", "guards", "actions", "comment")
+    _defaults = {"comment": None}
     __slots__ = (*_fields, "__dict__")  # the cached ``block`` lives in __dict__
-
-    def __init__(
-        self,
-        name: str,
-        guards: list[Labeled],
-        actions: list[Labeled],
-        comment: Optional[str] = None,
-    ):
-        self.name = name
-        self.guards = guards
-        self.actions = actions
-        self.comment = comment
 
     @cached_property
     def block(self) -> str:
@@ -131,12 +116,7 @@ class EventBEvent(Record):
 
 
 class EventBContext(Record):
-    __slots__ = _fields = ("name", "sets", "axioms")
-
-    def __init__(self, name: str, sets: list[tuple[str, list[str]]], axioms: list[Labeled]):
-        self.name = name
-        self.sets = sets  # (set name, constants)
-        self.axioms = axioms
+    __slots__ = _fields = ("name", "sets", "axioms")  # sets: (set name, constants)
 
 
 class EventBMachine(Record):
@@ -144,46 +124,17 @@ class EventBMachine(Record):
         "name", "sees", "refines", "variables", "invariants", "init_actions", "events"
     )
 
-    def __init__(
-        self,
-        name: str,
-        sees: str,
-        refines: Optional[str],
-        variables: list[str],
-        invariants: list[Labeled],
-        init_actions: list[Labeled],
-        events: list[EventBEvent],
-    ):
-        self.name = name
-        self.sees = sees
-        self.refines = refines
-        self.variables = variables
-        self.invariants = invariants
-        self.init_actions = init_actions
-        self.events = events
-
 
 class Provenance(FrozenRecord):
-    """Generation edge: which model element produced which Event-B element."""
+    """Generation edge: which model element produced which Event-B element.
+    ``source_kind`` is "case" | "transition" | "variable" | "invariant",
+    ``target_kind`` is "event" | "invariant"."""
 
     __slots__ = _fields = ("source_kind", "source_id", "target_kind", "target_id")
-
-    def __init__(self, source_kind: str, source_id: str, target_kind: str, target_id: str):
-        self.source_kind = source_kind  # "case" | "transition" | "variable" | "invariant"
-        self.source_id = source_id
-        self.target_kind = target_kind  # "event" | "invariant"
-        self.target_id = target_id
 
 
 class GenResult(Record):
     __slots__ = _fields = ("context", "machines", "provenance")
-
-    def __init__(
-        self, context: EventBContext, machines: list[EventBMachine], provenance: list[Provenance]
-    ):
-        self.context = context
-        self.machines = machines
-        self.provenance = provenance
 
     @property
     def machine(self) -> EventBMachine:
@@ -247,18 +198,21 @@ def translate_condition(cond: Condition) -> list[str]:
 
 
 class _Names:
-    """Tracks the flat Event-B namespace and rejects collisions."""
+    """Tracks the flat Event-B namespace and rejects collisions.  ``what``
+    describes the claimant, naming the model element behind the name where
+    there is one; a collision tells both claimants and carries ``span``."""
 
     def __init__(self, taken: dict[str, str] | None = None) -> None:
         self.taken: dict[str, str] = dict(taken or {})
 
-    def claim(self, name: str, what: str) -> str:
+    def claim(self, name: str, what: str, span: Span | None = None) -> str:
         if name in self.taken:
             raise SpecError(
                 error(
                     "NameCollision",
                     f"{what} '{name}' collides with {self.taken[name]} "
                     "(generated Event-B names must be unique)",
+                    span,
                 )
             )
         self.taken[name] = what
@@ -376,14 +330,14 @@ class _Assembler:
                 self.context_names.claim(c, f"constant of {set_name}")
         self.events = {comp.name: _component_events(comp) for comp in spec.components}
         # Per component: (Event-B variable, source, carrier set, initial value,
-        # direction or "machine"), its variables before its machines.
+        # direction or "machine", span), its variables before its machines.
         self.held = {
             comp.name: [
-                (v.name, v.qualified, _type_set(v.type), v.initial_value, v.direction)
+                (v.name, v.qualified, _type_set(v.type), v.initial_value, v.direction, v.span)
                 for v in comp.variables
             ]
             + [
-                (f"{m.name}_state", m.qualified, _machine_set(m), m.initial, "machine")
+                (f"{m.name}_state", m.qualified, _machine_set(m), m.initial, "machine", m.span)
                 for m in comp.machines
             ]
             for comp in spec.components
@@ -414,8 +368,8 @@ class _Assembler:
         invariants: list[Labeled] = []
         init_actions: list[Labeled] = []
         provenance: list[Provenance] = []
-        for _, bare, source, carrier, init, direction in held:
-            variables.append(names.claim(bare, "variable"))
+        for _, bare, source, carrier, init, direction, span in held:
+            variables.append(names.claim(bare, f"variable of {source}", span))
             label = f"@inv{len(variables)}"
             invariants.append(Labeled(label, f"{bare} {MEMBER} {carrier}"))
             init_actions.append(Labeled(f"@act{len(variables)}", f"{bare} := {init}"))
@@ -437,7 +391,7 @@ class _Assembler:
                 names.claim(event.name, "event")
             events += comp_events
             provenance += comp_provenance
-        for owner_added, bare, source, carrier, _, direction in held:
+        for owner_added, bare, source, carrier, _, direction, _ in held:
             if source in self.terminal and not owner_added:
                 event_name = f"Set_{bare}"
             elif (direction == "input" or not owner_added) and not self.closed:
@@ -474,16 +428,18 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     # Live rows only: an all-dot row is never evaluated, so it neither links
     # two components nor keeps an output from being terminal.
     deps = build_dependency_graph(spec)
-    read = {ref.name for refs in deps.reads.values() for ref in refs if ref.kind == "var"}
-    terminal = frozenset(
-        v.qualified for v in spec.variables if v.direction == "output" and v.qualified not in read
-    )
-    if not terminal:
-        raise SpecError(error("NoOutputs", "no output variables", spec.span))
     if deps.cyclic:
         cyclic = ", ".join(deps.cyclic)
         message = f"component dependency cycle among: {cyclic}"
         raise SpecError(error("CyclicDependency", message, spec.span))
+    outputs = [v.qualified for v in spec.variables if v.direction == "output"]
+    if not outputs:
+        raise SpecError(error("NoOutputs", "no output variables", spec.span))
+    read = {ref.name for refs in deps.reads.values() for ref in refs if ref.kind == "var"}
+    terminal = frozenset(name for name in outputs if name not in read)
+    if not terminal:
+        message = "no terminal output: every output variable is read by a component"
+        raise SpecError(error("NoOutputs", message, spec.span))
 
     assembler = _Assembler(spec, context, closed, terminal)
     by_name = {comp.name: comp for comp in spec.components}

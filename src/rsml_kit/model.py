@@ -35,10 +35,6 @@ from .record import FrozenRecord, Record
 class EnumType(FrozenRecord):
     __slots__ = _fields = ("name", "literals")
 
-    def __init__(self, name: str, literals: tuple[str, ...]):
-        self.name = name
-        self.literals = literals
-
     @property
     def values(self) -> tuple[str, ...]:
         return self.literals
@@ -46,11 +42,6 @@ class EnumType(FrozenRecord):
 
 class IntRangeType(FrozenRecord):
     __slots__ = _fields = ("name", "lo", "hi")
-
-    def __init__(self, name: str, lo: int, hi: int):
-        self.name = name
-        self.lo = lo
-        self.hi = hi
 
     @property
     def values(self) -> range:
@@ -60,9 +51,7 @@ class IntRangeType(FrozenRecord):
 
 class BoolType(FrozenRecord):
     __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str = "bool"):
-        self.name = name
+    _defaults = {"name": "bool"}
 
     @property
     def values(self) -> tuple[str, ...]:
@@ -87,37 +76,22 @@ def in_domain(value: Value, t: TypeDef) -> bool:
 
 
 class VarOperand(FrozenRecord):
-    __slots__ = _fields = ("ref",)
-
-    def __init__(self, ref: str):
-        self.ref = ref  # qualified variable name
+    __slots__ = _fields = ("ref",)  # a qualified variable name
 
 
 class LitOperand(FrozenRecord):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Value):
-        self.value = value
 
 
 Operand = Union[VarOperand, LitOperand]
 
 
 class Compare(Record):
-    __slots__ = _fields = ("lhs", "op", "rhs")
-
-    def __init__(self, lhs: VarOperand, op: str, rhs: Operand):
-        self.lhs = lhs
-        self.op = op  # "=", "!=", "<", "<=", ">", ">="
-        self.rhs = rhs
+    __slots__ = _fields = ("lhs", "op", "rhs")  # op: "=" | "!=" | "<" | "<=" | ">" | ">="
 
 
 class StateTest(Record):
-    __slots__ = _fields = ("machine", "state")
-
-    def __init__(self, machine: str, state: str):
-        self.machine = machine  # qualified state-machine name
-        self.state = state
+    __slots__ = _fields = ("machine", "state")  # machine: a qualified state-machine name
 
 
 Predicate = Union[Compare, StateTest]
@@ -151,18 +125,12 @@ class AndOrTable(Record):
 class TableCondition(Record):
     __slots__ = _fields = ("table",)
 
-    def __init__(self, table: AndOrTable):
-        self.table = table
-
 
 class ElseCondition(Record):
     """Complement of the sibling table conditions in the same case list or
     transition set."""
 
     __slots__ = _fields = ("siblings",)
-
-    def __init__(self, siblings: tuple[AndOrTable, ...]):
-        self.siblings = siblings
 
 
 Condition = Union[TableCondition, ElseCondition]
@@ -235,20 +203,6 @@ class Dependencies(Record):
     on or behind a cycle, and ``cyclic`` lists those on one."""
 
     __slots__ = _fields = ("order", "cycle", "reads", "component_order", "cyclic")
-
-    def __init__(
-        self,
-        order: Optional[list[str]],
-        cycle: Optional[list[str]],
-        reads: dict[str, list[DomainRef]],
-        component_order: list[str],
-        cyclic: list[str],
-    ):
-        self.order = order
-        self.cycle = cycle
-        self.reads = reads
-        self.component_order = component_order
-        self.cyclic = cyclic
 
 
 # Computing a variable reads the variables its cases' live rows mention; a
@@ -333,23 +287,8 @@ def cycle_error(spec: Specification, cycle: list[str]) -> Diagnostic:
 
 
 class Variable(Record):
+    # direction: "input" | "output" | "internal"
     __slots__ = _fields = ("name", "owner", "direction", "type", "init", "span")
-
-    def __init__(
-        self,
-        name: str,
-        owner: str,
-        direction: str,
-        type: TypeDef,
-        init: Optional[Value],
-        span: Span | None = None,
-    ):
-        self.name = name
-        self.owner = owner
-        self.direction = direction  # "input" | "output" | "internal"
-        self.type = type
-        self.init = init
-        self.span = span
 
     @property
     def qualified(self) -> str:
@@ -364,60 +303,17 @@ class Variable(Record):
 class Case(Record):
     __slots__ = _fields = ("condition", "value", "trace", "span")
 
-    def __init__(
-        self, condition: Condition, value: Value, trace: tuple[str, ...], span: Span | None = None
-    ):
-        self.condition = condition
-        self.value = value
-        self.trace = trace
-        self.span = span
-
 
 class AssignmentSpec(Record):
     __slots__ = _fields = ("target", "cases", "span")
-
-    def __init__(self, target: Variable, cases: tuple[Case, ...], span: Span | None = None):
-        self.target = target
-        self.cases = cases
-        self.span = span
 
 
 class Transition(Record):
     __slots__ = _fields = ("source", "target", "guard", "trace", "span")
 
-    def __init__(
-        self,
-        source: str,
-        target: str,
-        guard: Condition,
-        trace: tuple[str, ...],
-        span: Span | None = None,
-    ):
-        self.source = source
-        self.target = target
-        self.guard = guard
-        self.trace = trace
-        self.span = span
-
 
 class StateMachine(Record):
     __slots__ = _fields = ("name", "owner", "states", "initial", "transitions", "span")
-
-    def __init__(
-        self,
-        name: str,
-        owner: str,
-        states: tuple[str, ...],
-        initial: str,
-        transitions: tuple[Transition, ...],
-        span: Span | None = None,
-    ):
-        self.name = name
-        self.owner = owner
-        self.states = states
-        self.initial = initial
-        self.transitions = transitions
-        self.span = span
 
     @property
     def qualified(self) -> str:
@@ -430,29 +326,9 @@ class StateMachine(Record):
 class InvariantDecl(Record):
     __slots__ = _fields = ("name", "body", "trace", "span")
 
-    def __init__(
-        self, name: str, body: TableCondition, trace: tuple[str, ...], span: Span | None = None
-    ):
-        self.name = name
-        self.body = body
-        self.trace = trace
-        self.span = span
-
 
 class Component(Record):
     __slots__ = _fields = ("name", "variables", "assigns", "machines")
-
-    def __init__(
-        self,
-        name: str,
-        variables: tuple[Variable, ...],
-        assigns: tuple[AssignmentSpec, ...],
-        machines: tuple[StateMachine, ...],
-    ):
-        self.name = name
-        self.variables = variables
-        self.assigns = assigns
-        self.machines = machines
 
 
 class Specification(Record):

@@ -121,21 +121,11 @@ _EB_KINDS = (EB_EVENT, EB_INVARIANT)
 
 
 class TraceNode(FrozenRecord):
-    __slots__ = _fields = ("kind", "ident", "display")
-
-    def __init__(self, kind: str, ident: str, display: str):
-        self.kind = kind
-        self.ident = ident  # unique within kind
-        self.display = display
+    __slots__ = _fields = ("kind", "ident", "display")  # ident: unique within kind
 
 
 class TraceEdge(FrozenRecord):
-    __slots__ = _fields = ("kind", "source", "target")
-
-    def __init__(self, kind: str, source: tuple[str, str], target: tuple[str, str]):
-        self.kind = kind
-        self.source = source  # (node kind, ident)
-        self.target = target
+    __slots__ = _fields = ("kind", "source", "target")  # source, target: (node kind, ident)
 
 
 class TraceGraph(Record):
@@ -311,20 +301,9 @@ def link(
 class TraceRow(Record):
     __slots__ = _fields = ("requirement", "pf_blocks", "rsml", "eventb")
 
-    def __init__(self, requirement: str, pf_blocks: list[str], rsml: list[str], eventb: list[str]):
-        self.requirement = requirement
-        self.pf_blocks = pf_blocks
-        self.rsml = rsml
-        self.eventb = eventb
-
 
 class TraceReport(Record):
     __slots__ = _fields = ("rows", "warnings", "edges")
-
-    def __init__(self, rows: list[TraceRow], warnings: list[Diagnostic], edges: list[TraceEdge]):
-        self.rows = rows
-        self.warnings = warnings
-        self.edges = edges
 
 
 def trace_report(graph: TraceGraph, require_trace: bool = False) -> TraceReport:

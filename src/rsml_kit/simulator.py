@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 from .diagnostics import Diagnostic, SpecError, error
 from .model import (
@@ -57,46 +57,24 @@ from .table_logic import Valuation, eval_condition
 
 
 class SystemState(FrozenRecord):
-    """Total valuation of every variable and machine at one step."""
+    """Total valuation of every variable and machine at one step:
+    ``values`` holds (qualified name, value) in declaration order,
+    ``states`` (qualified machine, state)."""
 
     __slots__ = _fields = ("values", "states", "step")
 
-    def __init__(
-        self, values: tuple[tuple[str, Value], ...], states: tuple[tuple[str, str], ...], step: int
-    ):
-        self.values = values  # (qualified name, value), declaration order
-        self.states = states  # (qualified machine, state)
-        self.step = step
-
 
 class StepResult(Record):
-    __slots__ = _fields = ("state", "fired_cases", "fired_transitions", "violations")
+    """``fired_cases``: assignment target -> enabled case index;
+    ``fired_transitions``: machine -> index into ``machine.transitions``;
+    ``violations``: invariant names false in the resulting state."""
 
-    def __init__(
-        self,
-        state: SystemState,
-        fired_cases: dict[str, int],
-        fired_transitions: dict[str, int],
-        violations: list[str],
-    ):
-        self.state = state
-        self.fired_cases = fired_cases  # assignment target -> enabled case index
-        self.fired_transitions = fired_transitions  # machine -> index into machine.transitions
-        self.violations = violations  # invariant names false in the resulting state
+    __slots__ = _fields = ("state", "fired_cases", "fired_transitions", "violations")
 
 
 class Trace(Record):
-    __slots__ = _fields = ("initial", "steps", "violation")
-
-    def __init__(
-        self,
-        initial: SystemState,
-        steps: list[tuple[dict[str, Value], SystemState]],
-        violation: Optional[tuple[str, int]] = None,
-    ):
-        self.initial = initial
-        self.steps = steps
-        self.violation = violation  # (invariant name, step index)
+    __slots__ = _fields = ("initial", "steps", "violation")  # violation: (invariant, step index)
+    _defaults = {"violation": None}
 
     @property
     def states(self) -> list[SystemState]:
@@ -104,19 +82,11 @@ class Trace(Record):
 
 
 class ExplorationReport(Record):
-    __slots__ = _fields = ("reachable", "depth", "violations", "limit")
+    """``violations`` holds the shortest counterexample per invariant;
+    ``limit`` is "states" | "depth" when the search was cut off."""
 
-    def __init__(
-        self,
-        reachable: int,
-        depth: int,
-        violations: list[tuple[str, Trace]],
-        limit: Optional[str] = None,
-    ):
-        self.reachable = reachable
-        self.depth = depth
-        self.violations = violations  # shortest counterexample per invariant
-        self.limit = limit  # "states" | "depth" when the search was cut off
+    __slots__ = _fields = ("reachable", "depth", "violations", "limit")
+    _defaults = {"limit": None}
 
 
 Packed = tuple[tuple[Value, ...], tuple[str, ...]]  # (values, machine states)

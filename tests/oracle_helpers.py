@@ -413,20 +413,19 @@ def _ref_machine_variables(
     invariants: list[Labeled] = []
     init_actions: list[Labeled] = []
     provenance: list[Provenance] = []
-    items: list[tuple[str, str, TypeDef, Value, str]] = []
+    items: list[tuple[str, str, TypeDef, Value, str, Span | None]] = []
     for comp in spec.components:
         for v in comp.variables:
             if include is not None and v.qualified not in include:
                 continue
-            items.append((v.name, v.qualified, v.type, v.initial_value, "variable"))
+            items.append((v.name, v.qualified, v.type, v.initial_value, "variable", v.span))
         for m in comp.machines:
             if include is not None and m.qualified not in include:
                 continue
-            items.append(
-                (f"{m.name}_state", m.qualified, None, m.initial, "machine")  # type: ignore[arg-type]
-            )
-    for idx, (bare, qualified, vtype, init, kind) in enumerate(items, start=1):
-        names.claim(bare, "variable")
+            state = (f"{m.name}_state", m.qualified, None, m.initial, "machine", m.span)
+            items.append(state)  # type: ignore[arg-type]
+    for idx, (bare, qualified, vtype, init, kind, span) in enumerate(items, start=1):
+        names.claim(bare, f"variable of {qualified}", span)
         variables.append(bare)
         label = f"@inv{idx}"
         if kind == "machine":
@@ -506,14 +505,6 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
         ref.name for refs in comp_reads.values() for ref in refs if ref.kind == "var"
     }
 
-    terminal = [
-        v
-        for v in spec.variables
-        if v.direction == "output" and v.qualified not in vars_read_anywhere
-    ]
-    if not terminal:
-        raise SpecError(error("NoOutputs", "no output variables", spec.span))
-
     # Component dependency: supplier before consumer; consumers are added first.
     comp_names = [c.name for c in spec.components]
     owner = {v.qualified: v.owner for v in spec.variables}
@@ -530,6 +521,22 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
             error("CyclicDependency", f"component dependency cycle among: {cyclic}", spec.span)
         )
     add_order = list(reversed(topo))
+
+    if not any(v.direction == "output" for v in spec.variables):
+        raise SpecError(error("NoOutputs", "no output variables", spec.span))
+    terminal = [
+        v
+        for v in spec.variables
+        if v.direction == "output" and v.qualified not in vars_read_anywhere
+    ]
+    if not terminal:
+        raise SpecError(
+            error(
+                "NoOutputs",
+                "no terminal output: every output variable is read by a component",
+                spec.span,
+            )
+        )
 
     machines: list[EventBMachine] = []
     provenance: list[Provenance] = []

@@ -309,6 +309,58 @@ component B {
             gen_chain(spec_from("specification s component C { input b : bool }"))
         assert "no output variables" in str(exc.value)
 
+    def test_outputs_all_read_are_not_reported_missing(self):
+        # A.out is read by B, and B.out only by B's own machine: no cycle,
+        # but no output is terminal.
+        spec = spec_from(
+            """
+specification s
+component A {
+  input i : bool
+  output out : bool
+  assign out { when table { i = TRUE : T } then TRUE when else then FALSE }
+}
+component B {
+  output out : bool
+  assign out { when table { A.out = TRUE : T } then TRUE when else then FALSE }
+  statemachine M {
+    initial Idle ;
+    state Idle { goto Busy when table { out = TRUE : T } }
+    state Busy { }
+  }
+}
+"""
+        )
+        with pytest.raises(SpecError) as exc:
+            gen_chain(spec)
+        [diag] = exc.value.diagnostics
+        assert (diag.code, diag.message) == (
+            "NoOutputs",
+            "no terminal output: every output variable is read by a component",
+        )
+
+    def test_component_cycle_reported_before_missing_terminal_outputs(self):
+        spec = spec_from(
+            """
+specification s
+component A {
+  output a : bool
+  assign a { when table { B.b = TRUE : T } then TRUE when else then FALSE }
+}
+component B {
+  output b : bool
+  assign b { when table { A.a = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+        )
+        with pytest.raises(SpecError) as exc:
+            gen_chain(spec)
+        [diag] = exc.value.diagnostics
+        assert (diag.code, diag.message) == (
+            "CyclicDependency",
+            "component dependency cycle among: A, B",
+        )
+
     def test_component_cycle_rejected(self):
         spec = spec_from(
             """
@@ -327,6 +379,61 @@ component B {
         with pytest.raises(SpecError) as exc:
             gen_chain(spec)
         assert exc.value.code == "CyclicDependency"
+
+
+class TestNameCollision:
+    """Event-B names are bare, so two components may produce one name; the
+    error names both model elements and points at the later one."""
+
+    @pytest.mark.parametrize("generate", [gen_flat, gen_chain])
+    def test_variables_of_two_components(self, generate):
+        spec = spec_from(
+            """specification s
+component A {
+  input i : bool
+  output out : bool
+  assign out { when table { i = TRUE : T } then TRUE when else then FALSE }
+}
+component B {
+  output out : bool
+  assign out { when table { A.out = TRUE : T } then TRUE when else then FALSE }
+}
+""",
+            "s.rsml",
+        )
+        with pytest.raises(SpecError) as exc:
+            generate(spec)
+        [diag] = exc.value.diagnostics
+        assert diag.render() == (
+            "s.rsml:8:10: error[NameCollision]: variable of B.out 'out' collides with "
+            "variable of A.out (generated Event-B names must be unique)"
+        )
+
+    def test_machine_state_and_variable(self):
+        spec = spec_from(
+            """specification s
+component A {
+  input M_state : bool
+}
+component B {
+  input i : bool
+  statemachine M {
+    initial Idle ;
+    state Idle { goto Busy when table { i = TRUE : T } }
+    state Busy { }
+  }
+}
+""",
+            "s.rsml",
+        )
+        with pytest.raises(SpecError) as exc:
+            gen_flat(spec)
+        [diag] = exc.value.diagnostics
+        assert (diag.span.line, diag.span.column) == (7, 3)
+        assert diag.message == (
+            "variable of B.M 'M_state' collides with variable of A.M_state "
+            "(generated Event-B names must be unique)"
+        )
 
 
 class TestRender:

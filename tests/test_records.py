@@ -1,12 +1,19 @@
 """Value semantics of the record classes (``rsml_kit.record``): spans never
 decide equality, a record equals only a record of its own class, and the
-value records hash by content while the others stay unhashable."""
+value records hash by content while the others stay unhashable.  Each
+constructor takes the fields in order, and none is a hand-written one that
+only stores its arguments."""
+
+import ast
+import inspect
+from pathlib import Path
 
 import pytest
 
-import rsml_kit.cli  # noqa: F401  loads every module that defines records
 from rsml_kit import parse_spec, resolve
+from rsml_kit.analysis import GuardSet
 from rsml_kit.ast_nodes import ElseNode, NameRef
+from rsml_kit.cli import _Project  # importing the CLI loads every module that defines records
 from rsml_kit.diagnostics import Diagnostic, Span
 from rsml_kit.eventb import Provenance
 from rsml_kit.model import (
@@ -23,6 +30,8 @@ from rsml_kit.record import Record
 from rsml_kit.simulator import SystemState
 
 from conftest import CORPUS
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rsml_kit"
 
 
 def _all_records(cls=Record):
@@ -124,3 +133,121 @@ def test_repr_shows_every_field_and_no_derived_one():
     assert repr(NameRef("x")) == "NameRef(name='x', component=None, span=None)"
     table = AndOrTable((VarOperand("C.x"),), (("T", "."),))
     assert repr(table) == "AndOrTable(rows=(VarOperand(ref='C.x'),), cells=(('T', '.'),))"
+
+
+# Every constructor default other than ``span``'s None, which every record
+# with a span takes; all other fields are required.
+DEFAULTS = {
+    "BoolType": {"name": "bool"},
+    "CompletenessVerdict": {"witness": None, "by_else": False},
+    "ConsistencyVerdict": {"witness": None, "pair": None, "overlaps": None},
+    "EventBEvent": {"comment": None},
+    "ExplorationReport": {"limit": None},
+    "GuardSetResult": {"error": None},
+    "Labeled": {"comment": None},
+    "NameRef": {"component": None},
+    "Specification": {"file": "<spec>"},
+    "Trace": {"violation": None},
+    "Valuation": {"values": None, "states": None},
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_constructor_takes_the_fields_in_order(cls):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    # A project starts empty and is filled as files load.
+    assert [p.name for p in params] == ([] if cls is _Project else list(cls._fields))
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    expected = dict(DEFAULTS.get(cls.__name__, {}))
+    if "span" in cls._fields:
+        expected["span"] = None
+    assert defaults == expected
+    assert all(type(value) is type(expected[name]) for name, value in defaults.items())
+
+
+def test_constructors_take_keywords_and_want_every_required_field():
+    g = GuardSet(owner="x", kind="assign", conditions=[])
+    assert (g.owner, g.kind, g.conditions, g.span) == ("x", "assign", [], None)
+    assert NameRef(name="x", component="C") == NameRef("x", "C")
+    with pytest.raises(TypeError):
+        GuardSet(owner="x", kind="assign")
+    with pytest.raises(TypeError):
+        Compare(VarOperand("C.x"), "=")
+    with pytest.raises(TypeError):
+        NameRef("x", None, None, None)
+    with pytest.raises(TypeError):
+        LitOperand(1, value=1)
+
+
+def _storing_inits(source: str) -> list[str]:
+    """Record classes in ``source`` whose ``__init__`` only stores its
+    parameters in same-named attributes, in ``_fields`` order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if not bases & {"Record", "FrozenRecord"}:
+            continue
+        fields = init = None
+        for item in node.body:
+            if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_fields" for t in item.targets
+            ):
+                fields = [elt.value for elt in item.value.elts]
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                init = item
+        if fields is None or init is None:
+            continue
+        params = [a.arg for a in init.args.args[1:]]
+        stored = []
+        for stmt in init.body:
+            target = None
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                target = stmt.targets[0]
+            elif isinstance(stmt, ast.AnnAssign):
+                target = stmt.target
+            value = getattr(stmt, "value", None)
+            if not (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and isinstance(value, ast.Name)
+                and value.id == target.attr
+            ):
+                break
+            stored.append(target.attr)
+        else:
+            if params == stored == fields:
+                found.append(node.name)
+    return found
+
+
+def test_no_record_class_writes_a_storing_init():
+    found = {
+        path.stem: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := _storing_inits(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_storing_init_finder_sees_one():
+    source = (
+        "class P(Record):\n"
+        "    __slots__ = _fields = ('a', 'b')\n"
+        "    def __init__(self, a, b=None):\n"
+        "        self.a = a  # comment\n"
+        "        self.b = b\n"
+        "class Q(FrozenRecord):\n"
+        "    __slots__ = _fields = ('a', 'b')\n"
+        "    def __init__(self, a, b):\n"
+        "        self.a = a\n"
+        "        self.b = [] if b is None else b\n"
+        "class R(Record):\n"
+        "    __slots__ = _fields = ('a', 'b')\n"
+        "    def __init__(self, b, a):\n"
+        "        self.b = b\n"
+        "        self.a = a\n"
+    )
+    assert _storing_inits(source) == ["P"]
