@@ -74,7 +74,6 @@ class DomainTooLarge(SpecError):
                 span,
             )
         )
-        self.product = product
 
 
 class CompletenessVerdict(Record):
@@ -107,10 +106,6 @@ class GuardSetResult(Record):
 
 class AnalysisReport(Record):
     __slots__ = _fields = ("results", "diagnostics")
-
-    @property
-    def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
 
 
 # ---------------------------------------------------------------------------

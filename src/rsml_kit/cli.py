@@ -1,11 +1,16 @@
 """Command-line front end: check, simulate, explore, gen, trace.
 
-Every command runs the same pipeline: load the named files (``_load``),
-gate on the static checks where the command has ``--force`` (``_gate``),
-run, render to stdout, and return an exit code.  A step that ends the
-command early raises ``_Exit`` with its code, diagnostics and message, or
-lets a ``SpecError`` through; ``_run``, under ``main``, alone prints those
-diagnostics, and it turns a ``SpecError`` into exit 1.
+Every command runs one flow: load, gate, run, then hand ``_run`` the rest.
+It loads with ``_spec`` (the one ``.rsml`` file of simulate, explore and
+gen) or ``_load`` (the files of check and trace), gates on the static
+checks where it has ``--force`` (``_gate``), runs, and returns its exit
+code, the diagnostics that text mode prints to stderr, a zero-argument
+JSON payload builder (None for gen) and a zero-argument text builder.  A
+step that ends the command early raises ``_Exit`` with its code,
+diagnostics and message, or lets a ``SpecError`` through.  ``_run``, under
+``main``, alone prints: the one form that ``--format`` names, built only
+then, or an early end's diagnostics and message (a ``SpecError`` is exit
+1); then it returns the code.
 
 Exit codes: 0 clean, 1 findings or errors (also when stdout is closed
 early), 2 usage problems, 3 resource limits.  Reports go to stdout,
@@ -20,33 +25,30 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .analysis import DEFAULT_CAP, AnalysisReport, analyze, summary_line
+from .analysis import DEFAULT_CAP, analyze, summary_line
 from .ast_nodes import ProblemDiagram, Requirement
 from .diagnostics import Diagnostic, SpecError, color_enabled
 from .eventb import GenResult, gen_chain, gen_flat, render
 from .model import Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
 from .pftrace import TraceReport, check_pf, check_trace_tags, link, trace_report
-from .record import Record
-from .simulator import (
-    ExplorationReport,
-    SystemState,
-    Trace,
-    explore,
-    parse_script,
-    run_script,
-)
+from .simulator import SystemState, Trace, explore, parse_script, run_script
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
+# What a command hands ``_run``: its exit code, the diagnostics that text
+# mode prints to stderr, the JSON payload builder and the text builder.
+_Result = tuple[int, list[Diagnostic], Callable[[], dict] | None, Callable[[], str]]
+
 
 class _Exit(Exception):
-    """Ends a command early; ``main`` prints the diagnostics, then the message."""
+    """Ends a command early; ``_run`` prints the diagnostics, then the message."""
 
     def __init__(
         self, code: int, diagnostics: list[Diagnostic] | None = None, message: str | None = None
@@ -60,18 +62,6 @@ def _print_diagnostics(diags: list[Diagnostic]) -> None:
     use_color = color_enabled(sys.stderr)
     for d in diags:
         print(d.render(color=use_color), file=sys.stderr)
-
-
-class _Project(Record):
-    """What ``_load`` read, filled in argument order."""
-
-    __slots__ = _fields = ("specs", "diagrams", "requirements", "diagnostics")
-
-    def __init__(self):
-        self.specs: list[Specification] = []
-        self.diagrams: list[ProblemDiagram] = []
-        self.requirements: list[Requirement] = []
-        self.diagnostics: list[Diagnostic] = []
 
 
 def _read(path: str) -> str:
@@ -88,29 +78,37 @@ def _read(path: str) -> str:
         raise _Exit(EXIT_USAGE, message=f"cannot read {path}: {exc.strerror}")
 
 
-def _load(paths: list[str], rsml_only: bool = False, strict: bool = True) -> _Project:
-    """Parse the named files by extension.  A file that ``_read`` refuses
-    or an unknown extension is a usage exit.  Parse errors accumulate over every file; a
-    strict load then exits with all of them."""
-    project = _Project()
+def _spec(path: str) -> Specification:
+    """The resolved specification in ``path``, read first, so a missing file
+    of any extension is ``no such file``; a file that is not ``.rsml`` is a
+    usage exit, and a parse error propagates."""
+    text = _read(path)
+    if not path.endswith(".rsml"):
+        raise _Exit(EXIT_USAGE, message=f"expected a .rsml file: {path}")
+    return resolve(parse_spec(text, path), path)
+
+
+def _load(
+    paths: list[str],
+) -> tuple[list[Specification], list[ProblemDiagram], list[Requirement], list[Diagnostic]]:
+    """The specifications, problem diagrams and requirements in the named
+    files, parsed by extension, and the parse errors of every file.  A file
+    that ``_read`` refuses or an unknown extension is a usage exit."""
+    specs, diagrams, requirements, diags = [], [], [], []
     for path in paths:
         text = _read(path)
-        if rsml_only and not path.endswith(".rsml"):
-            raise _Exit(EXIT_USAGE, message=f"expected a .rsml file: {path}")
         try:
             if path.endswith(".rsml"):
-                project.specs.append(resolve(parse_spec(text, path), path))
+                specs.append(resolve(parse_spec(text, path), path))
             elif path.endswith(".pf"):
-                project.diagrams.extend(parse_pf(text, path))
+                diagrams.extend(parse_pf(text, path))
             elif path.endswith(".req"):
-                project.requirements.extend(parse_requirements(text, path))
+                requirements.extend(parse_requirements(text, path))
             else:
                 raise _Exit(EXIT_USAGE, message=f"unrecognized file extension: {path}")
         except SpecError as exc:
-            project.diagnostics.extend(exc.diagnostics)
-    if strict and project.diagnostics:
-        raise _Exit(EXIT_FINDINGS, project.diagnostics)
-    return project
+            diags.extend(exc.diagnostics)
+    return specs, diagrams, requirements, diags
 
 
 def _gate(spec: Specification, args: argparse.Namespace, verb: str) -> None:
@@ -134,24 +132,18 @@ def _columns(rows: list[tuple[str, ...]]) -> list[str]:
 # check
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    project = _load(args.paths, strict=False)
-    diags = project.diagnostics
-    reports: list[tuple[Specification, AnalysisReport]] = []
-    for diagram in project.diagrams:
+def cmd_check(args: argparse.Namespace) -> _Result:
+    specs, diagrams, requirements, diags = _load(args.paths)
+    for diagram in diagrams:
         diags.extend(check_pf(diagram))
-    if project.requirements or any(d.requirements for d in project.diagrams):
-        diags.extend(check_trace_tags(project.requirements, project.diagrams, project.specs))
-    for spec in project.specs:
-        report = analyze(spec, args.cap)
-        reports.append((spec, report))
+    if requirements or any(d.requirements for d in diagrams):
+        diags.extend(check_trace_tags(requirements, diagrams, specs))
+    reports = [(spec, analyze(spec, args.cap)) for spec in specs]
+    for _, report in reports:
         diags.extend(report.diagnostics)
 
-    has_error = any(d.severity == "error" for d in diags)
-    has_warning = any(d.severity == "warning" for d in diags)
-
-    if args.format == "json":
-        payload = {
+    def payload() -> dict:
+        return {
             "diagnostics": [d.to_json() for d in diags],
             "summaries": [
                 {
@@ -170,26 +162,25 @@ def cmd_check(args: argparse.Namespace) -> int:
                 for spec, report in reports
             ],
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_diagnostics(diags)
-        for spec, report in reports:
-            for r in report.results:
-                verdicts = []
-                if r.error is not None:
-                    verdicts.append("skipped (domain too large)")
-                else:
-                    verdicts.append("complete" if r.completeness.complete else "incomplete")
-                    verdicts.append("consistent" if r.consistency.consistent else "conflicting")
-                print(
-                    f"guard set {r.guard_set.owner}: domain {r.domain_size}, "
-                    + ", ".join(verdicts)
-                )
-            print(summary_line(report))
 
-    if has_error or (args.warnings_as_errors and has_warning):
-        return EXIT_FINDINGS
-    return EXIT_OK
+    def text() -> str:
+        lines = []
+        for _, report in reports:
+            for r in report.results:
+                if r.error is not None:
+                    verdict = "skipped (domain too large)"
+                else:
+                    complete = "complete" if r.completeness.complete else "incomplete"
+                    consistent = "consistent" if r.consistency.consistent else "conflicting"
+                    verdict = f"{complete}, {consistent}"
+                lines.append(f"guard set {r.guard_set.owner}: domain {r.domain_size}, {verdict}")
+            lines.append(summary_line(report))
+        return "\n".join(lines)
+
+    severities = {d.severity for d in diags}
+    failed = "error" in severities or (args.warnings_as_errors and "warning" in severities)
+    code = EXIT_FINDINGS if failed else EXIT_OK
+    return code, diags, payload, text
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +225,17 @@ def _trace_text(spec: Specification, trace: Trace) -> str:
     prev = None
     for state in trace.states:
         if prev is None:
-            inputs_text = "-"
-            changes = ", ".join(f"{k}={v}" for k, v in _display_values(spec, state).items())
-            changes = changes or "-"
+            inputs = "-"
+            changes = ", ".join([f"{k}={v}" for k, v in _display_values(spec, state).items()])
         else:
-            step_inputs = dict(trace.steps[state.step - 1][0])
-            inputs_text = (
-                ", ".join(
-                    f"{spec.display_name(k)}={v}" for k, v in step_inputs.items()
-                )
-                or "-"
-            )
+            step_inputs = trace.steps[state.step - 1][0].items()
+            inputs = ", ".join([f"{spec.display_name(k)}={v}" for k, v in step_inputs]) or "-"
             prev_values = dict(prev.values)
-            changed = [
-                f"{spec.display_name(k)}={v}"
-                for k, v in state.values
-                if prev_values[k] != v
-            ]
-            changes = ", ".join(changed) or "-"
-        machines = (
-            ", ".join(f"{k}={v}" for k, v in _display_states(spec, state).items()) or "-"
-        )
-        rows.append((str(state.step), inputs_text, changes, machines))
+            changes = ", ".join(
+                [f"{spec.display_name(k)}={v}" for k, v in state.values if prev_values[k] != v]
+            )
+        machines = ", ".join([f"{k}={v}" for k, v in _display_states(spec, state).items()])
+        rows.append((str(state.step), inputs, changes or "-", machines or "-"))
         prev = state
     lines = _columns(rows)
     if trace.violation:
@@ -263,65 +243,57 @@ def _trace_text(spec: Specification, trace: Trace) -> str:
     return "\n".join(lines)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _load([args.spec], rsml_only=True).specs[0]
+def cmd_simulate(args: argparse.Namespace) -> _Result:
+    spec = _spec(args.spec)
     text = _read(args.script)
     _gate(spec, args, "simulate")
     script = parse_script(text, spec, args.script)
     trace = run_script(spec, script, keep_going=args.keep_going)
-    if args.format == "json":
-        print(json.dumps(_trace_json(spec, trace), indent=2))
-    else:
-        print(_trace_text(spec, trace))
-    return EXIT_FINDINGS if trace.violation else EXIT_OK
+    code = EXIT_FINDINGS if trace.violation else EXIT_OK
+    return code, [], lambda: _trace_json(spec, trace), lambda: _trace_text(spec, trace)
 
 
 # ---------------------------------------------------------------------------
 # explore
 
 
-def _exploration_json(spec: Specification, report: ExplorationReport) -> dict:
-    return {
-        "specification": spec.name,
-        "reachable": report.reachable,
-        "depth": report.depth,
-        "limit": report.limit,
-        "violations": [
-            {"invariant": name, "counterexample": _trace_json(spec, trace)}
-            for name, trace in report.violations
-        ],
-    }
-
-
-def cmd_explore(args: argparse.Namespace) -> int:
-    spec = _load([args.spec], rsml_only=True).specs[0]
+def cmd_explore(args: argparse.Namespace) -> _Result:
+    spec = _spec(args.spec)
     report = explore(spec, max_states=args.max_states, max_depth=args.max_depth)
-    if args.format == "json":
-        print(json.dumps(_exploration_json(spec, report), indent=2))
-    else:
-        print(f"reachable states: {report.reachable}")
-        print(f"frontier depth: {report.depth}")
+
+    def payload() -> dict:
+        return {
+            "specification": spec.name,
+            "reachable": report.reachable,
+            "depth": report.depth,
+            "limit": report.limit,
+            "violations": [
+                {"invariant": name, "counterexample": _trace_json(spec, trace)}
+                for name, trace in report.violations
+            ],
+        }
+
+    def text() -> str:
+        lines = [f"reachable states: {report.reachable}", f"frontier depth: {report.depth}"]
         if report.limit:
-            print(f"limit exceeded: {report.limit}")
+            lines.append(f"limit exceeded: {report.limit}")
         if not report.violations:
-            print("no invariant violations")
+            lines.append("no invariant violations")
         for name, trace in report.violations:
-            print(f"invariant '{name}' violated at depth {trace.violation[1]}")
-            print("shortest counterexample:")
-            print(_trace_text(spec, trace))
-    if report.limit:
-        return EXIT_LIMIT
-    if report.violations:
-        return EXIT_FINDINGS
-    return EXIT_OK
+            lines.append(f"invariant '{name}' violated at depth {trace.violation[1]}")
+            lines += ["shortest counterexample:", _trace_text(spec, trace)]
+        return "\n".join(lines)
+
+    code = EXIT_LIMIT if report.limit else EXIT_FINDINGS if report.violations else EXIT_OK
+    return code, [], payload, text
 
 
 # ---------------------------------------------------------------------------
 # gen
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    spec = _load([args.spec], rsml_only=True).specs[0]
+def cmd_gen(args: argparse.Namespace) -> _Result:
+    spec = _spec(args.spec)
     _gate(spec, args, "generate")
     generate = gen_chain if args.mode == "chain" else gen_flat
     result = generate(spec, closed=args.closed)
@@ -334,9 +306,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             (outdir / name).write_text(render(unit, ascii_mode=args.ascii), encoding="utf-8")
     except OSError as exc:
         raise _Exit(EXIT_FINDINGS, message=f"cannot write output: {exc}")
-    for name, _ in units:
-        print((outdir / name).as_posix())
-    return EXIT_OK
+    return EXIT_OK, [], None, lambda: "\n".join((outdir / name).as_posix() for name, _ in units)
 
 
 # ---------------------------------------------------------------------------
@@ -371,36 +341,13 @@ _TRACE_FOOTER = (
 )
 
 
-def _trace_report_json(report: TraceReport) -> dict:
-    return {
-        "note": _TRACE_FOOTER,
-        "rows": [
-            {
-                "requirement": row.requirement,
-                "pf_blocks": row.pf_blocks,
-                "rsml": row.rsml,
-                "eventb": row.eventb,
-            }
-            for row in report.rows
-        ],
-        "edges": [
-            {
-                "kind": e.kind,
-                "source": {"kind": e.source[0], "id": e.source[1]},
-                "target": {"kind": e.target[0], "id": e.target[1]},
-            }
-            for e in report.edges
-        ],
-        "warnings": [w.to_json() for w in report.warnings],
-    }
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    project = _load([args.spec, args.pf, args.req])
-    diags: list[Diagnostic] = []
-    for diagram in project.diagrams:
+def cmd_trace(args: argparse.Namespace) -> _Result:
+    specs, diagrams, requirements, diags = _load([args.spec, args.pf, args.req])
+    if diags:
+        raise _Exit(EXIT_FINDINGS, diags)
+    for diagram in diagrams:
         diags.extend(check_pf(diagram))
-    spec = project.specs[0] if project.specs else None
+    spec = specs[0] if specs else None
     generated: GenResult | None = None
     if spec is not None:
         try:
@@ -408,23 +355,41 @@ def cmd_trace(args: argparse.Namespace) -> int:
         except SpecError as exc:
             diags.extend(exc.diagnostics)
     try:
-        graph = link(project.requirements, project.diagrams, spec, generated)
+        graph = link(requirements, diagrams, spec, generated)
     except SpecError as exc:
         raise _Exit(EXIT_FINDINGS, diags + exc.diagnostics)
     report = trace_report(graph, require_trace=args.require_trace)
     diags.extend(report.warnings)
-    if args.format == "json":
-        payload = _trace_report_json(report)
-        payload["diagnostics"] = [d.to_json() for d in diags]
-        print(json.dumps(payload, indent=2))
-    else:
-        _print_diagnostics(diags)
-        print(_trace_report_text(report))
-    if any(d.severity == "error" for d in diags):
-        return EXIT_FINDINGS
-    if args.require_trace and any(d.code == "UntracedElement" for d in report.warnings):
-        return EXIT_FINDINGS
-    return EXIT_OK
+
+    def payload() -> dict:
+        return {
+            "note": _TRACE_FOOTER,
+            "rows": [
+                {
+                    "requirement": row.requirement,
+                    "pf_blocks": row.pf_blocks,
+                    "rsml": row.rsml,
+                    "eventb": row.eventb,
+                }
+                for row in report.rows
+            ],
+            "edges": [
+                {
+                    "kind": e.kind,
+                    "source": {"kind": e.source[0], "id": e.source[1]},
+                    "target": {"kind": e.target[0], "id": e.target[1]},
+                }
+                for e in report.edges
+            ],
+            "warnings": [w.to_json() for w in report.warnings],
+            "diagnostics": [d.to_json() for d in diags],
+        }
+
+    failed = any(d.severity == "error" for d in diags) or (
+        args.require_trace and any(d.code == "UntracedElement" for d in report.warnings)
+    )
+    code = EXIT_FINDINGS if failed else EXIT_OK
+    return code, diags, payload, lambda: _trace_report_text(report)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +478,21 @@ def _run(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code, diags, payload, text = args.func(args)
     except SpecError as exc:
         stop = _Exit(EXIT_FINDINGS, exc.diagnostics)
     except _Exit as exc:
         stop = exc
+    else:
+        # gen has neither --format nor a payload.
+        if payload is not None and args.format == "json":
+            print(json.dumps(payload(), indent=2))
+        else:
+            _print_diagnostics(diags)
+            report = text()
+            if report:  # check on no specification reports nothing
+                print(report)
+        return code
     _print_diagnostics(stop.diagnostics)
     if stop.message is not None:
         print(stop.message, file=sys.stderr)

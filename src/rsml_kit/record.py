@@ -14,8 +14,7 @@ front end and ``gen`` build a record for nearly everything they make.
 A class that defines ``__init__`` itself keeps it.  Those derive state
 when they are built: ``AndOrTable`` its columns, ``Specification`` its
 lookup tables, ``TraceGraph`` its adjacency, ``ConsistencyVerdict`` and
-``Valuation`` a fresh empty container for an omitted one, ``cli._Project``
-empty lists.
+``Valuation`` a fresh empty container for an omitted one.
 
 ``repr`` shows every field as ``Name(field=value, ...)``.  Two records are
 equal when they are of the same class and their ``_compared`` fields are

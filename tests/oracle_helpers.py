@@ -485,6 +485,19 @@ def reference_gen_flat(spec: Specification, closed: bool = False) -> GenResult:
 # Refinement chain
 
 
+def _reaches_itself(start: str, successors: dict[str, set[str]]) -> bool:
+    """Whether a path of one edge or more leads from ``start`` back to it."""
+    stack, seen = list(successors[start]), set()
+    while stack:
+        node = stack.pop()
+        if node == start:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(successors[node])
+    return False
+
+
 def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     """Refinement chain: a most-abstract machine with only the terminal
     outputs set nondeterministically, then one refinement per component in
@@ -516,7 +529,8 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
                 successors[owner[ref.name]].add(comp.name)
     topo = topological_order(comp_names, successors)
     if len(topo) != len(comp_names):
-        cyclic = ", ".join(n for n in comp_names if n not in topo)
+        # Only the components on a cycle, not those merely behind one.
+        cyclic = ", ".join(n for n in comp_names if _reaches_itself(n, successors))
         raise SpecError(
             error("CyclicDependency", f"component dependency cycle among: {cyclic}", spec.span)
         )

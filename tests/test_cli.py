@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -641,3 +642,23 @@ class TestEntryPoint:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
+
+
+def test_run_alone_prints_and_reads_the_format():
+    """Commands hand ``_run`` their renderers; only ``_run`` reads
+    ``--format`` and prints, and ``_print_diagnostics`` prints what it is
+    handed."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    printing, formatting = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "print":
+                    printing.add(fn.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "format":
+                if isinstance(node.value, ast.Name) and node.value.id == "args":
+                    formatting.add(fn.name)
+    assert printing <= {"_run", "_print_diagnostics"}
+    assert formatting <= {"_run"}

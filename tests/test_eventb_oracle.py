@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 import rsml_kit.eventb as eventb
 from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
+from test_cli import COMPONENT_BEHIND_CYCLE, COMPONENT_CYCLE
 from oracle_helpers import reference_gen_chain, reference_gen_flat
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.eventb import gen_chain, gen_flat, render
@@ -140,6 +141,8 @@ _FIXED = [
     ("chaincollide", CHAIN_ONLY_COLLISION),
     ("basecollide", BASE_COLLISION),
     ("observed", OBSERVED_MACHINE),
+    # A and B read each other and C reads A: the chain names only A and B.
+    ("behindcycle", COMPONENT_CYCLE + COMPONENT_BEHIND_CYCLE),
 ] + [(p.name, p.files[".rsml"]) for p in _chain_projects()]
 
 

@@ -1,0 +1,344 @@
+"""Full-output goldens for the command line: the exact stdout, stderr and
+exit code of every command, in text and in JSON, on the corpus and on
+small specifications that reach a counterexample, a skipped guard set and
+an untraced case.  Every run names bare files inside one directory, so the
+paths that diagnostics and ``gen`` print do not depend on where the tests
+run."""
+
+from __future__ import annotations
+
+import json
+import re
+import shutil
+
+import pytest
+
+from conftest import CORPUS, MUTEX_TOY
+from rsml_kit.cli import main
+
+# C.o stops at its else and needs no mask; C.p has none, so --cap 1 skips it.
+CAPPED = """\
+specification capped
+type T_O = { ON, OFF }
+component C {
+  input a : bool
+  input b : bool
+  output o : T_O
+  output p : T_O
+  assign o { when table { a = TRUE : T } then ON when else then OFF }
+  assign p {
+    when table { b = TRUE : T } then ON
+    when table { b = TRUE : F } then OFF
+  }
+}
+"""
+
+
+@pytest.fixture(autouse=True)
+def workdir(tmp_path, monkeypatch):
+    for name in ("startstop.rsml", "startstop.pf", "startstop.req", "startstop.script", "twocomp.rsml"):
+        shutil.copy(CORPUS / name, tmp_path / name)
+    startstop = (CORPUS / "startstop.rsml").read_text(encoding="utf-8")
+    untagged = re.sub(r" trace REQ[^\n]*", "", startstop)
+    (tmp_path / "untagged.rsml").write_text(untagged, encoding="utf-8")
+    (tmp_path / "mutex.rsml").write_text(MUTEX_TOY, encoding="utf-8")
+    (tmp_path / "capped.rsml").write_text(CAPPED, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+CHECK_TEXT = """\
+guard set SSE_Driver_Needs_HMI.HMI_Stop_Ena: domain 16, complete, consistent
+1 guard set: 1 complete, 1 consistent
+"""
+
+CHECK_JSON = {
+    "diagnostics": [],
+    "summaries": [
+        {
+            "specification": "startstop",
+            "guard_sets": [
+                {
+                    "owner": "SSE_Driver_Needs_HMI.HMI_Stop_Ena",
+                    "domain_size": 16,
+                    "complete": True,
+                    "consistent": True,
+                }
+            ],
+            "summary": "1 guard set: 1 complete, 1 consistent",
+        }
+    ],
+}
+
+CAPPED_TEXT = """\
+guard set C.o: domain 2, complete, consistent
+guard set C.p: domain 2, skipped (domain too large)
+2 guard sets: 1 complete, 1 consistent
+"""
+
+CAPPED_MESSAGE = "guard set C.p: the referenced domain has 2 points, over the cap of 1"
+CAPPED_ERR = f"capped.rsml:9:3: error[DomainTooLarge]: {CAPPED_MESSAGE}\n"
+
+CAPPED_JSON = {
+    "diagnostics": [
+        {
+            "severity": "error",
+            "code": "DomainTooLarge",
+            "message": CAPPED_MESSAGE,
+            "span": {"file": "capped.rsml", "line": 9, "column": 3, "length": 6},
+        }
+    ],
+    "summaries": [
+        {
+            "specification": "capped",
+            "guard_sets": [
+                {"owner": "C.o", "domain_size": 2, "complete": True, "consistent": True},
+                {"owner": "C.p", "domain_size": 2, "complete": None, "consistent": None},
+            ],
+            "summary": "2 guard sets: 1 complete, 1 consistent",
+        }
+    ],
+}
+
+SIMULATE_TEXT = """\
+step  inputs                                                           changes                                                                        machines
+0     -                                                                HMI_Stop_Ena=TRUE, Clutch_Pedal=PRESSED, Steering_Wheel=USED, Gearbox=NEUTRAL  -
+1     Clutch_Pedal=PRESSED                                             HMI_Stop_Ena=FALSE                                                             -
+2     Clutch_Pedal=RELEASED, Steering_Wheel=NOT_USED, Gearbox=NEUTRAL  HMI_Stop_Ena=TRUE, Clutch_Pedal=RELEASED, Steering_Wheel=NOT_USED              -
+"""
+
+
+def _values(stop_ena, clutch, wheel, gearbox):
+    return {
+        "HMI_Stop_Ena": stop_ena,
+        "Clutch_Pedal": clutch,
+        "Steering_Wheel": wheel,
+        "Gearbox": gearbox,
+    }
+
+
+SIMULATE_JSON = {
+    "specification": "startstop",
+    "initial": {
+        "step": 0,
+        "values": _values("TRUE", "PRESSED", "USED", "NEUTRAL"),
+        "machines": {},
+    },
+    "steps": [
+        {
+            "step": 1,
+            "inputs": {"Clutch_Pedal": "PRESSED"},
+            "values": _values("FALSE", "PRESSED", "USED", "NEUTRAL"),
+            "machines": {},
+        },
+        {
+            "step": 2,
+            "inputs": {"Clutch_Pedal": "RELEASED", "Steering_Wheel": "NOT_USED", "Gearbox": "NEUTRAL"},
+            "values": _values("TRUE", "RELEASED", "NOT_USED", "NEUTRAL"),
+            "machines": {},
+        },
+    ],
+    "violation": None,
+}
+
+EXPLORE_STARTSTOP_TEXT = """\
+reachable states: 17
+frontier depth: 1
+no invariant violations
+"""
+
+EXPLORE_STARTSTOP_JSON = {
+    "specification": "startstop",
+    "reachable": 17,
+    "depth": 1,
+    "limit": None,
+    "violations": [],
+}
+
+EXPLORE_TWOCOMP_TEXT = """\
+reachable states: 4
+frontier depth: 1
+no invariant violations
+"""
+
+EXPLORE_MUTEX_TEXT = """\
+reachable states: 4
+frontier depth: 1
+invariant 'mutual_exclusion' violated at depth 1
+shortest counterexample:
+step  inputs                                           changes                                                                            machines
+0     -                                                Driver_Wants_Start=FALSE, Driver_Wants_Stop=FALSE, Strt_Req=FALSE, Stop_Req=FALSE  -
+1     Driver_Wants_Start=TRUE, Driver_Wants_Stop=TRUE  Driver_Wants_Start=TRUE, Driver_Wants_Stop=TRUE, Strt_Req=TRUE, Stop_Req=TRUE      -
+invariant 'mutual_exclusion' violated at step 1
+"""
+
+
+def _mutex_values(value):
+    names = ("Driver_Wants_Start", "Driver_Wants_Stop", "Strt_Req", "Stop_Req")
+    return {name: value for name in names}
+
+
+EXPLORE_MUTEX_JSON = {
+    "specification": "mutex_toy",
+    "reachable": 4,
+    "depth": 1,
+    "limit": None,
+    "violations": [
+        {
+            "invariant": "mutual_exclusion",
+            "counterexample": {
+                "specification": "mutex_toy",
+                "initial": {"step": 0, "values": _mutex_values("FALSE"), "machines": {}},
+                "steps": [
+                    {
+                        "step": 1,
+                        "inputs": {"Driver_Wants_Start": "TRUE", "Driver_Wants_Stop": "TRUE"},
+                        "values": _mutex_values("TRUE"),
+                        "machines": {},
+                    }
+                ],
+                "violation": {"invariant": "mutual_exclusion", "step": 1},
+            },
+        }
+    ],
+}
+
+NOTE = "note: sub-problem recombination/prioritization is not analysed; rows cover linkage only"
+
+TRACE_TEXT = f"""\
+requirement  pf-blocks  rsml  eventb
+REQ-001      1          2     2
+REQ-002      0          1     1
+REQ-001:
+  pf: SSE_Driver_Needs.REQ-001
+  rsml: case HMI_Stop_Ena#0; case HMI_Stop_Ena#1
+  eventb: event Set_HMI_Stop_Ena_FALSE; event Set_HMI_Stop_Ena_TRUE
+REQ-002:
+  pf: -
+  rsml: case HMI_Stop_Ena#1
+  eventb: event Set_HMI_Stop_Ena_TRUE
+edges: 4 declared, 4 name-match, 9 provenance
+{NOTE}
+"""
+
+HMI = "SSE_Driver_Needs_HMI"
+CASE0, CASE1 = f"case:{HMI}.HMI_Stop_Ena#0", f"case:{HMI}.HMI_Stop_Ena#1"
+INPUTS = ("Clutch_Pedal", "Steering_Wheel", "Gearbox")
+
+# (kind, source, target), each end a (kind, id) pair; the corpus edges in order.
+TRACE_EDGES = [
+    ("declared", ("pf-block", "SSE_Driver_Needs.REQ-001"), ("req", "REQ-001")),
+    ("declared", ("case", CASE0), ("req", "REQ-001")),
+    ("declared", ("case", CASE1), ("req", "REQ-001")),
+    ("declared", ("case", CASE1), ("req", "REQ-002")),
+    *(
+        ("name-match", ("phenomenon", f"SSE_Driver_Needs/{name}"), ("variable", f"{HMI}.{name}"))
+        for name in ("HMI_Stop_Ena", *INPUTS)
+    ),
+    *(
+        ("provenance", ("variable", f"{HMI}.{name}"), ("eb-invariant", f"@inv{i}"))
+        for i, name in enumerate(("HMI_Stop_Ena", *INPUTS), 1)
+    ),
+    ("provenance", ("case", CASE0), ("event", "Set_HMI_Stop_Ena_FALSE")),
+    ("provenance", ("case", CASE1), ("event", "Set_HMI_Stop_Ena_TRUE")),
+    *(
+        ("provenance", ("variable", f"{HMI}.{name}"), ("event", f"Env_Set_{name}"))
+        for name in INPUTS
+    ),
+]
+
+TRACE_JSON = {
+    "note": NOTE,
+    "rows": [
+        {
+            "requirement": "REQ-001",
+            "pf_blocks": ["SSE_Driver_Needs.REQ-001"],
+            "rsml": ["case HMI_Stop_Ena#0", "case HMI_Stop_Ena#1"],
+            "eventb": ["event Set_HMI_Stop_Ena_FALSE", "event Set_HMI_Stop_Ena_TRUE"],
+        },
+        {
+            "requirement": "REQ-002",
+            "pf_blocks": [],
+            "rsml": ["case HMI_Stop_Ena#1"],
+            "eventb": ["event Set_HMI_Stop_Ena_TRUE"],
+        },
+    ],
+    "edges": [
+        {
+            "kind": kind,
+            "source": {"kind": source[0], "id": source[1]},
+            "target": {"kind": target[0], "id": target[1]},
+        }
+        for kind, source, target in TRACE_EDGES
+    ],
+    "warnings": [],
+    "diagnostics": [],
+}
+
+UNTAGGED_TEXT = f"""\
+requirement  pf-blocks  rsml  eventb
+REQ-001      1          0     0
+REQ-002      0          0     0
+REQ-001:
+  pf: SSE_Driver_Needs.REQ-001
+  rsml: -
+  eventb: -
+REQ-002:
+  pf: -
+  rsml: -
+  eventb: -
+edges: 1 declared, 4 name-match, 9 provenance
+{NOTE}
+"""
+
+ORPHANS_ERR = """\
+warning[OrphanRequirement]: requirement REQ-001 reaches no specification element
+warning[OrphanRequirement]: requirement REQ-002 reaches no specification element
+"""
+
+# --require-trace adds a warning for each case that reaches no requirement.
+UNTRACED_ERR = ORPHANS_ERR + """\
+warning[UntracedElement]: case HMI_Stop_Ena#0 reaches no requirement
+warning[UntracedElement]: case HMI_Stop_Ena#1 reaches no requirement
+"""
+
+GEN_FLAT = "out/startstop_ctx.ebc\nout/startstop_mch.ebm\n"
+GEN_CHAIN = "out/twocomp_ctx.ebc\nout/twocomp_m0.ebm\nout/twocomp_r1.ebm\nout/twocomp_r2.ebm\n"
+
+PROJECT = "startstop.rsml startstop.pf startstop.req"
+SIMULATE = "simulate startstop.rsml startstop.script"
+TRACE = "trace startstop.rsml startstop.pf startstop.req"
+UNTAGGED = "trace untagged.rsml startstop.pf startstop.req"
+
+# command line, exit code, stdout, stderr
+GOLDENS = [
+    (f"check {PROJECT}", 0, CHECK_TEXT, ""),
+    (f"check {PROJECT} --format json", 0, _json(CHECK_JSON), ""),
+    ("check capped.rsml --cap 1", 1, CAPPED_TEXT, CAPPED_ERR),
+    ("check capped.rsml --cap 1 --format json", 1, _json(CAPPED_JSON), ""),
+    (SIMULATE, 0, SIMULATE_TEXT, ""),
+    (f"{SIMULATE} --format json", 0, _json(SIMULATE_JSON), ""),
+    ("explore startstop.rsml", 0, EXPLORE_STARTSTOP_TEXT, ""),
+    ("explore startstop.rsml --format json", 0, _json(EXPLORE_STARTSTOP_JSON), ""),
+    ("explore twocomp.rsml", 0, EXPLORE_TWOCOMP_TEXT, ""),
+    ("explore mutex.rsml", 1, EXPLORE_MUTEX_TEXT, ""),
+    ("explore mutex.rsml --format json", 1, _json(EXPLORE_MUTEX_JSON), ""),
+    (TRACE, 0, TRACE_TEXT, ""),
+    (f"{TRACE} --format json", 0, _json(TRACE_JSON), ""),
+    (f"{TRACE} --require-trace", 0, TRACE_TEXT, ""),
+    (UNTAGGED, 0, UNTAGGED_TEXT, ORPHANS_ERR),
+    (f"{UNTAGGED} --require-trace", 1, UNTAGGED_TEXT, UNTRACED_ERR),
+    ("gen startstop.rsml -o out", 0, GEN_FLAT, ""),
+    ("gen twocomp.rsml -o out --mode chain", 0, GEN_CHAIN, ""),
+]
+
+
+@pytest.mark.parametrize("command,code,stdout,stderr", GOLDENS, ids=[g[0] for g in GOLDENS])
+def test_command_output_golden(capsys, command, code, stdout, stderr):
+    assert main(command.split()) == code
+    out = capsys.readouterr()
+    assert out.out == stdout
+    assert out.err == stderr

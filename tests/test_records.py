@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
+import rsml_kit.cli  # noqa: F401  importing the CLI loads every module that defines records
 from rsml_kit import parse_spec, resolve
 from rsml_kit.analysis import GuardSet
 from rsml_kit.ast_nodes import ElseNode, NameRef
-from rsml_kit.cli import _Project  # importing the CLI loads every module that defines records
 from rsml_kit.diagnostics import Diagnostic, Span
 from rsml_kit.eventb import Provenance
 from rsml_kit.model import (
@@ -65,7 +65,7 @@ def _stored(cls):
 
 
 # These constructors derive fields from their arguments, or take none.
-DERIVING = ("AndOrTable", "Specification", "TraceGraph", "_Project")
+DERIVING = ("AndOrTable", "Specification", "TraceGraph")
 STORING = [cls for cls in RECORDS if cls.__name__ not in DERIVING]
 
 
@@ -155,8 +155,7 @@ DEFAULTS = {
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_constructor_takes_the_fields_in_order(cls):
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-    # A project starts empty and is filled as files load.
-    assert [p.name for p in params] == ([] if cls is _Project else list(cls._fields))
+    assert [p.name for p in params] == list(cls._fields)
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
     expected = dict(DEFAULTS.get(cls.__name__, {}))
     if "span" in cls._fields:
