@@ -13,24 +13,24 @@ mask for completeness.
 The referenced domain is every variable and state-tested machine that a row
 of the guard set's tables mentions, all-dot rows included
 (``model.reads(..., live_only=False)``), each over its type's ``values`` or
-its machine's states.  One ``_GuardSetMasks`` per guard set holds it, gives
-the ``domain N`` count, checks the cap, builds the masks from each table's
-``columns`` (never its cells) and decodes witnesses; :func:`analyze` emits
-each guard set's diagnostics as it checks it, then both cycle diagnostics
-from one ``model.build_dependency_graph``: a same-step variable cycle is an
-error, and a component cycle without one only a warning.
+its machine's states, as one ``model.Radix`` in first-occurrence order.  One
+``_GuardSetMasks`` per guard set holds it, gives the ``domain N`` count,
+checks the cap, builds the masks from each table's ``columns`` (never its
+cells), one block per run of matching values, and decodes witnesses through
+the radix; :func:`analyze` emits each guard set's diagnostics as it checks
+it, then both cycle diagnostics from one ``model.build_dependency_graph``: a
+same-step variable cycle is an error, and a component cycle without one only
+a warning.
 
-Witness valuations are the lexicographically smallest under the domain
-ordering of the referenced variables (first-occurrence order), which keeps
-diagnostics stable across runs: bit n of a mask is the n-th valuation in
-that order, so a witness is the lowest set bit of a mask.
+Bit n of a mask is the radix's n-th valuation in lexicographic order, so a
+witness, the lowest set bit of a mask, is the lexicographically smallest
+valuation, which keeps diagnostics stable across runs.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from typing import Callable, Optional
 
@@ -41,6 +41,7 @@ from .model import (
     ElseCondition,
     LitOperand,
     Predicate,
+    Radix,
     Specification,
     StateTest,
     TableCondition,
@@ -163,7 +164,7 @@ def referenced_domain(
     :class:`DomainTooLarge` when the product exceeds the cap."""
     masks = _GuardSetMasks(g, spec, cap)
     masks.check_cap()
-    return [(ref, list(values)) for ref, values in masks.domains]
+    return [(ref, list(values)) for ref, values in zip(masks.refs, masks.radix.domains)]
 
 
 # ---------------------------------------------------------------------------
@@ -175,39 +176,33 @@ def _lowest_bit(mask: int) -> int:
 
 
 class _GuardSetMasks:
-    """One guard set's referenced domain, walked once into ``(ref, values)``
-    pairs, and its truth masks.  The domain is a mixed radix, first
-    referenced most significant: bit n of a mask is the truth at the n-th
-    valuation in lexicographic order, and :meth:`witness` decodes it.
+    """One guard set's referenced domain, walked once into a ``model.Radix``
+    over the referenced values, and its truth masks: bit n of a mask is the
+    truth at the radix's n-th valuation, and :meth:`witness` decodes it.
     ``full`` gates every mask on the cap, so a verdict that needs no mask
     never trips it.  `else` needs none: completeness stops at it and
     consistency skips it."""
 
     def __init__(self, g: GuardSet, spec: Specification, cap: int | None):
         self.g, self.cap = g, cap
-        self.domains = [
-            (
-                ref,
+        self.refs = reads(*(cond for cond, _ in g.conditions), live_only=False)
+        self.radix = Radix(
+            [
                 spec.machine(ref.name).states
                 if ref.kind == "machine"
-                else spec.variable(ref.name).type.values,
-            )
-            for ref in reads(*(cond for cond, _ in g.conditions), live_only=False)
-        ]
-        self.position = {ref: k for k, (ref, _) in enumerate(self.domains)}
-        # A range's len() overflows past sys.maxsize; its bounds do not.
-        sizes = [v.stop - v.start if isinstance(v, range) else len(v) for _, v in self.domains]
-        self.strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
-        self.size = math.prod(sizes)
+                else spec.variable(ref.name).type.values
+                for ref in self.refs
+            ]
+        )
 
     def check_cap(self) -> None:
-        if self.cap is not None and self.size > self.cap:
-            raise DomainTooLarge(self.g.owner, self.size, self.cap, self.g.span)
+        if self.cap is not None and self.radix.size > self.cap:
+            raise DomainTooLarge(self.g.owner, self.radix.size, self.cap, self.g.span)
 
     @functools.cached_property
     def full(self) -> int:
         self.check_cap()
-        return (1 << self.size) - 1
+        return (1 << self.radix.size) - 1
 
     @functools.cached_property
     def tables(self) -> dict[int, int]:
@@ -220,18 +215,20 @@ class _GuardSetMasks:
 
     def where(self, ref: DomainRef, holds: Callable[[Value], bool]) -> int:
         """Points at which ``ref`` has a value that ``holds``: one block of
-        ``stride`` bits per such value, then that pattern repeated up to the
-        domain size by shift-and-OR doubling (linear in the mask size, where
-        multiplying by a repunit and dividing would be quadratic)."""
-        k = self.position[ref]
-        values, stride = self.domains[k][1], self.strides[k]
-        block = (1 << stride) - 1
-        mask = 0
-        for a, value in enumerate(values):
-            if holds(value):
-                mask |= block << (a * stride)
-        period = len(values) * stride
-        while period < self.size:
+        ``stride`` bits per run of consecutive such values, then that
+        pattern repeated up to the domain size by shift-and-OR doubling.
+        Both are linear in the mask size, where a block per value, or
+        multiplying by a repunit and dividing, would be quadratic."""
+        k, radix = self.refs.index(ref), self.radix
+        stride = radix.strides[k]
+        mask = start = 0
+        for truth, run in itertools.groupby(radix.domains[k], holds):
+            end = start + sum(1 for _ in run)
+            if truth:
+                mask |= (1 << (end * stride)) - (1 << (start * stride))
+            start = end
+        period = radix.sizes[k] * stride
+        while period < radix.size:
             mask |= mask << period
             period *= 2
         return mask & self.full
@@ -245,7 +242,7 @@ class _GuardSetMasks:
         # Variable against variable: the union over each right-hand value b.
         right = DomainRef("var", rhs.ref)
         mask = 0
-        for b in self.domains[self.position[right]][1]:
+        for b in self.radix.domains[self.refs.index(right)]:
             lhs_holds = self.where(lhs, lambda a, b=b: test(a, b))
             mask |= lhs_holds & self.where(right, lambda r, b=b: r == b)
         return mask
@@ -267,10 +264,7 @@ class _GuardSetMasks:
 
     def witness(self, bit: int) -> dict[str, Value]:
         """The valuation at ``bit``, keyed in reference order."""
-        return {
-            ref.name: values[(bit // stride) % len(values)]
-            for (ref, values), stride in zip(self.domains, self.strides)
-        }
+        return {ref.name: value for ref, value in zip(self.refs, self.radix.decode(bit))}
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +326,7 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
     results: list[GuardSetResult] = []
     for g in guard_sets:
         masks = _GuardSetMasks(g, spec, cap)
-        r = GuardSetResult(g, masks.size, None, None)
+        r = GuardSetResult(g, masks.radix.size, None, None)
         results.append(r)
         try:
             completeness = _completeness(masks)

@@ -342,6 +342,10 @@ _TRACE_FOOTER = (
 
 
 def cmd_trace(args: argparse.Namespace) -> _Result:
+    for slot, extension in (("spec", ".rsml"), ("pf", ".pf"), ("req", ".req")):
+        path = getattr(args, slot)
+        if not path.endswith(extension):
+            raise _Exit(EXIT_USAGE, message=f"argument {slot}: expected a {extension} file: {path}")
     specs, diagrams, requirements, diags = _load([args.spec, args.pf, args.req])
     if diags:
         raise _Exit(EXIT_FINDINGS, diags)

@@ -14,14 +14,18 @@ at two grains from one walk over each component's live rows: variables and
 machines, whose order the step fires in and whose shortest cycle ``check``
 reports, and components, whose order the refinement chain adds them in.  It
 reads live rows only (``live_only=True``): an all-dot row is never
-evaluated, so it orders nothing and closes no cycle.
+evaluated, so it orders nothing and closes no cycle.  It owns the one mixed
+radix over value domains (:class:`Radix`) too: the checker's bit index and
+explore's combination index both count in it.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from collections import Counter
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import ast_nodes as ast
 from .diagnostics import Diagnostic, Span, SpecError, error
@@ -69,6 +73,24 @@ def in_domain(value: Value, t: TypeDef) -> bool:
     """``value in t.values``, but a name is never looked for in an int
     range: ``range`` answers that by scanning every element."""
     return isinstance(value, int) == isinstance(t, IntRangeType) and value in t.values
+
+
+class Radix:
+    """Value domains as one mixed radix, the first most significant: item n
+    of the lexicographic iteration is ``decode(n)``."""
+
+    def __init__(self, domains: Sequence[Sequence]):
+        self.domains = domains
+        # A range's len() overflows past sys.maxsize; its bounds do not.
+        self.sizes = [d.stop - d.start if isinstance(d, range) else len(d) for d in domains]
+        self.strides = [math.prod(self.sizes[k + 1 :]) for k in range(len(domains))]
+        self.size = math.prod(self.sizes)
+
+    def decode(self, index: int) -> tuple:
+        return tuple(d[index // s % n] for d, s, n in zip(self.domains, self.strides, self.sizes))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return itertools.product(*self.domains)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,15 @@ with that key reuses the fired index and value, or re-raises the same
 its node's read domain.  Named :class:`SystemState` records are built only
 for states that are output: every step of a script, and the counterexample
 states of an exploration.
+
+:func:`explore` walks the input combinations of each state it expands
+lazily, in the order of one ``model.Radix`` over the inputs' ``(slot,
+value)`` pairs; ``parents`` keeps each state's combination index, decoded
+only for the steps of a counterexample.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from typing import Callable, Iterator, Union
@@ -44,6 +48,7 @@ from .diagnostics import Diagnostic, SpecError, error
 from .model import (
     AssignmentSpec,
     Condition,
+    Radix,
     Specification,
     StateMachine,
     Value,
@@ -399,12 +404,8 @@ def run_script(
 def input_combinations(spec: Specification) -> list[dict[str, Value]]:
     """Every total assignment of the input variables, enumerated in domain
     order (inputs in declaration order)."""
-    inputs = spec.inputs
-    domains = [v.type.values for v in inputs]
-    return [
-        {var.qualified: value for var, value in zip(inputs, combo)}
-        for combo in itertools.product(*domains)
-    ]
+    names = [v.qualified for v in spec.inputs]
+    return [dict(zip(names, combo)) for combo in Radix([v.type.values for v in spec.inputs])]
 
 
 def explore(
@@ -417,8 +418,8 @@ def explore(
     Returns shortest counterexamples (BFS order) per violated invariant.
     States are kept packed; parents as ``(parent, combination index)``."""
     stepper = _stepper(spec)
-    combos = input_combinations(spec)
-    packed_combos = [stepper.packed_inputs(combo) for combo in combos]
+    # Each input's domain as the (slot, value) pairs that ``advance`` takes.
+    combos = Radix([[(stepper.slot[v.qualified], x) for x in v.type.values] for v in spec.inputs])
 
     init = stepper.initial
     parents: dict[Packed, tuple[Packed, int] | None] = {init: None}  # also the visited set
@@ -434,7 +435,7 @@ def explore(
     while frontier and limit is None:
         next_frontier: list[Packed] = []
         for state in frontier:
-            for index, combo in enumerate(packed_combos):
+            for index, combo in enumerate(combos):
                 succ, violated = stepper.advance(state, combo)
                 if succ in parents:
                     continue
@@ -454,25 +455,18 @@ def explore(
         frontier = next_frontier
         depth += 1
 
-    traces = [
-        (name, _rebuild_trace(stepper, combos, parents, state, name))
-        for name, state in sorted(violations.items())
-    ]
+    def counterexample(state: Packed, invariant: str) -> Trace:
+        """The path to ``state``, each step's inputs decoded from its
+        combination index."""
+        path: list[tuple[int, Packed]] = []
+        while (parent := parents[state]) is not None:
+            path.append((parent[1], state))
+            state = parent[0]
+        steps = [
+            ({stepper.var_names[slot]: x for slot, x in combos.decode(index)}, stepper.unpack(s, k))
+            for k, (index, s) in enumerate(reversed(path), start=1)
+        ]
+        return Trace(stepper.unpack(state, 0), steps, violation=(invariant, len(steps)))
+
+    traces = [(name, counterexample(state, name)) for name, state in sorted(violations.items())]
     return ExplorationReport(len(parents), depth_reached, traces, limit)
-
-
-def _rebuild_trace(
-    stepper: _Stepper,
-    combos: list[dict[str, Value]],
-    parents: dict[Packed, tuple[Packed, int] | None],
-    state: Packed,
-    invariant: str,
-) -> Trace:
-    path: list[tuple[int, Packed]] = []
-    cursor = state
-    while (parent := parents[cursor]) is not None:
-        path.append((parent[1], cursor))
-        cursor = parent[0]
-    path.reverse()
-    steps = [(combos[index], stepper.unpack(s, k)) for k, (index, s) in enumerate(path, start=1)]
-    return Trace(stepper.unpack(cursor, 0), steps, violation=(invariant, len(steps)))

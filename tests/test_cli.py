@@ -662,3 +662,24 @@ def test_run_alone_prints_and_reads_the_format():
                     formatting.add(fn.name)
     assert printing <= {"_run", "_print_diagnostics"}
     assert formatting <= {"_run"}
+
+
+def test_mixed_radix_lives_in_model_alone():
+    """The checker's domain index and explore's input combinations count in
+    one ``model.Radix``; no other module builds a product of domains."""
+    banned = {("itertools", "product"), ("math", "prod")}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (node.value.id, node.attr) in banned:
+                    found.append((path.name, f"{node.value.id}.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom):
+                found += [
+                    (path.name, f"{node.module}.{alias.name}")
+                    for alias in node.names
+                    if (node.module, alias.name) in banned
+                ]
+    assert found == []

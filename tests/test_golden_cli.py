@@ -312,6 +312,9 @@ PROJECT = "startstop.rsml startstop.pf startstop.req"
 SIMULATE = "simulate startstop.rsml startstop.script"
 TRACE = "trace startstop.rsml startstop.pf startstop.req"
 UNTAGGED = "trace untagged.rsml startstop.pf startstop.req"
+# Each of trace's positionals has its extension: a file in another slot is a usage error.
+WRONG_SPEC = "trace startstop.pf startstop.pf startstop.req"
+WRONG_REQ = "trace startstop.rsml startstop.pf twocomp.rsml"
 
 # command line, exit code, stdout, stderr
 GOLDENS = [
@@ -331,6 +334,8 @@ GOLDENS = [
     (f"{TRACE} --require-trace", 0, TRACE_TEXT, ""),
     (UNTAGGED, 0, UNTAGGED_TEXT, ORPHANS_ERR),
     (f"{UNTAGGED} --require-trace", 1, UNTAGGED_TEXT, UNTRACED_ERR),
+    (WRONG_SPEC, 2, "", "argument spec: expected a .rsml file: startstop.pf\n"),
+    (WRONG_REQ, 2, "", "argument req: expected a .req file: twocomp.rsml\n"),
     ("gen startstop.rsml -o out", 0, GEN_FLAT, ""),
     ("gen twocomp.rsml -o out --mode chain", 0, GEN_CHAIN, ""),
 ]

@@ -5,14 +5,18 @@ its boundary."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import domain_product, spec_from
+from conftest import CORPUS, domain_product, spec_from
 from eventb_interp import eval_expr, parse_guard
 from oracle_helpers import oracle_condition, oracle_domain, oracle_overlaps, oracle_verdicts
 from rsml_kit.analysis import (
+    DEFAULT_CAP,
     GuardSet,
     check_completeness,
     check_consistency,
@@ -222,3 +226,37 @@ def test_product_one_over_cap_is_reported(tmp_path, capsys):
             "over the cap of 8"
         ],
     )
+
+
+def test_one_variable_at_the_default_cap_is_checked_in_linear_time(tmp_path):
+    """A single ``int [0 .. 10^7 - 1]`` input is exactly ``DEFAULT_CAP``
+    points.  Each predicate is one run of matching values, so its mask is
+    two blocks; a block per value made the last variable quadratic."""
+    spec = tmp_path / "at_cap.rsml"
+    spec.write_text(
+        f"""
+specification at_cap
+type T_X = int [0 .. {DEFAULT_CAP - 1}]
+component C {{
+  input x : T_X
+  output o : bool
+  assign o {{
+    when table {{ x > 500 : T }} then TRUE
+    when table {{ x <= 500 : T }} then FALSE
+  }}
+}}
+""",
+        encoding="utf-8",
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "rsml_kit.cli", "check", str(spec)],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        f"guard set C.o: domain {DEFAULT_CAP}, complete, consistent",
+        "1 guard set: 1 complete, 1 consistent",
+    ]

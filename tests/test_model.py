@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import math
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import spec_from
 from rsml_kit.diagnostics import SpecError
@@ -8,6 +14,7 @@ from rsml_kit.model import (
     BOOL,
     EnumType,
     IntRangeType,
+    Radix,
     resolve,
     topological_order,
 )
@@ -457,3 +464,47 @@ class TestTopologicalOrder:
         # b <-> c is a cycle; d is reached only through it.
         successors = {"a": ["b"], "b": ["c"], "c": ["b", "d"], "d": [], "e": []}
         assert topological_order(["a", "b", "c", "d", "e"], successors) == ["a", "e"]
+
+
+# A domain as the model gives one: an int range, or a tuple of names.
+DOMAINS = st.one_of(
+    st.builds(lambda lo, n: range(lo, lo + n), st.integers(-5, 5), st.integers(1, 4)),
+    st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=4, unique=True).map(tuple),
+)
+
+
+def _old_witness_digits(domains: list, bit: int) -> tuple:
+    """The checker's decoding before ``Radix``: strides as products of the
+    later sizes, and each digit taken modulo ``len()``."""
+    sizes = [len(values) for values in domains]
+    strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    return tuple(values[(bit // s) % len(values)] for values, s in zip(domains, strides))
+
+
+class TestRadix:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(DOMAINS, max_size=4))
+    def test_iterates_as_the_product_and_decodes_each_index(self, domains):
+        radix = Radix(domains)
+        items = list(radix)
+        assert items == list(itertools.product(*domains))
+        assert radix.size == len(items)
+        for i, item in enumerate(items):
+            assert radix.decode(i) == item == _old_witness_digits(domains, i)
+
+    def test_no_domains_is_one_empty_combination(self):
+        radix = Radix([])
+        assert (radix.size, radix.strides, list(radix), radix.decode(0)) == (1, [], [()], ())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-(2**80), 2**80), st.integers(sys.maxsize, 2**90))
+    def test_a_range_wider_than_maxsize_needs_no_len(self, lo, width):
+        wide = IntRangeType("W", lo, lo + width).values
+        with pytest.raises(OverflowError):
+            len(wide)
+        radix = Radix([("A", "B"), wide, BOOL.values])
+        assert radix.sizes == [2, width + 1, 2]
+        assert radix.strides == [(width + 1) * 2, 2, 1]
+        assert radix.size == 2 * (width + 1) * 2
+        assert radix.decode(radix.size - 1) == ("B", lo + width, "TRUE")
+        assert radix.decode(radix.strides[0] + 3) == ("B", lo + 1, "TRUE")

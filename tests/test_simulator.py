@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
-from conftest import machine_state, spec_from, state_key, state_value, step
+from conftest import CORPUS, machine_state, spec_from, state_key, state_value, step
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
     explore,
@@ -300,6 +305,46 @@ class TestExplore:
 
     def test_explorer_matches_naive_fixed_point(self, startstop):
         assert explore(startstop).reachable == len(_reachable_keys(startstop))
+
+
+# Seven inputs over ten values: 10^7 input combinations, which as a list of
+# dicts would take several GB.
+WIDE_INPUTS = """
+specification wide_inputs
+type T_D = int [0 .. 9]
+component C {
+%s
+  output o : bool
+  assign o { when table { i1 > 4 : T } then TRUE when else then FALSE }
+}
+invariant defined : table { o = TRUE : T F }
+""" % "\n".join(f"  input i{k} : T_D" for k in range(1, 8))
+
+
+def test_explore_reaches_max_states_without_building_the_input_product(tmp_path):
+    """Every combination from the initial state is a new state, so the
+    search stops at ``--max-states`` inside the first level, under a 1 GiB
+    address-space limit on the child."""
+    spec = tmp_path / "wide_inputs.rsml"
+    spec.write_text(WIDE_INPUTS, encoding="utf-8")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "rsml_kit.cli", "explore", str(spec)],
+        env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
+        preexec_fn=limit_memory,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (3, "")
+    assert done.stdout.splitlines()[:3] == [
+        "reachable states: 100000",
+        "frontier depth: 1",
+        "limit exceeded: states",
+    ]
 
 
 def _reachable_keys(spec):
