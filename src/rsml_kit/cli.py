@@ -112,7 +112,7 @@ def _load(
 
 
 def _gate(spec: Specification, args: argparse.Namespace, verb: str) -> None:
-    """Static checks guard simulate and gen; --force skips them."""
+    """Static checks guard simulate, explore and gen; --force skips them."""
     if args.force:
         return
     errors = [d for d in analyze(spec, args.cap).diagnostics if d.severity == "error"]
@@ -259,6 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> _Result:
 
 def cmd_explore(args: argparse.Namespace) -> _Result:
     spec = _spec(args.spec)
+    _gate(spec, args, "explore")
     report = explore(spec, max_states=args.max_states, max_depth=args.max_depth)
 
     def payload() -> dict:
@@ -442,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--max-states", type=_positive_int, default=100_000)
     p_exp.add_argument("--max-depth", type=_positive_int, default=1_000)
     p_exp.add_argument("--format", choices=["text", "json"], default="text")
-    p_exp.set_defaults(func=cmd_explore)
+    p_exp.add_argument("--force", action="store_true", help="skip the static-check gate")
+    p_exp.set_defaults(func=cmd_explore, cap=DEFAULT_CAP)  # the gate's cap
 
     p_gen = sub.add_parser("gen", help="generate textual Event-B")
     p_gen.add_argument("spec", help=".rsml file")

@@ -20,17 +20,29 @@ Every step runs through a :class:`_Stepper`, built once per model and
 evaluation order and kept on the :class:`Specification`, so calls of
 :func:`explore`, :func:`run_script`, :func:`initial_state` or
 :func:`step_core` on one model share it and its memos.  Inside it a state
-is packed: a ``(values, machine_states)`` pair of plain tuples in
-declaration order.  Each machine, assignment and invariant memoizes its
-outcome on the values it reads (``model.reads(..., live_only=True)``, so
-all-dot rows are left out), and a machine also on its own current state,
-since its transitions are filtered by source: a guard set is evaluated by
-``table_logic.eval_condition`` once per distinct key, and every later step
-with that key reuses the fired index and value, or re-raises the same
-``NondeterministicFiring``.  A memo holds at most one entry per point of
-its node's read domain.  Named :class:`SystemState` records are built only
-for states that are output: every step of a script, and the counterexample
-states of an exploration.
+is packed: one flat tuple of the variable values, then the machine
+states, in declaration order.  Each machine, assignment and invariant
+memoizes its outcome on the values it reads (``model.reads(...,
+live_only=True)``, so all-dot rows are left out), and a machine also on
+its own current state, since its transitions are filtered by source: a
+guard set is evaluated by ``table_logic.eval_condition`` once per
+distinct key, and every later step with that key reuses the fired index
+and value, or re-raises the same ``NondeterministicFiring``.  A memo holds
+at most one entry per point of its node's read domain.  Named
+:class:`SystemState` records are built only for states that are output:
+every step of a script, and the counterexample states of an exploration.
+
+The stepper stages a step by binding time.  A node is per-combination if
+it reads an input or a variable that a per-combination assignment writes,
+or if it is an assignment whose variable an earlier per-combination node
+reads (under a custom order); an invariant is if it reads such a variable
+or a per-combination machine's new state.  Everything else is per-state:
+``_Stepper.successors`` fires it and evaluates it once per state, then
+copies that row for each input combination and fires only the
+per-combination nodes.  :func:`run_script` and :func:`step_core` pass one
+combination.  A per-state ``NondeterministicFiring`` is raised only after
+the per-combination nodes before it fired on the first combination, so
+the first clash in evaluation order is the one reported.
 
 :func:`explore` walks the input combinations of each state it expands
 lazily, in the order of one ``model.Radix`` over the inputs' ``(slot,
@@ -42,7 +54,7 @@ from __future__ import annotations
 
 import operator
 import re
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .diagnostics import Diagnostic, SpecError, error
 from .model import (
@@ -94,9 +106,13 @@ class ExplorationReport(Record):
     _defaults = {"limit": None}
 
 
-Packed = tuple[tuple[Value, ...], tuple[str, ...]]  # (values, machine states)
+Packed = tuple  # variable values, then machine states, in declaration order
 PackedInputs = list[tuple[int, Value]]  # (slot, value)
 _Node = Union[StateMachine, AssignmentSpec]  # what a step fires
+# (position, name, is machine, target slot, key of row, memo, outcome on a miss)
+_Firing = tuple[int, str, bool, int, Callable, dict, Callable]
+# (name, key of row, memo, body, view)
+_Check = tuple[str, Callable, dict, Condition, Callable]
 
 
 def evaluation_order(spec: Specification) -> list[str]:
@@ -108,7 +124,8 @@ def evaluation_order(spec: Specification) -> list[str]:
 
 
 class _Stepper:
-    """The step semantics over packed states, memoized per node.
+    """The step semantics over packed states, memoized per node and staged
+    into per-state and per-combination nodes and invariants.
 
     A step works on one row: the variable values in declaration order, then
     the machine states.  Guards read the row with the machine part left at
@@ -126,35 +143,70 @@ class _Stepper:
         self.slot = {name: k for k, name in enumerate(self.var_names)}
         self.machine_slot = {name: self.width + k for k, name in enumerate(self.machine_names)}
         self.initial: Packed = (
-            tuple(v.initial_value for v in spec.variables),
-            tuple(m.initial for m in spec.machines),
+            *(v.initial_value for v in spec.variables),
+            *(m.initial for m in spec.machines),
         )
-        # (name, is machine, target slot, key of row, memo, outcome on a miss)
-        self.nodes: list[tuple[str, bool, int, Callable, dict, Callable]] = []
+        nodes: list[tuple[_Firing, list[int]]] = []  # and the slots its guards read
         for node in order:
             owner = spec.machine_map.get(node) or spec.assign_map.get(node)
             if owner is None:
                 continue  # inputs and unassigned variables keep their value
             own = self.machine_slot.get(node)  # a machine also reads its own state
-            slots, view = self._reader([cond for cond, _, _ in _choices(owner)], own)
+            read, slots, view = self._reader([cond for cond, _, _ in _choices(owner)], own)
             target = self.slot[node] if own is None else own - self.width
             fire = self._outcome(node, owner, own, view)
-            self.nodes.append((node, own is not None, target, slots, {}, fire))
-        # (name, key of row, memo, body, view)
-        self.invariants: list[tuple[str, Callable, dict, Condition, Callable]] = []
-        for inv in spec.invariants:
-            slots, view = self._reader([inv.body])
-            self.invariants.append((inv.name, slots, {}, inv.body, view))
+            data = [slot for slot in read if slot < self.width]  # states are read at step entry
+            nodes.append(((len(nodes), node, own is not None, target, slots, {}, fire), data))
 
-    def _reader(self, conds: list[Condition], own: int | None = None) -> tuple[Callable, Callable]:
-        """The memo key of a node reading ``conds`` (after its ``own``
-        state's slot, if any), and the :class:`Valuation` of exactly what
-        they read."""
+        # The slots that differ between the combinations of one state: the
+        # inputs, and what per-combination nodes write (a machine's slot is
+        # read at its new state by invariants only).
+        dynamic = {self.slot[v.qualified] for v in spec.inputs}
+        # A node is per-combination if it reads such a slot, or if it is an
+        # assignment that an earlier per-combination node reads: that node
+        # must see the step-entry value, so this one may not fire first.
+        # One pass settles a dependency order; a custom one may need more.
+        per_combination: set[int] = set()
+        grew = True
+        while grew:
+            grew, read_before = False, set()
+            for (position, _, is_machine, target, *_), read in nodes:
+                if position not in per_combination and (
+                    not dynamic.isdisjoint(read) or (not is_machine and target in read_before)
+                ):
+                    grew = True
+                    per_combination.add(position)
+                    dynamic.add(self.width + target if is_machine else target)
+                if position in per_combination:
+                    read_before.update(read)
+        self.per_state: list[_Firing] = [n for n, _ in nodes if n[0] not in per_combination]
+        self.per_combination: list[_Firing] = [n for n, _ in nodes if n[0] in per_combination]
+
+        self.invariants: list[_Check] = []
+        self.per_state_invariants: list[_Check] = []
+        self.per_combination_invariants: list[_Check] = []
+        for inv in spec.invariants:
+            read, slots, view = self._reader([inv.body])
+            check = (inv.name, slots, {}, inv.body, view)
+            self.invariants.append(check)
+            if dynamic.isdisjoint(read):
+                self.per_state_invariants.append(check)
+            else:
+                self.per_combination_invariants.append(check)
+        self.rank = {inv.name: k for k, inv in enumerate(spec.invariants)}
+
+    def _reader(
+        self, conds: list[Condition], own: int | None = None
+    ) -> tuple[list[int], Callable, Callable]:
+        """The slots that ``conds`` read, the memo key of a node reading
+        them (after its ``own`` state's slot, if any), and the
+        :class:`Valuation` of exactly what they read."""
         named = [
             (ref, (self.machine_slot if ref.kind == "machine" else self.slot)[ref.name])
             for ref in reads(*conds, live_only=True)
         ]
-        slots = ([] if own is None else [own]) + [slot for _, slot in named]
+        read = [slot for _, slot in named]
+        slots = read if own is None else [own, *read]
         key = operator.itemgetter(*slots) if slots else (lambda row: ())
 
         def view(row: list) -> Valuation:
@@ -163,7 +215,7 @@ class _Stepper:
                 (v.states if ref.kind == "machine" else v.values)[ref.name] = row[slot]
             return v
 
-        return key, view
+        return read, key, view
 
     def _outcome(self, node: str, owner: _Node, own: int | None, view: Callable) -> Callable:
         """The firing rule, stated once: the first enabled choice fires, and
@@ -192,10 +244,11 @@ class _Stepper:
 
         return outcome
 
-    def violated(self, row: list) -> list[str]:
-        """Invariants false on ``row`` (values, then machine states)."""
+    def violated(self, row: Packed | list, invariants: list[_Check]) -> list[str]:
+        """Those of ``invariants`` false on ``row`` (values, then machine
+        states)."""
         violated = []
-        for name, key_of, memo, body, view in self.invariants:
+        for name, key_of, memo, body, view in invariants:
             key = key_of(row)
             try:
                 truth = memo[key]
@@ -205,17 +258,13 @@ class _Stepper:
                 violated.append(name)
         return violated
 
-    def advance(
-        self, state: Packed, inputs: PackedInputs, fired: list | None = None
-    ) -> tuple[Packed, list[str]]:
-        """One step from ``state``: the packed successor and the invariants
-        it violates.  ``fired`` collects ``(node, is machine, index)``."""
-        values, states = state
-        row = [*values, *states]
-        for slot, value in inputs:
-            row[slot] = value
-        new_states = list(states)
-        for node, is_machine, target, key_of, memo, fire in self.nodes:
+    def _fire(
+        self, nodes: list[_Firing], row: list, states: list, fired: list | None
+    ) -> tuple[int, Diagnostic] | None:
+        """Fire ``nodes`` in order on ``row``: an assignment's value goes
+        into the row, a machine's new state into ``states``.  Stops at the
+        first clash and returns it with its position, else None."""
+        for position, node, is_machine, target, key_of, memo, fire in nodes:
             key = key_of(row)
             try:
                 outcome = memo[key]
@@ -224,33 +273,66 @@ class _Stepper:
             if outcome is None:
                 continue
             if outcome.__class__ is Diagnostic:
-                raise SpecError(outcome)
+                return position, outcome
             idx, value = outcome
             if is_machine:
-                new_states[target] = value
+                states[target] = value
             else:
                 row[target] = value
             if fired is not None:
-                fired.append((node, is_machine, idx))
-        row[self.width :] = new_states
-        return (tuple(row[: self.width]), tuple(new_states)), self.violated(row)
+                fired.append((position, node, is_machine, idx))
+        return None
+
+    def successors(
+        self, state: Packed, combos: Iterable[PackedInputs], fired: list | None = None
+    ) -> Iterator[tuple[Packed, list[str]]]:
+        """The successor of ``state`` under each input combination in turn,
+        and the invariants it violates.  The per-state nodes fire, and the
+        per-state invariants are evaluated, once; each combination then
+        copies that row, sets its inputs and fires the per-combination
+        nodes.  A clash is raised in evaluation order, so a per-state one
+        waits for the per-combination nodes before it on the first
+        combination.  ``fired`` collects ``(position, node, is machine,
+        index)``."""
+        width = self.width
+        base = list(state)
+        after = base[width:]  # the machine states once the per-state nodes fired
+        clash = self._fire(self.per_state, base, after, fired)
+        nodes = self.per_combination
+        if clash is not None:
+            nodes = [node for node in nodes if node[0] < clash[0]]
+        settled = self.violated([*base[:width], *after], self.per_state_invariants)
+        for combo in combos:
+            row = base.copy()
+            for slot, value in combo:
+                row[slot] = value
+            states = after.copy()
+            first = self._fire(nodes, row, states, fired) or clash
+            if first is not None:
+                raise SpecError(first[1])
+            row[width:] = states
+            violated = self.violated(row, self.per_combination_invariants)
+            if settled:  # both in declaration order
+                violated = sorted(settled + violated, key=self.rank.__getitem__)
+            yield tuple(row), violated
 
     def packed_inputs(self, inputs: dict[str, Value]) -> PackedInputs:
         # Names that are not variables are read by no guard, so they are dropped.
         return [(self.slot[name], value) for name, value in inputs.items() if name in self.slot]
 
     def pack(self, state: SystemState) -> Packed:
-        return tuple(value for _, value in state.values), tuple(s for _, s in state.states)
+        return (*(value for _, value in state.values), *(s for _, s in state.states))
 
     def unpack(self, state: Packed, step: int) -> SystemState:
-        values, states = state
         return SystemState(
-            tuple(zip(self.var_names, values)), tuple(zip(self.machine_names, states)), step
+            tuple(zip(self.var_names, state)),
+            tuple(zip(self.machine_names, state[self.width :])),
+            step,
         )
 
     def start(self) -> Packed:
         """The initial state; raises if an invariant is already violated."""
-        violated = self.violated([*self.initial[0], *self.initial[1]])
+        violated = self.violated(self.initial, self.invariants)
         if violated:
             raise SpecError(
                 error(
@@ -315,12 +397,14 @@ def step_core(
     """Single synchronous step; invariant violations are reported in the
     result rather than raised."""
     stepper = _stepper(spec, order)
-    fired: list[tuple[str, bool, int]] = []
-    succ, violations = stepper.advance(stepper.pack(cur), stepper.packed_inputs(inputs), fired)
+    fired: list[tuple[int, str, bool, int]] = []
+    combo = stepper.packed_inputs(inputs)
+    succ, violations = next(stepper.successors(stepper.pack(cur), [combo], fired))
+    fired.sort()  # into evaluation order
     return StepResult(
         stepper.unpack(succ, cur.step + 1),
-        {node: idx for node, is_machine, idx in fired if not is_machine},
-        {node: idx for node, is_machine, idx in fired if is_machine},
+        {node: idx for _, node, is_machine, idx in fired if not is_machine},
+        {node: idx for _, node, is_machine, idx in fired if is_machine},
         violations,
     )
 
@@ -387,7 +471,7 @@ def run_script(
     trace = Trace(stepper.unpack(state, 0), [])
     for row in script:
         check_inputs(spec, row)
-        state, violations = stepper.advance(state, stepper.packed_inputs(row))
+        state, violations = next(stepper.successors(state, [stepper.packed_inputs(row)]))
         step_index = len(trace.steps) + 1
         trace.steps.append((row, stepper.unpack(state, step_index)))
         if violations and trace.violation is None:
@@ -418,13 +502,13 @@ def explore(
     Returns shortest counterexamples (BFS order) per violated invariant.
     States are kept packed; parents as ``(parent, combination index)``."""
     stepper = _stepper(spec)
-    # Each input's domain as the (slot, value) pairs that ``advance`` takes.
+    # Each input's domain as the (slot, value) pairs that ``successors`` takes.
     combos = Radix([[(stepper.slot[v.qualified], x) for x in v.type.values] for v in spec.inputs])
 
     init = stepper.initial
     parents: dict[Packed, tuple[Packed, int] | None] = {init: None}  # also the visited set
     violations: dict[str, Packed] = {}
-    for name in stepper.violated([*init[0], *init[1]]):
+    for name in stepper.violated(init, stepper.invariants):
         violations.setdefault(name, init)
 
     frontier: list[Packed] = [init]
@@ -435,8 +519,7 @@ def explore(
     while frontier and limit is None:
         next_frontier: list[Packed] = []
         for state in frontier:
-            for index, combo in enumerate(combos):
-                succ, violated = stepper.advance(state, combo)
+            for index, (succ, violated) in enumerate(stepper.successors(state, combos)):
                 if succ in parents:
                     continue
                 if len(parents) >= max_states:

@@ -428,10 +428,17 @@ class TestExplore:
         steps = payload["violations"][0]["counterexample"]["steps"]
         assert len(steps) == 1
 
+    def test_gate_blocks_broken_model(self, conflicting_file, capsys):
+        assert main(["explore", conflicting_file]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error[Conflict]" in out.err and "NondeterministicFiring" not in out.err
+        assert out.err.endswith("static checks failed; rerun with --force to explore anyway\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_conflict_mid_search_is_a_diagnostic(self, conflicting_file, capsys, fmt):
-        # explore has no static-check gate: the conflict surfaces as a step fails.
-        assert main(["explore", conflicting_file, "--format", fmt]) == 1
+        # --force skips the static-check gate: the conflict surfaces as a step fails.
+        assert main(["explore", conflicting_file, "--force", "--format", fmt]) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert "error[NondeterministicFiring]" in out.err and "Traceback" not in out.err
@@ -485,6 +492,7 @@ class TestGen:
         monkeypatch.setattr(cli, "analyze", analyze)
         assert main(["gen", STARTSTOP, "-o", str(tmp_path / "x"), "--force"]) == 0
         assert main(["simulate", STARTSTOP, SCRIPT, "--force"]) == 0
+        assert main(["explore", STARTSTOP, "--force"]) == 0
 
 
 class TestTrace:

@@ -21,7 +21,15 @@ from oracle_helpers import (
     reference_step,
 )
 from rsml_kit.diagnostics import SpecError
-from rsml_kit.simulator import evaluation_order, explore, parse_script, run_script, step_core
+from rsml_kit.simulator import (
+    SystemState,
+    _stepper,
+    evaluation_order,
+    explore,
+    parse_script,
+    run_script,
+    step_core,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
@@ -51,8 +59,9 @@ def _outcome(run):
 
 @st.composite
 def _predicate(draw, readable: list[tuple[str, str]], machines: list[tuple[str, list[str]]]):
-    """A row over ``readable`` (name, type) variables and ``machines``."""
-    if machines and draw(st.integers(0, 2)) == 0:
+    """A row over ``readable`` (name, type) variables and ``machines``;
+    with no readable variable, a state test."""
+    if machines and (not readable or draw(st.integers(0, 2)) == 0):
         name, states = draw(st.sampled_from(machines))
         return f"in({name}, {draw(st.sampled_from(states))})"
     name, vtype = draw(st.sampled_from(readable))
@@ -96,8 +105,11 @@ def _guards(draw, readable, machines, actions: list[str]) -> list[tuple[str, str
 @st.composite
 def specs(draw):
     """One or two components, each with inputs, outputs that read only
-    inputs and earlier outputs (so there is no cycle), and maybe a machine
-    whose guards read any variable it may see; plus invariants."""
+    inputs, earlier outputs and Moore outputs (so there is no cycle), maybe
+    a machine whose guards read any variable it may see, and maybe Moore
+    outputs, whose tables read only machine states; plus invariants, some
+    over the Moore outputs alone.  Moore outputs, and the invariants and
+    machines that read only them, are the stepper's per-state nodes."""
     ncomp = draw(st.integers(1, 2))
     types = st.sampled_from(sorted(_DOMAINS))
     # At most three inputs in all, so a state has at most 27 successors.
@@ -114,13 +126,18 @@ def specs(draw):
         if draw(st.integers(0, 2))
     }
     machines = list(machine_of.values())
-    every_output = [o for k in range(ncomp) for o in outputs_of[k]]
+    moore_of = [
+        [(f"m{k}_{j}", draw(types)) for j in range(draw(st.integers(0, 1)))] if machines else []
+        for k in range(ncomp)
+    ]
+    every_moore = [o for k in range(ncomp) for o in moore_of[k]]
+    every_output = [o for k in range(ncomp) for o in outputs_of[k]] + every_moore
 
     lines = ["specification gen", _TYPES]
     for k in range(ncomp):
         lines.append(f"component C{k} {{")
         lines += [f"  input {name} : {vtype}" for name, vtype in inputs_of[k]]
-        for name, vtype in outputs_of[k]:
+        for name, vtype in outputs_of[k] + moore_of[k]:
             init = f" init {draw(st.sampled_from(_DOMAINS[vtype]))}" if draw(st.booleans()) else ""
             lines.append(f"  output {name} : {vtype}{init}")
         visible = inputs_of[k] + every_output  # other components' inputs are not readable
@@ -133,8 +150,14 @@ def specs(draw):
                 lines.append(f"    state {state} {{{body} }}")
             lines.append("  }")
         earlier = [o for j in range(k) for o in outputs_of[j]]
+        for name, vtype in moore_of[k]:
+            values = [str(v) for v in _DOMAINS[vtype]]
+            cases = " ".join(
+                f"when {cond} then {value}" for cond, value in draw(_guards([], machines, values))
+            )
+            lines.append(f"  assign {name} {{ {cases} }}")
         for j, (name, vtype) in enumerate(outputs_of[k]):
-            readable = inputs_of[k] + earlier + outputs_of[k][:j]
+            readable = inputs_of[k] + earlier + outputs_of[k][:j] + every_moore
             values = [str(v) for v in _DOMAINS[vtype]]
             cases = " ".join(
                 f"when {cond} then {value}"
@@ -145,7 +168,8 @@ def specs(draw):
     # Invariants over state rather than inputs, so that some fail only deep.
     observed = every_output or [v for k in range(ncomp) for v in inputs_of[k]]
     for n in range(draw(st.integers(0, 2))):
-        lines.append(f"invariant inv{n} : {draw(_table(observed, machines))}")
+        over = every_moore if every_moore and draw(st.booleans()) else observed
+        lines.append(f"invariant inv{n} : {draw(_table(over, machines))}")
     return "\n".join(lines) + "\n"
 
 
@@ -163,10 +187,11 @@ def _assert_same_run(spec, script: list[dict], keep_going: bool) -> None:
     )
 
 
-def _assert_same_steps(spec, script: list[dict]) -> None:
+def _assert_same_steps(spec, script: list[dict], order: list[str] | None = None) -> None:
     """step_core and the reference step agree on every StepResult, fired
-    indices included, along the script."""
-    order = evaluation_order(spec)
+    indices included, along the script, in ``order`` (default: the
+    dependency order)."""
+    order = evaluation_order(spec) if order is None else order
     state = reference_initial_state(spec)
     for row in script:
         ours = _outcome(lambda: step_core(spec, state, row, order))
@@ -190,6 +215,9 @@ def test_generated_specs_match_reference(text, data):
     _assert_same_run(spec, script, keep_going=data.draw(st.booleans()))
     if _outcome(lambda: reference_initial_state(spec))[0] == "ok":
         _assert_same_steps(spec, script)
+        # Any order, not only a dependency one: a node then may read a
+        # variable before its writer fires.
+        _assert_same_steps(spec, script, data.draw(st.permutations(evaluation_order(spec))))
     limits = {
         "max_states": data.draw(st.sampled_from([1, 2, 5, 40, 100_000])),
         "max_depth": data.draw(st.sampled_from([0, 1, 3, 1_000])),
@@ -236,6 +264,82 @@ def test_nondeterminism_mid_search_raises_the_same_text():
     script = [{"C.x": 1}, {"C.x": 1, "C.z": -1}, {"C.x": 1}]
     assert "NondeterministicFiring" in _outcome(lambda: run_script(spec, script))[1]
     _assert_same_run(spec, script, keep_going=True)
+
+
+# N reads the input, so it fires per combination; y reads only N's
+# step-entry state, so it fires once per state, though it comes later in
+# the evaluation order.  y's cases clash whenever N was in {clash}.
+ERROR_ORDER = """
+specification errorder
+type T_X = int [0 .. 2]
+component A {{
+  input x : T_X
+  statemachine N {{
+    initial P ;
+    state P {{ goto Q when table {{ x = 0 : T }} goto R when table {{ x {second} : T }} }}
+    state Q {{ goto P when table {{ x = 2 : T }} }}
+    state R {{ }}
+  }}
+}}
+component B {{
+  output y : bool
+  assign y {{
+    when table {{ in(N, {clash}) : T }} then TRUE
+    when table {{ in(N, {clash}) : T }} then FALSE
+    when else then FALSE
+  }}
+}}
+"""
+
+
+@pytest.mark.parametrize(
+    "second,clash,first",
+    [
+        # N clashes on x = 0, the first combination; y clashes in every state.
+        ("<= 1", "P", "N: transitions to ['Q', 'R'] enabled together in state P"),
+        # Only y clashes, once N has reached Q.
+        ("= 1", "Q", "y: cases [0, 1] enabled together with different values"),
+    ],
+    ids=["per-combination-first", "per-state-only"],
+)
+def test_a_per_state_clash_comes_in_evaluation_order(second, clash, first):
+    spec = spec_from(ERROR_ORDER.format(second=second, clash=clash), "errorder.rsml")
+    stepper = _stepper(spec)
+    assert [node[1] for node in stepper.per_state] == ["B.y"]
+    assert [node[1] for node in stepper.per_combination] == ["A.N"]
+
+    outcome = _outcome(lambda: explore(spec))
+    assert outcome[0] == "error" and f"error[NondeterministicFiring]: {first}" in outcome[1]
+    assert outcome == _outcome(lambda: reference_explore(spec))
+
+    order = evaluation_order(spec)
+    initial = reference_initial_state(spec)
+    for state in (initial, SystemState(initial.values, (("A.N", "Q"),), 1)):
+        for x in (0, 1, 2):
+            ours = _outcome(lambda: step_core(spec, state, {"A.x": x}, order))
+            assert ours == _outcome(lambda: reference_step(spec, state, {"A.x": x}, order))
+    script = [{"A.x": 1}, {"A.x": 0}, {"A.x": 2}]
+    _assert_same_run(spec, script, keep_going=True)
+
+
+def test_the_stepper_splits_the_bench_projects_by_binding_time():
+    """On the explore-reach counters each ``Top{j}`` reads only its
+    counter's step-entry state, and the invariant only the ``Top{j}``, so
+    they are per-state; the counters read the inputs.  The side chain reads
+    its input all the way down, so nothing in it is per-state."""
+    reach = workloads.counters_project(random.Random(7), "reach", components=3, states=4, steps=1)
+    side = workloads.chain_project(
+        random.Random("side"), "side", components=3, steps=1, dead_rows=1, explore=True
+    )
+    stepper = _stepper(spec_from(reach.files[".rsml"], "reach.rsml"))
+    assert [node[1] for node in stepper.per_state] == [f"U{j}.Top{j}" for j in range(3)]
+    assert [node[1] for node in stepper.per_combination] == [f"U{j}.Cnt{j}" for j in range(3)]
+    assert [inv[0] for inv in stepper.per_state_invariants] == ["Not_all_top"]
+    assert stepper.per_combination_invariants == []
+
+    stepper = _stepper(spec_from(side.files[".rsml"], "side.rsml"))
+    assert stepper.per_state == [] and stepper.per_state_invariants == []
+    assert len(stepper.per_combination) == 6 and len(stepper.per_combination_invariants) == 1
 
 
 # B reads A's machine one step late, and the invariant reads it at once, so
