@@ -139,8 +139,9 @@ def cmd_check(args: argparse.Namespace) -> _Result:
     if requirements or any(d.requirements for d in diagrams):
         diags.extend(check_trace_tags(requirements, diagrams, specs))
     reports = [(spec, analyze(spec, args.cap)) for spec in specs]
-    for _, report in reports:
+    for spec, report in reports:
         diags.extend(report.diagnostics)
+        diags.extend(spec.eventb_names.collisions())  # what gen would refuse
 
     def payload() -> dict:
         return {
@@ -221,22 +222,28 @@ def _trace_json(spec: Specification, trace: Trace) -> dict:
 
 
 def _trace_text(spec: Specification, trace: Trace) -> str:
+    """One row per state: the inputs its step set, the values that changed
+    (every value in the initial state) and the machine states.  Display
+    names are looked up once per variable and machine, and each state's
+    values are compared with the previous state's by position."""
+    shown = {name: spec.display_name(name) for name, _ in trace.initial.values}
+    machines = [spec.display_name(name) for name, _ in trace.initial.states]
+
+    def states(state: SystemState) -> str:
+        return ", ".join([f"{k}={v}" for k, (_, v) in zip(machines, state.states)]) or "-"
+
     rows = [("step", "inputs", "changes", "machines")]
-    prev = None
-    for state in trace.states:
-        if prev is None:
-            inputs = "-"
-            changes = ", ".join([f"{k}={v}" for k, v in _display_values(spec, state).items()])
-        else:
-            step_inputs = trace.steps[state.step - 1][0].items()
-            inputs = ", ".join([f"{spec.display_name(k)}={v}" for k, v in step_inputs]) or "-"
-            prev_values = dict(prev.values)
-            changes = ", ".join(
-                [f"{spec.display_name(k)}={v}" for k, v in state.values if prev_values[k] != v]
-            )
-        machines = ", ".join([f"{k}={v}" for k, v in _display_states(spec, state).items()])
-        rows.append((str(state.step), inputs, changes or "-", machines or "-"))
-        prev = state
+    prev = [value for _, value in trace.initial.values]
+    initial = ", ".join([f"{k}={v}" for k, v in zip(shown.values(), prev)]) or "-"
+    rows.append((str(trace.initial.step), "-", initial, states(trace.initial)))
+    for step_inputs, state in trace.steps:
+        inputs = ", ".join([f"{shown[k]}={v}" for k, v in step_inputs.items()]) or "-"
+        values = [value for _, value in state.values]
+        changes = ", ".join(
+            [f"{k}={v}" for k, v, before in zip(shown.values(), values, prev) if v != before]
+        )
+        rows.append((str(state.step), inputs, changes or "-", states(state)))
+        prev = values
     lines = _columns(rows)
     if trace.violation:
         lines.append(f"invariant '{trace.violation[0]}' violated at step {trace.violation[1]}")

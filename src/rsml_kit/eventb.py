@@ -4,26 +4,29 @@ The context declares one carrier set with a partition axiom per enum type
 and per state machine; bool maps to the builtin BOOL and int ranges to
 interval membership, so neither produces a set.
 
-One assembler builds every machine.  Each component is translated once per
-``gen`` call into its events: one per assignment case (``Set_<Var>_<Value>``)
-and one per transition (``<Machine>_<From>_to_<To>``).  A later case of the
-same assignment that sets the same value, or a later transition of the same
-machine with the same source and target, appends its index (``_<i>``).  A
-machine then claims the context names; adds the variables it holds (one per
-specification variable, one ``<Machine>_state`` per state machine) with
-their typing invariants and initial values, in declaration order; claims
-and appends the events of the components it adds; and gives each held
-variable that no added component computes an unguarded setter:
+Every Event-B name comes from the model's name table
+(``Specification.eventb_names``, a ``names.EventBNames`` built once per
+specification), which also plans the refinement chain and finds name
+collisions; this module builds the text around those names.  One
+assembler builds every machine from parts made once per ``gen`` call:
+each component's events, one per assignment case (``Set_<Var>_<Value>``)
+and one per transition (``<Machine>_<From>_to_<To>``); and for each held
+variable (one per specification variable, one ``<Machine>_state`` per
+state machine) its typing invariant, initial value and unguarded setter:
 ``Set_<Var>`` for a terminal output (one that no component reads) whose
 component is not added yet, ``Env_Set_<Var>`` for an input, or for another
-component's variable or machine, unless the machine is closed.
+component's variable or machine, unless the machine is closed.  A machine lists its held variables
+in declaration order, the events of the components it adds, and the
+setters of the held variables that no added component computes.  Machines
+share the event objects, so each event block renders once.
 
 The flat machine adds every component in declaration order and appends the
-specification's invariants.  Chain mode orders the components suppliers
-first (the component grain of ``model.build_dependency_graph``) and builds
-one machine per prefix of the reverse order: the most abstract holds only
-the terminal outputs, and each refinement adds the next component with what
-it reads.
+specification's invariants.  Chain mode builds one machine per step of the
+table's plan, components added consumers first: the most abstract holds
+only the terminal outputs, and each refinement extends the one before with
+the next component, its events and what it reads, and retires the setters
+of what that component computes.  Provenance is built for the last machine
+only.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of each column's literals (``AndOrTable.columns``: T as
@@ -32,15 +35,18 @@ and pushed inward; when the result is a pure conjunction of atoms it is
 split into one guard per conjunct, otherwise it stays a single guard.
 Negating an atom rewrites its operator.
 
-Rendering is deterministic: identical input yields identical bytes.
+Rendering is deterministic: identical input yields identical bytes.  In
+ASCII mode a machine converts its own lines, and each event block is
+converted once, for every machine that holds it.
 """
 
 from __future__ import annotations
 
+import bisect
 from functools import cached_property
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
-from .diagnostics import Span, SpecError, error
+from .diagnostics import SpecError
 from .model import (
     AndOrTable,
     BoolType,
@@ -50,12 +56,10 @@ from .model import (
     ElseCondition,
     EnumType,
     Specification,
-    StateMachine,
     StateTest,
     TypeDef,
-    Value,
     VarOperand,
-    build_dependency_graph,
+    machine_set,
 )
 from .record import FrozenRecord, Record
 
@@ -75,8 +79,9 @@ _OP_GLYPH = {"=": "=", "!=": NEQ, "<": "<", "<=": LEQ, ">": ">", ">=": GEQ}
 _OP_NEGATED = {"=": NEQ, "!=": "=", "<": GEQ, "<=": ">", ">": LEQ, ">=": "<"}
 
 # Every glyph is one character and no replacement holds one, so the passes
-# may run in any order; ":∈" becomes "::".  A pass per glyph beats one
-# str.translate, which has no fast path for multi-character replacements.
+# may run in any order, and on the pieces of a text as well as on the whole;
+# ":∈" becomes "::".  A pass per glyph beats one str.translate, which has no
+# fast path for multi-character replacements.
 _ASCII_MAP = [
     (MEMBER, ":"),
     (OR, "or"),
@@ -99,12 +104,13 @@ class Labeled(Record):
 class EventBEvent(Record):
     _fields = ("name", "guards", "actions", "comment")
     _defaults = {"comment": None}
-    __slots__ = (*_fields, "__dict__")  # the cached ``block`` lives in __dict__
+    __slots__ = (*_fields, "__dict__")  # the cached blocks live in __dict__
 
     @cached_property
     def block(self) -> str:
         """The event's rendered lines.  Every machine of one ``gen`` call
-        shares the event objects of a component, so each is rendered once."""
+        shares the event objects of a component and the setters, so each
+        is rendered once."""
         lines = [f"  event {self.name}{_comment_suffix(self.comment)}"]
         if self.guards:
             lines.append("    when")
@@ -114,15 +120,34 @@ class EventBEvent(Record):
         lines.append("  end")
         return "\n".join(lines)
 
+    @cached_property
+    def ascii_block(self) -> str:
+        """``block`` in ASCII spellings, converted once like ``block``."""
+        return _ascii(self.block)
+
 
 class EventBContext(Record):
     __slots__ = _fields = ("name", "sets", "axioms")  # sets: (set name, constants)
 
 
 class EventBMachine(Record):
+    """Each of ``variables`` has its typing predicate in ``typing`` and its
+    initial value's action in ``init``, labelled ``@inv<k>`` and ``@act<k>``
+    by position, so the machines of a chain share those texts; the flat
+    machine's ``spec_invariants`` follow the typing invariants."""
+
     __slots__ = _fields = (
-        "name", "sees", "refines", "variables", "invariants", "init_actions", "events"
+        "name", "sees", "refines", "variables", "typing", "init", "spec_invariants", "events"
     )
+
+    @property
+    def invariants(self) -> list[Labeled]:
+        typing = [Labeled(f"@inv{k}", text) for k, text in enumerate(self.typing, 1)]
+        return typing + self.spec_invariants
+
+    @property
+    def init_actions(self) -> list[Labeled]:
+        return [Labeled(f"@act{k}", text) for k, text in enumerate(self.init, 1)]
 
 
 class Provenance(FrozenRecord):
@@ -194,36 +219,7 @@ def translate_condition(cond: Condition) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Name bookkeeping
-
-
-class _Names:
-    """Tracks the flat Event-B namespace and rejects collisions.  ``what``
-    describes the claimant, naming the model element behind the name where
-    there is one; a collision tells both claimants and carries ``span``."""
-
-    def __init__(self, taken: dict[str, str] | None = None) -> None:
-        self.taken: dict[str, str] = dict(taken or {})
-
-    def claim(self, name: str, what: str, span: Span | None = None) -> str:
-        if name in self.taken:
-            raise SpecError(
-                error(
-                    "NameCollision",
-                    f"{what} '{name}' collides with {self.taken[name]} "
-                    "(generated Event-B names must be unique)",
-                    span,
-                )
-            )
-        self.taken[name] = what
-        return name
-
-
-def _value_token(value: Value) -> str:
-    # Event names cannot contain '-'; negative literals keep a readable form.
-    if isinstance(value, int) and value < 0:
-        return f"m{-value}"
-    return str(value)
+# Carrier sets and comments
 
 
 def _type_set(t: TypeDef) -> str:
@@ -232,10 +228,6 @@ def _type_set(t: TypeDef) -> str:
     if isinstance(t, EnumType):
         return t.name
     return f"{t.lo} {UPTO} {t.hi}"
-
-
-def _machine_set(m: StateMachine) -> str:
-    return f"T_{m.name}_States"
 
 
 def _trace_comment(tags: tuple[str, ...]) -> Optional[str]:
@@ -249,20 +241,12 @@ def _trace_comment(tags: tuple[str, ...]) -> Optional[str]:
 def gen_context(spec: Specification) -> EventBContext:
     """One carrier set plus a partition axiom per enum type and per state
     machine; bool and int ranges produce nothing."""
-    names = _Names()
-    sets: list[tuple[str, list[str]]] = []
+    names = spec.eventb_names
+    collision = names.collision("context")
+    if collision is not None:
+        raise SpecError(collision)
+    sets = [(set_name, list(constants)) for set_name, constants in names.sets]
     axioms: list[Labeled] = []
-    for t in spec.types:
-        if isinstance(t, EnumType):
-            names.claim(t.name, "carrier set")
-            for lit in t.literals:
-                names.claim(lit, f"constant of {t.name}")
-            sets.append((t.name, list(t.literals)))
-    for m in spec.machines:
-        set_name = names.claim(_machine_set(m), f"state set of {m.qualified}")
-        for state in m.states:
-            names.claim(state, f"state constant of {m.qualified}")
-        sets.append((set_name, list(m.states)))
     for idx, (set_name, constants) in enumerate(sets, start=1):
         members = ", ".join("{" + c + "}" for c in constants)
         axioms.append(Labeled(f"@axm{idx}", f"partition({set_name}, {members})"))
@@ -278,29 +262,23 @@ def _guards(cond: Condition, start: int = 1) -> list[Labeled]:
     return [Labeled(f"@grd{i}", text) for i, text in enumerate(texts, start=start)]
 
 
-def _suffixed(bases: list[str]) -> list[str]:
-    """Event names: a base repeated within one assignment or machine gets
-    its index appended."""
-    return [f"{base}_{i}" if base in bases[:i] else base for i, base in enumerate(bases)]
-
-
-def _component_events(comp: Component) -> tuple[list[EventBEvent], list[Provenance]]:
-    """The component's events, assignment cases before transitions, with
-    their provenance.  Names are not claimed here: every machine that adds
-    the component claims them itself."""
+def _component_events(
+    comp: Component, names: list[str]
+) -> tuple[list[EventBEvent], list[Provenance]]:
+    """The component's events, named by the name table (assignment cases
+    before transitions), with their provenance."""
     events: list[EventBEvent] = []
     provenance: list[Provenance] = []
+    names_left = iter(names)
     for a in comp.assigns:
         bare = a.target.name
-        bases = [f"Set_{bare}_{_value_token(case.value)}" for case in a.cases]
-        for idx, (case, name) in enumerate(zip(a.cases, _suffixed(bases))):
+        for idx, (case, name) in enumerate(zip(a.cases, names_left)):
             actions = [Labeled("@act1", f"{bare} := {case.value}")]
             comment = _trace_comment(case.trace)
             events.append(EventBEvent(name, _guards(case.condition), actions, comment))
             provenance.append(Provenance("case", f"case:{a.target.qualified}#{idx}", "event", name))
     for m in comp.machines:
-        bases = [f"{m.name}_{t.source}_to_{t.target}" for t in m.transitions]
-        for idx, (t, name) in enumerate(zip(m.transitions, _suffixed(bases))):
+        for idx, (t, name) in enumerate(zip(m.transitions, names_left)):
             guards = [Labeled("@grd1", f"{m.name}_state = {t.source}"), *_guards(t.guard, 2)]
             actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
             events.append(EventBEvent(name, guards, actions, _trace_comment(t.trace)))
@@ -310,112 +288,101 @@ def _component_events(comp: Component) -> tuple[list[EventBEvent], list[Provenan
 
 
 class _Assembler:
-    """Builds every machine of one ``gen`` call from each component's
-    events, translated once.  ``terminal`` holds the outputs no component
-    reads."""
+    """Builds the machines of one ``gen`` call from parts made once: each
+    component's events, and each held variable's typing invariant,
+    initialisation and setter event.  Machines share those objects, so
+    each event block renders once."""
 
-    def __init__(
-        self,
-        spec: Specification,
-        context: EventBContext,
-        closed: bool,
-        terminal: frozenset[str] = frozenset(),
-    ) -> None:
-        self.spec, self.context, self.closed, self.terminal = spec, context, closed, terminal
-        # Machine-level names share one namespace with sets and constants.
-        self.context_names = _Names()
-        for set_name, constants in context.sets:
-            self.context_names.claim(set_name, "carrier set")
-            for c in constants:
-                self.context_names.claim(c, f"constant of {set_name}")
-        self.events = {comp.name: _component_events(comp) for comp in spec.components}
-        # Per component: (Event-B variable, source, carrier set, initial value,
-        # direction or "machine", span), its variables before its machines.
-        self.held = {
-            comp.name: [
-                (v.name, v.qualified, _type_set(v.type), v.initial_value, v.direction, v.span)
-                for v in comp.variables
-            ]
-            + [
-                (f"{m.name}_state", m.qualified, _machine_set(m), m.initial, "machine", m.span)
-                for m in comp.machines
-            ]
-            for comp in spec.components
+    def __init__(self, spec: Specification, context: EventBContext) -> None:
+        self.spec, self.context = spec, context
+        self.names = names = spec.eventb_names
+        self.events = {
+            comp.name: _component_events(comp, names.events[comp.name]) for comp in spec.components
         }
+        # Per held item: its typing invariant, its initialisation, its setter.
+        self.typing: list[str] = []
+        self.init: list[str] = []
+        self.setters: list[EventBEvent] = []
+        for held in names.held:
+            if held.direction == "machine":
+                m = spec.machine(held.source)
+                carrier, initial = machine_set(m), m.initial
+            else:
+                v = spec.variable(held.source)
+                carrier, initial = _type_set(v.type), v.initial_value
+            self.typing.append(f"{held.bare} {MEMBER} {carrier}")
+            self.init.append(f"{held.bare} := {initial}")
+            actions = [Labeled("@act1", f"{held.bare} {BECOMES_MEMBER} {carrier}")]
+            self.setters.append(EventBEvent(held.setter, [], actions))
 
     def machine(
         self,
         name: str,
         refines: Optional[str],
-        added: list[Component],
-        include: set[str] | None = None,
+        held: list[int],
+        events: list[EventBEvent],
+        setters: Iterable[int],
         with_invariants: bool = False,
-    ) -> tuple[EventBMachine, list[Provenance]]:
-        """The machine holding the events of the ``added`` components and
-        the variables in ``include`` (all when None), in declaration order.
-        A held variable or machine that no added component computes gets a
-        setter: ``Set_<v>`` for a terminal output, ``Env_Set_<v>`` for an
-        input or another component's variable or machine, unless closed."""
-        names = _Names(self.context_names.taken)
-        added_names = {comp.name for comp in added}
-        held = [
-            (comp.name in added_names, *item)
-            for comp in self.spec.components
-            for item in self.held[comp.name]
-            if include is None or item[1] in include
-        ]
-        variables: list[str] = []
-        invariants: list[Labeled] = []
-        init_actions: list[Labeled] = []
-        provenance: list[Provenance] = []
-        for _, bare, source, carrier, init, direction, span in held:
-            variables.append(names.claim(bare, f"variable of {source}", span))
-            label = f"@inv{len(variables)}"
-            invariants.append(Labeled(label, f"{bare} {MEMBER} {carrier}"))
-            init_actions.append(Labeled(f"@act{len(variables)}", f"{bare} := {init}"))
-            if direction != "machine":
-                provenance.append(Provenance("variable", f"var:{source}", "invariant", label))
+    ) -> EventBMachine:
+        """The machine holding ``held`` (indices into the name table, in
+        declaration order) with ``events``, then the setters of
+        ``setters``; the flat machine also states the specification's
+        invariants."""
+        variables = [self.names.held[h].bare for h in held]
+        typing = [self.typing[h] for h in held]
+        init = [self.init[h] for h in held]
+        spec_invariants: list[Labeled] = []
         if with_invariants:
-            for inv in self.spec.invariants:
-                label = f"@inv{len(invariants) + 1}"
+            for k, inv in enumerate(self.spec.invariants, len(held) + 1):
                 comment = inv.name + (f" trace: {', '.join(inv.trace)}" if inv.trace else "")
-                invariants.append(Labeled(label, table_formula(inv.body.table), comment=comment))
-                provenance.append(
-                    Provenance("invariant", f"invariant:{inv.name}", "invariant", label)
-                )
-
-        events: list[EventBEvent] = []
-        for comp in added:
-            comp_events, comp_provenance = self.events[comp.name]
-            for event in comp_events:
-                names.claim(event.name, "event")
-            events += comp_events
-            provenance += comp_provenance
-        for owner_added, bare, source, carrier, _, direction, _ in held:
-            if source in self.terminal and not owner_added:
-                event_name = f"Set_{bare}"
-            elif (direction == "input" or not owner_added) and not self.closed:
-                event_name = f"Env_Set_{bare}"
-            else:
-                continue  # closed, or an added component computes or fixes it
-            actions = [Labeled("@act1", f"{bare} {BECOMES_MEMBER} {carrier}")]
-            events.append(EventBEvent(names.claim(event_name, "event"), [], actions))
-            if direction != "machine":
-                provenance.append(Provenance("variable", f"var:{source}", "event", event_name))
-
-        machine = EventBMachine(
-            name, self.context.name, refines, variables, invariants, init_actions, events
+                text = table_formula(inv.body.table)
+                spec_invariants.append(Labeled(f"@inv{k}", text, comment=comment))
+        events = events + [self.setters[h] for h in setters]
+        return EventBMachine(
+            name, self.context.name, refines, variables, typing, init, spec_invariants, events
         )
-        return machine, provenance
+
+    def provenance(
+        self, held: list[int], added: Iterable[str], setters: Iterable[int], with_invariants: bool
+    ) -> list[Provenance]:
+        """The provenance of the machine that :meth:`machine` builds from
+        ``held``, the components ``added`` in order, and ``setters``."""
+        variables = [self.names.held[h] for h in held]
+        provenance = [
+            Provenance("variable", f"var:{v.source}", "invariant", f"@inv{k}")
+            for k, v in enumerate(variables, 1)
+            if v.direction != "machine"
+        ]
+        if with_invariants:
+            provenance += [
+                Provenance("invariant", f"invariant:{inv.name}", "invariant", f"@inv{k}")
+                for k, inv in enumerate(self.spec.invariants, len(variables) + 1)
+            ]
+        for comp in added:
+            provenance += self.events[comp][1]
+        for h in setters:
+            v = self.names.held[h]
+            if v.direction != "machine":
+                provenance.append(Provenance("variable", f"var:{v.source}", "event", v.setter))
+        return provenance
 
 
 def gen_flat(spec: Specification, closed: bool = False) -> GenResult:
     """Single machine covering the whole specification; `closed` omits the
     environment events that drive the input variables."""
     context = gen_context(spec)
-    machine, provenance = _Assembler(spec, context, closed).machine(
-        f"{spec.name}_mch", None, list(spec.components), with_invariants=True
-    )
+    names = spec.eventb_names
+    collision = names.collision("flat", closed)
+    if collision is not None:
+        raise SpecError(collision)
+    assembler = _Assembler(spec, context)
+    held = list(range(len(names.held)))
+    added = [comp.name for comp in spec.components]
+    events = [event for comp in added for event in assembler.events[comp][0]]
+    setters = [h for h in held if names.has_setter(h, True, closed)]
+    name = f"{spec.name}_mch"
+    machine = assembler.machine(name, None, held, events, setters, with_invariants=True)
+    provenance = assembler.provenance(held, added, setters, with_invariants=True)
     return GenResult(context, [machine], provenance)
 
 
@@ -423,40 +390,38 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     """Refinement chain: a most-abstract machine with only the terminal
     outputs set nondeterministically, then one refinement per component in
     reverse dependency order, replacing nondeterministic setters with the
-    component's guarded events."""
+    component's guarded events.  Each machine extends the one before: it
+    adds its component's events and newly held variables and retires the
+    setters that the component now drives."""
     context = gen_context(spec)
-    # Live rows only: an all-dot row is never evaluated, so it neither links
-    # two components nor keeps an output from being terminal.
-    deps = build_dependency_graph(spec)
-    if deps.cyclic:
-        cyclic = ", ".join(deps.cyclic)
-        message = f"component dependency cycle among: {cyclic}"
-        raise SpecError(error("CyclicDependency", message, spec.span))
-    outputs = [v.qualified for v in spec.variables if v.direction == "output"]
-    if not outputs:
-        raise SpecError(error("NoOutputs", "no output variables", spec.span))
-    read = {ref.name for refs in deps.reads.values() for ref in refs if ref.kind == "var"}
-    terminal = frozenset(name for name in outputs if name not in read)
-    if not terminal:
-        message = "no terminal output: every output variable is read by a component"
-        raise SpecError(error("NoOutputs", message, spec.span))
+    names = spec.eventb_names
+    if names.chain_error is not None:
+        raise SpecError(names.chain_error)
+    collision = names.collision("chain", closed)
+    if collision is not None:
+        raise SpecError(collision)
 
-    assembler = _Assembler(spec, context, closed, terminal)
-    by_name = {comp.name: comp for comp in spec.components}
-    added: list[Component] = []
-    include = set(terminal)  # grows with each added component and what it reads
+    assembler = _Assembler(spec, context)
+    held: list[int] = []  # in declaration order
+    events: list[EventBEvent] = []
+    setters: set[int] = set()
+    added: dict[str, None] = {}  # in the order added
     machines: list[EventBMachine] = []
-    for i in range(len(deps.component_order) + 1):
-        if i:
-            comp = by_name[deps.component_order[-i]]  # consumers first
-            added.append(comp)
-            include.update(v.qualified for v in comp.variables)
-            include.update(m.qualified for m in comp.machines)
-            include.update(ref.name for ref in deps.reads[comp.name])
+    for i, (comp, fresh) in enumerate(names.chain):
+        if comp is not None:
+            added[comp] = None
+            events += assembler.events[comp][0]
+            for h in names.held_of[comp]:
+                if h in setters and not names.has_setter(h, True, closed):
+                    setters.remove(h)
+        for h in fresh:
+            bisect.insort(held, h)
+            if names.has_setter(h, names.held[h].owner in added, closed):
+                setters.add(h)
         name = f"{spec.name}_r{i}" if i else f"{spec.name}_m0"
         refines = machines[-1].name if machines else None
-        machine, provenance = assembler.machine(name, refines, added, include)
-        machines.append(machine)
+        machines.append(assembler.machine(name, refines, held, events, sorted(setters)))
+    provenance = assembler.provenance(held, added, sorted(setters), with_invariants=False)
     return GenResult(context, machines, provenance)  # of the most refined machine
 
 
@@ -471,11 +436,13 @@ def _comment_suffix(comment: Optional[str]) -> str:
 def render(unit: Union[EventBContext, EventBMachine], ascii_mode: bool = False) -> str:
     if isinstance(unit, EventBContext):
         text = _render_context(unit)
-    else:
-        text = _render_machine(unit)
-    if ascii_mode:
-        for glyph, replacement in _ASCII_MAP:
-            text = text.replace(glyph, replacement)
+        return _ascii(text) if ascii_mode else text
+    return _render_machine(unit, ascii_mode)
+
+
+def _ascii(text: str) -> str:
+    for glyph, replacement in _ASCII_MAP:
+        text = text.replace(glyph, replacement)
     return text
 
 
@@ -493,7 +460,9 @@ def _render_context(ctx: EventBContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_machine(mch: EventBMachine) -> str:
+def _render_machine(mch: EventBMachine, ascii_mode: bool) -> str:
+    """The machine's text.  In ASCII mode its own part is converted here,
+    and each event block once, by the event, for every machine it is in."""
     header = f"machine {mch.name}"
     if mch.refines:
         header += f" refines {mch.refines}"
@@ -502,18 +471,23 @@ def _render_machine(mch: EventBMachine) -> str:
     if mch.variables:
         lines.append("variables")
         lines.append("  " + " ".join(mch.variables))
-    if mch.invariants:
+    if mch.typing or mch.spec_invariants:
         lines.append("invariants")
-        for inv in mch.invariants:
-            lines.append(f"  {inv.label} {inv.text}{_comment_suffix(inv.comment)}")
-    if mch.init_actions or mch.events:
+        lines += [f"  @inv{k} {text}" for k, text in enumerate(mch.typing, 1)]
+        lines += [
+            f"  {inv.label} {inv.text}{_comment_suffix(inv.comment)}" for inv in mch.spec_invariants
+        ]
+    if mch.init or mch.events:
         lines.append("events")
-        if mch.init_actions:
+        if mch.init:
             lines.append("  event INITIALISATION")
             lines.append("    then")
-            for act in mch.init_actions:
-                lines.append(f"      {act.label} {act.text}")
+            lines += [f"      @act{k} {text}" for k, text in enumerate(mch.init, 1)]
             lines.append("  end")
-        lines.extend(event.block for event in mch.events)
+    if ascii_mode:
+        lines = [_ascii("\n".join(lines))]
+        lines += [event.ascii_block for event in mch.events]
+    else:
+        lines += [event.block for event in mch.events]
     lines.append("end")
     return "\n".join(lines) + "\n"

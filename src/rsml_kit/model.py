@@ -17,6 +17,11 @@ reads live rows only (``live_only=True``): an all-dot row is never
 evaluated, so it orders nothing and closes no cycle.  It owns the one mixed
 radix over value domains (:class:`Radix`) too: the checker's bit index and
 explore's combination index both count in it.
+
+Event-B names depend on the model alone, so the model owns them too:
+``Specification.eventb_names`` is the model's table of them
+(``names.EventBNames``), built on first use, which loads that module only
+for the commands that need it.
 """
 
 from __future__ import annotations
@@ -25,11 +30,16 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+)
 
 from . import ast_nodes as ast
 from .diagnostics import Diagnostic, Span, SpecError, error
 from .record import FrozenRecord, Record
+
+if TYPE_CHECKING:
+    from .names import EventBNames
 
 # ---------------------------------------------------------------------------
 # Types and their value domains: a type's ``values`` is its domain in order,
@@ -235,6 +245,13 @@ class Dependencies(Record):
 
 
 def build_dependency_graph(spec: Specification) -> Dependencies:
+    """The model's dependency graph, built on first use and kept on it."""
+    if spec._dependencies is None:
+        spec._dependencies = _dependency_graph(spec)
+    return spec._dependencies
+
+
+def _dependency_graph(spec: Specification) -> Dependencies:
     nodes = [
         name
         for comp in spec.components
@@ -359,7 +376,10 @@ class Specification(Record):
     independently resolved models compare by declared content alone."""
 
     _fields = ("name", "types", "components", "invariants", "file", "span")
-    __slots__ = (*_fields, "var_map", "machine_map", "assign_map", "_display_names", "_steppers")
+    __slots__ = (
+        *_fields, "var_map", "machine_map", "assign_map", "_display_names", "_dependencies",
+        "_eventb_names", "_steppers",
+    )
 
     def __init__(
         self,
@@ -391,7 +411,10 @@ class Specification(Record):
         names = [(name, name.split(".", 1)[1]) for name in [*self.var_map, *self.machine_map]]
         counts = Counter(bare for _, bare in names)
         self._display_names = {name: bare if counts[bare] == 1 else name for name, bare in names}
-        # The simulator's steppers, one per evaluation order, built on first use.
+        # Built on first use: the dependency graph, the Event-B names and the
+        # simulator's steppers, one per evaluation order.
+        self._dependencies: Dependencies | None = None
+        self._eventb_names: EventBNames | None = None
         self._steppers: dict = {}
 
     @property
@@ -415,6 +438,25 @@ class Specification(Record):
     def display_name(self, qualified: str) -> str:
         """Bare name when unambiguous across the model, else qualified."""
         return self._display_names[qualified]
+
+    @property
+    def eventb_names(self) -> EventBNames:
+        """The model's Event-B name table, built on first use.  Its module
+        is loaded then too: ``simulate`` and ``explore`` never compile it."""
+        if self._eventb_names is None:
+            from .names import EventBNames
+
+            self._eventb_names = EventBNames(self)
+        return self._eventb_names
+
+
+# ---------------------------------------------------------------------------
+# Event-B names: the table is in ``names``, loaded on first use
+
+
+def machine_set(m: StateMachine) -> str:
+    """The carrier set of a state machine's states."""
+    return f"T_{m.name}_States"
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def evaluation_order(spec: Specification) -> list[str]:
     if verdict.cycle is not None:
         raise SpecError(cycle_error(spec, verdict.cycle))
     assert verdict.order is not None
-    return verdict.order
+    return list(verdict.order)  # the graph is kept on the model
 
 
 class _Stepper:
@@ -133,10 +133,8 @@ class _Stepper:
     A node's memo key is ``itemgetter(*slots)(row)`` over the slots it reads.
     """
 
-    def __init__(self, spec: Specification, order: list[str] | None = None):
+    def __init__(self, spec: Specification, order: list[str]):
         self.spec = spec
-        if order is None:
-            order = evaluation_order(spec)
         self.var_names = tuple(v.qualified for v in spec.variables)
         self.machine_names = tuple(m.qualified for m in spec.machines)
         self.width = len(self.var_names)
@@ -354,8 +352,10 @@ def _choices(owner: _Node) -> Iterator[tuple[Condition, Value, str | None]]:
 
 def _stepper(spec: Specification, order: list[str] | None = None) -> _Stepper:
     """The model's stepper for ``order`` (None: the dependency order), built
-    on first use."""
-    key = None if order is None else tuple(order)
+    on first use; one per distinct order, however it is passed."""
+    if order is None:
+        order = evaluation_order(spec)
+    key = tuple(order)
     stepper = spec._steppers.get(key)
     if stepper is None:
         stepper = spec._steppers[key] = _Stepper(spec, order)

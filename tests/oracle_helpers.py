@@ -25,11 +25,8 @@ from rsml_kit.eventb import (
     GenResult,
     Labeled,
     Provenance,
-    _machine_set,
-    _Names,
     _trace_comment,
     _type_set,
-    _value_token,
     gen_context,
     table_formula,
     translate_condition,
@@ -43,9 +40,11 @@ from rsml_kit.model import (
     StateTest,
     TypeDef,
     Value,
+    machine_set as _machine_set,
     reads,
     topological_order,
 )
+from rsml_kit.names import value_token as _value_token
 from rsml_kit.pftrace import (
     _EB_KINDS,
     _RSML_KINDS,
@@ -359,6 +358,28 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
 # Reference Event-B assembly: every machine built from scratch, each
 # component's events translated again for every machine that holds it.
 
+
+class _Names:
+    """The flat Event-B namespace of one machine: each claim of a name
+    already taken is a collision naming both claimants, at ``span``."""
+
+    def __init__(self) -> None:
+        self.taken: dict[str, str] = {}
+
+    def claim(self, name: str, what: str, span: Span | None = None) -> str:
+        if name in self.taken:
+            raise SpecError(
+                error(
+                    "NameCollision",
+                    f"{what} '{name}' collides with {self.taken[name]} "
+                    "(generated Event-B names must be unique)",
+                    span,
+                )
+            )
+        self.taken[name] = what
+        return name
+
+
 def _ref_component_events(
     spec: Specification,
     comp_name: str,
@@ -475,10 +496,30 @@ def reference_gen_flat(spec: Specification, closed: bool = False) -> GenResult:
             events.append(EventBEvent(event_name, [], actions))
             provenance.append(Provenance("variable", f"var:{v.qualified}", "event", event_name))
 
-    machine = EventBMachine(
-        f"{spec.name}_mch", context.name, None, variables, invariants, init_actions, events
+    machine = _ref_machine(
+        f"{spec.name}_mch", context, None, variables, invariants, init_actions, events
     )
     return GenResult(context, [machine], provenance)
+
+
+def _ref_machine(
+    name: str,
+    context: EventBContext,
+    refines: str | None,
+    variables: list[str],
+    invariants: list[Labeled],
+    init_actions: list[Labeled],
+    events: list[EventBEvent],
+) -> EventBMachine:
+    """The machine record, which labels each variable's typing invariant
+    and initialisation by position: the reference's own labels must agree."""
+    n = len(variables)
+    assert [i.label for i in invariants[:n]] == [f"@inv{k}" for k in range(1, n + 1)]
+    assert [a.label for a in init_actions] == [f"@act{k}" for k in range(1, n + 1)]
+    typing, init = [i.text for i in invariants[:n]], [a.text for a in init_actions]
+    return EventBMachine(
+        name, context.name, refines, variables, typing, init, invariants[n:], events
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +651,7 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
         name = f"{spec.name}_m0" if i == 0 else f"{spec.name}_r{i}"
         refines = None if i == 0 else machines[-1].name
         machines.append(
-            EventBMachine(name, context.name, refines, variables, invariants, init_actions, events)
+            _ref_machine(name, context, refines, variables, invariants, init_actions, events)
         )
         provenance = step_prov  # keep the provenance of the most refined machine
 

@@ -1,18 +1,21 @@
 """The Event-B assembler against the per-machine reference assembly in
 ``oracle_helpers``: byte-equal rendered units, or the same ``SpecError``
 text, for flat and chain mode with and without ``closed``, on the corpus,
-the benchmark's chain projects, name-collision specifications and the
-generated specifications of ``test_stepper_oracle``; and every case and
-transition translated once per ``gen`` call."""
+the benchmark's chain projects, name-collision specifications, the
+generated specifications of ``test_stepper_oracle`` and generated chains
+whose names clash; every case and transition translated once per ``gen``
+call, and every name entered into the name table once."""
 
 from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rsml_kit.eventb as eventb
 from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
@@ -20,6 +23,7 @@ from test_cli import COMPONENT_BEHIND_CYCLE, COMPONENT_CYCLE
 from oracle_helpers import reference_gen_chain, reference_gen_flat
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.eventb import gen_chain, gen_flat, render
+from rsml_kit.names import EventBNames
 from test_stepper_oracle import specs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -51,6 +55,59 @@ def _assert_same(spec) -> None:
 @settings(max_examples=150, deadline=None)
 def test_generated_specs_match_reference(text):
     _assert_same(spec_from(text, "gen.rsml"))
+
+
+# Names that meet each other's events and setters: v's cases are
+# Set_v_TRUE and Set_v_FALSE, a terminal v is driven by Set_v and an input v
+# by Env_Set_v, a machine M holds M_state, and Idle is also a literal.
+_CLASHING = ["v", "w", "v_TRUE", "Set_v", "Set_v_TRUE", "Env_Set_v", "M_state", "Idle"]
+
+
+@st.composite
+def clashing_specs(draw):
+    """A chain of up to four components whose names are drawn from a few
+    that collide with each other's variables, events and setters, in some
+    machines of a chain and not in others."""
+    lines = ["specification clash"]
+    if draw(st.integers(0, 3)) == 0:
+        lines.append("type T_E = { Idle, Go }")
+    readable: list[str] = []  # outputs of earlier components, qualified
+    for k in range(draw(st.integers(1, 4))):
+        pool = st.sampled_from([*_CLASHING, f"x{k}", f"y{k}", f"z{k}"])
+        names = draw(st.lists(pool, min_size=2 if k == 0 else 1, max_size=3, unique=True))
+        own = [names.pop(0)] if k == 0 or (len(names) > 1 and draw(st.booleans())) else []
+        outputs = [(name, draw(st.sampled_from(own + readable))) for name in names]
+        lines.append(f"component C{k} {{")
+        lines += [f"  input {name} : bool" for name in own]
+        lines += [f"  output {name} : bool" for name, _ in outputs]
+        if draw(st.integers(0, 2)) == 0:
+            machine = draw(st.sampled_from(["M", f"N{k}", f"N{k}"]))
+            start = draw(st.sampled_from(["Idle", f"P{k}", f"P{k}"]))
+            read = draw(st.sampled_from(own + readable))
+            lines += [
+                f"  statemachine {machine} {{",
+                f"    initial {start} ;",
+                f"    state {start} {{ goto Q{k} when table {{ {read} = TRUE : T }} }}",
+                f"    state Q{k} {{ }}",
+                "  }",
+            ]
+        for name, read in outputs:
+            lines.append(
+                f"  assign {name} {{ when table {{ {read} = TRUE : T }} then TRUE "
+                "when else then FALSE }"
+            )
+        lines.append("}")
+        readable += [f"C{k}.{name}" for name, _ in outputs]
+    try:
+        return spec_from("\n".join(lines) + "\n", "clash.rsml")
+    except SpecError:
+        assume(False)
+
+
+@given(clashing_specs())
+@settings(max_examples=300, deadline=None)
+def test_clashing_names_match_reference(spec):
+    _assert_same(spec)
 
 
 # The consumer B is added first; A's terminal output w_TRUE then gets the
@@ -176,3 +233,25 @@ def test_each_guard_is_translated_once(monkeypatch, generate):
     guards += sum(len(m.transitions) for m in spec.machines)
     assert len(calls) == guards
     assert len(result.machines) == (31 if generate is gen_chain else 1)
+
+
+def test_each_name_is_registered_once(monkeypatch):
+    """One ``gen_chain`` call enters every distinct Event-B name into the
+    name table once, rather than once per machine that holds it."""
+    spec = spec_from(_FIXED[-1][1])  # 30 chained components
+    entered: Counter = Counter()
+    register = EventBNames._register
+
+    def counted(self):
+        names = register(self)
+        entered.update(names)
+        return names
+
+    monkeypatch.setattr(EventBNames, "_register", counted)
+    result = gen_chain(spec)
+    names = {name for set_name, constants in result.context.sets for name in (set_name, *constants)}
+    for machine in result.machines:
+        names.update(machine.variables)
+        names.update(event.name for event in machine.events)
+    assert entered == Counter(names)
+    assert len(result.machines) == 31

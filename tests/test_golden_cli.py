@@ -15,6 +15,7 @@ import pytest
 
 from conftest import CORPUS, MUTEX_TOY
 from rsml_kit.cli import main
+from test_eventb_oracle import CHAIN_ONLY_COLLISION
 
 # C.o stops at its else and needs no mask; C.p has none, so --cap 1 skips it.
 CAPPED = """\
@@ -34,6 +35,22 @@ component C {
 """
 
 
+# A and B each declare an output ``out``: Event-B names are bare, so gen
+# refuses the specification in both modes, and check says so.
+TWO_OUTS = """\
+specification s
+component A {
+  input i : bool
+  output out : bool
+  assign out { when table { i = TRUE : T } then TRUE when else then FALSE }
+}
+component B {
+  output out : bool
+  assign out { when table { A.out = TRUE : T } then TRUE when else then FALSE }
+}
+"""
+
+
 @pytest.fixture(autouse=True)
 def workdir(tmp_path, monkeypatch):
     for name in ("startstop.rsml", "startstop.pf", "startstop.req", "startstop.script", "twocomp.rsml"):
@@ -43,6 +60,8 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "untagged.rsml").write_text(untagged, encoding="utf-8")
     (tmp_path / "mutex.rsml").write_text(MUTEX_TOY, encoding="utf-8")
     (tmp_path / "capped.rsml").write_text(CAPPED, encoding="utf-8")
+    (tmp_path / "outs.rsml").write_text(TWO_OUTS, encoding="utf-8")
+    (tmp_path / "chaincollide.rsml").write_text(CHAIN_ONLY_COLLISION, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 
@@ -102,6 +121,31 @@ CAPPED_JSON = {
         }
     ],
 }
+
+OUTS_TEXT = """\
+guard set A.out: domain 2, complete, consistent
+guard set B.out: domain 2, complete, consistent
+2 guard sets: 2 complete, 2 consistent
+"""
+
+OUTS_ERR = (
+    "outs.rsml:8:10: error[NameCollision]: variable of B.out 'out' collides with "
+    "variable of A.out (generated Event-B names must be unique)\n"
+)
+
+# Only the chain's first refinement holds both A's setter Set_w_TRUE and
+# B's event of that name.
+CHAINCOLLIDE_TEXT = """\
+guard set A.y: domain 2, complete, consistent
+guard set A.w_TRUE: domain 2, complete, consistent
+guard set B.w: domain 2, complete, consistent
+3 guard sets: 3 complete, 3 consistent
+"""
+
+CHAINCOLLIDE_ERR = (
+    "error[NameCollision]: event 'Set_w_TRUE' collides with event "
+    "(generated Event-B names must be unique)\n"
+)
 
 SIMULATE_TEXT = """\
 step  inputs                                                           changes                                                                        machines
@@ -322,6 +366,10 @@ GOLDENS = [
     (f"check {PROJECT} --format json", 0, _json(CHECK_JSON), ""),
     ("check capped.rsml --cap 1", 1, CAPPED_TEXT, CAPPED_ERR),
     ("check capped.rsml --cap 1 --format json", 1, _json(CAPPED_JSON), ""),
+    ("check outs.rsml", 1, OUTS_TEXT, OUTS_ERR),
+    ("gen outs.rsml -o out", 1, "", OUTS_ERR),
+    ("check chaincollide.rsml", 1, CHAINCOLLIDE_TEXT, CHAINCOLLIDE_ERR),
+    ("gen chaincollide.rsml -o out --mode chain", 1, "", CHAINCOLLIDE_ERR),
     (SIMULATE, 0, SIMULATE_TEXT, ""),
     (f"{SIMULATE} --format json", 0, _json(SIMULATE_JSON), ""),
     ("explore startstop.rsml", 0, EXPLORE_STARTSTOP_TEXT, ""),

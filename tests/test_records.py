@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rsml_kit.cli  # noqa: F401  importing the CLI loads every module that defines records
+import rsml_kit.names  # noqa: F401  but the Event-B name table's, which loads on first use
 from rsml_kit import parse_spec, resolve
 from rsml_kit.analysis import GuardSet
 from rsml_kit.ast_nodes import ElseNode, NameRef

@@ -10,6 +10,7 @@ import pytest
 from conftest import CORPUS, machine_state, spec_from, state_key, state_value, step
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
+    evaluation_order,
     explore,
     initial_state,
     input_combinations,
@@ -305,6 +306,13 @@ class TestExplore:
 
     def test_explorer_matches_naive_fixed_point(self, startstop):
         assert explore(startstop).reachable == len(_reachable_keys(startstop))
+
+    def test_the_dependency_order_has_one_stepper(self, twocomp):
+        """Passed as None or by value, the dependency order gets one stepper
+        and one set of memos; ``initial_state`` keeps its own empty order."""
+        explore(twocomp)
+        step_core(twocomp, initial_state(twocomp), {}, evaluation_order(twocomp))
+        assert set(twocomp._steppers) == {tuple(evaluation_order(twocomp)), ()}
 
 
 # Seven inputs over ten values: 10^7 input combinations, which as a list of
