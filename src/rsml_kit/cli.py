@@ -30,7 +30,7 @@ from typing import Callable
 from . import __version__
 from .analysis import DEFAULT_CAP, analyze, summary_line
 from .ast_nodes import ProblemDiagram, Requirement
-from .diagnostics import Diagnostic, SpecError, color_enabled
+from .diagnostics import Diagnostic, SpecError, color_enabled, warning
 from .eventb import GenResult, gen_chain, gen_flat, render
 from .model import Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
@@ -141,7 +141,13 @@ def cmd_check(args: argparse.Namespace) -> _Result:
     reports = [(spec, analyze(spec, args.cap)) for spec in specs]
     for spec, report in reports:
         diags.extend(report.diagnostics)
-        diags.extend(spec.eventb_names.collisions())  # what gen would refuse
+        # Chain mode's other refusal, a component cycle, is ComponentCycle there.
+        names = spec.eventb_names
+        refusal = names.chain_error
+        if refusal is not None and refusal.code == "NoOutputs":
+            message = f"{refusal.message}; gen --mode chain will refuse this specification"
+            diags.append(warning("NoOutputs", message, refusal.span))
+        diags.extend(names.collisions())  # what gen would refuse
 
     def payload() -> dict:
         return {

@@ -6,27 +6,26 @@ interval membership, so neither produces a set.
 
 Every Event-B name comes from the model's name table
 (``Specification.eventb_names``, a ``names.EventBNames`` built once per
-specification), which also plans the refinement chain and finds name
-collisions; this module builds the text around those names.  One
-assembler builds every machine from parts made once per ``gen`` call:
+specification), which also finds name collisions and steps through the
+machines of each mode; this module builds the text around those names.
+Both modes run one loop over the table's steps (``EventBNames.steps``):
+each machine is the one before plus its step, the components whose events
+it appends, the variables it newly holds and the setters it gains and
+retires.  Flat mode is one step, which adds every component in
+declaration order, and its machine also states the specification's
+invariants; chain mode is one step per refinement, the most abstract
+machine holding only the terminal outputs.  A machine lists its held
+variables in declaration order, the events of its components in the order
+added, then its setters.
+
+One assembler builds every machine from parts made once per ``gen`` call:
 each component's events, one per assignment case (``Set_<Var>_<Value>``)
 and one per transition (``<Machine>_<From>_to_<To>``); and for each held
 variable (one per specification variable, one ``<Machine>_state`` per
-state machine) its typing invariant, initial value and unguarded setter:
-``Set_<Var>`` for a terminal output (one that no component reads) whose
-component is not added yet, ``Env_Set_<Var>`` for an input, or for another
-component's variable or machine, unless the machine is closed.  A machine lists its held variables
-in declaration order, the events of the components it adds, and the
-setters of the held variables that no added component computes.  Machines
-share the event objects, so each event block renders once.
-
-The flat machine adds every component in declaration order and appends the
-specification's invariants.  Chain mode builds one machine per step of the
-table's plan, components added consumers first: the most abstract holds
-only the terminal outputs, and each refinement extends the one before with
-the next component, its events and what it reads, and retires the setters
-of what that component computes.  Provenance is built for the last machine
-only.
+state machine) its typing invariant, initial value and unguarded setter,
+``Set_<Var>`` for a terminal output (one that no component reads), else
+``Env_Set_<Var>``.  Machines share the event objects, so each event block
+renders once.  Provenance is built for the last machine only.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of each column's literals (``AndOrTable.columns``: T as
@@ -42,7 +41,6 @@ converted once, for every machine that holds it.
 
 from __future__ import annotations
 
-import bisect
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -322,7 +320,7 @@ class _Assembler:
         held: list[int],
         events: list[EventBEvent],
         setters: Iterable[int],
-        with_invariants: bool = False,
+        with_invariants: bool,
     ) -> EventBMachine:
         """The machine holding ``held`` (indices into the name table, in
         declaration order) with ``events``, then the setters of
@@ -370,59 +368,46 @@ class _Assembler:
 def gen_flat(spec: Specification, closed: bool = False) -> GenResult:
     """Single machine covering the whole specification; `closed` omits the
     environment events that drive the input variables."""
-    context = gen_context(spec)
-    names = spec.eventb_names
-    collision = names.collision("flat", closed)
-    if collision is not None:
-        raise SpecError(collision)
-    assembler = _Assembler(spec, context)
-    held = list(range(len(names.held)))
-    added = [comp.name for comp in spec.components]
-    events = [event for comp in added for event in assembler.events[comp][0]]
-    setters = [h for h in held if names.has_setter(h, True, closed)]
-    name = f"{spec.name}_mch"
-    machine = assembler.machine(name, None, held, events, setters, with_invariants=True)
-    provenance = assembler.provenance(held, added, setters, with_invariants=True)
-    return GenResult(context, [machine], provenance)
+    return _generate(spec, "flat", closed)
 
 
 def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     """Refinement chain: a most-abstract machine with only the terminal
     outputs set nondeterministically, then one refinement per component in
     reverse dependency order, replacing nondeterministic setters with the
-    component's guarded events.  Each machine extends the one before: it
-    adds its component's events and newly held variables and retires the
-    setters that the component now drives."""
+    component's guarded events."""
+    return _generate(spec, "chain", closed)
+
+
+def _generate(spec: Specification, mode: str, closed: bool) -> GenResult:
+    """One machine per step of the name table's ``mode``, each extending
+    the one before by that step; provenance of the last machine."""
     context = gen_context(spec)
     names = spec.eventb_names
-    if names.chain_error is not None:
+    if mode == "chain" and names.chain_error is not None:
         raise SpecError(names.chain_error)
-    collision = names.collision("chain", closed)
+    collision = names.collision(mode, closed)
     if collision is not None:
         raise SpecError(collision)
 
     assembler = _Assembler(spec, context)
+    flat = mode == "flat"
     held: list[int] = []  # in declaration order
+    added: list[str] = []
     events: list[EventBEvent] = []
     setters: set[int] = set()
-    added: dict[str, None] = {}  # in the order added
     machines: list[EventBMachine] = []
-    for i, (comp, fresh) in enumerate(names.chain):
-        if comp is not None:
-            added[comp] = None
-            events += assembler.events[comp][0]
-            for h in names.held_of[comp]:
-                if h in setters and not names.has_setter(h, True, closed):
-                    setters.remove(h)
-        for h in fresh:
-            bisect.insort(held, h)
-            if names.has_setter(h, names.held[h].owner in added, closed):
-                setters.add(h)
-        name = f"{spec.name}_r{i}" if i else f"{spec.name}_m0"
+    for i, step in enumerate(names.steps(mode, closed)):
+        held = sorted(held + step.held)
+        added += step.added
+        events += [event for comp in step.added for event in assembler.events[comp][0]]
+        setters.difference_update(step.retired)
+        setters.update(step.gained)
+        name = f"{spec.name}_mch" if flat else f"{spec.name}_r{i}" if i else f"{spec.name}_m0"
         refines = machines[-1].name if machines else None
-        machines.append(assembler.machine(name, refines, held, events, sorted(setters)))
-    provenance = assembler.provenance(held, added, sorted(setters), with_invariants=False)
-    return GenResult(context, machines, provenance)  # of the most refined machine
+        machines.append(assembler.machine(name, refines, held, events, sorted(setters), flat))
+    provenance = assembler.provenance(held, added, sorted(setters), flat)
+    return GenResult(context, machines, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,19 @@ use, which also loads this module: commands that write no Event-B, such as
 ``simulate`` and ``explore``, never compile it).
 
 Event-B names are bare, so they depend on the model alone: every carrier
-set, constant, variable, event and setter name that ``gen`` writes, the
-plan of the refinement chain, and the check that no machine holds two
-claimants of one name.  ``eventb`` builds its text around these names and
-raises their collision; ``check`` reports it without importing ``eventb``.
+set, constant, variable, event and setter name that ``gen`` writes.  The
+table also steps through the machines of each generation mode
+(:meth:`EventBNames.steps`), each as what it adds to the one before, and
+so alone decides which setters a machine holds.  ``eventb`` builds its
+machines from those steps, and :meth:`EventBNames.collision` counts the
+names along the same steps to find the first machine that holds one name
+twice; ``check`` reports that collision without importing ``eventb``.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from collections import Counter
+from typing import Iterable, Iterator, Optional
 
 from .diagnostics import Diagnostic, Span, error
 from .model import EnumType, Specification, Value, build_dependency_graph, machine_set
@@ -42,22 +44,23 @@ class HeldName(Record):
     component computes it: ``Set_<v>`` for a terminal output, else
     ``Env_Set_<v>``."""
 
-    __slots__ = _fields = ("bare", "source", "owner", "direction", "setter", "span")
+    __slots__ = _fields = ("bare", "source", "direction", "setter", "span")
 
 
-# Who claims a name: ("held" | "setter", index), ("event", component) or
-# ("context", 0).
-_Claimant = tuple[str, Union[int, str]]
-# Per generation mode: where each held item is first held and each component
-# added (machine indices), the components in the order added, the machine count.
-_Machines = tuple[list[int], dict[str, int], list[str], int]
+class Step(Record):
+    """What one machine adds to the one before it (to nothing, for the
+    first): the components it ``added``, whose events follow in that
+    order, and as indices into ``EventBNames.held``, ascending, the items
+    it newly holds and those whose setter it ``gained`` or ``retired``."""
+
+    __slots__ = _fields = ("added", "held", "gained", "retired")
 
 
 class EventBNames:
-    """Every Event-B name of one specification, and the refinement chain
-    that holds them.  Built once per model (``Specification.eventb_names``);
-    ``eventb`` builds the text around these names and ``check`` reports
-    their collisions.
+    """Every Event-B name of one specification, and the machines that hold
+    them.  Built once per model (``Specification.eventb_names``); ``eventb``
+    builds the text around these names and ``check`` reports their
+    collisions.
 
     ``sets`` is the context: (carrier set, constants) per enum type, then
     per state machine.  ``held`` lists the variables and machine states in
@@ -66,23 +69,8 @@ class EventBNames:
     component's event names, assignment cases before transitions: a case
     is ``Set_<Var>_<Value>``, a transition ``<Machine>_<From>_to_<To>``, and
     a base repeated within one assignment or machine appends its index.
-
-    ``chain`` is ``gen --mode chain``'s plan, most abstract machine first:
-    per machine, the component it adds (None for the first) and the indices
-    into ``held`` that it holds and the one before does not.  Components are
-    added consumers first (the component grain of
-    :func:`build_dependency_graph`); the first machine holds the
-    ``terminal`` outputs, which no component's live rows read, and each
-    refinement adds its component's variables and machines and what it
-    reads.  ``chain`` is empty when ``chain_error`` says why chain mode
-    refuses the model.
-
-    Every name that some machine of either mode holds is registered once,
-    with everything that claims it.  Only a name with two claimants can
-    collide, so :meth:`collision` looks at those alone: it finds the first
-    machine that holds two claimants of one name, and only then walks that
-    machine in generation order to name the pair as generation always
-    has."""
+    ``terminal`` holds the outputs that no component's live rows read;
+    ``chain_error`` says why chain mode refuses the model, or is None."""
 
     def __init__(self, spec: Specification) -> None:
         self.sets: list[tuple[str, tuple[str, ...]]] = [
@@ -103,14 +91,11 @@ class EventBNames:
             start = len(self.held)
             for v in comp.variables:
                 setter = "Set_" if v.qualified in self.terminal else "Env_Set_"
-                self.held.append(
-                    HeldName(v.name, v.qualified, comp.name, v.direction, setter + v.name, v.span)
-                )
+                held = HeldName(v.name, v.qualified, v.direction, setter + v.name, v.span)
+                self.held.append(held)
             for m in comp.machines:
                 bare = f"{m.name}_state"
-                self.held.append(
-                    HeldName(bare, m.qualified, comp.name, "machine", "Env_Set_" + bare, m.span)
-                )
+                self.held.append(HeldName(bare, m.qualified, "machine", "Env_Set_" + bare, m.span))
             self.held_of[comp.name] = range(start, len(self.held))
             bases = [
                 [f"Set_{a.target.name}_{value_token(case.value)}" for case in a.cases]
@@ -134,121 +119,84 @@ class EventBNames:
             message = "no terminal output: every output variable is read by a component"
             self.chain_error = error("NoOutputs", message, spec.span)
         self._deps = deps
-        # The flat machine holds every item and adds every component at once.
-        events = list(self.events)
-        self._flat: _Machines = ([0] * len(self.held), dict.fromkeys(events, 0), events, 1)
-        self._register()
-
-    @cached_property
-    def chain(self) -> list[tuple[Optional[str], list[int]]]:
-        """Planned on first use: ``check`` needs no plan when no name repeats."""
-        if self.chain_error is not None:
-            return []
-        index = {held.source: h for h, held in enumerate(self.held)}
-        held_at = {index[name]: 0 for name in self.terminal}
-        chain: list[tuple[Optional[str], list[int]]] = [(None, sorted(held_at))]
-        for i, comp in enumerate(reversed(self._deps.component_order), 1):
-            wanted = {index[ref.name] for ref in self._deps.reads[comp]}
-            fresh = sorted(wanted.union(self.held_of[comp]).difference(held_at))
-            held_at.update(dict.fromkeys(fresh, i))
-            chain.append((comp, fresh))
-        return chain
-
-    @cached_property
-    def _chained(self) -> _Machines | None:
-        """The chain's machines as :meth:`_present` reads them."""
-        if not self.chain:
-            return None
-        held_at = [0] * len(self.held)
-        for i, (_, fresh) in enumerate(self.chain):
-            for h in fresh:
-                held_at[h] = i
-        added_at = {comp: i for i, (comp, _) in enumerate(self.chain) if comp is not None}
-        return held_at, added_at, list(added_at), len(self.chain)
-
-    def _register(self) -> list[str]:
-        """Enter every name that some machine of either mode holds, once per
-        claimant: the context's, the held items', the events' and the
-        setters'.  A setter is held for an input, for a terminal output,
-        and in the chain for an item that another component reads: the
-        chain adds that reader first, since it adds consumers first.  Only
-        a name entered twice can collide; keep those with their claimants.
-        Returns the names entered."""
-        chained = self.chain_error is None
-        read_elsewhere = {
-            ref.name
-            for comp, refs in self._deps.reads.items()
-            for ref in refs
-            if ref.name.partition(".")[0] != comp  # qualified names are Owner.name
-        }
-        setters = [
-            h
-            for h, held in enumerate(self.held)
-            if held.direction == "input"
-            or held.source in self.terminal
-            or (chained and held.source in read_elsewhere)
-        ]
+        # No machine of either mode holds a name that is not among these, so
+        # when none repeats, no machine can hold one name twice.
         names = [name for set_name, constants in self.sets for name in (set_name, *constants)]
-        context = len(names)
-        names += [held.bare for held in self.held]
+        names += [name for held in self.held for name in (held.bare, held.setter)]
         names += [name for events in self.events.values() for name in events]
-        names += [self.held[h].setter for h in setters]
-        self._clashes: dict[str, list[_Claimant]] = {}
-        if len(set(names)) < len(names):
-            claimants: list[_Claimant] = [("context", 0)] * context
-            claimants += [("held", h) for h in range(len(self.held))]
-            claimants += [("event", comp) for comp, events in self.events.items() for _ in events]
-            claimants += [("setter", h) for h in setters]
-            for name, claimant in zip(names, claimants):
-                self._clashes.setdefault(name, []).append(claimant)
-            self._clashes = {name: c for name, c in self._clashes.items() if len(c) > 1}
-        return names
+        self._repeats = len(set(names)) < len(names)
 
-    def has_setter(self, h: int, owner_added: bool, closed: bool) -> bool:
-        """Whether a machine holding ``held[h]`` drives it by its setter: an
-        input unless ``closed``, a terminal output until its owner is
-        added, and anything else until its owner is added unless
-        ``closed``."""
-        if self.held[h].direction == "input":
-            return not closed
-        return not owner_added and (not closed or self.held[h].source in self.terminal)
+    def steps(self, mode: str, closed: bool = False) -> Iterator[Step]:
+        """The machines of ``mode``, most abstract first, each as the
+        :class:`Step` from the one before.  "flat" is one machine that adds
+        every component in declaration order and holds every item.  "chain"
+        (no machines when ``chain_error``) adds the components consumers
+        first (the component grain of :func:`build_dependency_graph`): its
+        first machine holds the ``terminal`` outputs, and each refinement
+        adds one component, holds that component's variables and machines
+        and what it reads, and retires the setters of what it computes."""
 
-    def _present(self, claimant: _Claimant, machines: _Machines, closed: bool) -> range:
-        """The machines that hold the claimant's name."""
-        held_at, added_at, _, stop = machines
-        kind, key = claimant
-        if kind == "context":
-            return range(stop)
-        if kind == "event":
-            return range(added_at[key], stop)
-        if kind == "held" or self.has_setter(key, True, closed):
-            return range(held_at[key], stop)
-        if self.has_setter(key, False, closed):
-            return range(held_at[key], added_at[self.held[key].owner])
-        return range(0)
+        def driven(h: int, owner_added: bool) -> bool:
+            """Whether a machine holding ``held[h]`` drives it by its
+            setter: an input unless ``closed``, a terminal output until its
+            owner is added, and anything else until its owner is added
+            unless ``closed``."""
+            if self.held[h].direction == "input":
+                return not closed
+            return not owner_added and (not closed or self.held[h].source in self.terminal)
+
+        if mode == "flat":
+            every = range(len(self.held))
+            yield Step(list(self.events), list(every), [h for h in every if driven(h, True)], [])
+            return
+        if self.chain_error is not None:
+            return
+        index = {held.source: h for h, held in enumerate(self.held)}
+        fresh = sorted(index[name] for name in self.terminal)
+        yield Step([], fresh, [h for h in fresh if driven(h, False)], [])
+        taken = set(fresh)
+        for comp in reversed(self._deps.component_order):
+            own = self.held_of[comp]
+            retired = [h for h in own if h in taken and driven(h, False) and not driven(h, True)]
+            wanted = {index[ref.name] for ref in self._deps.reads[comp]}
+            fresh = sorted(wanted.union(own).difference(taken))
+            taken.update(fresh)
+            # What the component reads of another is not added yet: the
+            # chain adds consumers first.
+            yield Step([comp], fresh, [h for h in fresh if driven(h, h in own)], retired)
 
     def collision(self, mode: str, closed: bool = False) -> Optional[Diagnostic]:
         """The ``NameCollision`` that generation raises first: in the
-        context for ``mode`` "context"; else in the machine of "flat", or
-        the first colliding one of "chain" (None when ``chain_error``),
-        given a context without one.  Its message names the name, what
-        claims it and what claimed it before, in generation order, and its
-        span is the later claimant's."""
-        if not self._clashes:
+        context for ``mode`` "context"; else, given a context without one,
+        in the first machine of :meth:`steps` that holds one name twice.
+        Its message names the name, what claims it and what claimed it
+        before, in generation order, and its span is the later claimant's.
+
+        The names are counted along the steps.  Only a name that a step
+        gains can newly repeat, so the first step where one does is the
+        first colliding machine, and only that machine is walked in
+        generation order."""
+        if not self._repeats:
             return None
         if mode == "context":
             return _first_collision(self._context_claims())
-        machines = self._chained if mode == "chain" else self._flat
-        if machines is None:
-            return None
-        first = None
-        for claimants in self._clashes.values():
-            present = [self._present(c, machines, closed) for c in claimants]
-            for a, b in itertools.combinations(present, 2):
-                start = max(a.start, b.start)
-                if start < min(a.stop, b.stop) and (first is None or start < first):
-                    first = start
-        return None if first is None else _first_collision(self._claims(first, machines, closed))
+        count = Counter(name for name, _, _ in self._context_claims())
+        held: list[int] = []
+        added: list[str] = []
+        setters: set[int] = set()
+        for step in self.steps(mode, closed):
+            held += step.held
+            added += step.added
+            setters.difference_update(step.retired)
+            setters.update(step.gained)
+            count.subtract(self.held[h].setter for h in step.retired)
+            gained = [self.held[h].bare for h in step.held]
+            gained += [name for comp in step.added for name in self.events[comp]]
+            gained += [self.held[h].setter for h in step.gained]
+            count.update(gained)
+            if any(count[name] > 1 for name in gained):
+                return _first_collision(self._claims(sorted(held), added, sorted(setters)))
+        return None
 
     def collisions(self) -> list[Diagnostic]:
         """The collisions that ``gen`` raises in either mode, each once."""
@@ -271,24 +219,20 @@ class EventBNames:
                 yield from ((c, f"state constant of {source}", None) for c in constants)
 
     def _claims(
-        self, i: int, machines: _Machines, closed: bool
+        self, held: list[int], added: list[str], setters: list[int]
     ) -> Iterator[tuple[str, str, Span | None]]:
-        """Machine ``i``'s names in the order generation claims them: the
-        context's, the held variables', the added components' events in the
-        order they were added, and the setters."""
-        held_at, added_at, order, _ = machines
+        """A machine's names in the order generation claims them: the
+        context's, the ``held`` items', the events of the components
+        ``added``, in that order, and the ``setters``."""
         for set_name, constants in self.sets:
             yield set_name, "carrier set", None
             yield from ((c, f"constant of {set_name}", None) for c in constants)
-        held = [h for h in range(len(self.held)) if held_at[h] <= i]
         for h in held:
             yield self.held[h].bare, f"variable of {self.held[h].source}", self.held[h].span
-        for comp in order:
-            if added_at[comp] <= i:
-                yield from ((name, "event", None) for name in self.events[comp])
-        for h in held:
-            if i in self._present(("setter", h), machines, closed):
-                yield self.held[h].setter, "event", None
+        for comp in added:
+            yield from ((name, "event", None) for name in self.events[comp])
+        for h in setters:
+            yield self.held[h].setter, "event", None
 
 
 def _first_collision(claims: Iterable[tuple[str, str, Span | None]]) -> Optional[Diagnostic]:

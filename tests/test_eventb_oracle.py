@@ -4,12 +4,19 @@ text, for flat and chain mode with and without ``closed``, on the corpus,
 the benchmark's chain projects, name-collision specifications, the
 generated specifications of ``test_stepper_oracle`` and generated chains
 whose names clash; every case and transition translated once per ``gen``
-call, and every name entered into the name table once."""
+call, and each name entered once along the chain's steps.  ``check`` is
+held to ``gen`` too: it reports exactly the name collisions that the
+reference raises, and when it reports no error, ``gen`` succeeds in both
+modes unless ``check`` warned that chain mode refuses the specification."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -21,9 +28,9 @@ import rsml_kit.eventb as eventb
 from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
 from test_cli import COMPONENT_BEHIND_CYCLE, COMPONENT_CYCLE
 from oracle_helpers import reference_gen_chain, reference_gen_flat
-from rsml_kit.diagnostics import SpecError
+from rsml_kit.cli import main
+from rsml_kit.diagnostics import Diagnostic, SpecError
 from rsml_kit.eventb import gen_chain, gen_flat, render
-from rsml_kit.names import EventBNames
 from test_stepper_oracle import specs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -64,7 +71,7 @@ _CLASHING = ["v", "w", "v_TRUE", "Set_v", "Set_v_TRUE", "Env_Set_v", "M_state", 
 
 
 @st.composite
-def clashing_specs(draw):
+def clashing_texts(draw):
     """A chain of up to four components whose names are drawn from a few
     that collide with each other's variables, events and setters, in some
     machines of a chain and not in others."""
@@ -98,10 +105,16 @@ def clashing_specs(draw):
             )
         lines.append("}")
         readable += [f"C{k}.{name}" for name, _ in outputs]
+    text = "\n".join(lines) + "\n"
     try:
-        return spec_from("\n".join(lines) + "\n", "clash.rsml")
+        spec_from(text, "clash.rsml")
     except SpecError:
         assume(False)
+    return text
+
+
+def clashing_specs():
+    return clashing_texts().map(lambda text: spec_from(text, "clash.rsml"))
 
 
 @given(clashing_specs())
@@ -235,23 +248,84 @@ def test_each_guard_is_translated_once(monkeypatch, generate):
     assert len(result.machines) == (31 if generate is gen_chain else 1)
 
 
-def test_each_name_is_registered_once(monkeypatch):
-    """One ``gen_chain`` call enters every distinct Event-B name into the
-    name table once, rather than once per machine that holds it."""
+def test_each_name_is_registered_once():
+    """The chain's steps enter each name once, not once per machine that
+    holds it: every held item is newly held once, every component added
+    once, and each setter gained at most once and retired, after it was
+    gained, at most once."""
     spec = spec_from(_FIXED[-1][1])  # 30 chained components
-    entered: Counter = Counter()
-    register = EventBNames._register
+    names = spec.eventb_names
+    for closed in (False, True):
+        steps = list(names.steps("chain", closed))
+        assert len(steps) == 31
+        assert Counter(h for step in steps for h in step.held) == Counter(range(len(names.held)))
+        assert Counter(c for step in steps for c in step.added) == Counter(list(names.events))
+        gained: set[int] = set()
+        retired: set[int] = set()
+        for step in steps:
+            assert gained.isdisjoint(step.gained) and retired.isdisjoint(step.retired)
+            assert gained.issuperset(step.retired)
+            gained.update(step.gained)
+            retired.update(step.retired)
+        assert retired  # the chain replaces setters with computing components
 
-    def counted(self):
-        names = register(self)
-        entered.update(names)
-        return names
 
-    monkeypatch.setattr(EventBNames, "_register", counted)
-    result = gen_chain(spec)
-    names = {name for set_name, constants in result.context.sets for name in (set_name, *constants)}
-    for machine in result.machines:
-        names.update(machine.variables)
-        names.update(event.name for event in machine.events)
-    assert entered == Counter(names)
-    assert len(result.machines) == 31
+def _collisions_raised(generate, spec) -> list[Diagnostic]:
+    try:
+        generate(spec)
+    except SpecError as exc:
+        return [d for d in exc.diagnostics if d.code == "NameCollision"]
+    return []
+
+
+def _assert_check_collides_as_gen(spec) -> None:
+    generators = (reference_gen_flat, reference_gen_chain)
+    raised = [d for generate in generators for d in _collisions_raised(generate, spec)]
+    assert spec.eventb_names.collisions() == list(dict.fromkeys(raised))
+
+
+@given(clashing_specs())
+@settings(max_examples=200, deadline=None)
+def test_check_finds_the_collisions_of_reference_gen(spec):
+    _assert_check_collides_as_gen(spec)
+
+
+@pytest.mark.parametrize("name,text", _FIXED, ids=[f[0] for f in _FIXED])
+def test_check_finds_the_collisions_of_reference_gen_on_fixed_specs(name, text):
+    _assert_check_collides_as_gen(spec_from(text, f"{name}.rsml"))
+
+
+def _assert_check_licenses_gen(text: str) -> None:
+    """When ``check`` reports no error, ``gen`` succeeds in both modes,
+    open and closed, but where ``check`` warned that chain mode refuses
+    the specification; then chain mode does refuse it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.rsml"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["check", str(path), "--format", "json"])
+    diagnostics = json.loads(out.getvalue())["diagnostics"]
+    if any(d["severity"] == "error" for d in diagnostics):
+        return
+    refused = any(d["code"] in ("ComponentCycle", "NoOutputs") for d in diagnostics)
+    spec = spec_from(text)
+    for closed in (False, True):
+        gen_flat(spec, closed=closed)
+        if not refused:
+            gen_chain(spec, closed=closed)
+            continue
+        with pytest.raises(SpecError) as exc:
+            gen_chain(spec, closed=closed)
+        assert exc.value.code in ("CyclicDependency", "NoOutputs")
+
+
+@given(st.one_of(specs(), clashing_texts()))
+@settings(max_examples=200, deadline=None)
+def test_check_licenses_gen(text):
+    _assert_check_licenses_gen(text)
+
+
+@pytest.mark.parametrize("name,text", _FIXED, ids=[f[0] for f in _FIXED])
+def test_check_licenses_gen_on_fixed_specs(name, text):
+    _assert_check_licenses_gen(text)

@@ -1,9 +1,9 @@
 """Full-output goldens for the command line: the exact stdout, stderr and
 exit code of every command, in text and in JSON, on the corpus and on
-small specifications that reach a counterexample, a skipped guard set and
-an untraced case.  Every run names bare files inside one directory, so the
-paths that diagnostics and ``gen`` print do not depend on where the tests
-run."""
+small specifications that reach a counterexample, a skipped guard set, an
+untraced case, a name collision and a refusal of chain mode.  Every run
+names bare files inside one directory, so the paths that diagnostics and
+``gen`` print do not depend on where the tests run."""
 
 from __future__ import annotations
 
@@ -51,6 +51,36 @@ component B {
 """
 
 
+# M reads C's one output z, so no output is terminal, and chain mode, whose
+# first machine holds the terminal outputs, refuses the specification;
+# check warns of that.  NO_OUTPUTS declares no output at all.
+NO_TERMINAL = """\
+specification noterm
+component C {
+  input i : bool
+  output z : bool
+  assign z { when table { i = TRUE : T } then TRUE when else then FALSE }
+  statemachine M {
+    initial P ;
+    state P { goto Q when table { z = TRUE : T } goto P when else }
+    state Q { goto P when table { z = TRUE : F } goto Q when else }
+  }
+}
+"""
+
+NO_OUTPUTS = """\
+specification noout
+component C {
+  input i : bool
+  statemachine M {
+    initial P ;
+    state P { goto Q when table { i = TRUE : T } goto P when else }
+    state Q { goto P when table { i = TRUE : F } goto Q when else }
+  }
+}
+"""
+
+
 @pytest.fixture(autouse=True)
 def workdir(tmp_path, monkeypatch):
     for name in ("startstop.rsml", "startstop.pf", "startstop.req", "startstop.script", "twocomp.rsml"):
@@ -62,6 +92,8 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "capped.rsml").write_text(CAPPED, encoding="utf-8")
     (tmp_path / "outs.rsml").write_text(TWO_OUTS, encoding="utf-8")
     (tmp_path / "chaincollide.rsml").write_text(CHAIN_ONLY_COLLISION, encoding="utf-8")
+    (tmp_path / "noterm.rsml").write_text(NO_TERMINAL, encoding="utf-8")
+    (tmp_path / "noout.rsml").write_text(NO_OUTPUTS, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 
@@ -146,6 +178,44 @@ CHAINCOLLIDE_ERR = (
     "error[NameCollision]: event 'Set_w_TRUE' collides with event "
     "(generated Event-B names must be unique)\n"
 )
+
+NOTERM_TEXT = """\
+guard set C.z: domain 2, complete, consistent
+guard set C.M state P: domain 2, complete, consistent
+guard set C.M state Q: domain 2, complete, consistent
+3 guard sets: 3 complete, 3 consistent
+"""
+
+NO_TERMINAL_MESSAGE = "no terminal output: every output variable is read by a component"
+REFUSED = "; gen --mode chain will refuse this specification"
+NOTERM_WARNING = f"noterm.rsml:1:1: warning[NoOutputs]: {NO_TERMINAL_MESSAGE}{REFUSED}\n"
+
+NOTERM_JSON = {
+    "diagnostics": [
+        {
+            "severity": "warning",
+            "code": "NoOutputs",
+            "message": NO_TERMINAL_MESSAGE + REFUSED,
+            "span": {"file": "noterm.rsml", "line": 1, "column": 1, "length": 13},
+        }
+    ],
+    "summaries": [
+        {
+            "specification": "noterm",
+            "guard_sets": [
+                {"owner": owner, "domain_size": 2, "complete": True, "consistent": True}
+                for owner in ("C.z", "C.M state P", "C.M state Q")
+            ],
+            "summary": "3 guard sets: 3 complete, 3 consistent",
+        }
+    ],
+}
+
+NOOUT_TEXT = """\
+guard set C.M state P: domain 2, complete, consistent
+guard set C.M state Q: domain 2, complete, consistent
+2 guard sets: 2 complete, 2 consistent
+"""
 
 SIMULATE_TEXT = """\
 step  inputs                                                           changes                                                                        machines
@@ -370,6 +440,27 @@ GOLDENS = [
     ("gen outs.rsml -o out", 1, "", OUTS_ERR),
     ("check chaincollide.rsml", 1, CHAINCOLLIDE_TEXT, CHAINCOLLIDE_ERR),
     ("gen chaincollide.rsml -o out --mode chain", 1, "", CHAINCOLLIDE_ERR),
+    ("check noterm.rsml", 0, NOTERM_TEXT, NOTERM_WARNING),
+    ("check noterm.rsml --format json", 0, _json(NOTERM_JSON), ""),
+    ("check noterm.rsml --warnings-as-errors", 1, NOTERM_TEXT, NOTERM_WARNING),
+    (
+        "gen noterm.rsml -o out --mode chain",
+        1,
+        "",
+        f"noterm.rsml:1:1: error[NoOutputs]: {NO_TERMINAL_MESSAGE}\n",
+    ),
+    (
+        "check noout.rsml",
+        0,
+        NOOUT_TEXT,
+        f"noout.rsml:1:1: warning[NoOutputs]: no output variables{REFUSED}\n",
+    ),
+    (
+        "gen noout.rsml -o out --mode chain",
+        1,
+        "",
+        "noout.rsml:1:1: error[NoOutputs]: no output variables\n",
+    ),
     (SIMULATE, 0, SIMULATE_TEXT, ""),
     (f"{SIMULATE} --format json", 0, _json(SIMULATE_JSON), ""),
     ("explore startstop.rsml", 0, EXPLORE_STARTSTOP_TEXT, ""),
