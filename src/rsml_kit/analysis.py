@@ -16,11 +16,12 @@ of the guard set's tables mentions, all-dot rows included
 its machine's states, as one ``model.Radix`` in first-occurrence order.  One
 ``_GuardSetMasks`` per guard set holds it, gives the ``domain N`` count,
 checks the cap, builds the masks from each table's ``columns`` (never its
-cells), one block per run of matching values, and decodes witnesses through
-the radix; :func:`analyze` emits each guard set's diagnostics as it checks
-it, then both cycle diagnostics from one ``model.build_dependency_graph``: a
-same-step variable cycle is an error, and a component cycle without one only
-a warning.
+cells), one block per run of matching values (over an int range that a
+test compares with one int, at most three runs found from the int alone),
+and decodes witnesses through the radix; :func:`analyze` emits each guard
+set's diagnostics as it checks it, then both cycle diagnostics from one
+``model.build_dependency_graph``: a same-step variable cycle is an error,
+and a component cycle without one only a warning.
 
 Bit n of a mask is the radix's n-th valuation in lexicographic order, so a
 witness, the lowest set bit of a mask, is the lexicographically smallest
@@ -213,17 +214,28 @@ class _GuardSetMasks:
             if isinstance(cond, TableCondition)
         }
 
-    def where(self, ref: DomainRef, holds: Callable[[Value], bool]) -> int:
+    def where(self, ref: DomainRef, holds: Callable[[Value], bool], cut: Value = None) -> int:
         """Points at which ``ref`` has a value that ``holds``: one block of
         ``stride`` bits per run of consecutive such values, then that
         pattern repeated up to the domain size by shift-and-OR doubling.
         Both are linear in the mask size, where a block per value, or
-        multiplying by a repunit and dividing, would be quadratic."""
+        multiplying by a repunit and dividing, would be quadratic.
+
+        ``cut`` is the one int that ``holds`` compares the value with, if
+        any.  Over an int range, ``holds`` is then constant below ``cut``, at
+        it and above it, so it is called once per such segment, at most three
+        times, not once per value."""
         k, radix = self.refs.index(ref), self.radix
-        stride = radix.strides[k]
+        stride, domain = radix.strides[k], radix.domains[k]
+        if isinstance(cut, int) and isinstance(domain, range):
+            lo, hi = domain.start, domain.stop
+            bounds = sorted({lo, hi, min(max(cut, lo), hi), min(max(cut + 1, lo), hi)})
+            runs = [(holds(a), b - a) for a, b in zip(bounds, bounds[1:])]
+        else:
+            runs = [(truth, sum(1 for _ in run)) for truth, run in itertools.groupby(domain, holds)]
         mask = start = 0
-        for truth, run in itertools.groupby(radix.domains[k], holds):
-            end = start + sum(1 for _ in run)
+        for truth, length in runs:
+            end = start + length
             if truth:
                 mask |= (1 << (end * stride)) - (1 << (start * stride))
             start = end
@@ -238,13 +250,14 @@ class _GuardSetMasks:
             return self.where(DomainRef("machine", pred.machine), lambda s: s == pred.state)
         test, lhs, rhs = OPS[pred.op], DomainRef("var", pred.lhs.ref), pred.rhs
         if isinstance(rhs, LitOperand):
-            return self.where(lhs, lambda a: test(a, rhs.value))
-        # Variable against variable: the union over each right-hand value b.
+            return self.where(lhs, lambda a: test(a, rhs.value), rhs.value)
+        # Variable against variable: the union over each right-hand value b,
+        # which both sides' tests compare with, as with a literal.
         right = DomainRef("var", rhs.ref)
         mask = 0
         for b in self.radix.domains[self.refs.index(right)]:
-            lhs_holds = self.where(lhs, lambda a, b=b: test(a, b))
-            mask |= lhs_holds & self.where(right, lambda r, b=b: r == b)
+            lhs_holds = self.where(lhs, lambda a, b=b: test(a, b), b)
+            mask |= lhs_holds & self.where(right, lambda r, b=b: r == b, b)
         return mask
 
     def table(self, t: AndOrTable) -> int:

@@ -21,7 +21,6 @@ flags.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -35,7 +34,7 @@ from .eventb import GenResult, gen_chain, gen_flat, render
 from .model import Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
 from .pftrace import TraceReport, check_pf, check_trace_tags, link, trace_report
-from .simulator import SystemState, Trace, explore, parse_script, run_script
+from .simulator import Trace, explore, parse_script, run_script
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -194,30 +193,39 @@ def cmd_check(args: argparse.Namespace) -> _Result:
 # simulate
 
 
-def _display_values(spec: Specification, state: SystemState) -> dict[str, str]:
-    return {spec.display_name(name): str(value) for name, value in state.values}
-
-
-def _display_states(spec: Specification, state: SystemState) -> dict[str, str]:
-    return {spec.display_name(name): value for name, value in state.states}
+def _display_names(
+    spec: Specification, trace: Trace
+) -> tuple[list[str], list[str], dict[str, str]]:
+    """The display names of a trace's variables and of its machines, in
+    row order, looked up once per trace, and each variable's by its
+    qualified name, for the inputs."""
+    shown = [spec.display_name(name) for name in trace.var_names]
+    machines = [spec.display_name(name) for name in trace.machine_names]
+    return shown, machines, dict(zip(trace.var_names, shown))
 
 
 def _trace_json(spec: Specification, trace: Trace) -> dict:
+    shown, machines, by_name = _display_names(spec, trace)
+    width = len(shown)
+
+    def values(row: tuple) -> dict[str, str]:
+        return dict(zip(shown, map(str, row)))
+
+    def states(row: tuple) -> dict[str, str]:
+        return dict(zip(machines, row[width:]))
+
+    rows = trace.rows
     return {
         "specification": spec.name,
-        "initial": {
-            "step": 0,
-            "values": _display_values(spec, trace.initial),
-            "machines": _display_states(spec, trace.initial),
-        },
+        "initial": {"step": 0, "values": values(rows[0]), "machines": states(rows[0])},
         "steps": [
             {
-                "step": state.step,
-                "inputs": {spec.display_name(k): str(v) for k, v in inputs.items()},
-                "values": _display_values(spec, state),
-                "machines": _display_states(spec, state),
+                "step": step,
+                "inputs": {by_name[k]: str(v) for k, v in inputs.items()},
+                "values": values(row),
+                "machines": states(row),
             }
-            for inputs, state in trace.steps
+            for step, (inputs, row) in enumerate(zip(trace.inputs, rows[1:]), start=1)
         ],
         "violation": (
             {"invariant": trace.violation[0], "step": trace.violation[1]}
@@ -229,27 +237,23 @@ def _trace_json(spec: Specification, trace: Trace) -> dict:
 
 def _trace_text(spec: Specification, trace: Trace) -> str:
     """One row per state: the inputs its step set, the values that changed
-    (every value in the initial state) and the machine states.  Display
-    names are looked up once per variable and machine, and each state's
-    values are compared with the previous state's by position."""
-    shown = {name: spec.display_name(name) for name, _ in trace.initial.values}
-    machines = [spec.display_name(name) for name, _ in trace.initial.states]
+    (every value in the initial state) and the machine states.  Each
+    state's values are compared with the previous state's by position."""
+    shown, machines, by_name = _display_names(spec, trace)
+    width = len(shown)
 
-    def states(state: SystemState) -> str:
-        return ", ".join([f"{k}={v}" for k, (_, v) in zip(machines, state.states)]) or "-"
+    def states(row: tuple) -> str:
+        return ", ".join([f"{k}={v}" for k, v in zip(machines, row[width:])]) or "-"
 
     rows = [("step", "inputs", "changes", "machines")]
-    prev = [value for _, value in trace.initial.values]
-    initial = ", ".join([f"{k}={v}" for k, v in zip(shown.values(), prev)]) or "-"
-    rows.append((str(trace.initial.step), "-", initial, states(trace.initial)))
-    for step_inputs, state in trace.steps:
-        inputs = ", ".join([f"{shown[k]}={v}" for k, v in step_inputs.items()]) or "-"
-        values = [value for _, value in state.values]
-        changes = ", ".join(
-            [f"{k}={v}" for k, v, before in zip(shown.values(), values, prev) if v != before]
-        )
-        rows.append((str(state.step), inputs, changes or "-", states(state)))
-        prev = values
+    prev = trace.rows[0]
+    initial = ", ".join([f"{k}={v}" for k, v in zip(shown, prev)]) or "-"
+    rows.append(("0", "-", initial, states(prev)))
+    for step, (step_inputs, row) in enumerate(zip(trace.inputs, trace.rows[1:]), start=1):
+        inputs = ", ".join([f"{by_name[k]}={v}" for k, v in step_inputs.items()]) or "-"
+        changes = ", ".join([f"{k}={v}" for k, v, before in zip(shown, row, prev) if v != before])
+        rows.append((str(step), inputs, changes or "-", states(row)))
+        prev = row
     lines = _columns(rows)
     if trace.violation:
         lines.append(f"invariant '{trace.violation[0]}' violated at step {trace.violation[1]}")
@@ -505,6 +509,8 @@ def _run(argv: list[str] | None) -> int:
     else:
         # gen has neither --format nor a payload.
         if payload is not None and args.format == "json":
+            import json  # text mode, every command's default, never loads it
+
             print(json.dumps(payload(), indent=2))
         else:
             _print_diagnostics(diags)

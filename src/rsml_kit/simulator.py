@@ -28,9 +28,15 @@ its own current state, since its transitions are filtered by source: a
 guard set is evaluated by ``table_logic.eval_condition`` once per
 distinct key, and every later step with that key reuses the fired index
 and value, or re-raises the same ``NondeterministicFiring``.  A memo holds
-at most one entry per point of its node's read domain.  Named
-:class:`SystemState` records are built only for states that are output:
-every step of a script, and the counterexample states of an exploration.
+at most one entry per point of its node's read domain.
+
+A :class:`Trace`, what :func:`run_script` returns and what each of
+:func:`explore`'s counterexamples is, stays packed too: it holds the
+stepper's variable and machine name tuples once and one packed row per
+state.  A named :class:`SystemState`, of (name, value) pairs, is built
+only when a caller asks for one, through :meth:`Trace.state` or
+:attr:`Trace.states`; :func:`initial_state` and :func:`step_core` return
+one.  The CLI renders a trace from its rows by position.
 
 The stepper stages a step by binding time.  A node is per-combination if
 it reads an input or a variable that a per-combination assignment writes,
@@ -90,12 +96,21 @@ class StepResult(Record):
 
 
 class Trace(Record):
-    __slots__ = _fields = ("initial", "steps", "violation")  # violation: (invariant, step index)
+    """A run, packed: the variable and machine names once; ``rows``, one
+    packed state per step, the initial state first; ``inputs``, the
+    inputs of step k at k - 1; ``violation``, the first violated
+    invariant and its step index."""
+
+    __slots__ = _fields = ("var_names", "machine_names", "rows", "inputs", "violation")
     _defaults = {"violation": None}
+
+    def state(self, step: int) -> SystemState:
+        """The named state after ``step`` steps (0: the initial state)."""
+        return _unpack(self.var_names, self.machine_names, self.rows[step], step)
 
     @property
     def states(self) -> list[SystemState]:
-        return [self.initial] + [s for _, s in self.steps]
+        return [self.state(k) for k in range(len(self.rows))]
 
 
 class ExplorationReport(Record):
@@ -321,13 +336,6 @@ class _Stepper:
     def pack(self, state: SystemState) -> Packed:
         return (*(value for _, value in state.values), *(s for _, s in state.states))
 
-    def unpack(self, state: Packed, step: int) -> SystemState:
-        return SystemState(
-            tuple(zip(self.var_names, state)),
-            tuple(zip(self.machine_names, state[self.width :])),
-            step,
-        )
-
     def start(self) -> Packed:
         """The initial state; raises if an invariant is already violated."""
         violated = self.violated(self.initial, self.invariants)
@@ -340,6 +348,17 @@ class _Stepper:
                 )
             )
         return self.initial
+
+
+def _unpack(
+    var_names: tuple[str, ...], machine_names: tuple[str, ...], state: Packed, step: int
+) -> SystemState:
+    """The named form of a packed state."""
+    return SystemState(
+        tuple(zip(var_names, state)),
+        tuple(zip(machine_names, state[len(var_names) :])),
+        step,
+    )
 
 
 def _choices(owner: _Node) -> Iterator[tuple[Condition, Value, str | None]]:
@@ -366,7 +385,7 @@ def initial_state(spec: Specification) -> SystemState:
     """Every variable at its init (or domain default), every machine at its
     initial state, step 0.  Raises if an invariant is already violated."""
     stepper = _stepper(spec, order=[])  # takes no step, so needs no order
-    return stepper.unpack(stepper.start(), 0)
+    return _unpack(stepper.var_names, stepper.machine_names, stepper.start(), 0)
 
 
 def check_inputs(spec: Specification, inputs: dict[str, Value]) -> None:
@@ -402,7 +421,7 @@ def step_core(
     succ, violations = next(stepper.successors(stepper.pack(cur), [combo], fired))
     fired.sort()  # into evaluation order
     return StepResult(
-        stepper.unpack(succ, cur.step + 1),
+        _unpack(stepper.var_names, stepper.machine_names, succ, cur.step + 1),
         {node: idx for _, node, is_machine, idx in fired if not is_machine},
         {node: idx for _, node, is_machine, idx in fired if is_machine},
         violations,
@@ -412,10 +431,19 @@ def step_core(
 # ---------------------------------------------------------------------------
 # Scripts
 
+_SCRIPT_ITEM = re.compile(r"([A-Za-z_][\w.]*)\s*=\s*(-?\w+)")
+_INTEGER = re.compile(r"-?\d+")
+
 
 def parse_script(text: str, spec: Specification, filename: str = "<script>") -> list[dict[str, Value]]:
     """One step per line: comma-separated name=value pairs; '#' comments.
     Names may be bare (when unambiguous) or qualified."""
+    # Each name a script may write, and the variables it may mean: a
+    # qualified name means its own, a bare one every variable of that name.
+    names: dict[str, list[str]] = {}
+    for v in spec.variables:
+        names[v.qualified] = [v.qualified]
+        names.setdefault(v.name, []).append(v.qualified)
     rows: list[dict[str, Value]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -424,7 +452,7 @@ def parse_script(text: str, spec: Specification, filename: str = "<script>") -> 
         row: dict[str, Value] = {}
         for item in line.split(","):
             item = item.strip()
-            m = re.fullmatch(r"([A-Za-z_][\w.]*)\s*=\s*(-?\w+)", item)
+            m = _SCRIPT_ITEM.fullmatch(item)
             if m is None:
                 raise SpecError(
                     error(
@@ -433,49 +461,36 @@ def parse_script(text: str, spec: Specification, filename: str = "<script>") -> 
                     )
                 )
             name, raw_value = m.group(1), m.group(2)
-            qualified = _resolve_script_name(spec, name, filename, lineno)
-            value: Value = int(raw_value) if re.fullmatch(r"-?\d+", raw_value) else raw_value
-            row[qualified] = value
+            matches = names.get(name, [])
+            if len(matches) != 1:
+                raise SpecError(_name_error(name, matches, f"{filename}:{lineno}"))
+            row[matches[0]] = int(raw_value) if _INTEGER.fullmatch(raw_value) else raw_value
         check_inputs(spec, row)
         rows.append(row)
     return rows
 
 
-def _resolve_script_name(spec: Specification, name: str, filename: str, lineno: int) -> str:
-    if "." in name:
-        if name not in spec.var_map:
-            raise SpecError(
-                error("UnknownName", f"{filename}:{lineno}: unknown variable: {name}")
-            )
-        return name
-    matches = [v.qualified for v in spec.variables if v.name == name]
-    if len(matches) == 1:
-        return matches[0]
+def _name_error(name: str, matches: list[str], where: str) -> Diagnostic:
     if not matches:
-        raise SpecError(error("UnknownName", f"{filename}:{lineno}: unknown variable: {name}"))
-    raise SpecError(
-        error(
-            "AmbiguousName",
-            f"{filename}:{lineno}: '{name}' is ambiguous ({', '.join(matches)})",
-        )
-    )
+        return error("UnknownName", f"{where}: unknown variable: {name}")
+    return error("AmbiguousName", f"{where}: '{name}' is ambiguous ({', '.join(matches)})")
 
 
 def run_script(
     spec: Specification, script: list[dict[str, Value]], keep_going: bool = False
 ) -> Trace:
-    """Fold :func:`step` over the script rows; stops at the first invariant
+    """Fold the step over the script rows; stops at the first invariant
     violation unless keep_going is set."""
     stepper = _stepper(spec)
     state = stepper.start()
-    trace = Trace(stepper.unpack(state, 0), [])
+    trace = Trace(stepper.var_names, stepper.machine_names, [state], [])
     for row in script:
         check_inputs(spec, row)
         state, violations = next(stepper.successors(state, [stepper.packed_inputs(row)]))
-        step_index = len(trace.steps) + 1
-        trace.steps.append((row, stepper.unpack(state, step_index)))
+        trace.rows.append(state)
+        trace.inputs.append(row)
         if violations and trace.violation is None:
-            trace.violation = (violations[0], step_index)
+            trace.violation = (violations[0], len(trace.inputs))
             if not keep_going:
                 break
     return trace
@@ -545,11 +560,15 @@ def explore(
         while (parent := parents[state]) is not None:
             path.append((parent[1], state))
             state = parent[0]
-        steps = [
-            ({stepper.var_names[slot]: x for slot, x in combos.decode(index)}, stepper.unpack(s, k))
-            for k, (index, s) in enumerate(reversed(path), start=1)
-        ]
-        return Trace(stepper.unpack(state, 0), steps, violation=(invariant, len(steps)))
+        path.reverse()
+        names = stepper.var_names
+        return Trace(
+            names,
+            stepper.machine_names,
+            [state, *(s for _, s in path)],
+            [{names[slot]: x for slot, x in combos.decode(index)} for index, _ in path],
+            (invariant, len(path)),
+        )
 
     traces = [(name, counterexample(state, name)) for name, state in sorted(violations.items())]
     return ExplorationReport(len(parents), depth_reached, traces, limit)

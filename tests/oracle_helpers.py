@@ -2,7 +2,8 @@
 evaluation path: truth-vector table semantics and naive enumeration for
 completeness/consistency verdicts, and the interpretive step semantics
 (every guard set evaluated at every step over freshly built dicts) with a
-breadth-first search and a script fold on top of it, the per-machine
+breadth-first search and a script fold on top of it, whose traces are
+named states, the trace renderers over those named states, the per-machine
 Event-B assembly that rebuilds every refinement from scratch, the trace
 report that scans every edge per neighbour lookup, and the character-loop
 tokenizer."""
@@ -31,6 +32,7 @@ from rsml_kit.eventb import (
     table_formula,
     translate_condition,
 )
+from rsml_kit.cli import _columns
 from rsml_kit.lexer import KEYWORDS
 from rsml_kit.model import (
     DomainRef,
@@ -57,6 +59,7 @@ from rsml_kit.pftrace import (
     TraceReport,
     TraceRow,
 )
+from rsml_kit.record import Record
 from rsml_kit.simulator import (
     ExplorationReport,
     StepResult,
@@ -191,6 +194,26 @@ def witness_valuation(g, witness: dict) -> Valuation:
 # Reference step semantics
 
 
+class NamedTrace(Record):
+    """A trace as named states: the ``initial`` :class:`SystemState`, then
+    ``steps`` of (inputs, state), and the ``violation``."""
+
+    __slots__ = _fields = ("initial", "steps", "violation")  # violation: (invariant, step index)
+
+
+def named(trace: Trace) -> NamedTrace:
+    """A packed :class:`simulator.Trace` as named states, so that two
+    traces compare state by state and name by name."""
+    steps = [(inputs, trace.state(k)) for k, inputs in enumerate(trace.inputs, start=1)]
+    return NamedTrace(trace.state(0), steps, trace.violation)
+
+
+def named_report(report: ExplorationReport) -> ExplorationReport:
+    """The report with each counterexample as a :class:`NamedTrace`."""
+    traces = [(name, named(trace)) for name, trace in report.violations]
+    return ExplorationReport(report.reachable, report.depth, traces, report.limit)
+
+
 def _make_state(spec, values: dict, states: dict, step: int) -> SystemState:
     ordered_values = tuple((v.qualified, values[v.qualified]) for v in spec.variables)
     ordered_states = tuple((m.qualified, states[m.qualified]) for m in spec.machines)
@@ -281,10 +304,10 @@ def reference_step(spec, cur: SystemState, inputs: dict, order: list[str]) -> St
     return StepResult(state, fired_cases, fired_transitions, violations)
 
 
-def reference_run_script(spec, script: list[dict], keep_going: bool = False) -> Trace:
+def reference_run_script(spec, script: list[dict], keep_going: bool = False) -> NamedTrace:
     order = evaluation_order(spec)
     state = reference_initial_state(spec)
-    trace = Trace(state, [])
+    trace = NamedTrace(state, [], None)
     for row in script:
         check_inputs(spec, row)
         result = reference_step(spec, state, row, order)
@@ -350,8 +373,69 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
             steps.append((combo, state))
             cursor = parent_key
         steps.reverse()
-        traces.append((name, Trace(init, steps, violation=(name, len(steps)))))
+        traces.append((name, NamedTrace(init, steps, (name, len(steps)))))
     return ExplorationReport(len(visited), depth_reached, traces, limit)
+
+
+# ---------------------------------------------------------------------------
+# Reference trace renderers: the CLI's simulate and explore output, built
+# from named states, every display name looked up for every state.
+
+
+def _display_values(spec, state: SystemState) -> dict[str, str]:
+    return {spec.display_name(name): str(value) for name, value in state.values}
+
+
+def _display_states(spec, state: SystemState) -> dict[str, str]:
+    return {spec.display_name(name): value for name, value in state.states}
+
+
+def reference_trace_json(spec, trace: NamedTrace) -> dict:
+    return {
+        "specification": spec.name,
+        "initial": {
+            "step": 0,
+            "values": _display_values(spec, trace.initial),
+            "machines": _display_states(spec, trace.initial),
+        },
+        "steps": [
+            {
+                "step": state.step,
+                "inputs": {spec.display_name(k): str(v) for k, v in inputs.items()},
+                "values": _display_values(spec, state),
+                "machines": _display_states(spec, state),
+            }
+            for inputs, state in trace.steps
+        ],
+        "violation": (
+            {"invariant": trace.violation[0], "step": trace.violation[1]}
+            if trace.violation
+            else None
+        ),
+    }
+
+
+def reference_trace_text(spec, trace: NamedTrace) -> str:
+    """One row per state: the inputs its step set, the values that changed
+    by name (every value in the initial state) and the machine states."""
+
+    def states(state: SystemState) -> str:
+        return ", ".join(f"{k}={v}" for k, v in _display_states(spec, state).items()) or "-"
+
+    rows = [("step", "inputs", "changes", "machines")]
+    prev = _display_values(spec, trace.initial)
+    initial = ", ".join(f"{k}={v}" for k, v in prev.items()) or "-"
+    rows.append((str(trace.initial.step), "-", initial, states(trace.initial)))
+    for step_inputs, state in trace.steps:
+        inputs = ", ".join(f"{spec.display_name(k)}={v}" for k, v in step_inputs.items()) or "-"
+        values = _display_values(spec, state)
+        changes = ", ".join(f"{k}={v}" for k, v in values.items() if v != prev[k])
+        rows.append((str(state.step), inputs, changes or "-", states(state)))
+        prev = values
+    lines = _columns(rows)
+    if trace.violation:
+        lines.append(f"invariant '{trace.violation[0]}' violated at step {trace.violation[1]}")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def test_acceptance_4_explorer_soundness():
         assert [name for name, _ in toy_report.violations] == ["mutual_exclusion"]
         trace = toy_report.violations[0][1]
         assert trace.violation == ("mutual_exclusion", 1)
-        assert len(trace.steps) == 1
+        assert len(trace.inputs) == 1
 
         # Depth-bounded check that no shorter counterexample exists: the
         # invariant holds in the only depth-0 state, per the oracle path.
@@ -315,7 +315,7 @@ def test_acceptance_4_explorer_soundness():
         assert oracle_condition(toy.invariants[0].body, init_env)
 
         # The counterexample replays: its final state violates the invariant.
-        final_env = dict(trace.steps[-1][1].values)
+        final_env = dict(trace.states[-1].values)
         assert not oracle_condition(toy.invariants[0].body, final_env)
 
 

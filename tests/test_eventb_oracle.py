@@ -70,11 +70,33 @@ def test_generated_specs_match_reference(text):
 _CLASHING = ["v", "w", "v_TRUE", "Set_v", "Set_v_TRUE", "Env_Set_v", "M_state", "Idle"]
 
 
+def _chain_only_collision(w: str) -> list[str]:
+    """A supplier S with a terminal output ``<w>_TRUE`` and its consumer R
+    with an output ``<w>``.  The chain adds R before S, so while S is not
+    added, R's event ``Set_<w>_TRUE`` meets the setter of ``S.<w>_TRUE``;
+    the flat machine has no such setter."""
+    drive = "when table { s = TRUE : T } then TRUE when else then FALSE"
+    return [
+        "component S {",
+        "  input s : bool",
+        "  output t : bool",
+        f"  output {w}_TRUE : bool",
+        f"  assign t {{ {drive} }}",
+        f"  assign {w}_TRUE {{ {drive} }}",
+        "}",
+        "component R {",
+        f"  output {w} : bool",
+        f"  assign {w} {{ when table {{ S.t = TRUE : T }} then TRUE when else then FALSE }}",
+        "}",
+    ]
+
+
 @st.composite
 def clashing_texts(draw):
     """A chain of up to four components whose names are drawn from a few
     that collide with each other's variables, events and setters, in some
-    machines of a chain and not in others."""
+    machines of a chain and not in others; in about half, then, a planted
+    collision that only chain mode meets (``_chain_only_collision``)."""
     lines = ["specification clash"]
     if draw(st.integers(0, 3)) == 0:
         lines.append("type T_E = { Idle, Go }")
@@ -105,6 +127,8 @@ def clashing_texts(draw):
             )
         lines.append("}")
         readable += [f"C{k}.{name}" for name, _ in outputs]
+    if draw(st.booleans()):
+        lines += _chain_only_collision(draw(st.sampled_from(["u", "v", "w"])))
     text = "\n".join(lines) + "\n"
     try:
         spec_from(text, "clash.rsml")

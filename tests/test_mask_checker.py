@@ -1,6 +1,6 @@
 """The guard-set checker's exact verdicts against brute-force enumeration,
-Event-B guard translation against the AND/OR grid, and the domain cap at
-its boundary."""
+Event-B guard translation against the AND/OR grid, the domain cap at its
+boundary, and a compare with an int literal tested once per segment."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +19,10 @@ from oracle_helpers import oracle_condition, oracle_domain, oracle_overlaps, ora
 from rsml_kit.analysis import (
     DEFAULT_CAP,
     GuardSet,
+    _GuardSetMasks,
     check_completeness,
     check_consistency,
+    collect_guard_sets,
     referenced_domain,
 )
 from rsml_kit.cli import main
@@ -33,6 +36,7 @@ from rsml_kit.model import (
     TableCondition,
     VarOperand,
 )
+from rsml_kit.table_logic import OPS
 
 MIXED = spec_from(
     """
@@ -260,3 +264,31 @@ component C {{
         f"guard set C.o: domain {DEFAULT_CAP}, complete, consistent",
         "1 guard set: 1 complete, 1 consistent",
     ]
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@pytest.mark.parametrize("literal", [-9, -5, -4, 0, 19_999, 20_000, 20_001])
+def test_an_int_literal_splits_a_range_into_at_most_three_tests(monkeypatch, op, literal):
+    """A compare with an int literal holds alike below, at and above the
+    literal, so its mask over a range tests one value of each segment, not
+    each of the range's 20,006 values; the mask is the one the per-value
+    test gives, with literals below, at, inside, at the end of and past the
+    range."""
+    spec = spec_from(
+        f"""
+specification seg
+type T_X = int [-5 .. 20000]
+component C {{
+  input x : T_X
+  output o : bool
+  assign o {{ when table {{ x {op} {literal} : T }} then TRUE when else then FALSE }}
+}}
+"""
+    )
+    (g,) = collect_guard_sets(spec)[0]
+    masks = _GuardSetMasks(g, spec, cap=None)
+    test, tested = OPS[op], []
+    monkeypatch.setitem(OPS, op, lambda a, b: tested.append(a) or test(a, b))
+    mask = masks.predicate(g.conditions[0][0].table.rows[0])
+    assert 1 <= len(tested) <= 3
+    assert mask == sum(1 << k for k, x in enumerate(range(-5, 20_001)) if test(x, literal))

@@ -214,8 +214,8 @@ component C {
 class TestScripts:
     def test_empty_script(self, startstop):
         trace = run_script(startstop, [])
-        assert trace.steps == [] and trace.violation is None
-        assert trace.initial == initial_state(startstop)
+        assert trace.inputs == [] and trace.violation is None
+        assert trace.states == [initial_state(startstop)]
 
     def test_three_row_script_hand_checked(self, startstop):
         script = [
@@ -224,7 +224,7 @@ class TestScripts:
             {SW: "NOT_USED"},
         ]
         trace = run_script(startstop, script)
-        values = [state_value(state, ENA) for _, state in trace.steps]
+        values = [state_value(state, ENA) for state in trace.states[1:]]
         assert values == ["FALSE", "FALSE", "TRUE"]
 
     def test_script_parsing(self, startstop):
@@ -252,10 +252,10 @@ class TestScripts:
         calm = {"HMI.Driver_Wants_Start": "FALSE", "HMI.Driver_Wants_Stop": "FALSE"}
         trace = run_script(mutex_toy, [both, calm])
         assert trace.violation == ("mutual_exclusion", 1)
-        assert len(trace.steps) == 1
+        assert trace.inputs == [both]
         kept = run_script(mutex_toy, [both, calm], keep_going=True)
         assert kept.violation == ("mutual_exclusion", 1)
-        assert len(kept.steps) == 2
+        assert kept.inputs == [both, calm] and len(kept.rows) == 3
 
 
 class TestExplore:
@@ -277,8 +277,9 @@ class TestExplore:
         assert [name for name, _ in report.violations] == ["mutual_exclusion"]
         trace = report.violations[0][1]
         assert trace.violation == ("mutual_exclusion", 1)
-        assert len(trace.steps) == 1
-        inputs, state = trace.steps[0]
+        assert len(trace.inputs) == 1
+        inputs, state = trace.inputs[0], trace.state(1)
+        assert state.step == 1
         assert inputs["HMI.Driver_Wants_Start"] == "TRUE"
         assert inputs["HMI.Driver_Wants_Stop"] == "TRUE"
         assert state_value(state, "HMI.Strt_Req") == "TRUE"

@@ -25,6 +25,11 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert _loaded_after("rsml_kit.cli", ("dataclasses", "inspect")) == []
 
 
+def test_cli_import_leaves_out_json():
+    """Only ``--format json`` writes JSON, so ``_run`` loads ``json`` then."""
+    assert _loaded_after("rsml_kit.cli", ("json",)) == []
+
+
 def test_cli_import_leaves_out_the_eventb_name_table():
     """``simulate`` and ``explore`` write no Event-B, so the name table's
     module loads when a model first asks for its names."""

@@ -1,7 +1,7 @@
 """The memoized, packed stepper against the interpretive reference step in
 ``oracle_helpers``: equal script traces (and fired indices) and equal
-exploration reports on generated one- and two-component specifications,
-the corpus, and small benchmark projects."""
+exploration reports, every state compared by name, on generated one- and
+two-component specifications, the corpus, and small benchmark projects."""
 
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
 from oracle_helpers import (
+    named,
+    named_report,
     reference_explore,
     reference_initial_state,
     reference_run_script,
@@ -182,7 +184,7 @@ def _script(draw, spec) -> list[dict]:
 
 
 def _assert_same_run(spec, script: list[dict], keep_going: bool) -> None:
-    assert _outcome(lambda: run_script(spec, script, keep_going)) == _outcome(
+    assert _outcome(lambda: named(run_script(spec, script, keep_going))) == _outcome(
         lambda: reference_run_script(spec, script, keep_going)
     )
 
@@ -202,7 +204,7 @@ def _assert_same_steps(spec, script: list[dict], order: list[str] | None = None)
 
 
 def _assert_same_exploration(spec, **limits) -> None:
-    assert _outcome(lambda: explore(spec, **limits)) == _outcome(
+    assert _outcome(lambda: named_report(explore(spec, **limits))) == _outcome(
         lambda: reference_explore(spec, **limits)
     )
 
@@ -258,7 +260,7 @@ def test_nondeterminism_mid_search_raises_the_same_text():
     spec = spec_from(DEEP_CONFLICT, "deep.rsml")
     # The conflicting transitions only meet in S2, two steps from the start.
     assert explore(spec, max_depth=1).limit == "depth"
-    outcome = _outcome(lambda: explore(spec))
+    outcome = _outcome(lambda: named_report(explore(spec)))
     assert outcome[0] == "error" and "NondeterministicFiring" in outcome[1]
     assert outcome == _outcome(lambda: reference_explore(spec))
     script = [{"C.x": 1}, {"C.x": 1, "C.z": -1}, {"C.x": 1}]
@@ -308,7 +310,7 @@ def test_a_per_state_clash_comes_in_evaluation_order(second, clash, first):
     assert [node[1] for node in stepper.per_state] == ["B.y"]
     assert [node[1] for node in stepper.per_combination] == ["A.N"]
 
-    outcome = _outcome(lambda: explore(spec))
+    outcome = _outcome(lambda: named_report(explore(spec)))
     assert outcome[0] == "error" and f"error[NondeterministicFiring]: {first}" in outcome[1]
     assert outcome == _outcome(lambda: reference_explore(spec))
 
