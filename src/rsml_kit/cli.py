@@ -16,15 +16,23 @@ Exit codes: 0 clean, 1 findings or errors (also when stdout is closed
 early), 2 usage problems, 3 resource limits.  Reports go to stdout,
 diagnostics to stderr; output is deterministic for identical inputs and
 flags.
+
+``run`` is the process entry (the ``rsmlkit`` script and ``python -m
+rsml_kit.cli``): it calls ``main``, runs the atexit handlers, flushes
+stdout and stderr, and ends the process with ``os._exit``, skipping the
+interpreter's teardown, which the CLI does not need: it reads and writes
+whole files and starts no threads.  In-process callers use ``main``,
+which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from . import __version__
 from .analysis import DEFAULT_CAP, analyze, summary_line
@@ -419,10 +427,12 @@ def cmd_trace(args: argparse.Namespace) -> _Result:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    try:
+        if (value := int(text)) > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("must be a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,5 +534,21 @@ def _run(argv: list[str] | None) -> int:
     return stop.code
 
 
+def run() -> NoReturn:
+    """Run ``main`` as a whole process and end it without the interpreter's
+    teardown.  The atexit handlers run first, so coverage or a profiler
+    still writes its data.  A flush that fails leaves the exit to the
+    interpreter, which reports the failure as it would without ``run``."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the process started without it
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,9 @@ import pytest
 from conftest import CORPUS, MUTEX_TOY
 from rsml_kit import cli
 from rsml_kit.cli import main
+
+sys.path.insert(0, str(CORPUS.parent / "bench"))
+import workloads  # noqa: E402
 
 STARTSTOP = str(CORPUS / "startstop.rsml")
 PF = str(CORPUS / "startstop.pf")
@@ -583,6 +588,25 @@ def test_variable_and_machine_sharing_a_name_is_rejected(tmp_path, capsys, argv)
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", STARTSTOP, "--cap", "abc"],
+        ["check", STARTSTOP, "--cap", "0"],
+        ["explore", STARTSTOP, "--max-states", "x"],
+        ["explore", STARTSTOP, "--max-depth", "1.5"],
+    ],
+    ids=lambda argv: f"{argv[-2]}={argv[-1]}",
+)
+def test_bounds_that_are_not_positive_integers_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1] == (
+        f"rsmlkit {argv[0]}: error: argument {argv[-2]}: must be a positive integer"
+    )
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -609,18 +633,135 @@ class TestDeterminism:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+# Each command in text and JSON on the corpus (``corpus``) and on the
+# benchmark's seed-7 100-component chain (``chain``), and its exit code:
+# explore on the chain stops at its state bound.  RSML, PF, REQ and SCRIPT
+# stand for the project's files.
+_COMMANDS = [
+    ["check", "RSML", "PF", "REQ"],
+    ["simulate", "RSML", "SCRIPT"],
+    ["explore", "RSML", "--max-states", "50"],
+    ["trace", "RSML", "PF", "REQ"],
+]
+_ENTRY_CASES = [
+    (project, argv + fmt, 3 if (project, argv[0]) == ("chain", "explore") else 0)
+    for project in ("corpus", "chain")
+    for argv in _COMMANDS
+    for fmt in ([], ["--format", "json"])
+] + [
+    ("corpus", ["gen", "RSML", "-o", "out"], 0),
+    ("chain", ["gen", "RSML", "-o", "out", "--mode", "chain"], 0),
+    ("broken", ["check", "RSML"], 1),
+    ("broken", ["check", "RSML", "--format", "json"], 1),
+    ("corpus", ["check", "RSML", "--cap", "abc"], 2),
+    ("corpus", ["simulate", "RSML", "nope.script"], 2),
+]
+
+
+def _child_env() -> dict[str, str]:
+    """The sources under test, without colour, and with buffered stdout, so
+    that what ``run`` leaves unflushed would be lost."""
+    env = dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src"), RSMLKIT_COLOR="never")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python -m rsml_kit.cli`` with ``argv``."""
+    return subprocess.run([sys.executable, "-m", "rsml_kit.cli", *argv], env=_child_env(), **kwargs)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 class TestEntryPoint:
-    def test_module_runs_as_a_script(self):
-        root = CORPUS.parent
-        done = subprocess.run(
-            [sys.executable, "-m", "rsml_kit.cli", "check", "corpus/twocomp.rsml"],
-            cwd=root,
-            env=dict(os.environ, PYTHONPATH="src"),
-            capture_output=True,
-            text=True,
+    @pytest.fixture(scope="class")
+    def projects(self, tmp_path_factory) -> dict[str, dict[str, str]]:
+        root = tmp_path_factory.mktemp("projects")
+        chain = workloads.chain_project(
+            random.Random(7), "chain", components=100, steps=500, dead_rows=10, explore=False
         )
+        files = {}
+        for suffix, text in chain.files.items():  # ".rsml" stands for RSML
+            path = root / f"chain{suffix}"
+            path.write_text(text, encoding="utf-8")
+            files[suffix[1:].upper()] = str(path)
+        (root / "broken.rsml").write_text(CONFLICTING, encoding="utf-8")
+        return {
+            "corpus": {"RSML": STARTSTOP, "PF": PF, "REQ": REQ, "SCRIPT": SCRIPT},
+            "chain": files,
+            "broken": {"RSML": str(root / "broken.rsml")},
+        }
+
+    def test_module_runs_as_a_script(self):
+        done = _child(["check", "corpus/twocomp.rsml"], cwd=CORPUS.parent, capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[-1] == "2 guard sets: 2 complete, 2 consistent"
+
+    @pytest.mark.parametrize(
+        "project, argv, expected",
+        _ENTRY_CASES,
+        ids=lambda x: "-".join(x) if isinstance(x, list) else str(x),
+    )
+    def test_a_child_prints_what_main_prints(
+        self, projects, tmp_path, monkeypatch, capsys, project, argv, expected
+    ):
+        """A process ends through ``run``, without the interpreter's
+        teardown; its stdout, stderr, exit code and files are ``main``'s."""
+        argv = [projects[project].get(a, a) for a in argv]
+        (tmp_path / "child").mkdir()
+        (tmp_path / "main").mkdir()
+        done = _child(argv, cwd=tmp_path / "child", capture_output=True)
+        monkeypatch.setenv("RSMLKIT_COLOR", "never")
+        monkeypatch.chdir(tmp_path / "main")
+        assert main(argv) == done.returncode == expected
+        out = capsys.readouterr()
+        assert done.stderr.decode("utf-8") == out.err
+        assert done.stdout.decode("utf-8") == out.out
+        assert _tree(tmp_path / "child") == _tree(tmp_path / "main")
+
+    def test_atexit_handlers_run_and_teardown_does_not(self):
+        """``run`` runs the handlers registered before it, then flushes, so a
+        handler's buffered line comes after the command's output; then it
+        ends the process, so teardown never collects the ``Noisy`` object."""
+        code = (
+            "import atexit, runpy, sys\n"
+            "class Noisy:\n"
+            "    def __del__(self):\n"
+            "        print('torn down', file=sys.stderr)\n"
+            "kept = Noisy()\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            f"sys.argv = ['rsmlkit', 'check', {STARTSTOP!r}]\n"
+            "runpy.run_module('rsml_kit.cli', run_name='__main__')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-2:] == [
+            "1 guard set: 1 complete, 1 consistent",
+            "atexit handler ran",
+        ]
+
+    def test_closed_stderr_ends_clean(self):
+        """A process started without stderr has ``sys.stderr`` None."""
+        done = _child(["check", STARTSTOP], capture_output=True, text=True, preexec_fn=lambda: os.close(2))
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[-1] == "1 guard set: 1 complete, 1 consistent"
+
+    def test_console_script_is_the_main_block_entry(self):
+        """``rsmlkit`` and ``python -m rsml_kit.cli`` enter through one function."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((CORPUS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, name = pyproject["project"]["scripts"]["rsmlkit"].partition(":")
+        target = getattr(importlib.import_module(module), name)
+        [block] = [
+            node
+            for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        [stmt] = block.body
+        assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+        assert not stmt.value.args and getattr(cli, stmt.value.func.id) is target
 
     @pytest.mark.parametrize(
         "argv",

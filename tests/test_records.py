@@ -5,13 +5,14 @@ constructor takes the fields in order, and none is a hand-written one that
 only stores its arguments."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
-import rsml_kit.cli  # noqa: F401  importing the CLI loads every module that defines records
-import rsml_kit.names  # noqa: F401  but the Event-B name table's, which loads on first use
+import rsml_kit
 from rsml_kit import parse_spec, resolve
 from rsml_kit.analysis import GuardSet
 from rsml_kit.ast_nodes import ElseNode, NameRef
@@ -34,6 +35,11 @@ from conftest import CORPUS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rsml_kit"
 
+# Every module of the package, by name, so that the classes below do not
+# depend on which modules other tests have imported.
+for _module in pkgutil.iter_modules(rsml_kit.__path__, "rsml_kit."):
+    importlib.import_module(_module.name)
+
 
 def _all_records(cls=Record):
     for sub in cls.__subclasses__():
@@ -42,7 +48,8 @@ def _all_records(cls=Record):
 
 
 RECORDS = sorted(
-    (cls for cls in _all_records() if cls._fields), key=lambda c: f"{c.__module__}.{c.__name__}"
+    (cls for cls in _all_records() if cls._fields and cls.__module__.startswith("rsml_kit.")),
+    key=lambda c: f"{c.__module__}.{c.__name__}",
 )
 
 FROZEN = {
