@@ -496,6 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         code = _run(argv)
+        if sys.stdout is None:  # started with fd 1 closed: the report went nowhere
+            return EXIT_FINDINGS
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
     except BrokenPipeError:
         # Stdout was closed early (``rsmlkit ... | head``).  Point it at

@@ -27,7 +27,6 @@ for the commands that need it.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import Counter
 from typing import (
@@ -100,7 +99,19 @@ class Radix:
         return tuple(d[index // s % n] for d, s, n in zip(self.domains, self.strides, self.sizes))
 
     def __iter__(self) -> Iterator[tuple]:
-        return itertools.product(*self.domains)
+        """Unlike ``itertools.product``, which reads every domain in full
+        first, this reads a domain only as far as the count has gone, so a
+        wide range stays a range."""
+        return _lexicographic(self.domains)
+
+
+def _lexicographic(domains: Sequence[Sequence]) -> Iterator[tuple]:
+    if not domains:
+        yield ()
+        return
+    for head in domains[0]:
+        for tail in _lexicographic(domains[1:]):
+            yield (head, *tail)
 
 
 # ---------------------------------------------------------------------------

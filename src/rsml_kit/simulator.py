@@ -50,10 +50,17 @@ combination.  A per-state ``NondeterministicFiring`` is raised only after
 the per-combination nodes before it fired on the first combination, so
 the first clash in evaluation order is the one reported.
 
-:func:`explore` walks the input combinations of each state it expands
-lazily, in the order of one ``model.Radix`` over the inputs' ``(slot,
-value)`` pairs; ``parents`` keeps each state's combination index, decoded
-only for the steps of a counterexample.
+:func:`explore` builds the input combinations as ``(slot, value)`` pairs
+lazily, in the order of one ``model.Radix`` over the inputs' domains, on
+its first expansion, and walks that list for every later one; ``parents``
+keeps each state's combination index, looked up only for the steps of a
+counterexample.  It expands a state only if no state with the same
+non-input slots was expanded before.  That is exact: a combination
+assigns every input before any node reads one, and nothing reads an
+input's old value, so two such states have the same successors, and
+every successor of the later one is already in ``parents``.  A script
+row may leave an input at its old value, so this holds for
+:func:`explore` alone.
 """
 
 from __future__ import annotations
@@ -517,10 +524,25 @@ def explore(
     Returns shortest counterexamples (BFS order) per violated invariant.
     States are kept packed; parents as ``(parent, combination index)``."""
     stepper = _stepper(spec)
-    # Each input's domain as the (slot, value) pairs that ``successors`` takes.
-    combos = Radix([[(stepper.slot[v.qualified], x) for x in v.type.values] for v in spec.inputs])
-
     init = stepper.initial
+    slots = [stepper.slot[v.qualified] for v in spec.inputs]
+    built: list[PackedInputs] = []  # the combinations walked so far, by index
+
+    def walk() -> Iterator[PackedInputs]:
+        """The input combinations as the ``(slot, value)`` pairs that
+        ``successors`` takes, built lazily in ``Radix`` order on the first
+        expansion, so a search limit stops a wide domain early."""
+        for values in Radix([v.type.values for v in spec.inputs]):
+            built.append(combo := list(zip(slots, values)))
+            yield combo
+
+    combos: Iterable[PackedInputs] = walk()
+    # A state's successors depend on its non-input slots alone (see the
+    # module docstring), so each such key is expanded once.
+    kept = [k for k in range(len(init)) if k not in slots]
+    key_of = operator.itemgetter(*kept) if kept else (lambda state: ())
+    expanded: set = set()
+
     parents: dict[Packed, tuple[Packed, int] | None] = {init: None}  # also the visited set
     violations: dict[str, Packed] = {}
     for name in stepper.violated(init, stepper.invariants):
@@ -534,6 +556,10 @@ def explore(
     while frontier and limit is None:
         next_frontier: list[Packed] = []
         for state in frontier:
+            key = key_of(state)
+            if key in expanded:
+                continue
+            expanded.add(key)
             for index, (succ, violated) in enumerate(stepper.successors(state, combos)):
                 if succ in parents:
                     continue
@@ -550,11 +576,12 @@ def explore(
                 next_frontier.append(succ)
             if limit is not None:
                 break
+            combos = built  # walked in full
         frontier = next_frontier
         depth += 1
 
     def counterexample(state: Packed, invariant: str) -> Trace:
-        """The path to ``state``, each step's inputs decoded from its
+        """The path to ``state``, each step's inputs read off its
         combination index."""
         path: list[tuple[int, Packed]] = []
         while (parent := parents[state]) is not None:
@@ -566,7 +593,7 @@ def explore(
             names,
             stepper.machine_names,
             [state, *(s for _, s in path)],
-            [{names[slot]: x for slot, x in combos.decode(index)} for index, _ in path],
+            [{names[slot]: x for slot, x in built[index]} for index, _ in path],
             (invariant, len(path)),
         )
 

@@ -748,6 +748,12 @@ class TestEntryPoint:
         assert done.returncode == 0
         assert done.stdout.splitlines()[-1] == "1 guard set: 1 complete, 1 consistent"
 
+    def test_closed_fd_1_ends_as_a_closed_pipe(self):
+        """A process started without stdout has ``sys.stdout`` None: its
+        report goes nowhere, so it ends as a closed pipe does."""
+        done = _child(["check", STARTSTOP], stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (1, "")
+
     def test_console_script_is_the_main_block_entry(self):
         """``rsmlkit`` and ``python -m rsml_kit.cli`` enter through one function."""
         tomllib = pytest.importorskip("tomllib")
@@ -811,6 +817,17 @@ def test_run_alone_prints_and_reads_the_format():
                     formatting.add(fn.name)
     assert printing <= {"_run", "_print_diagnostics"}
     assert formatting <= {"_run"}
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """``requires-python`` says 3.10: every module must parse with the 3.10
+    grammar (no ``except*``, for one).  This checks syntax only; a stdlib
+    API new in 3.11 still passes."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((CORPUS.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["requires-python"] == ">=3.10"
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_mixed_radix_lives_in_model_alone():

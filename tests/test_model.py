@@ -496,6 +496,32 @@ class TestRadix:
         radix = Radix([])
         assert (radix.size, radix.strides, list(radix), radix.decode(0)) == (1, [], [()], ())
 
+    def test_reads_a_domain_only_as_far_as_it_has_counted(self):
+        """``itertools.product`` would read all 1,000 values first."""
+
+        class Counted:
+            def __init__(self, n):
+                self.n, self.read = n, 0
+
+            def __len__(self):
+                return self.n
+
+            def __iter__(self):
+                for x in range(self.n):
+                    self.read += 1
+                    yield x
+
+        middle = Counted(1_000)
+        radix = Radix([("A", "B"), middle, BOOL.values])
+        assert list(itertools.islice(radix, 5)) == [
+            ("A", 0, "FALSE"),
+            ("A", 0, "TRUE"),
+            ("A", 1, "FALSE"),
+            ("A", 1, "TRUE"),
+            ("A", 2, "FALSE"),
+        ]
+        assert middle.read == 3
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-(2**80), 2**80), st.integers(sys.maxsize, 2**90))
     def test_a_range_wider_than_maxsize_needs_no_len(self, lo, width):

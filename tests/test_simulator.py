@@ -330,18 +330,30 @@ invariant defined : table { o = TRUE : T F }
 """ % "\n".join(f"  input i{k} : T_D" for k in range(1, 8))
 
 
-def test_explore_reaches_max_states_without_building_the_input_product(tmp_path):
-    """Every combination from the initial state is a new state, so the
-    search stops at ``--max-states`` inside the first level, under a 1 GiB
-    address-space limit on the child."""
-    spec = tmp_path / "wide_inputs.rsml"
-    spec.write_text(WIDE_INPUTS, encoding="utf-8")
+# One input over 10^9 + 1 values: its (slot, value) pairs as a list, or
+# the domain as ``itertools.product`` reads it, would take tens of GB.
+WIDE_DOMAIN = """
+specification wide_domain
+type T_X = int [0 .. 1000000000]
+component C {
+  input x : T_X
+  output o : bool
+  assign o { when table { x > 4 : T } then TRUE when else then FALSE }
+}
+"""
+
+
+def _explore_under_1_gib(tmp_path, text: str, *argv: str) -> list[str]:
+    """``explore`` on ``text`` in a child under a 1 GiB address-space
+    limit; it must stop at ``--max-states`` inside the first level."""
+    spec = tmp_path / "wide.rsml"
+    spec.write_text(text, encoding="utf-8")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     done = subprocess.run(
-        [sys.executable, "-m", "rsml_kit.cli", "explore", str(spec)],
+        [sys.executable, "-m", "rsml_kit.cli", "explore", str(spec), *argv],
         env=dict(os.environ, PYTHONPATH=str(CORPUS.parent / "src")),
         preexec_fn=limit_memory,
         capture_output=True,
@@ -349,8 +361,21 @@ def test_explore_reaches_max_states_without_building_the_input_product(tmp_path)
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (3, "")
-    assert done.stdout.splitlines()[:3] == [
+    return done.stdout.splitlines()[:3]
+
+
+def test_explore_reaches_max_states_without_building_the_input_product(tmp_path):
+    """Every combination from the initial state is a new state."""
+    assert _explore_under_1_gib(tmp_path, WIDE_INPUTS) == [
         "reachable states: 100000",
+        "frontier depth: 1",
+        "limit exceeded: states",
+    ]
+
+
+def test_explore_reads_a_wide_domain_only_as_far_as_the_search_goes(tmp_path):
+    assert _explore_under_1_gib(tmp_path, WIDE_DOMAIN, "--max-states", "50") == [
+        "reachable states: 50",
         "frontier depth: 1",
         "limit exceeded: states",
     ]

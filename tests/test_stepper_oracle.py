@@ -93,15 +93,23 @@ def _table(draw, readable, machines):
 
 
 @st.composite
-def _guards(draw, readable, machines, actions: list[str]) -> list[tuple[str, str]]:
-    """(condition text, action) pairs: one or two tables, maybe an else."""
+def _guards(
+    draw, readable, machines, actions: list[str], else_odds: int = 2
+) -> list[tuple[str, str]]:
+    """(condition text, action) pairs: one or two tables, and an else one
+    time in ``else_odds``."""
     guards = [
         (draw(_table(readable, machines)), draw(st.sampled_from(actions)))
         for _ in range(draw(st.integers(1, 2)))
     ]
-    if draw(st.booleans()):
+    if draw(st.integers(1, else_odds)) == 1:
         guards.append(("else", draw(st.sampled_from(actions))))
     return guards
+
+
+# An assignment without an else keeps its old value when no case fires, so
+# that value steers the next step: most generated assignments have none.
+ELSE_ODDS = 4
 
 
 @st.composite
@@ -155,7 +163,8 @@ def specs(draw):
         for name, vtype in moore_of[k]:
             values = [str(v) for v in _DOMAINS[vtype]]
             cases = " ".join(
-                f"when {cond} then {value}" for cond, value in draw(_guards([], machines, values))
+                f"when {cond} then {value}"
+                for cond, value in draw(_guards([], machines, values, ELSE_ODDS))
             )
             lines.append(f"  assign {name} {{ {cases} }}")
         for j, (name, vtype) in enumerate(outputs_of[k]):
@@ -163,7 +172,7 @@ def specs(draw):
             values = [str(v) for v in _DOMAINS[vtype]]
             cases = " ".join(
                 f"when {cond} then {value}"
-                for cond, value in draw(_guards(readable, machines, values))
+                for cond, value in draw(_guards(readable, machines, values, ELSE_ODDS))
             )
             lines.append(f"  assign {name} {{ {cases} }}")
         lines.append("}")
@@ -203,10 +212,12 @@ def _assert_same_steps(spec, script: list[dict], order: list[str] | None = None)
         state = ours[1].state
 
 
-def _assert_same_exploration(spec, **limits) -> None:
-    assert _outcome(lambda: named_report(explore(spec, **limits))) == _outcome(
-        lambda: reference_explore(spec, **limits)
-    )
+def _assert_same_exploration(spec, **limits) -> tuple:
+    """explore and the reference search agree; returns the outcome."""
+    outcome = _outcome(lambda: explore(spec, **limits))
+    named_outcome = outcome if outcome[0] == "error" else ("ok", named_report(outcome[1]))
+    assert named_outcome == _outcome(lambda: reference_explore(spec, **limits))
+    return outcome
 
 
 @given(specs(), st.data())
@@ -220,11 +231,12 @@ def test_generated_specs_match_reference(text, data):
         # Any order, not only a dependency one: a node then may read a
         # variable before its writer fires.
         _assert_same_steps(spec, script, data.draw(st.permutations(evaluation_order(spec))))
-    limits = {
-        "max_states": data.draw(st.sampled_from([1, 2, 5, 40, 100_000])),
-        "max_depth": data.draw(st.sampled_from([0, 1, 3, 1_000])),
-    }
-    _assert_same_exploration(spec, **limits)
+    # The whole search, then one cut off by a bound drawn inside it.
+    full = _assert_same_exploration(spec)
+    if full[0] == "ok":
+        bound = data.draw(st.sampled_from(["max_states", "max_depth"]))
+        most = full[1].reachable if bound == "max_states" else full[1].depth
+        _assert_same_exploration(spec, **{bound: data.draw(st.integers(bound == "max_states", most))})
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +376,30 @@ invariant busy_is_seen : table { in(M, Busy) : F .  seen = TRUE : . T }
 """
 
 
+# Neither assignment has an else, so l and n keep their old values when no
+# case fires, and those values steer M: a state's successors depend on
+# every slot but the input's (9 states, depth 4; 8 and 3 if l and n were
+# left out of explore's key).  It fails ``check`` for that, on purpose.
+LATCH = """
+specification latch
+type T_I = int [0 .. 2]
+component C {
+  input i : T_I
+  output l : bool init FALSE
+  output n : T_I init 0
+  statemachine M {
+    initial A ;
+    state A { goto B when table { l = TRUE : T } }
+    state B { goto C0 when table { l = FALSE : T } }
+    state C0 { goto A when table { n = 2 : T } }
+  }
+  assign l { when table { i = 1 : T } then TRUE  when table { i = 2 : T } then FALSE }
+  assign n { when table { in(M, C0) : T  i = 0 : T } then 2  when table { in(M, A) : T } then 1 }
+}
+invariant never : table { in(M, C0) : F .  n = 2 : . F }
+"""
+
+
 def _corpus(name: str) -> str:
     return (CORPUS / name).read_text(encoding="utf-8")
 
@@ -389,6 +425,7 @@ _FIXED = [
     ),
     ("traffic", TRAFFIC, "Cmd=GO\nCmd=HALT\nCmd=HALT\n"),
     ("lagged", LAGGED, "go=TRUE\ngo=TRUE\ngo=FALSE\n"),
+    ("latch", LATCH, "i=1\ni=0\ni=2\ni=0\ni=0\n"),
 ] + [(p.name, p.files[".rsml"], p.files[".script"]) for p in _bench_projects()]
 
 
@@ -399,15 +436,30 @@ def test_fixed_specs_match_reference(name, text, script_text):
     for keep_going in (False, True):
         _assert_same_run(spec, script, keep_going)
     _assert_same_steps(spec, script)
-    full = explore(spec)
-    assert full.limit is None
-    _assert_same_exploration(spec)
-    # Cut off by each bound in turn, including mid-level.
-    for limits in (
-        {"max_states": 1},
-        {"max_states": max(1, full.reachable // 2)},
-        {"max_states": full.reachable},
-        {"max_depth": 0},
-        {"max_depth": max(0, full.depth - 1)},
-    ):
-        _assert_same_exploration(spec, **limits)
+    status, full = _assert_same_exploration(spec)
+    assert status == "ok" and full.limit is None
+    # Cut off by each bound at every value it can take.  The reference
+    # search takes about 2 ms a state, so on larger projects only each BFS
+    # level's last state and the state after it.
+    levels = [explore(spec, max_depth=d).reachable for d in range(full.depth + 1)]
+    counts = range(1, full.reachable + 1)
+    if full.reachable > 100:
+        counts = sorted({n + k for n in levels for k in (0, 1) if n + k <= full.reachable})
+    for max_states in counts:
+        _assert_same_exploration(spec, max_states=max_states)
+    for max_depth in range(full.depth + 1):
+        _assert_same_exploration(spec, max_depth=max_depth)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 23, 101])
+def test_explore_expands_each_input_free_part_once(seed, monkeypatch):
+    """The explore-reach counters reach 1,000 states that share 216 parts
+    without their inputs, and only those 216 are expanded."""
+    reach = workloads.counters_project(random.Random(seed), "reach", components=3, states=4, steps=1)
+    spec = spec_from(reach.files[".rsml"], "reach.rsml")
+    stepper = _stepper(spec)
+    calls = []
+    successors = stepper.successors
+    monkeypatch.setattr(stepper, "successors", lambda *args: calls.append(1) or successors(*args))
+    assert explore(spec).reachable == 1_000
+    assert len(calls) == 216
