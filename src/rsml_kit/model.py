@@ -100,18 +100,9 @@ class Radix:
 
     def __iter__(self) -> Iterator[tuple]:
         """Unlike ``itertools.product``, which reads every domain in full
-        first, this reads a domain only as far as the count has gone, so a
+        first, this indexes a domain only as far as the count has gone, so a
         wide range stays a range."""
-        return _lexicographic(self.domains)
-
-
-def _lexicographic(domains: Sequence[Sequence]) -> Iterator[tuple]:
-    if not domains:
-        yield ()
-        return
-    for head in domains[0]:
-        for tail in _lexicographic(domains[1:]):
-            yield (head, *tail)
+        return map(self.decode, range(self.size))
 
 
 # ---------------------------------------------------------------------------

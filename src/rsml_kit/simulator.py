@@ -65,9 +65,10 @@ row may leave an input at its old value, so this holds for
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .diagnostics import Diagnostic, SpecError, error
 from .model import (
@@ -129,7 +130,7 @@ class ExplorationReport(Record):
 
 
 Packed = tuple  # variable values, then machine states, in declaration order
-PackedInputs = list[tuple[int, Value]]  # (slot, value)
+PackedInputs = Sequence[tuple[int, Value]]  # (slot, value)
 _Node = Union[StateMachine, AssignmentSpec]  # what a step fires
 # (position, name, is machine, target slot, key of row, memo, outcome on a miss)
 _Firing = tuple[int, str, bool, int, Callable, dict, Callable]
@@ -526,6 +527,7 @@ def explore(
     stepper = _stepper(spec)
     init = stepper.initial
     slots = [stepper.slot[v.qualified] for v in spec.inputs]
+    pair = functools.cache(lambda slot, value: (slot, value))  # one object per input value
     built: list[PackedInputs] = []  # the combinations walked so far, by index
 
     def walk() -> Iterator[PackedInputs]:
@@ -533,7 +535,7 @@ def explore(
         ``successors`` takes, built lazily in ``Radix`` order on the first
         expansion, so a search limit stops a wide domain early."""
         for values in Radix([v.type.values for v in spec.inputs]):
-            built.append(combo := list(zip(slots, values)))
+            built.append(combo := tuple(map(pair, slots, values)))
             yield combo
 
     combos: Iterable[PackedInputs] = walk()

@@ -501,15 +501,14 @@ class TestRadix:
 
         class Counted:
             def __init__(self, n):
-                self.n, self.read = n, 0
+                self.n, self.read = n, []
 
             def __len__(self):
                 return self.n
 
-            def __iter__(self):
-                for x in range(self.n):
-                    self.read += 1
-                    yield x
+            def __getitem__(self, index):
+                self.read.append(index)
+                return index
 
         middle = Counted(1_000)
         radix = Radix([("A", "B"), middle, BOOL.values])
@@ -520,7 +519,7 @@ class TestRadix:
             ("A", 1, "TRUE"),
             ("A", 2, "FALSE"),
         ]
-        assert middle.read == 3
+        assert middle.read == [0, 0, 1, 1, 2]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-(2**80), 2**80), st.integers(sys.maxsize, 2**90))

@@ -231,8 +231,15 @@ def test_generated_specs_match_reference(text, data):
         # Any order, not only a dependency one: a node then may read a
         # variable before its writer fires.
         _assert_same_steps(spec, script, data.draw(st.permutations(evaluation_order(spec))))
-    # The whole search, then one cut off by a bound drawn inside it.
+    # The whole search; one cut off by sampled limits, which may stop
+    # before a clash the whole search raises; and, when the whole search
+    # ends, one cut off by a bound drawn inside it.
     full = _assert_same_exploration(spec)
+    limits = {
+        "max_states": data.draw(st.sampled_from([1, 2, 5, 40, 100_000])),
+        "max_depth": data.draw(st.sampled_from([0, 1, 3, 1_000])),
+    }
+    _assert_same_exploration(spec, **limits)
     if full[0] == "ok":
         bound = data.draw(st.sampled_from(["max_states", "max_depth"]))
         most = full[1].reachable if bound == "max_states" else full[1].depth
@@ -440,11 +447,14 @@ def test_fixed_specs_match_reference(name, text, script_text):
     assert status == "ok" and full.limit is None
     # Cut off by each bound at every value it can take.  The reference
     # search takes about 2 ms a state, so on larger projects only each BFS
-    # level's last state and the state after it.
+    # level's last state, the state after it, and a cut mid-level.
     levels = [explore(spec, max_depth=d).reachable for d in range(full.depth + 1)]
     counts = range(1, full.reachable + 1)
     if full.reachable > 100:
-        counts = sorted({n + k for n in levels for k in (0, 1) if n + k <= full.reachable})
+        counts = sorted(
+            {n + k for n in levels for k in (0, 1) if n + k <= full.reachable}
+            | {full.reachable // 2}
+        )
     for max_states in counts:
         _assert_same_exploration(spec, max_states=max_states)
     for max_depth in range(full.depth + 1):
