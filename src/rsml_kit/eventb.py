@@ -143,10 +143,6 @@ class EventBMachine(Record):
         typing = [Labeled(f"@inv{k}", text) for k, text in enumerate(self.typing, 1)]
         return typing + self.spec_invariants
 
-    @property
-    def init_actions(self) -> list[Labeled]:
-        return [Labeled(f"@act{k}", text) for k, text in enumerate(self.init, 1)]
-
 
 class Provenance(FrozenRecord):
     """Generation edge: which model element produced which Event-B element.

@@ -38,29 +38,26 @@ only when a caller asks for one, through :meth:`Trace.state` or
 :attr:`Trace.states`; :func:`initial_state` and :func:`step_core` return
 one.  The CLI renders a trace from its rows by position.
 
-The stepper stages a step by binding time.  A node is per-combination if
-it reads an input or a variable that a per-combination assignment writes,
-or if it is an assignment whose variable an earlier per-combination node
-reads (under a custom order); an invariant is if it reads such a variable
-or a per-combination machine's new state.  Everything else is per-state:
-``_Stepper.successors`` fires it and evaluates it once per state, then
-copies that row for each input combination and fires only the
-per-combination nodes.  :func:`run_script` and :func:`step_core` pass one
-combination.  A per-state ``NondeterministicFiring`` is raised only after
-the per-combination nodes before it fired on the first combination, so
-the first clash in evaluation order is the one reported.
+The stepper's ``successors`` takes a state and input combinations: for
+each it copies the row, sets the inputs, fires every node in evaluation
+order and evaluates every invariant, so the first clash in evaluation
+order is the one raised.  :func:`run_script` and :func:`step_core` pass
+one combination.
 
 :func:`explore` builds the input combinations as ``(slot, value)`` pairs
 lazily, in the order of one ``model.Radix`` over the inputs' domains, on
 its first expansion, and walks that list for every later one; ``parents``
 keeps each state's combination index, looked up only for the steps of a
-counterexample.  It expands a state only if no state with the same
-non-input slots was expanded before.  That is exact: a combination
-assigns every input before any node reads one, and nothing reads an
-input's old value, so two such states have the same successors, and
-every successor of the later one is already in ``parents``.  A script
-row may leave an input at its old value, so this holds for
-:func:`explore` alone.
+counterexample.  It expands a state only if no state with the same slots
+outside the inputs and the variables whose assignment has an `else` was
+expanded before.  That is exact: a combination assigns every input, and
+such an assignment writes its variable on every step (some case holds,
+and a clash raises), each before any node reads it in dependency order,
+so nothing reads the old value of a left-out slot.  Two such states have
+the same successors, and every successor of the later one is already in
+``parents``.  An assignment without an `else` keeps its old value when no
+case fires, so it stays in the key; a script row may leave an input at
+its old value, so the skip holds for :func:`explore` alone.
 """
 
 from __future__ import annotations
@@ -74,6 +71,7 @@ from .diagnostics import Diagnostic, SpecError, error
 from .model import (
     AssignmentSpec,
     Condition,
+    ElseCondition,
     Radix,
     Specification,
     StateMachine,
@@ -132,8 +130,8 @@ class ExplorationReport(Record):
 Packed = tuple  # variable values, then machine states, in declaration order
 PackedInputs = Sequence[tuple[int, Value]]  # (slot, value)
 _Node = Union[StateMachine, AssignmentSpec]  # what a step fires
-# (position, name, is machine, target slot, key of row, memo, outcome on a miss)
-_Firing = tuple[int, str, bool, int, Callable, dict, Callable]
+# (name, is machine, target slot, key of row, memo, outcome on a miss)
+_Firing = tuple[str, bool, int, Callable, dict, Callable]
 # (name, key of row, memo, body, view)
 _Check = tuple[str, Callable, dict, Condition, Callable]
 
@@ -147,8 +145,7 @@ def evaluation_order(spec: Specification) -> list[str]:
 
 
 class _Stepper:
-    """The step semantics over packed states, memoized per node and staged
-    into per-state and per-combination nodes and invariants.
+    """The step semantics over packed states, memoized per node.
 
     A step works on one row: the variable values in declaration order, then
     the machine states.  Guards read the row with the machine part left at
@@ -167,61 +164,25 @@ class _Stepper:
             *(v.initial_value for v in spec.variables),
             *(m.initial for m in spec.machines),
         )
-        nodes: list[tuple[_Firing, list[int]]] = []  # and the slots its guards read
+        self.nodes: list[_Firing] = []
         for node in order:
             owner = spec.machine_map.get(node) or spec.assign_map.get(node)
             if owner is None:
                 continue  # inputs and unassigned variables keep their value
             own = self.machine_slot.get(node)  # a machine also reads its own state
-            read, slots, view = self._reader([cond for cond, _, _ in _choices(owner)], own)
+            slots, view = self._reader([cond for cond, _, _ in _choices(owner)], own)
             target = self.slot[node] if own is None else own - self.width
             fire = self._outcome(node, owner, own, view)
-            data = [slot for slot in read if slot < self.width]  # states are read at step entry
-            nodes.append(((len(nodes), node, own is not None, target, slots, {}, fire), data))
-
-        # The slots that differ between the combinations of one state: the
-        # inputs, and what per-combination nodes write (a machine's slot is
-        # read at its new state by invariants only).
-        dynamic = {self.slot[v.qualified] for v in spec.inputs}
-        # A node is per-combination if it reads such a slot, or if it is an
-        # assignment that an earlier per-combination node reads: that node
-        # must see the step-entry value, so this one may not fire first.
-        # One pass settles a dependency order; a custom one may need more.
-        per_combination: set[int] = set()
-        grew = True
-        while grew:
-            grew, read_before = False, set()
-            for (position, _, is_machine, target, *_), read in nodes:
-                if position not in per_combination and (
-                    not dynamic.isdisjoint(read) or (not is_machine and target in read_before)
-                ):
-                    grew = True
-                    per_combination.add(position)
-                    dynamic.add(self.width + target if is_machine else target)
-                if position in per_combination:
-                    read_before.update(read)
-        self.per_state: list[_Firing] = [n for n, _ in nodes if n[0] not in per_combination]
-        self.per_combination: list[_Firing] = [n for n, _ in nodes if n[0] in per_combination]
-
+            self.nodes.append((node, own is not None, target, slots, {}, fire))
         self.invariants: list[_Check] = []
-        self.per_state_invariants: list[_Check] = []
-        self.per_combination_invariants: list[_Check] = []
         for inv in spec.invariants:
-            read, slots, view = self._reader([inv.body])
-            check = (inv.name, slots, {}, inv.body, view)
-            self.invariants.append(check)
-            if dynamic.isdisjoint(read):
-                self.per_state_invariants.append(check)
-            else:
-                self.per_combination_invariants.append(check)
-        self.rank = {inv.name: k for k, inv in enumerate(spec.invariants)}
+            key, view = self._reader([inv.body])
+            self.invariants.append((inv.name, key, {}, inv.body, view))
 
-    def _reader(
-        self, conds: list[Condition], own: int | None = None
-    ) -> tuple[list[int], Callable, Callable]:
-        """The slots that ``conds`` read, the memo key of a node reading
-        them (after its ``own`` state's slot, if any), and the
-        :class:`Valuation` of exactly what they read."""
+    def _reader(self, conds: list[Condition], own: int | None = None) -> tuple[Callable, Callable]:
+        """The memo key of a node reading what ``conds`` read (after its
+        ``own`` state's slot, if any), and the :class:`Valuation` of
+        exactly what they read."""
         named = [
             (ref, (self.machine_slot if ref.kind == "machine" else self.slot)[ref.name])
             for ref in reads(*conds, live_only=True)
@@ -236,7 +197,7 @@ class _Stepper:
                 (v.states if ref.kind == "machine" else v.values)[ref.name] = row[slot]
             return v
 
-        return read, key, view
+        return key, view
 
     def _outcome(self, node: str, owner: _Node, own: int | None, view: Callable) -> Callable:
         """The firing rule, stated once: the first enabled choice fires, and
@@ -265,11 +226,10 @@ class _Stepper:
 
         return outcome
 
-    def violated(self, row: Packed | list, invariants: list[_Check]) -> list[str]:
-        """Those of ``invariants`` false on ``row`` (values, then machine
-        states)."""
+    def violated(self, row: Packed | list) -> list[str]:
+        """The invariants false on ``row`` (values, then machine states)."""
         violated = []
-        for name, key_of, memo, body, view in invariants:
+        for name, key_of, memo, body, view in self.invariants:
             key = key_of(row)
             try:
                 truth = memo[key]
@@ -279,63 +239,40 @@ class _Stepper:
                 violated.append(name)
         return violated
 
-    def _fire(
-        self, nodes: list[_Firing], row: list, states: list, fired: list | None
-    ) -> tuple[int, Diagnostic] | None:
-        """Fire ``nodes`` in order on ``row``: an assignment's value goes
-        into the row, a machine's new state into ``states``.  Stops at the
-        first clash and returns it with its position, else None."""
-        for position, node, is_machine, target, key_of, memo, fire in nodes:
-            key = key_of(row)
-            try:
-                outcome = memo[key]
-            except KeyError:
-                outcome = memo[key] = fire(row)
-            if outcome is None:
-                continue
-            if outcome.__class__ is Diagnostic:
-                return position, outcome
-            idx, value = outcome
-            if is_machine:
-                states[target] = value
-            else:
-                row[target] = value
-            if fired is not None:
-                fired.append((position, node, is_machine, idx))
-        return None
-
     def successors(
         self, state: Packed, combos: Iterable[PackedInputs], fired: list | None = None
     ) -> Iterator[tuple[Packed, list[str]]]:
         """The successor of ``state`` under each input combination in turn,
-        and the invariants it violates.  The per-state nodes fire, and the
-        per-state invariants are evaluated, once; each combination then
-        copies that row, sets its inputs and fires the per-combination
-        nodes.  A clash is raised in evaluation order, so a per-state one
-        waits for the per-combination nodes before it on the first
-        combination.  ``fired`` collects ``(position, node, is machine,
-        index)``."""
+        and the invariants it violates.  Each combination copies the row,
+        sets its inputs and fires the nodes in evaluation order: an
+        assignment's value goes into the row, a machine's new state into
+        the machine part once all have fired.  The first clash raises.
+        ``fired`` collects ``(node, is machine, index)``."""
         width = self.width
-        base = list(state)
-        after = base[width:]  # the machine states once the per-state nodes fired
-        clash = self._fire(self.per_state, base, after, fired)
-        nodes = self.per_combination
-        if clash is not None:
-            nodes = [node for node in nodes if node[0] < clash[0]]
-        settled = self.violated([*base[:width], *after], self.per_state_invariants)
         for combo in combos:
-            row = base.copy()
+            row = list(state)
             for slot, value in combo:
                 row[slot] = value
-            states = after.copy()
-            first = self._fire(nodes, row, states, fired) or clash
-            if first is not None:
-                raise SpecError(first[1])
+            states = row[width:]
+            for node, is_machine, target, key_of, memo, fire in self.nodes:
+                key = key_of(row)
+                try:
+                    outcome = memo[key]
+                except KeyError:
+                    outcome = memo[key] = fire(row)
+                if outcome is None:
+                    continue
+                if outcome.__class__ is Diagnostic:
+                    raise SpecError(outcome)
+                idx, value = outcome
+                if is_machine:
+                    states[target] = value
+                else:
+                    row[target] = value
+                if fired is not None:
+                    fired.append((node, is_machine, idx))
             row[width:] = states
-            violated = self.violated(row, self.per_combination_invariants)
-            if settled:  # both in declaration order
-                violated = sorted(settled + violated, key=self.rank.__getitem__)
-            yield tuple(row), violated
+            yield tuple(row), self.violated(row)
 
     def packed_inputs(self, inputs: dict[str, Value]) -> PackedInputs:
         # Names that are not variables are read by no guard, so they are dropped.
@@ -346,7 +283,7 @@ class _Stepper:
 
     def start(self) -> Packed:
         """The initial state; raises if an invariant is already violated."""
-        violated = self.violated(self.initial, self.invariants)
+        violated = self.violated(self.initial)
         if violated:
             raise SpecError(
                 error(
@@ -424,14 +361,13 @@ def step_core(
     """Single synchronous step; invariant violations are reported in the
     result rather than raised."""
     stepper = _stepper(spec, order)
-    fired: list[tuple[int, str, bool, int]] = []
+    fired: list[tuple[str, bool, int]] = []
     combo = stepper.packed_inputs(inputs)
     succ, violations = next(stepper.successors(stepper.pack(cur), [combo], fired))
-    fired.sort()  # into evaluation order
     return StepResult(
         _unpack(stepper.var_names, stepper.machine_names, succ, cur.step + 1),
-        {node: idx for _, node, is_machine, idx in fired if not is_machine},
-        {node: idx for _, node, is_machine, idx in fired if is_machine},
+        {node: idx for node, is_machine, idx in fired if not is_machine},
+        {node: idx for node, is_machine, idx in fired if is_machine},
         violations,
     )
 
@@ -439,8 +375,9 @@ def step_core(
 # ---------------------------------------------------------------------------
 # Scripts
 
-_SCRIPT_ITEM = re.compile(r"([A-Za-z_][\w.]*)\s*=\s*(-?\w+)")
-_INTEGER = re.compile(r"-?\d+")
+# ASCII only, as in the spec lexer: a non-ASCII digit is no value.
+_SCRIPT_ITEM = re.compile(r"([A-Za-z_][\w.]*)\s*=\s*(-?\w+)", re.ASCII)
+_INTEGER = re.compile(r"-?\d+", re.ASCII)
 
 
 def parse_script(text: str, spec: Specification, filename: str = "<script>") -> list[dict[str, Value]]:
@@ -539,15 +476,22 @@ def explore(
             yield combo
 
     combos: Iterable[PackedInputs] = walk()
-    # A state's successors depend on its non-input slots alone (see the
-    # module docstring), so each such key is expanded once.
-    kept = [k for k in range(len(init)) if k not in slots]
+    # A step writes the inputs, and each variable whose assignment has an
+    # `else`, before it reads them, so a state's successors depend on its
+    # other slots alone (see the module docstring): each such key is
+    # expanded once.
+    written = set(slots).union(
+        stepper.slot[name]
+        for name, owner in spec.assign_map.items()
+        if any(isinstance(case.condition, ElseCondition) for case in owner.cases)
+    )
+    kept = [k for k in range(len(init)) if k not in written]
     key_of = operator.itemgetter(*kept) if kept else (lambda state: ())
     expanded: set = set()
 
     parents: dict[Packed, tuple[Packed, int] | None] = {init: None}  # also the visited set
     violations: dict[str, Packed] = {}
-    for name in stepper.violated(init, stepper.invariants):
+    for name in stepper.violated(init):
         violations.setdefault(name, init)
 
     frontier: list[Packed] = [init]

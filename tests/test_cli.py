@@ -386,6 +386,15 @@ class TestSimulate:
         assert main(["simulate", STARTSTOP, str(script)]) == 1
         assert "not an input: HMI_Stop_Ena" in capsys.readouterr().err
 
+    # Arabic-Indic and fullwidth 3: a script value is ASCII, as in the spec.
+    @pytest.mark.parametrize("value", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
+    def test_script_value_with_non_ascii_digits_is_malformed(self, tmp_path, capsys, value):
+        script = tmp_path / "digits.script"
+        script.write_text(f"Raw={value}\n", encoding="utf-8")
+        assert main(["simulate", str(CORPUS / "twocomp.rsml"), str(script)]) == 1
+        err = capsys.readouterr().err
+        assert f"error[MalformedScript]: {script}:1: expected name=value, found 'Raw={value}'" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -241,8 +241,7 @@ component C {
 
     def test_initialisation_sets_every_variable(self, traffic):
         result = gen_flat(traffic)
-        acts = [a.text for a in result.machine.init_actions]
-        assert acts == [
+        assert result.machine.init == [
             "Cmd := GO",
             "Out_Red := TRUE",
             "Light_state := Red",

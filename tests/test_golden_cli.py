@@ -289,6 +289,22 @@ step  inputs                                           changes                  
 invariant 'mutual_exclusion' violated at step 1
 """
 
+# A search cut by --max-states reports the limit and exits 3.
+EXPLORE_MUTEX_CUT_TEXT = """\
+reachable states: 2
+frontier depth: 1
+limit exceeded: states
+no invariant violations
+"""
+
+EXPLORE_MUTEX_CUT_JSON = {
+    "specification": "mutex_toy",
+    "reachable": 2,
+    "depth": 1,
+    "limit": "states",
+    "violations": [],
+}
+
 
 def _mutex_values(value):
     names = ("Driver_Wants_Start", "Driver_Wants_Stop", "Strt_Req", "Stop_Req")
@@ -468,6 +484,8 @@ GOLDENS = [
     ("explore twocomp.rsml", 0, EXPLORE_TWOCOMP_TEXT, ""),
     ("explore mutex.rsml", 1, EXPLORE_MUTEX_TEXT, ""),
     ("explore mutex.rsml --format json", 1, _json(EXPLORE_MUTEX_JSON), ""),
+    ("explore mutex.rsml --max-states 2", 3, EXPLORE_MUTEX_CUT_TEXT, ""),
+    ("explore mutex.rsml --max-states 2 --format json", 3, _json(EXPLORE_MUTEX_CUT_JSON), ""),
     (TRACE, 0, TRACE_TEXT, ""),
     (f"{TRACE} --format json", 0, _json(TRACE_JSON), ""),
     (f"{TRACE} --require-trace", 0, TRACE_TEXT, ""),

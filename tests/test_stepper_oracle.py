@@ -118,8 +118,7 @@ def specs(draw):
     inputs, earlier outputs and Moore outputs (so there is no cycle), maybe
     a machine whose guards read any variable it may see, and maybe Moore
     outputs, whose tables read only machine states; plus invariants, some
-    over the Moore outputs alone.  Moore outputs, and the invariants and
-    machines that read only them, are the stepper's per-state nodes."""
+    over the Moore outputs alone."""
     ncomp = draw(st.integers(1, 2))
     types = st.sampled_from(sorted(_DOMAINS))
     # At most three inputs in all, so a state has at most 27 successors.
@@ -287,8 +286,7 @@ def test_nondeterminism_mid_search_raises_the_same_text():
     _assert_same_run(spec, script, keep_going=True)
 
 
-# N reads the input, so it fires per combination; y reads only N's
-# step-entry state, so it fires once per state, though it comes later in
+# N reads the input; y reads only N's step-entry state and comes later in
 # the evaluation order.  y's cases clash whenever N was in {clash}.
 ERROR_ORDER = """
 specification errorder
@@ -321,14 +319,10 @@ component B {{
         # Only y clashes, once N has reached Q.
         ("= 1", "Q", "y: cases [0, 1] enabled together with different values"),
     ],
-    ids=["per-combination-first", "per-state-only"],
+    ids=["machine-first", "assignment-only"],
 )
-def test_a_per_state_clash_comes_in_evaluation_order(second, clash, first):
+def test_the_first_clash_in_evaluation_order_is_raised(second, clash, first):
     spec = spec_from(ERROR_ORDER.format(second=second, clash=clash), "errorder.rsml")
-    stepper = _stepper(spec)
-    assert [node[1] for node in stepper.per_state] == ["B.y"]
-    assert [node[1] for node in stepper.per_combination] == ["A.N"]
-
     outcome = _outcome(lambda: named_report(explore(spec)))
     assert outcome[0] == "error" and f"error[NondeterministicFiring]: {first}" in outcome[1]
     assert outcome == _outcome(lambda: reference_explore(spec))
@@ -341,26 +335,6 @@ def test_a_per_state_clash_comes_in_evaluation_order(second, clash, first):
             assert ours == _outcome(lambda: reference_step(spec, state, {"A.x": x}, order))
     script = [{"A.x": 1}, {"A.x": 0}, {"A.x": 2}]
     _assert_same_run(spec, script, keep_going=True)
-
-
-def test_the_stepper_splits_the_bench_projects_by_binding_time():
-    """On the explore-reach counters each ``Top{j}`` reads only its
-    counter's step-entry state, and the invariant only the ``Top{j}``, so
-    they are per-state; the counters read the inputs.  The side chain reads
-    its input all the way down, so nothing in it is per-state."""
-    reach = workloads.counters_project(random.Random(7), "reach", components=3, states=4, steps=1)
-    side = workloads.chain_project(
-        random.Random("side"), "side", components=3, steps=1, dead_rows=1, explore=True
-    )
-    stepper = _stepper(spec_from(reach.files[".rsml"], "reach.rsml"))
-    assert [node[1] for node in stepper.per_state] == [f"U{j}.Top{j}" for j in range(3)]
-    assert [node[1] for node in stepper.per_combination] == [f"U{j}.Cnt{j}" for j in range(3)]
-    assert [inv[0] for inv in stepper.per_state_invariants] == ["Not_all_top"]
-    assert stepper.per_combination_invariants == []
-
-    stepper = _stepper(spec_from(side.files[".rsml"], "side.rsml"))
-    assert stepper.per_state == [] and stepper.per_state_invariants == []
-    assert len(stepper.per_combination) == 6 and len(stepper.per_combination_invariants) == 1
 
 
 # B reads A's machine one step late, and the invariant reads it at once, so
@@ -461,15 +435,29 @@ def test_fixed_specs_match_reference(name, text, script_text):
         _assert_same_exploration(spec, max_depth=max_depth)
 
 
-@pytest.mark.parametrize("seed", [1, 7, 11, 23, 101])
-def test_explore_expands_each_input_free_part_once(seed, monkeypatch):
-    """The explore-reach counters reach 1,000 states that share 216 parts
-    without their inputs, and only those 216 are expanded."""
-    reach = workloads.counters_project(random.Random(seed), "reach", components=3, states=4, steps=1)
-    spec = spec_from(reach.files[".rsml"], "reach.rsml")
+def _reach(seed: int) -> str:
+    return workloads.counters_project(
+        random.Random(seed), "reach", components=3, states=4, steps=1
+    ).files[".rsml"]
+
+
+@pytest.mark.parametrize(
+    "text,reachable,expansions",
+    # Each Top{j} of the explore-reach counters has an else, so only the
+    # counters' states stay in the key: 4 ** 3 parts of 1,000 states.
+    # LAGGED's seen has one too; LATCH's l and n have none, so only states
+    # that differ in the input alone are skipped.
+    [pytest.param(_reach(seed), 1_000, 64, id=str(seed)) for seed in (1, 7, 11, 23, 101)]
+    + [pytest.param(LAGGED, 4, 2, id="lagged"), pytest.param(LATCH, 9, 7, id="latch")],
+)
+def test_explore_expands_each_input_free_part_once(text, reachable, expansions, monkeypatch):
+    """explore expands one state per distinct part outside the inputs and
+    the variables whose assignment has an else: the slots that a step may
+    read before it writes them."""
+    spec = spec_from(text, "gen.rsml")
     stepper = _stepper(spec)
     calls = []
     successors = stepper.successors
     monkeypatch.setattr(stepper, "successors", lambda *args: calls.append(1) or successors(*args))
-    assert explore(spec).reachable == 1_000
-    assert len(calls) == 216
+    assert explore(spec).reachable == reachable
+    assert len(calls) == expansions
