@@ -466,75 +466,78 @@ def machine_set(m: StateMachine) -> str:
 
 
 class _Resolver:
-    def __init__(self, node: ast.SpecNode, filename: str):
+    """Collects types and declarations when built, then resolves bodies.  Any
+    error discards the model, so a failure skips only the checks that would
+    follow from it: a rejected declaration is not resolved further, and a
+    failed table skips its columns and its case values or targets."""
+
+    def __init__(self, node: ast.SpecNode):
         self.node = node
-        self.filename = filename
-        self.diags = []
+        self.diags: list[Diagnostic] = []
         self.types: list[TypeDef] = []
         self.type_map: dict[str, TypeDef] = {"bool": BOOL}
         self.literal_types: dict[str, TypeDef] = {"TRUE": BOOL, "FALSE": BOOL}
+        self.comp_nodes: dict[str, ast.ComponentNode] = {}  # name -> accepted declaration
         self.comp_vars: dict[str, dict[str, Variable]] = {}
         # bare name -> its variables, in component then declaration order
         self.vars_by_name: dict[str, list[Variable]] = {}
-        self.machine_nodes: dict[str, ast.StateMachineNode] = {}  # qualified -> node
-        self.comp_machine_names: dict[str, set[str]] = {}
+        self.machine_nodes: dict[str, ast.StateMachineNode] = {}  # qualified -> accepted node
+        self.collect_types()
+        self.collect_declarations()
 
     def error(self, code: str, message: str, span: Span | None) -> None:
+        """Records an error; a check that fails can ``return self.error(...)``."""
         self.diags.append(error(code, message, span))
+
+    def duplicate(self, taken: bool, kind: str, node, where: str = "") -> bool:
+        """Reports ``node`` as a second declaration of its name if ``taken``."""
+        if taken:
+            self.error("DuplicateName", f"{kind} '{node.name}' already declared{where}", node.span)
+        return taken
 
     # -- pass 1: types ------------------------------------------------------
 
     def collect_types(self) -> None:
         for decl in self.node.types:
-            if decl.name in self.type_map:
-                self.error("DuplicateName", f"type '{decl.name}' already declared", decl.span)
+            if self.duplicate(decl.name in self.type_map, "type", decl):
                 continue
-            if decl.literals is not None:
-                bad = False
+            if decl.literals is None:
+                lo, hi = decl.bounds  # type: ignore[misc]
+                if lo > hi:
+                    self.error("TypeMismatch", f"int range [{lo}..{hi}] has lo > hi", decl.span)
+                    continue
+                t: TypeDef = IntRangeType(decl.name, lo, hi)
+            else:
+                reported = len(self.diags)
                 seen: set[str] = set()
                 for lit in decl.literals:
                     if lit in seen:
                         self.error("DuplicateName", f"duplicate enum literal '{lit}'", decl.span)
-                        bad = True
                     elif lit in self.literal_types or lit in self.type_map:
                         self.error(
                             "DuplicateName",
                             f"enum literal '{lit}' already used elsewhere (literals are global)",
                             decl.span,
                         )
-                        bad = True
                     seen.add(lit)
-                if bad:
+                if len(self.diags) > reported:
                     continue
-                t: TypeDef = EnumType(decl.name, tuple(decl.literals))
-                for lit in decl.literals:
-                    self.literal_types[lit] = t
-            else:
-                lo, hi = decl.bounds  # type: ignore[misc]
-                if lo > hi:
-                    self.error("TypeMismatch", f"int range [{lo}..{hi}] has lo > hi", decl.span)
-                    continue
-                t = IntRangeType(decl.name, lo, hi)
+                t = EnumType(decl.name, tuple(decl.literals))
+                self.literal_types.update(dict.fromkeys(decl.literals, t))
             self.types.append(t)
             self.type_map[decl.name] = t
 
     # -- pass 2: declarations -------------------------------------------------
 
     def collect_declarations(self) -> None:
-        seen_components: set[str] = set()
         for comp in self.node.components:
-            if comp.name in seen_components:
-                self.error("DuplicateName", f"component '{comp.name}' already declared", comp.span)
+            if self.duplicate(comp.name in self.comp_nodes, "component", comp):
                 continue
-            seen_components.add(comp.name)
-            variables: dict[str, Variable] = {}
+            self.comp_nodes[comp.name] = comp
+            variables = self.comp_vars[comp.name] = {}
+            where = f" in component '{comp.name}'"
             for decl in comp.variables:
-                if decl.name in variables:
-                    self.error(
-                        "DuplicateName",
-                        f"variable '{decl.name}' already declared in component '{comp.name}'",
-                        decl.span,
-                    )
+                if self.duplicate(decl.name in variables, "variable", decl, where):
                     continue
                 if decl.name in self.literal_types or decl.name in self.type_map:
                     self.error(
@@ -549,435 +552,272 @@ class _Resolver:
                     continue
                 init = None
                 if decl.init is not None:
-                    init = self.literal_value(decl.init)
+                    init = self.value_in(decl.init, t, "init", f"type '{t.name}'", decl.span)
                     if init is None:
-                        continue
-                    if not in_domain(init, t):
-                        self.error(
-                            "TypeMismatch",
-                            f"init value {init} is not in the domain of type '{t.name}'",
-                            decl.span,
-                        )
                         continue
                 variables[decl.name] = Variable(
                     decl.name, comp.name, decl.direction, t, init, span=decl.span
                 )
-            names: set[str] = set()
             for m in comp.machines:
-                if m.name in names:
-                    self.error(
-                        "DuplicateName",
-                        f"state machine '{m.name}' already declared in component '{comp.name}'",
-                        m.span,
-                    )
+                qualified = f"{comp.name}.{m.name}"
+                if self.duplicate(qualified in self.machine_nodes, "state machine", m, where):
                     continue
                 if m.name in variables:
                     self.error(
                         "DuplicateName",
-                        f"state machine '{m.name}' collides with variable '{m.name}' "
-                        f"in component '{comp.name}'",
+                        f"state machine '{m.name}' collides with variable '{m.name}'{where}",
                         m.span,
                     )
-                names.add(m.name)
-                self.machine_nodes[f"{comp.name}.{m.name}"] = m
-            self.comp_vars[comp.name] = variables
-            self.comp_machine_names[comp.name] = names
+                self.machine_nodes[qualified] = m
             for var in variables.values():
                 self.vars_by_name.setdefault(var.name, []).append(var)
 
-    # -- name lookup ------------------------------------------------------------
+    # -- names and literals -------------------------------------------------------
 
-    def literal_value(self, operand: ast.Operand) -> Value | None:
+    def literal(self, operand: ast.Operand) -> Value | None:
+        """The operand's value if it is a literal, else None."""
         if isinstance(operand, ast.IntLit):
             return operand.value
         if operand.component is None and operand.name in self.literal_types:
             return operand.name
-        self.error("TypeMismatch", f"expected a literal, found '{operand}'", operand.span)
         return None
 
-    def lookup_variable(self, ref: ast.NameRef, comp: str | None) -> tuple[Variable | None, bool]:
-        """Returns (variable, error_reported).  (None, False) means the name
-        simply is not a variable; the caller decides what that implies."""
+    def value_in(self, operand, t: TypeDef, what: str, domain: str, span) -> Value | None:
+        """The literal ``operand`` if it lies in ``t``'s domain, else None
+        with the error reported."""
+        value = self.literal(operand)
+        if value is None:
+            self.error("TypeMismatch", f"expected a literal, found '{operand}'", operand.span)
+        elif not in_domain(value, t):
+            message = f"{what} value {value} is not in the domain of {domain}"
+            return self.error("TypeMismatch", message, span)
+        return value
+
+    def lookup_variable(self, ref: ast.NameRef, comp: str | None, noun: str) -> Variable | None:
+        """The variable ``ref`` names in component ``comp`` (None: an
+        invariant, which reads every variable), or None with the error
+        reported; a bare name that names nothing is an unknown ``noun``."""
         if ref.component is not None:
-            comp_vars = self.comp_vars.get(ref.component)
-            if comp_vars is None:
+            variables = self.comp_vars.get(ref.component)
+            if variables is None:
                 self.error("UnknownName", f"unknown component '{ref.component}'", ref.span)
-                return None, True
-            var = comp_vars.get(ref.name)
-            if var is None:
+            elif (var := variables.get(ref.name)) is None:
                 self.error(
                     "UnknownName",
                     f"component '{ref.component}' has no variable '{ref.name}'",
                     ref.span,
                 )
-                return None, True
-            if comp is not None and ref.component != comp and var.direction != "output":
+            elif comp is not None and ref.component != comp and var.direction != "output":
                 self.error(
                     "CrossComponentRead",
                     f"variable {var.qualified} is {var.direction}; only outputs are "
                     "readable from other components",
                     ref.span,
                 )
-                return None, True
-            return var, False
-        if comp is not None:
-            own = self.comp_vars.get(comp, {}).get(ref.name)
-            if own is not None:
-                return own, False
-            candidates = [
-                v
-                for v in self.vars_by_name.get(ref.name, ())
-                if v.owner != comp and v.direction == "output"
-            ]
-        else:
-            candidates = self.vars_by_name.get(ref.name, [])
+            else:
+                return var
+            return None
+        if comp is not None and ref.name in self.comp_vars[comp]:
+            return self.comp_vars[comp][ref.name]
+        named = self.vars_by_name.get(ref.name, ())
+        candidates = [v for v in named if comp is None or v.direction == "output"]
         if len(candidates) == 1:
-            return candidates[0], False
-        if len(candidates) > 1:
+            return candidates[0]
+        if candidates:
             owners = ", ".join(sorted(v.qualified for v in candidates))
             self.error(
                 "AmbiguousName",
                 f"'{ref.name}' is ambiguous ({owners}); qualify it as Component.name",
                 ref.span,
             )
-            return None, True
-        return None, False
+        else:
+            self.error("UnknownName", f"unknown {noun} '{ref.name}'", ref.span)
+        return None
 
     def lookup_machine(self, ref: ast.NameRef, comp: str | None) -> str | None:
+        """The qualified name of the machine ``ref`` names, or None with the
+        error reported."""
         if ref.component is not None:
-            qualified = f"{ref.component}.{ref.name}"
-            if qualified not in self.machine_nodes:
-                self.error("UnknownName", f"unknown state machine '{qualified}'", ref.span)
-                return None
-            return qualified
-        if comp is not None and ref.name in self.comp_machine_names.get(comp, set()):
+            candidates = [str(ref)] if str(ref) in self.machine_nodes else []
+        elif comp is not None and f"{comp}.{ref.name}" in self.machine_nodes:
             return f"{comp}.{ref.name}"
-        candidates = [
-            f"{cname}.{ref.name}"
-            for cname, names in self.comp_machine_names.items()
-            if ref.name in names and cname != comp
-        ]
+        else:
+            candidates = [q for q in self.machine_nodes if q.partition(".")[2] == ref.name]
         if len(candidates) == 1:
             return candidates[0]
-        if len(candidates) > 1:
+        if candidates:
             self.error(
                 "AmbiguousName",
                 f"state machine '{ref.name}' is ambiguous ({', '.join(sorted(candidates))})",
                 ref.span,
             )
-            return None
-        self.error("UnknownName", f"unknown state machine '{ref.name}'", ref.span)
+        else:
+            self.error("UnknownName", f"unknown state machine '{ref}'", ref.span)
         return None
 
-    # -- predicates and tables ----------------------------------------------------
+    # -- predicates, tables and condition lists -------------------------------------
 
     def resolve_predicate(self, node: ast.RowPredicate, comp: str | None) -> Predicate | None:
         if isinstance(node, ast.StateTestNode):
-            machine_q = self.lookup_machine(node.machine, comp)
-            if machine_q is None:
+            machine = self.lookup_machine(node.machine, comp)
+            if machine is None:
                 return None
-            machine_node = self.machine_nodes[machine_q]
-            if node.state not in [s.name for s in machine_node.states]:
-                self.error(
-                    "UnknownName",
-                    f"state machine '{machine_q}' has no state '{node.state}'",
-                    node.span,
-                )
-                return None
-            return StateTest(machine_q, node.state)
+            if all(st.name != node.state for st in self.machine_nodes[machine].states):
+                message = f"state machine '{machine}' has no state '{node.state}'"
+                return self.error("UnknownName", message, node.span)
+            return StateTest(machine, node.state)
 
-        if isinstance(node.lhs, ast.IntLit) or (
-            node.lhs.component is None and node.lhs.name in self.literal_types
-        ):
-            self.error(
-                "TypeMismatch",
-                "left operand of a comparison must be a variable reference",
-                node.span,
-            )
+        if self.literal(node.lhs) is not None:
+            message = "left operand of a comparison must be a variable reference"
+            return self.error("TypeMismatch", message, node.span)
+        lhs = self.lookup_variable(node.lhs, comp, "variable")
+        if lhs is None:
             return None
-        lhs_var, reported = self.lookup_variable(node.lhs, comp)
-        if lhs_var is None:
-            if not reported:
-                self.error("UnknownName", f"unknown variable '{node.lhs}'", node.lhs.span)
-            return None
-
         rhs: Operand
-        if isinstance(node.rhs, ast.IntLit):
-            rhs = LitOperand(node.rhs.value)
-        elif node.rhs.component is None and node.rhs.name in self.literal_types:
-            rhs = LitOperand(node.rhs.name)
-        else:
-            rhs_var, reported = self.lookup_variable(node.rhs, comp)
-            if rhs_var is None:
-                if not reported:
-                    self.error("UnknownName", f"unknown name '{node.rhs}'", node.rhs.span)
+        value = self.literal(node.rhs)
+        if value is None:
+            var = self.lookup_variable(node.rhs, comp, "name")
+            if var is None:
                 return None
-            rhs = VarOperand(rhs_var.qualified)
-
-        if not self.check_predicate_types(lhs_var.type, node.op, rhs, node.span):
-            return None
-        return Compare(VarOperand(lhs_var.qualified), node.op, rhs)
-
-    def operand_type(self, operand: Operand) -> TypeDef | str:
-        if isinstance(operand, VarOperand):
-            comp, name = operand.ref.split(".", 1)
-            return self.comp_vars[comp][name].type
-        if isinstance(operand.value, int):
-            return "int"
-        return self.literal_types[operand.value]
-
-    def check_predicate_types(
-        self, lhs_type: TypeDef, op: str, rhs: Operand, span: Span | None
-    ) -> bool:
-        rhs_type = self.operand_type(rhs)
-
-        def is_int(t: TypeDef | str) -> bool:
-            return t == "int" or isinstance(t, IntRangeType)
-
-        if op in ("<", "<=", ">", ">="):
-            if not (is_int(lhs_type) and is_int(rhs_type)):
-                self.error(
-                    "TypeMismatch", f"ordering operator '{op}' requires int-range operands", span
-                )
-                return False
-            return True
-        # "=" / "!=": integers unify across ranges; enum/bool must match exactly.
-        if is_int(lhs_type) and is_int(rhs_type):
-            return True
-        if is_int(lhs_type) != is_int(rhs_type) or lhs_type != rhs_type:
-            lhs_name = lhs_type if isinstance(lhs_type, str) else lhs_type.name
-            rhs_name = rhs_type if isinstance(rhs_type, str) else rhs_type.name
-            self.error(
-                "TypeMismatch",
-                f"operands of '{op}' have different types ({lhs_name} vs {rhs_name})",
-                span,
-            )
-            return False
-        return True
+            rhs, rhs_type = VarOperand(var.qualified), var.type
+        else:
+            # An integer literal is of its own one-value range, named int.
+            rhs = LitOperand(value)
+            if isinstance(value, int):
+                rhs_type = IntRangeType("int", value, value)
+            else:
+                rhs_type = self.literal_types[value]
+        # Integers compare across ranges; an enum or bool only with its own type.
+        op = node.op
+        ints = isinstance(lhs.type, IntRangeType) and isinstance(rhs_type, IntRangeType)
+        if op in ("<", "<=", ">", ">=") and not ints:
+            message = f"ordering operator '{op}' requires int-range operands"
+        elif not ints and lhs.type != rhs_type:
+            types = f"{lhs.type.name} vs {rhs_type.name}"
+            message = f"operands of '{op}' have different types ({types})"
+        else:
+            return Compare(VarOperand(lhs.qualified), op, rhs)
+        return self.error("TypeMismatch", message, node.span)
 
     def resolve_table(self, node: ast.TableNode, comp: str | None) -> AndOrTable | None:
-        rows: list[Predicate] = []
-        cells: list[tuple[str, ...]] = []
-        ok = True
-        for row in node.rows:
-            pred = self.resolve_predicate(row.predicate, comp)
-            if pred is None:
-                ok = False
-                continue
-            rows.append(pred)
-            cells.append(tuple(row.cells))
-        if not ok:
+        rows = [self.resolve_predicate(row.predicate, comp) for row in node.rows]
+        if not all(rows):
             return None
-        table = AndOrTable(tuple(rows), tuple(cells))
+        table = AndOrTable(tuple(rows), tuple([tuple(row.cells) for row in node.rows]))
         # An all-dot column makes the whole table constant true, which is
         # only meaningful as the single-column constant-true table.
-        if len(table.columns) > 1:
-            for col, literals in enumerate(table.columns):
-                if not literals:
-                    self.error(
-                        "EmptyColumn",
-                        f"column {col + 1} is all don't-care; write the "
-                        "constant-true table as a single all-dot column",
-                        node.span,
-                    )
-                    return None
+        if len(table.columns) > 1 and () in table.columns:
+            return self.error(
+                "EmptyColumn",
+                f"column {table.columns.index(()) + 1} is all don't-care; write the "
+                "constant-true table as a single all-dot column",
+                node.span,
+            )
         return table
 
-    def resolve_condition_list(
-        self, nodes: list[ast.ConditionNode], comp: str | None
-    ) -> list[Condition] | None:
-        resolved: dict[int, AndOrTable] = {}
-        ok = True
-        for idx, n in enumerate(nodes):
-            if isinstance(n, ast.TableNode):
-                table = self.resolve_table(n, comp)
-                if table is None:
-                    ok = False
-                else:
-                    resolved[idx] = table
-        if not ok:
+    def resolve_conditions(self, nodes: list, comp: str | None) -> list[Condition] | None:
+        """The conditions of one case list or state, or None if a table failed."""
+        tables = [self.resolve_table(n, comp) for n in nodes if isinstance(n, ast.TableNode)]
+        if not all(tables):
             return None
-        siblings = tuple(resolved[i] for i in sorted(resolved))
-        out: list[Condition] = []
-        for idx, n in enumerate(nodes):
-            if isinstance(n, ast.ElseNode):
-                out.append(ElseCondition(siblings))
-            else:
-                out.append(TableCondition(resolved[idx]))
-        return out
+        rest, siblings = iter(tables), tuple(tables)
+        return [
+            TableCondition(next(rest)) if isinstance(n, ast.TableNode) else ElseCondition(siblings)
+            for n in nodes
+        ]
 
     # -- pass 3: bodies ---------------------------------------------------------
 
-    def resolve_components(self) -> list[Component]:
-        components: list[Component] = []
-        for comp in self.node.components:
-            if comp.name not in self.comp_vars:
-                continue  # duplicate component, already reported
-            assigns: list[AssignmentSpec] = []
-            assigned: set[str] = set()
-            for a in comp.assigns:
-                target = self.resolve_assign_target(a, comp)
-                if target is None:
-                    continue
-                if target.qualified in assigned:
-                    self.error(
-                        "MultipleWriters",
-                        f"variable {target.qualified} already has an assignment specification",
-                        a.span,
-                    )
-                    continue
-                assigned.add(target.qualified)
-                conditions = self.resolve_condition_list(
-                    [c.condition for c in a.cases], comp.name
+    def resolve_component(self, comp: ast.ComponentNode) -> Component:
+        assigns: dict[str, AssignmentSpec] = {}  # qualified target -> its specification
+        for a in comp.assigns:
+            target = self.resolve_assign_target(a, comp.name)
+            if target is None:
+                continue
+            if target.qualified in assigns:
+                self.error(
+                    "MultipleWriters",
+                    f"variable {target.qualified} already has an assignment specification",
+                    a.span,
                 )
-                if conditions is None:
-                    continue
-                cases: list[Case] = []
-                ok = True
-                for case_node, cond in zip(a.cases, conditions):
-                    value = self.literal_value(case_node.value)
-                    if value is None:
-                        ok = False
-                        continue
-                    if not in_domain(value, target.type):
-                        self.error(
-                            "TypeMismatch",
-                            f"case value {value} is not in the domain of "
-                            f"'{target.qualified}'",
-                            case_node.span,
-                        )
-                        ok = False
-                        continue
-                    cases.append(Case(cond, value, tuple(case_node.trace), span=case_node.span))
-                if ok:
-                    assigns.append(AssignmentSpec(target, tuple(cases), span=a.span))
+                continue
+            cases: list[Case] = []
+            conditions = self.resolve_conditions([c.condition for c in a.cases], comp.name)
+            domain = f"'{target.qualified}'"
+            for case, cond in zip(a.cases, conditions or ()):
+                value = self.value_in(case.value, target.type, "case", domain, case.span)
+                cases.append(Case(cond, value, tuple(case.trace), span=case.span))
+            assigns[target.qualified] = AssignmentSpec(target, tuple(cases), span=a.span)
+        machines = [
+            self.resolve_machine(m, comp.name)
+            for m in comp.machines
+            if self.machine_nodes[f"{comp.name}.{m.name}"] is m
+        ]
+        variables = tuple(self.comp_vars[comp.name].values())
+        return Component(comp.name, variables, tuple(assigns.values()), tuple(machines))
 
-            machines: list[StateMachine] = []
-            for m in comp.machines:
-                if f"{comp.name}.{m.name}" not in self.machine_nodes:
-                    continue
-                resolved = self.resolve_machine_body(m, comp.name)
-                if resolved is not None:
-                    machines.append(resolved)
-
-            components.append(
-                Component(
-                    comp.name,
-                    tuple(self.comp_vars[comp.name].values()),
-                    tuple(assigns),
-                    tuple(machines),
-                )
-            )
-        return components
-
-    def resolve_assign_target(self, a: ast.AssignNode, comp: ast.ComponentNode) -> Variable | None:
+    def resolve_assign_target(self, a: ast.AssignNode, comp: str) -> Variable | None:
         ref = a.target
-        if ref.component is not None and ref.component != comp.name:
-            owner = self.comp_vars.get(ref.component, {}).get(ref.name)
-            if owner is None:
-                self.error("UnknownName", f"unknown variable '{ref}'", a.span)
-            else:
-                self.error(
-                    "MultipleWriters",
-                    f"variable {owner.qualified} is owned by component '{ref.component}'; "
-                    f"component '{comp.name}' cannot assign it",
-                    a.span,
-                )
-            return None
-        target = self.comp_vars.get(comp.name, {}).get(ref.name)
+        own = ref.component in (None, comp)
+        target = self.comp_vars[comp].get(ref.name) if own else None
         if target is None:
-            candidates = [v for v in self.vars_by_name.get(ref.name, ()) if v.owner != comp.name]
-            if candidates:
+            owners = [
+                v
+                for v in self.vars_by_name.get(ref.name, ())
+                if (v.owner != comp if own else v.owner == ref.component)
+            ]
+            if owners:
                 self.error(
                     "MultipleWriters",
-                    f"variable {candidates[0].qualified} is owned by component "
-                    f"'{candidates[0].owner}'; component '{comp.name}' cannot assign it",
+                    f"variable {owners[0].qualified} is owned by component '{owners[0].owner}'; "
+                    f"component '{comp}' cannot assign it",
                     a.span,
                 )
             else:
-                self.error("UnknownName", f"unknown variable '{ref.name}'", a.span)
-            return None
-        if target.direction == "input":
-            self.error(
-                "InputAssigned", f"assignment targets input variable {target.qualified}", a.span
-            )
-            return None
+                self.error("UnknownName", f"unknown variable '{ref.name if own else ref}'", a.span)
+        elif target.direction == "input":
+            message = f"assignment targets input variable {target.qualified}"
+            return self.error("InputAssigned", message, a.span)
         return target
 
-    def resolve_machine_body(self, m: ast.StateMachineNode, comp: str) -> StateMachine | None:
-        state_names: list[str] = []
+    def resolve_machine(self, m: ast.StateMachineNode, comp: str) -> StateMachine | None:
+        states: dict[str, None] = {}  # in declaration order
         for st in m.states:
-            if st.name in state_names:
-                self.error(
-                    "DuplicateName", f"state '{st.name}' already declared in '{m.name}'", st.span
-                )
+            if self.duplicate(st.name in states, "state", st, f" in '{m.name}'"):
                 return None
-            state_names.append(st.name)
-        if m.initial not in state_names:
-            self.error(
-                "UnknownName", f"initial state '{m.initial}' is not a state of '{m.name}'", m.span
-            )
-            return None
+            states[st.name] = None
+        if m.initial not in states:
+            message = f"initial state '{m.initial}' is not a state of '{m.name}'"
+            return self.error("UnknownName", message, m.span)
         transitions: list[Transition] = []
-        ok = True
         for st in m.states:
-            conditions = self.resolve_condition_list([t.condition for t in st.transitions], comp)
-            if conditions is None:
-                ok = False
-                continue
-            for t_node, cond in zip(st.transitions, conditions):
-                if t_node.target not in state_names:
+            conditions = self.resolve_conditions([t.condition for t in st.transitions], comp)
+            for t, cond in zip(st.transitions, conditions or ()):
+                if t.target not in states:
                     self.error(
                         "UnknownName",
-                        f"transition target '{t_node.target}' is not a state of '{m.name}'",
-                        t_node.span,
+                        f"transition target '{t.target}' is not a state of '{m.name}'",
+                        t.span,
                     )
-                    ok = False
-                    continue
-                transitions.append(
-                    Transition(st.name, t_node.target, cond, tuple(t_node.trace), span=t_node.span)
-                )
-        if not ok:
-            return None
-        return StateMachine(
-            m.name, comp, tuple(state_names), m.initial, tuple(transitions), span=m.span
-        )
+                transitions.append(Transition(st.name, t.target, cond, tuple(t.trace), span=t.span))
+        return StateMachine(m.name, comp, tuple(states), m.initial, tuple(transitions), span=m.span)
 
-    def resolve_invariants(self) -> list[InvariantDecl]:
-        out: list[InvariantDecl] = []
-        seen: set[str] = set()
+    def resolve_invariants(self) -> tuple[InvariantDecl, ...]:
+        invariants: dict[str, InvariantDecl] = {}
         for inv in self.node.invariants:
-            if inv.name in seen:
-                self.error("DuplicateName", f"invariant '{inv.name}' already declared", inv.span)
+            if self.duplicate(inv.name in invariants, "invariant", inv):
                 continue
-            seen.add(inv.name)
-            table = self.resolve_table(inv.table, None)
-            if table is None:
-                continue
-            out.append(
-                InvariantDecl(inv.name, TableCondition(table), tuple(inv.trace), span=inv.span)
-            )
-        return out
-
-    def run(self) -> Specification:
-        self.collect_types()
-        self.collect_declarations()
-        components = self.resolve_components()
-        invariants = self.resolve_invariants()
-        errors = [d for d in self.diags if d.severity == "error"]
-        if errors:
-            raise SpecError(errors)
-        return Specification(
-            self.node.name,
-            tuple(self.types),
-            tuple(components),
-            tuple(invariants),
-            file=self.filename,
-            span=self.node.span,
-        )
+            table = TableCondition(self.resolve_table(inv.table, None))
+            invariants[inv.name] = InvariantDecl(inv.name, table, tuple(inv.trace), span=inv.span)
+        return tuple(invariants.values())
 
 
 def resolve(node: ast.SpecNode, filename: str = "<spec>") -> Specification:
     """Bind every name, enforce the typing rules, and build the resolved
     model.  Raises :class:`SpecError` carrying all collected errors."""
-    return _Resolver(node, filename).run()
+    r = _Resolver(node)
+    components = tuple(map(r.resolve_component, r.comp_nodes.values()))
+    invariants = r.resolve_invariants()
+    if r.diags:
+        raise SpecError(r.diags)
+    return Specification(node.name, tuple(r.types), components, invariants, filename, node.span)

@@ -265,6 +265,22 @@ CASES = [
         + "invariant inv : table { o = TRUE : T }\ninvariant inv : table { o = TRUE : F }\n",
         "s.rsml:8:1: error[DuplicateName]: invariant 'inv' already declared\n",
     ),
+    # A rejected duplicate declaration is not resolved: its body would be
+    # read against the first declaration's names, so only the DuplicateName
+    # line is printed.  (Resolving it printed "unknown variable 'z'", which
+    # the second A declares, and the second M's bad initial state.)
+    (
+        "component-body-not-resolved",
+        comp("A", IO + OK)
+        + comp("A", IO + "  input z : bool\n" + OK.replace("i = TRUE", "z = TRUE")),
+        "s.rsml:7:1: error[DuplicateName]: component 'A' already declared\n",
+    ),
+    (
+        "machine-body-not-resolved",
+        comp("A", IO + OK + M.replace("initial S", "initial Ghost") * 2),
+        "s.rsml:10:3: error[DuplicateName]: state machine 'M' already declared in component 'A'\n"
+        "s.rsml:6:3: error[UnknownName]: initial state 'Ghost' is not a state of 'M'\n",
+    ),
     (
         "errors-in-pass-order",
         "type R = int [2 .. 1]\ninvariant inv : table { q = TRUE : T }\n"
