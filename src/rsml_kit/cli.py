@@ -219,19 +219,19 @@ def _trace_json(spec: Specification, trace: Trace) -> dict:
     def values(row: tuple) -> dict[str, str]:
         return dict(zip(shown, map(str, row)))
 
-    def states(row: tuple) -> dict[str, str]:
+    def machine_states(row: tuple) -> dict[str, str]:
         return dict(zip(machines, row[width:]))
 
     rows = trace.rows
     return {
         "specification": spec.name,
-        "initial": {"step": 0, "values": values(rows[0]), "machines": states(rows[0])},
+        "initial": {"step": 0, "values": values(rows[0]), "machines": machine_states(rows[0])},
         "steps": [
             {
                 "step": step,
                 "inputs": {by_name[k]: str(v) for k, v in inputs.items()},
                 "values": values(row),
-                "machines": states(row),
+                "machines": machine_states(row),
             }
             for step, (inputs, row) in enumerate(zip(trace.inputs, rows[1:]), start=1)
         ],
@@ -250,17 +250,17 @@ def _trace_text(spec: Specification, trace: Trace) -> str:
     shown, machines, by_name = _display_names(spec, trace)
     width = len(shown)
 
-    def states(row: tuple) -> str:
+    def machine_states(row: tuple) -> str:
         return ", ".join([f"{k}={v}" for k, v in zip(machines, row[width:])]) or "-"
 
     rows = [("step", "inputs", "changes", "machines")]
     prev = trace.rows[0]
     initial = ", ".join([f"{k}={v}" for k, v in zip(shown, prev)]) or "-"
-    rows.append(("0", "-", initial, states(prev)))
+    rows.append(("0", "-", initial, machine_states(prev)))
     for step, (step_inputs, row) in enumerate(zip(trace.inputs, trace.rows[1:]), start=1):
         inputs = ", ".join([f"{by_name[k]}={v}" for k, v in step_inputs.items()]) or "-"
         changes = ", ".join([f"{k}={v}" for k, v, before in zip(shown, row, prev) if v != before])
-        rows.append((str(step), inputs, changes or "-", states(row)))
+        rows.append((str(step), inputs, changes or "-", machine_states(row)))
         prev = row
     lines = _columns(rows)
     if trace.violation:
@@ -302,7 +302,8 @@ def cmd_explore(args: argparse.Namespace) -> _Result:
     def text() -> str:
         lines = [f"reachable states: {report.reachable}", f"frontier depth: {report.depth}"]
         if report.limit:
-            lines.append(f"limit exceeded: {report.limit}")
+            bound = getattr(args, f"max_{report.limit}")
+            lines.append(f"limit exceeded: {report.limit} (--max-{report.limit} {bound})")
         if not report.violations:
             lines.append("no invariant violations")
         for name, trace in report.violations:

@@ -757,25 +757,22 @@ class _Resolver:
         return Component(comp.name, variables, tuple(assigns.values()), tuple(machines))
 
     def resolve_assign_target(self, a: ast.AssignNode, comp: str) -> Variable | None:
+        """The variable ``a`` assigns: a qualified target names its
+        component's variable, a bare one ``comp``'s own or else another
+        component's, which ``comp`` may not assign."""
         ref = a.target
-        own = ref.component in (None, comp)
-        target = self.comp_vars[comp].get(ref.name) if own else None
+        target = self.comp_vars.get(ref.component or comp, {}).get(ref.name)
+        if target is None and ref.component is None:
+            target = next(iter(self.vars_by_name.get(ref.name, ())), None)
         if target is None:
-            owners = [
-                v
-                for v in self.vars_by_name.get(ref.name, ())
-                if (v.owner != comp if own else v.owner == ref.component)
-            ]
-            if owners:
-                self.error(
-                    "MultipleWriters",
-                    f"variable {owners[0].qualified} is owned by component '{owners[0].owner}'; "
-                    f"component '{comp}' cannot assign it",
-                    a.span,
-                )
-            else:
-                self.error("UnknownName", f"unknown variable '{ref.name if own else ref}'", a.span)
-        elif target.direction == "input":
+            return self.error("UnknownName", f"unknown variable '{ref}'", a.span)
+        if target.owner != comp:
+            message = (
+                f"variable {target.qualified} is owned by component '{target.owner}'; "
+                f"component '{comp}' cannot assign it"
+            )
+            return self.error("MultipleWriters", message, a.span)
+        if target.direction == "input":
             message = f"assignment targets input variable {target.qualified}"
             return self.error("InputAssigned", message, a.span)
         return target

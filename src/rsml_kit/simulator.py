@@ -17,32 +17,25 @@ and makes the order of machine updates irrelevant.  Unfired assignments and
 machines keep their previous value/state.
 
 Every step runs through a :class:`_Stepper`, built once per model and
-evaluation order and kept on the :class:`Specification`, so calls of
-:func:`explore`, :func:`run_script`, :func:`initial_state` or
-:func:`step_core` on one model share it and its memos.  Inside it a state
-is packed: one flat tuple of the variable values, then the machine
-states, in declaration order.  Each machine, assignment and invariant
-memoizes its outcome on the values it reads (``model.reads(...,
-live_only=True)``, so all-dot rows are left out), and a machine also on
-its own current state, since its transitions are filtered by source: a
-guard set is evaluated by ``table_logic.eval_condition`` once per
-distinct key, and every later step with that key reuses the fired index
-and value, or re-raises the same ``NondeterministicFiring``.  A memo holds
-at most one entry per point of its node's read domain.
+evaluation order and kept on the :class:`Specification`, so every call on
+one model shares it and its memos.  A state is packed, the one state form
+here: a flat tuple of the variable values, then the machine states, in
+declaration order.  :func:`initial_state` returns one, :func:`step_core`
+takes and returns one, and a :class:`Trace` (what :func:`run_script`
+returns, and each of :func:`explore`'s counterexamples) holds the name
+tuples once and one row per state, which the CLI renders by position.
 
-A :class:`Trace`, what :func:`run_script` returns and what each of
-:func:`explore`'s counterexamples is, stays packed too: it holds the
-stepper's variable and machine name tuples once and one packed row per
-state.  A named :class:`SystemState`, of (name, value) pairs, is built
-only when a caller asks for one, through :meth:`Trace.state` or
-:attr:`Trace.states`; :func:`initial_state` and :func:`step_core` return
-one.  The CLI renders a trace from its rows by position.
-
-The stepper's ``successors`` takes a state and input combinations: for
-each it copies the row, sets the inputs, fires every node in evaluation
-order and evaluates every invariant, so the first clash in evaluation
-order is the one raised.  :func:`run_script` and :func:`step_core` pass
-one combination.
+Each machine, assignment and invariant memoizes its outcome on the values
+it reads (``model.reads(..., live_only=True)``, so all-dot rows are left
+out), and a machine also on its own current state, since its transitions
+are filtered by source: a guard set is evaluated by
+``table_logic.eval_condition`` once per distinct key, and every later step
+with that key reuses the fired index and value, or re-raises the same
+``NondeterministicFiring``.  A memo holds at most one entry per point of
+its node's read domain.  The stepper's ``successors`` takes a state and
+input combinations: for each it copies the row, sets the inputs, fires
+every node in evaluation order and evaluates every invariant, so the first
+clash in evaluation order is the one raised.
 
 :func:`explore` builds the input combinations as ``(slot, value)`` pairs
 lazily, in the order of one ``model.Radix`` over the inputs' domains, on
@@ -81,22 +74,15 @@ from .model import (
     in_domain,
     reads,
 )
-from .record import FrozenRecord, Record
+from .record import Record
 from .table_logic import Valuation, eval_condition
 
 
-class SystemState(FrozenRecord):
-    """Total valuation of every variable and machine at one step:
-    ``values`` holds (qualified name, value) in declaration order,
-    ``states`` (qualified machine, state)."""
-
-    __slots__ = _fields = ("values", "states", "step")
-
-
 class StepResult(Record):
-    """``fired_cases``: assignment target -> enabled case index;
-    ``fired_transitions``: machine -> index into ``machine.transitions``;
-    ``violations``: invariant names false in the resulting state."""
+    """``state``: the packed successor; ``fired_cases``: assignment target
+    -> enabled case index; ``fired_transitions``: machine -> index into
+    ``machine.transitions``; ``violations``: invariant names false in the
+    resulting state."""
 
     __slots__ = _fields = ("state", "fired_cases", "fired_transitions", "violations")
 
@@ -109,14 +95,6 @@ class Trace(Record):
 
     __slots__ = _fields = ("var_names", "machine_names", "rows", "inputs", "violation")
     _defaults = {"violation": None}
-
-    def state(self, step: int) -> SystemState:
-        """The named state after ``step`` steps (0: the initial state)."""
-        return _unpack(self.var_names, self.machine_names, self.rows[step], step)
-
-    @property
-    def states(self) -> list[SystemState]:
-        return [self.state(k) for k in range(len(self.rows))]
 
 
 class ExplorationReport(Record):
@@ -274,12 +252,9 @@ class _Stepper:
             row[width:] = states
             yield tuple(row), self.violated(row)
 
-    def packed_inputs(self, inputs: dict[str, Value]) -> PackedInputs:
+    def combination(self, inputs: dict[str, Value]) -> PackedInputs:
         # Names that are not variables are read by no guard, so they are dropped.
         return [(self.slot[name], value) for name, value in inputs.items() if name in self.slot]
-
-    def pack(self, state: SystemState) -> Packed:
-        return (*(value for _, value in state.values), *(s for _, s in state.states))
 
     def start(self) -> Packed:
         """The initial state; raises if an invariant is already violated."""
@@ -293,17 +268,6 @@ class _Stepper:
                 )
             )
         return self.initial
-
-
-def _unpack(
-    var_names: tuple[str, ...], machine_names: tuple[str, ...], state: Packed, step: int
-) -> SystemState:
-    """The named form of a packed state."""
-    return SystemState(
-        tuple(zip(var_names, state)),
-        tuple(zip(machine_names, state[len(var_names) :])),
-        step,
-    )
 
 
 def _choices(owner: _Node) -> Iterator[tuple[Condition, Value, str | None]]:
@@ -326,11 +290,10 @@ def _stepper(spec: Specification, order: list[str] | None = None) -> _Stepper:
     return stepper
 
 
-def initial_state(spec: Specification) -> SystemState:
-    """Every variable at its init (or domain default), every machine at its
-    initial state, step 0.  Raises if an invariant is already violated."""
-    stepper = _stepper(spec, order=[])  # takes no step, so needs no order
-    return _unpack(stepper.var_names, stepper.machine_names, stepper.start(), 0)
+def initial_state(spec: Specification) -> Packed:
+    """Every variable at its init (or domain default), then every machine
+    at its initial state.  Raises if an invariant is already violated."""
+    return _stepper(spec, order=[]).start()  # takes no step, so needs no order
 
 
 def check_inputs(spec: Specification, inputs: dict[str, Value]) -> None:
@@ -353,23 +316,16 @@ def check_inputs(spec: Specification, inputs: dict[str, Value]) -> None:
 
 
 def step_core(
-    spec: Specification,
-    cur: SystemState,
-    inputs: dict[str, Value],
-    order: list[str] | None = None,
+    spec: Specification, row: Packed, inputs: dict[str, Value], order: list[str] | None = None
 ) -> StepResult:
-    """Single synchronous step; invariant violations are reported in the
-    result rather than raised."""
-    stepper = _stepper(spec, order)
+    """Single synchronous step from the packed ``row``; invariant
+    violations are reported in the result rather than raised."""
     fired: list[tuple[str, bool, int]] = []
-    combo = stepper.packed_inputs(inputs)
-    succ, violations = next(stepper.successors(stepper.pack(cur), [combo], fired))
-    return StepResult(
-        _unpack(stepper.var_names, stepper.machine_names, succ, cur.step + 1),
-        {node: idx for node, is_machine, idx in fired if not is_machine},
-        {node: idx for node, is_machine, idx in fired if is_machine},
-        violations,
-    )
+    stepper = _stepper(spec, order)
+    succ, violations = next(stepper.successors(row, [stepper.combination(inputs)], fired))
+    cases = {node: idx for node, is_machine, idx in fired if not is_machine}
+    transitions = {node: idx for node, is_machine, idx in fired if is_machine}
+    return StepResult(succ, cases, transitions, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +387,7 @@ def run_script(
     trace = Trace(stepper.var_names, stepper.machine_names, [state], [])
     for row in script:
         check_inputs(spec, row)
-        state, violations = next(stepper.successors(state, [stepper.packed_inputs(row)]))
+        state, violations = next(stepper.successors(state, [stepper.combination(row)]))
         trace.rows.append(state)
         trace.inputs.append(row)
         if violations and trace.violation is None:

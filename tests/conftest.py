@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from rsml_kit import simulator
 from rsml_kit.analysis import GuardSet, referenced_domain
 from rsml_kit.ast_nodes import ElseNode, SpecNode, TableNode
 from rsml_kit.diagnostics import SpecError, error
 from rsml_kit.model import Specification, Value, resolve
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec
-from rsml_kit.simulator import SystemState, check_inputs, step_core
+from rsml_kit.record import FrozenRecord
+from rsml_kit.simulator import StepResult, Trace, check_inputs
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -70,19 +72,77 @@ def spec_from(text: str, filename: str = "<test>") -> Specification:
     return resolve(parse_spec(text, filename), filename)
 
 
-def state_value(state, qualified: str):
-    """The value of a variable in a ``simulator.SystemState``."""
+# ---------------------------------------------------------------------------
+# Named states.  The simulator works on packed rows alone (the variable
+# values, then the machine states, in declaration order); tests and the
+# reference semantics in ``oracle_helpers`` compare states by name.
+
+
+class SystemState(FrozenRecord):
+    """Total valuation of every variable and machine at one step:
+    ``values`` holds (qualified name, value) in declaration order,
+    ``states`` (qualified machine, state)."""
+
+    __slots__ = _fields = ("values", "states", "step")
+
+
+def named_state(var_names, machine_names, row: tuple, step: int) -> SystemState:
+    """The named form of a packed row."""
+    return SystemState(
+        tuple(zip(var_names, row)), tuple(zip(machine_names, row[len(var_names) :])), step
+    )
+
+
+def packed(state: SystemState) -> tuple:
+    """The packed row of a named state."""
+    return (*(value for _, value in state.values), *(s for _, s in state.states))
+
+
+def trace_state(trace: Trace, step: int) -> SystemState:
+    """The named state of a ``simulator.Trace`` after ``step`` steps (0:
+    the initial state)."""
+    return named_state(trace.var_names, trace.machine_names, trace.rows[step], step)
+
+
+def trace_states(trace: Trace) -> list[SystemState]:
+    return [trace_state(trace, k) for k in range(len(trace.rows))]
+
+
+def _names(spec: Specification) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    return tuple(v.qualified for v in spec.variables), tuple(m.qualified for m in spec.machines)
+
+
+def initial_state(spec: Specification) -> SystemState:
+    """``simulator.initial_state``, named, at step 0."""
+    return named_state(*_names(spec), simulator.initial_state(spec), 0)
+
+
+def step_core(
+    spec: Specification,
+    cur: SystemState,
+    inputs: dict[str, Value],
+    order: list[str] | None = None,
+) -> StepResult:
+    """``simulator.step_core`` from a named state, with the successor
+    named at the next step."""
+    result = simulator.step_core(spec, packed(cur), inputs, order)
+    result.state = named_state(*_names(spec), result.state, cur.step + 1)
+    return result
+
+
+def state_value(state: SystemState, qualified: str):
+    """The value of a variable in a named state."""
     return dict(state.values)[qualified]
 
 
-def machine_state(state, qualified: str) -> str:
-    """The state of a machine in a ``simulator.SystemState``."""
+def machine_state(state: SystemState, qualified: str) -> str:
+    """The state of a machine in a named state."""
     return dict(state.states)[qualified]
 
 
-def state_key(state) -> tuple:
-    """Identity of a ``simulator.SystemState`` for deduplication: the
-    valuation without the step index."""
+def state_key(state: SystemState) -> tuple:
+    """Identity of a named state for deduplication: the valuation without
+    the step index."""
     return (state.values, state.states)
 
 
@@ -92,7 +152,7 @@ def step(
     inputs: dict[str, Value],
     order: list[str] | None = None,
 ) -> SystemState:
-    """Like ``simulator.step_core`` but raises on an invariant violation."""
+    """Like :func:`step_core` but raises on an invariant violation."""
     check_inputs(spec, inputs)
     result = step_core(spec, cur, inputs, order)
     if result.violations:

@@ -15,7 +15,7 @@ import operator
 import re
 from collections import deque
 
-from conftest import state_key
+from conftest import SystemState, state_key, trace_state
 from rsml_kit.diagnostics import Span, SpecError, error, warning
 from rsml_kit.eventb import (
     BECOMES_MEMBER,
@@ -63,7 +63,6 @@ from rsml_kit.record import Record
 from rsml_kit.simulator import (
     ExplorationReport,
     StepResult,
-    SystemState,
     Trace,
     check_inputs,
     evaluation_order,
@@ -204,8 +203,8 @@ class NamedTrace(Record):
 def named(trace: Trace) -> NamedTrace:
     """A packed :class:`simulator.Trace` as named states, so that two
     traces compare state by state and name by name."""
-    steps = [(inputs, trace.state(k)) for k, inputs in enumerate(trace.inputs, start=1)]
-    return NamedTrace(trace.state(0), steps, trace.violation)
+    steps = [(inputs, trace_state(trace, k)) for k, inputs in enumerate(trace.inputs, start=1)]
+    return NamedTrace(trace_state(trace, 0), steps, trace.violation)
 
 
 def named_report(report: ExplorationReport) -> ExplorationReport:

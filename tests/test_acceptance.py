@@ -17,7 +17,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, MUTEX_TOY, spec_from, state_key
+from conftest import (
+    CORPUS,
+    MUTEX_TOY,
+    initial_state,
+    spec_from,
+    state_key,
+    step_core,
+    trace_states,
+)
 from eventb_interp import eval_expr, parse_context, parse_machine
 from oracle_helpers import oracle_condition, oracle_verdicts
 from rsml_kit.analysis import (
@@ -40,7 +48,7 @@ from rsml_kit.model import (
 )
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec
 from rsml_kit.pftrace import link, trace_report
-from rsml_kit.simulator import explore, initial_state, input_combinations, step_core
+from rsml_kit.simulator import explore, input_combinations
 from rsml_kit.table_logic import Valuation, eval_condition, eval_table
 
 STARTSTOP = str(CORPUS / "startstop.rsml")
@@ -315,7 +323,7 @@ def test_acceptance_4_explorer_soundness():
         assert oracle_condition(toy.invariants[0].body, init_env)
 
         # The counterexample replays: its final state violates the invariant.
-        final_env = dict(trace.states[-1].values)
+        final_env = dict(trace_states(trace)[-1].values)
         assert not oracle_condition(toy.invariants[0].body, final_env)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, MUTEX_TOY
+from conftest import CORPUS, MUTEX_TOY, TRAFFIC
 from rsml_kit import cli
 from rsml_kit.cli import main
 
@@ -433,7 +433,15 @@ class TestExplore:
 
     def test_state_limit_exit_code(self, capsys):
         assert main(["explore", STARTSTOP, "--max-states", "1"]) == 3
-        assert "limit exceeded: states" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert "limit exceeded: states (--max-states 1)" in lines
+
+    def test_depth_limit_exit_code(self, capsys, tmp_path):
+        traffic = tmp_path / "traffic.rsml"
+        traffic.write_text(TRAFFIC, encoding="utf-8")
+        assert main(["explore", str(traffic), "--force", "--max-depth", "1"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "limit exceeded: depth (--max-depth 1)" in lines
 
     def test_json(self, capsys, mutex_file):
         assert main(["explore", mutex_file, "--format", "json"]) == 1

@@ -6,7 +6,15 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import machine_state, spec_from, state_key, state_value, step
+from conftest import (
+    initial_state,
+    machine_state,
+    spec_from,
+    state_key,
+    state_value,
+    step,
+    step_core,
+)
 from eventb_interp import eval_expr, parse_machine
 from oracle_helpers import witness_valuation
 from rsml_kit.analysis import (
@@ -19,13 +27,7 @@ from rsml_kit.diagnostics import Diagnostic, SpecError
 from rsml_kit.eventb import gen_flat, render
 from rsml_kit.model import resolve
 from rsml_kit.parser import parse_spec
-from rsml_kit.simulator import (
-    explore,
-    initial_state,
-    input_combinations,
-    parse_script,
-    step_core,
-)
+from rsml_kit.simulator import explore, input_combinations, parse_script
 from rsml_kit.table_logic import eval_condition
 
 

@@ -293,7 +293,7 @@ invariant 'mutual_exclusion' violated at step 1
 EXPLORE_MUTEX_CUT_TEXT = """\
 reachable states: 2
 frontier depth: 1
-limit exceeded: states
+limit exceeded: states (--max-states 2)
 no invariant violations
 """
 

@@ -232,7 +232,12 @@ CASES = [
     (
         "assign-own-qualified-foreign",
         comp("A", IO + OK) + comp("B", P + assign("B.o", "A.o = TRUE", "")),
-        "s.rsml:9:3: error[MultipleWriters]: variable A.o is owned by component 'A'; component 'B' cannot assign it\n",
+        "s.rsml:9:3: error[UnknownName]: unknown variable 'B.o'\n",
+    ),
+    (
+        "assign-own-qualified-unknown",
+        comp("A", IO + OK) + comp("B", P + assign("B.q", "A.o = TRUE", "")),
+        "s.rsml:9:3: error[UnknownName]: unknown variable 'B.q'\n",
     ),
     (
         "assign-unknown",

@@ -29,9 +29,8 @@ from rsml_kit.model import (
 )
 from rsml_kit.pftrace import TraceEdge, TraceNode
 from rsml_kit.record import Record
-from rsml_kit.simulator import SystemState
 
-from conftest import CORPUS
+from conftest import CORPUS, SystemState
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rsml_kit"
 

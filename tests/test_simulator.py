@@ -7,16 +7,27 @@ import sys
 
 import pytest
 
-from conftest import CORPUS, machine_state, spec_from, state_key, state_value, step
+from conftest import (
+    CORPUS,
+    initial_state,
+    machine_state,
+    packed,
+    spec_from,
+    state_key,
+    state_value,
+    step,
+    step_core,
+    trace_state,
+    trace_states,
+)
+from rsml_kit import simulator
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
     evaluation_order,
     explore,
-    initial_state,
     input_combinations,
     parse_script,
     run_script,
-    step_core,
 )
 
 ENA = "SSE_Driver_Needs_HMI.HMI_Stop_Ena"
@@ -47,6 +58,26 @@ invariant must_hold : table { b = TRUE : T }
         with pytest.raises(SpecError) as exc:
             initial_state(spec_from(text))
         assert exc.value.code == "InvariantViolatedInitially"
+
+
+def test_initial_state_and_step_core_work_on_packed_rows(traffic):
+    """The simulator's one state form: the variable values (Cmd, Out_Red),
+    then the machine states (Light), in declaration order."""
+    row = simulator.initial_state(traffic)
+    assert row == ("GO", "TRUE", "Red") == packed(initial_state(traffic))
+    result = simulator.step_core(traffic, row, {"Ctl.Cmd": "GO"})
+    assert (result.state, result.fired_cases, result.fired_transitions, result.violations) == (
+        ("GO", "TRUE", "Green"),
+        {"Ctl.Out_Red": 0},
+        {"Ctl.Light": 0},
+        [],
+    )
+    result = simulator.step_core(traffic, result.state, {"Ctl.Cmd": "HALT"})
+    assert (result.state, result.fired_cases, result.fired_transitions) == (
+        ("HALT", "FALSE", "Red"),
+        {"Ctl.Out_Red": 1},
+        {"Ctl.Light": 1},
+    )
 
 
 class TestStep:
@@ -215,7 +246,7 @@ class TestScripts:
     def test_empty_script(self, startstop):
         trace = run_script(startstop, [])
         assert trace.inputs == [] and trace.violation is None
-        assert trace.states == [initial_state(startstop)]
+        assert trace_states(trace) == [initial_state(startstop)]
 
     def test_three_row_script_hand_checked(self, startstop):
         script = [
@@ -224,7 +255,7 @@ class TestScripts:
             {SW: "NOT_USED"},
         ]
         trace = run_script(startstop, script)
-        values = [state_value(state, ENA) for state in trace.states[1:]]
+        values = [state_value(state, ENA) for state in trace_states(trace)[1:]]
         assert values == ["FALSE", "FALSE", "TRUE"]
 
     def test_script_parsing(self, startstop):
@@ -278,7 +309,7 @@ class TestExplore:
         trace = report.violations[0][1]
         assert trace.violation == ("mutual_exclusion", 1)
         assert len(trace.inputs) == 1
-        inputs, state = trace.inputs[0], trace.state(1)
+        inputs, state = trace.inputs[0], trace_state(trace, 1)
         assert state.step == 1
         assert inputs["HMI.Driver_Wants_Start"] == "TRUE"
         assert inputs["HMI.Driver_Wants_Stop"] == "TRUE"
@@ -302,7 +333,7 @@ class TestExplore:
             [{CP: "PRESSED"}, {CP: "RELEASED", SW: "NOT_USED", GB: "NEUTRAL"}],
         )
         reachable_keys = _reachable_keys(startstop)
-        for state in trace.states:
+        for state in trace_states(trace):
             assert state_key(state) in reachable_keys
 
     def test_explorer_matches_naive_fixed_point(self, startstop):
@@ -312,7 +343,8 @@ class TestExplore:
         """Passed as None or by value, the dependency order gets one stepper
         and one set of memos; ``initial_state`` keeps its own empty order."""
         explore(twocomp)
-        step_core(twocomp, initial_state(twocomp), {}, evaluation_order(twocomp))
+        row = simulator.initial_state(twocomp)
+        simulator.step_core(twocomp, row, {}, evaluation_order(twocomp))
         assert set(twocomp._steppers) == {tuple(evaluation_order(twocomp)), ()}
 
 
@@ -369,7 +401,7 @@ def test_explore_reaches_max_states_without_building_the_input_product(tmp_path)
     assert _explore_under_1_gib(tmp_path, WIDE_INPUTS) == [
         "reachable states: 100000",
         "frontier depth: 1",
-        "limit exceeded: states",
+        "limit exceeded: states (--max-states 100000)",
     ]
 
 
@@ -377,7 +409,7 @@ def test_explore_reads_a_wide_domain_only_as_far_as_the_search_goes(tmp_path):
     assert _explore_under_1_gib(tmp_path, WIDE_DOMAIN, "--max-states", "50") == [
         "reachable states: 50",
         "frontier depth: 1",
-        "limit exceeded: states",
+        "limit exceeded: states (--max-states 50)",
     ]
 
 

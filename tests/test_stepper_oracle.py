@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
+from conftest import CORPUS, MUTEX_TOY, TRAFFIC, SystemState, spec_from, step_core
 from oracle_helpers import (
     named,
     named_report,
@@ -23,15 +23,7 @@ from oracle_helpers import (
     reference_step,
 )
 from rsml_kit.diagnostics import SpecError
-from rsml_kit.simulator import (
-    SystemState,
-    _stepper,
-    evaluation_order,
-    explore,
-    parse_script,
-    run_script,
-    step_core,
-)
+from rsml_kit.simulator import _stepper, evaluation_order, explore, parse_script, run_script
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402

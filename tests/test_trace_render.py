@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS, MUTEX_TOY, spec_from
+from conftest import CORPUS, MUTEX_TOY, SystemState, spec_from, trace_state
 from oracle_helpers import (
     named,
     reference_explore,
@@ -23,7 +23,7 @@ from oracle_helpers import (
     reference_trace_text,
 )
 from rsml_kit.cli import _trace_json, _trace_text, main
-from rsml_kit.simulator import SystemState, explore, parse_script, run_script
+from rsml_kit.simulator import explore, parse_script, run_script
 from test_stepper_oracle import _outcome, _script, specs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -70,8 +70,9 @@ def _chain_project():
 
 def test_a_run_and_its_rendering_build_no_named_state(monkeypatch, tmp_path, capsys):
     """``run_script``, ``explore`` and both renderers keep every state
-    packed: with ``SystemState`` unable to be built, ``simulate`` and
-    ``explore`` still print what they print without the patch."""
+    packed: with the tests' ``SystemState``, the one named form, unable to
+    be built, ``simulate`` and ``explore`` still print what they print
+    without the patch, and ``trace_state`` is refused."""
     chain = _chain_project()
     files = {
         "chain.rsml": chain.files[".rsml"],
@@ -116,4 +117,4 @@ def test_a_run_and_its_rendering_build_no_named_state(monkeypatch, tmp_path, cap
     for trace in (trace, *(t for _, t in report.violations)):
         _rendered(spec, trace)
     with pytest.raises(AssertionError, match="a SystemState was built"):
-        trace.state(0)  # named states are built on request only
+        trace_state(trace, 0)  # the patch holds for the tests' one named form
