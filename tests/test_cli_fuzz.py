@@ -1,9 +1,10 @@
 """Seeded mutation fuzz of the command line.  Each seed specification (the
 corpus, every specification constant in the tests, and the resolver's
 error goldens) yields mutants by token and line edits; each mutant runs
-through ``cli.main`` for ``check``, ``explore --force --max-states 2000``
-and ``gen --force`` in flat and chain mode.  No exception may escape and
-every exit code is 0-3.
+through ``cli.main`` for ``check``, ``explore --force --max-states 2000``,
+``gen --force`` in flat and chain mode, and ``trace`` against the corpus
+problem diagram and requirements, in text and as strict JSON.  No
+exception may escape and every exit code is 0-3.
 
 ``mutants(per_seed)`` depends only on the files under ``corpus/`` and
 ``tests/``, so a comparison of two versions of the package can import it
@@ -14,6 +15,7 @@ from __future__ import annotations
 import ast
 import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,8 @@ COMMANDS = [
     ["explore", "--force", "--max-states", "2000"],
     ["gen", "--force", "-o", "out"],
     ["gen", "--force", "-o", "out", "--mode", "chain"],
+    ["trace", "startstop.pf", "startstop.req"],
+    ["trace", "startstop.pf", "startstop.req", "--require-trace", "--format", "json"],
 ]
 
 
@@ -99,6 +103,8 @@ def mutants(per_seed: int) -> list[str]:
 @pytest.mark.parametrize("command", COMMANDS, ids=[" ".join(c) for c in COMMANDS])
 def test_no_mutant_raises_and_every_exit_code_is_0_to_3(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
+    for name in ("startstop.pf", "startstop.req"):
+        shutil.copy(CORPUS / name, tmp_path / name)
     for index, text in enumerate(mutants(2)):
         path = tmp_path / f"m{index}.rsml"
         path.write_text(text, encoding="utf-8")

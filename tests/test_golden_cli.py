@@ -51,6 +51,40 @@ component B {
 """
 
 
+# The variable go and M's initial state go share one bare name: the
+# context is clean, so the flat machine collides and trace links no Event-B.
+# In GOING, the literal go of T_Mode collides within the context itself.
+FLAT_COLLISION = """\
+specification going
+component C {
+  input Gearbox : bool
+  output go : bool
+  assign go {
+    when table { Gearbox = TRUE : T } then TRUE trace REQ-001
+    when else then FALSE
+  }
+  statemachine M {
+    initial go ;
+    state go { goto halt when table { Gearbox = TRUE : F } trace REQ-002 }
+    state halt { }
+  }
+}
+"""
+
+CONTEXT_COLLISION = """\
+specification going
+type T_Mode = { go, halt }
+component C {
+  input Gearbox : T_Mode
+  statemachine M {
+    initial go ;
+    state go { goto halt when table { Gearbox = halt : T } trace REQ-002 }
+    state halt { }
+  }
+}
+"""
+
+
 # M reads C's one output z, so no output is terminal, and chain mode, whose
 # first machine holds the terminal outputs, refuses the specification;
 # check warns of that.  NO_OUTPUTS declares no output at all.
@@ -92,6 +126,8 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "capped.rsml").write_text(CAPPED, encoding="utf-8")
     (tmp_path / "outs.rsml").write_text(TWO_OUTS, encoding="utf-8")
     (tmp_path / "chaincollide.rsml").write_text(CHAIN_ONLY_COLLISION, encoding="utf-8")
+    (tmp_path / "flatgo.rsml").write_text(FLAT_COLLISION, encoding="utf-8")
+    (tmp_path / "ctxgo.rsml").write_text(CONTEXT_COLLISION, encoding="utf-8")
     (tmp_path / "noterm.rsml").write_text(NO_TERMINAL, encoding="utf-8")
     (tmp_path / "noout.rsml").write_text(NO_OUTPUTS, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -380,33 +416,41 @@ TRACE_EDGES = [
     ),
 ]
 
-TRACE_JSON = {
-    "note": NOTE,
-    "rows": [
-        {
-            "requirement": "REQ-001",
-            "pf_blocks": ["SSE_Driver_Needs.REQ-001"],
-            "rsml": ["case HMI_Stop_Ena#0", "case HMI_Stop_Ena#1"],
-            "eventb": ["event Set_HMI_Stop_Ena_FALSE", "event Set_HMI_Stop_Ena_TRUE"],
-        },
-        {
-            "requirement": "REQ-002",
-            "pf_blocks": [],
-            "rsml": ["case HMI_Stop_Ena#1"],
-            "eventb": ["event Set_HMI_Stop_Ena_TRUE"],
-        },
+
+def _trace_json(rows, edges, warnings=(), diagnostics=()) -> dict:
+    """trace's JSON payload from (requirement, pf blocks, rsml, eventb) rows
+    and (kind, source, target) edges."""
+    return {
+        "note": NOTE,
+        "rows": [
+            {"requirement": req, "pf_blocks": pf, "rsml": rsml, "eventb": eventb}
+            for req, pf, rsml, eventb in rows
+        ],
+        "edges": [
+            {
+                "kind": kind,
+                "source": {"kind": source[0], "id": source[1]},
+                "target": {"kind": target[0], "id": target[1]},
+            }
+            for kind, source, target in edges
+        ],
+        "warnings": list(warnings),
+        "diagnostics": list(diagnostics),
+    }
+
+
+TRACE_JSON = _trace_json(
+    [
+        (
+            "REQ-001",
+            ["SSE_Driver_Needs.REQ-001"],
+            ["case HMI_Stop_Ena#0", "case HMI_Stop_Ena#1"],
+            ["event Set_HMI_Stop_Ena_FALSE", "event Set_HMI_Stop_Ena_TRUE"],
+        ),
+        ("REQ-002", [], ["case HMI_Stop_Ena#1"], ["event Set_HMI_Stop_Ena_TRUE"]),
     ],
-    "edges": [
-        {
-            "kind": kind,
-            "source": {"kind": source[0], "id": source[1]},
-            "target": {"kind": target[0], "id": target[1]},
-        }
-        for kind, source, target in TRACE_EDGES
-    ],
-    "warnings": [],
-    "diagnostics": [],
-}
+    TRACE_EDGES,
+)
 
 UNTAGGED_TEXT = f"""\
 requirement  pf-blocks  rsml  eventb
@@ -435,6 +479,98 @@ warning[UntracedElement]: case HMI_Stop_Ena#0 reaches no requirement
 warning[UntracedElement]: case HMI_Stop_Ena#1 reaches no requirement
 """
 
+# A colliding flat machine leaves trace with no Event-B nodes: the rows
+# stop at the specification, and the collision makes the run exit 1.
+FLATGO_TEXT = f"""\
+requirement  pf-blocks  rsml  eventb
+REQ-001      1          1     0
+REQ-002      0          1     0
+REQ-001:
+  pf: SSE_Driver_Needs.REQ-001
+  rsml: case go#0
+  eventb: -
+REQ-002:
+  pf: -
+  rsml: transition M go->halt
+  eventb: -
+edges: 3 declared, 1 name-match, 0 provenance
+{NOTE}
+"""
+
+FLATGO_MESSAGE = (
+    "variable of C.go 'go' collides with constant of T_M_States "
+    "(generated Event-B names must be unique)"
+)
+FLATGO_ERR = f"flatgo.rsml:4:10: error[NameCollision]: {FLATGO_MESSAGE}\n"
+FLATGO_UNTRACED = "case go#1 reaches no requirement"
+GEARBOX_MATCH = (
+    "name-match", ("phenomenon", "SSE_Driver_Needs/Gearbox"), ("variable", "C.Gearbox")
+)
+FLATGO_ROWS = [
+    ("REQ-001", ["SSE_Driver_Needs.REQ-001"], ["case go#0"], []),
+    ("REQ-002", [], ["transition M go->halt"], []),
+]
+FLATGO_EDGES = [
+    ("declared", ("pf-block", "SSE_Driver_Needs.REQ-001"), ("req", "REQ-001")),
+    ("declared", ("case", "case:C.go#0"), ("req", "REQ-001")),
+    ("declared", ("transition", "transition:C.M#0"), ("req", "REQ-002")),
+    GEARBOX_MATCH,
+]
+FLATGO_COLLISION = {
+    "severity": "error",
+    "code": "NameCollision",
+    "message": FLATGO_MESSAGE,
+    "span": {"file": "flatgo.rsml", "line": 4, "column": 10, "length": 2},
+}
+FLATGO_JSON = _trace_json(FLATGO_ROWS, FLATGO_EDGES, diagnostics=[FLATGO_COLLISION])
+FLATGO_WARNING = {"severity": "warning", "code": "UntracedElement", "message": FLATGO_UNTRACED}
+FLATGO_STRICT_JSON = _trace_json(
+    FLATGO_ROWS, FLATGO_EDGES, [FLATGO_WARNING], [FLATGO_COLLISION, FLATGO_WARNING]
+)
+
+CTXGO_TEXT = f"""\
+requirement  pf-blocks  rsml  eventb
+REQ-001      1          0     0
+REQ-002      0          1     0
+REQ-001:
+  pf: SSE_Driver_Needs.REQ-001
+  rsml: -
+  eventb: -
+REQ-002:
+  pf: -
+  rsml: transition M go->halt
+  eventb: -
+edges: 2 declared, 1 name-match, 0 provenance
+{NOTE}
+"""
+
+CTXGO_MESSAGE = (
+    "state constant of C.M 'go' collides with constant of T_Mode "
+    "(generated Event-B names must be unique)"
+)
+CTXGO_ORPHAN = "requirement REQ-001 reaches no specification element"
+CTXGO_ERR = f"""\
+error[NameCollision]: {CTXGO_MESSAGE}
+warning[OrphanRequirement]: {CTXGO_ORPHAN}
+"""
+CTXGO_WARNING = {"severity": "warning", "code": "OrphanRequirement", "message": CTXGO_ORPHAN}
+CTXGO_JSON = _trace_json(
+    [
+        ("REQ-001", ["SSE_Driver_Needs.REQ-001"], [], []),
+        ("REQ-002", [], ["transition M go->halt"], []),
+    ],
+    [
+        ("declared", ("pf-block", "SSE_Driver_Needs.REQ-001"), ("req", "REQ-001")),
+        ("declared", ("transition", "transition:C.M#0"), ("req", "REQ-002")),
+        GEARBOX_MATCH,
+    ],
+    warnings=[CTXGO_WARNING],
+    diagnostics=[
+        {"severity": "error", "code": "NameCollision", "message": CTXGO_MESSAGE},
+        CTXGO_WARNING,
+    ],
+)
+
 GEN_FLAT = "out/startstop_ctx.ebc\nout/startstop_mch.ebm\n"
 GEN_CHAIN = "out/twocomp_ctx.ebc\nout/twocomp_m0.ebm\nout/twocomp_r1.ebm\nout/twocomp_r2.ebm\n"
 
@@ -442,6 +578,8 @@ PROJECT = "startstop.rsml startstop.pf startstop.req"
 SIMULATE = "simulate startstop.rsml startstop.script"
 TRACE = "trace startstop.rsml startstop.pf startstop.req"
 UNTAGGED = "trace untagged.rsml startstop.pf startstop.req"
+FLATGO = "trace flatgo.rsml startstop.pf startstop.req"
+CTXGO = "trace ctxgo.rsml startstop.pf startstop.req"
 # Each of trace's positionals has its extension: a file in another slot is a usage error.
 WRONG_SPEC = "trace startstop.pf startstop.pf startstop.req"
 WRONG_REQ = "trace startstop.rsml startstop.pf twocomp.rsml"
@@ -491,6 +629,17 @@ GOLDENS = [
     (f"{TRACE} --require-trace", 0, TRACE_TEXT, ""),
     (UNTAGGED, 0, UNTAGGED_TEXT, ORPHANS_ERR),
     (f"{UNTAGGED} --require-trace", 1, UNTAGGED_TEXT, UNTRACED_ERR),
+    (FLATGO, 1, FLATGO_TEXT, FLATGO_ERR),
+    (f"{FLATGO} --format json", 1, _json(FLATGO_JSON), ""),
+    (
+        f"{FLATGO} --require-trace",
+        1,
+        FLATGO_TEXT,
+        f"{FLATGO_ERR}warning[UntracedElement]: {FLATGO_UNTRACED}\n",
+    ),
+    (f"{FLATGO} --require-trace --format json", 1, _json(FLATGO_STRICT_JSON), ""),
+    (CTXGO, 1, CTXGO_TEXT, CTXGO_ERR),
+    (f"{CTXGO} --format json", 1, _json(CTXGO_JSON), ""),
     (WRONG_SPEC, 2, "", "argument spec: expected a .rsml file: startstop.pf\n"),
     (WRONG_REQ, 2, "", "argument req: expected a .req file: twocomp.rsml\n"),
     ("gen startstop.rsml -o out", 0, GEN_FLAT, ""),
