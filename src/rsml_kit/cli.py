@@ -38,7 +38,7 @@ from . import __version__
 from .analysis import DEFAULT_CAP, analyze, summary_line
 from .ast_nodes import ProblemDiagram, Requirement
 from .diagnostics import Diagnostic, SpecError, color_enabled, warning
-from .eventb import GenResult, gen_chain, gen_flat, render
+from .eventb import gen_chain, gen_flat, render
 from .model import Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
 from .pftrace import TraceReport, check_pf, check_trace_tags, link, trace_report
@@ -379,14 +379,15 @@ def cmd_trace(args: argparse.Namespace) -> _Result:
     for diagram in diagrams:
         diags.extend(check_pf(diagram))
     spec = specs[0] if specs else None
-    generated: GenResult | None = None
-    if spec is not None:
-        try:
-            generated = gen_flat(spec)
-        except SpecError as exc:
-            diags.extend(exc.diagnostics)
+    names = spec.eventb_names if spec is not None else None
+    if names is not None:
+        # What gen would refuse leaves the graph without Event-B.
+        collision = names.collision("context") or names.collision("flat")
+        if collision is not None:
+            diags.append(collision)
+            names = None
     try:
-        graph = link(requirements, diagrams, spec, generated)
+        graph = link(requirements, diagrams, spec, names)
     except SpecError as exc:
         raise _Exit(EXIT_FINDINGS, diags + exc.diagnostics)
     report = trace_report(graph, require_trace=args.require_trace)

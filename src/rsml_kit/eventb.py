@@ -25,7 +25,9 @@ variable (one per specification variable, one ``<Machine>_state`` per
 state machine) its typing invariant, initial value and unguarded setter,
 ``Set_<Var>`` for a terminal output (one that no component reads), else
 ``Env_Set_<Var>``.  Machines share the event objects, so each event block
-renders once.  Provenance is built for the last machine only.
+renders once.  ``pftrace`` reads the flat machine's events and invariant
+labels from the same name table without building them, so both must keep
+the order above.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of each column's literals (``AndOrTable.columns``: T as
@@ -59,7 +61,7 @@ from .model import (
     VarOperand,
     machine_set,
 )
-from .record import FrozenRecord, Record
+from .record import Record
 
 OR = "∨"
 AND = "∧"
@@ -138,22 +140,9 @@ class EventBMachine(Record):
         "name", "sees", "refines", "variables", "typing", "init", "spec_invariants", "events"
     )
 
-    @property
-    def invariants(self) -> list[Labeled]:
-        typing = [Labeled(f"@inv{k}", text) for k, text in enumerate(self.typing, 1)]
-        return typing + self.spec_invariants
-
-
-class Provenance(FrozenRecord):
-    """Generation edge: which model element produced which Event-B element.
-    ``source_kind`` is "case" | "transition" | "variable" | "invariant",
-    ``target_kind`` is "event" | "invariant"."""
-
-    __slots__ = _fields = ("source_kind", "source_id", "target_kind", "target_id")
-
 
 class GenResult(Record):
-    __slots__ = _fields = ("context", "machines", "provenance")
+    __slots__ = _fields = ("context", "machines")
 
     @property
     def machine(self) -> EventBMachine:
@@ -256,29 +245,23 @@ def _guards(cond: Condition, start: int = 1) -> list[Labeled]:
     return [Labeled(f"@grd{i}", text) for i, text in enumerate(texts, start=start)]
 
 
-def _component_events(
-    comp: Component, names: list[str]
-) -> tuple[list[EventBEvent], list[Provenance]]:
+def _component_events(comp: Component, names: list[str]) -> list[EventBEvent]:
     """The component's events, named by the name table (assignment cases
-    before transitions), with their provenance."""
+    before transitions)."""
     events: list[EventBEvent] = []
-    provenance: list[Provenance] = []
     names_left = iter(names)
     for a in comp.assigns:
         bare = a.target.name
-        for idx, (case, name) in enumerate(zip(a.cases, names_left)):
+        for case, name in zip(a.cases, names_left):
             actions = [Labeled("@act1", f"{bare} := {case.value}")]
             comment = _trace_comment(case.trace)
             events.append(EventBEvent(name, _guards(case.condition), actions, comment))
-            provenance.append(Provenance("case", f"case:{a.target.qualified}#{idx}", "event", name))
     for m in comp.machines:
-        for idx, (t, name) in enumerate(zip(m.transitions, names_left)):
+        for t, name in zip(m.transitions, names_left):
             guards = [Labeled("@grd1", f"{m.name}_state = {t.source}"), *_guards(t.guard, 2)]
             actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
             events.append(EventBEvent(name, guards, actions, _trace_comment(t.trace)))
-            source = f"transition:{m.qualified}#{idx}"
-            provenance.append(Provenance("transition", source, "event", name))
-    return events, provenance
+    return events
 
 
 class _Assembler:
@@ -336,30 +319,6 @@ class _Assembler:
             name, self.context.name, refines, variables, typing, init, spec_invariants, events
         )
 
-    def provenance(
-        self, held: list[int], added: Iterable[str], setters: Iterable[int], with_invariants: bool
-    ) -> list[Provenance]:
-        """The provenance of the machine that :meth:`machine` builds from
-        ``held``, the components ``added`` in order, and ``setters``."""
-        variables = [self.names.held[h] for h in held]
-        provenance = [
-            Provenance("variable", f"var:{v.source}", "invariant", f"@inv{k}")
-            for k, v in enumerate(variables, 1)
-            if v.direction != "machine"
-        ]
-        if with_invariants:
-            provenance += [
-                Provenance("invariant", f"invariant:{inv.name}", "invariant", f"@inv{k}")
-                for k, inv in enumerate(self.spec.invariants, len(variables) + 1)
-            ]
-        for comp in added:
-            provenance += self.events[comp][1]
-        for h in setters:
-            v = self.names.held[h]
-            if v.direction != "machine":
-                provenance.append(Provenance("variable", f"var:{v.source}", "event", v.setter))
-        return provenance
-
 
 def gen_flat(spec: Specification, closed: bool = False) -> GenResult:
     """Single machine covering the whole specification; `closed` omits the
@@ -377,7 +336,7 @@ def gen_chain(spec: Specification, closed: bool = False) -> GenResult:
 
 def _generate(spec: Specification, mode: str, closed: bool) -> GenResult:
     """One machine per step of the name table's ``mode``, each extending
-    the one before by that step; provenance of the last machine."""
+    the one before by that step."""
     context = gen_context(spec)
     names = spec.eventb_names
     if mode == "chain" and names.chain_error is not None:
@@ -389,21 +348,18 @@ def _generate(spec: Specification, mode: str, closed: bool) -> GenResult:
     assembler = _Assembler(spec, context)
     flat = mode == "flat"
     held: list[int] = []  # in declaration order
-    added: list[str] = []
     events: list[EventBEvent] = []
     setters: set[int] = set()
     machines: list[EventBMachine] = []
     for i, step in enumerate(names.steps(mode, closed)):
         held = sorted(held + step.held)
-        added += step.added
-        events += [event for comp in step.added for event in assembler.events[comp][0]]
+        events += [event for comp in step.added for event in assembler.events[comp]]
         setters.difference_update(step.retired)
         setters.update(step.gained)
         name = f"{spec.name}_mch" if flat else f"{spec.name}_r{i}" if i else f"{spec.name}_m0"
         refines = machines[-1].name if machines else None
         machines.append(assembler.machine(name, refines, held, events, sorted(setters), flat))
-    provenance = assembler.provenance(held, added, sorted(setters), flat)
-    return GenResult(context, machines, provenance)
+    return GenResult(context, machines)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ set, constant, variable, event and setter name that ``gen`` writes.  The
 table also steps through the machines of each generation mode
 (:meth:`EventBNames.steps`), each as what it adds to the one before, and
 so alone decides which setters a machine holds.  ``eventb`` builds its
-machines from those steps, and :meth:`EventBNames.collision` counts the
-names along the same steps to find the first machine that holds one name
-twice; ``check`` reports that collision without importing ``eventb``.
+machines from those steps, ``pftrace`` reads the flat step for the Event-B
+nodes and provenance edges of the trace graph, and
+:meth:`EventBNames.collision` counts the names along the same steps to
+find the first machine that holds one name twice; ``check`` and ``trace``
+report that collision without importing ``eventb``.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ class Step(Record):
 class EventBNames:
     """Every Event-B name of one specification, and the machines that hold
     them.  Built once per model (``Specification.eventb_names``); ``eventb``
-    builds the text around these names and ``check`` reports their
-    collisions.
+    builds the text around these names, ``pftrace`` links them to the
+    model, and ``check`` reports their collisions.
 
     ``sets`` is the context: (carrier set, constants) per enum type, then
     per state machine.  ``held`` lists the variables and machine states in

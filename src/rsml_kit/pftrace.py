@@ -1,12 +1,14 @@
 """Problem-diagram well-formedness checks, the trace-tag check, and the
 traceability graph linking requirements, problem-diagram elements,
-specification elements and generated Event-B elements.
+specification elements and the elements of the flat Event-B machine.
 
 The graph has exactly three kinds of edges: declared trace tags (including a
 problem-diagram requirement block whose id names a registered requirement),
 byte-equal phenomenon/variable name matches, and generation provenance.  The
-entailment between world, machine and requirement is recorded as prose only
-and never evaluated.
+Event-B nodes and provenance edges come from the model's name table
+(``names.EventBNames``), which names every element that ``gen`` writes, so
+tracing assembles no Event-B.  The entailment between world, machine and
+requirement is recorded as prose only and never evaluated.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .model import Specification
 from .record import FrozenRecord, Record
 
 if TYPE_CHECKING:
-    from .eventb import GenResult
+    from .names import EventBNames
 
 # ---------------------------------------------------------------------------
 # Well-formedness
@@ -226,10 +228,13 @@ def link(
     requirements: list[Requirement],
     diagrams: list[ProblemDiagram],
     spec: Specification | None,
-    generated: GenResult | None,
+    names: EventBNames | None,
 ) -> TraceGraph:
-    """Build the traceability graph.  Raises the :func:`check_trace_tags`
-    errors, if any."""
+    """Build the traceability graph; ``names`` is ``spec``'s name table, or
+    None to link no Event-B.  Raises the :func:`check_trace_tags` errors,
+    if any.  The Event-B nodes are the flat machine's events and ``@inv``
+    labels, and the provenance edges follow that machine's order: typing
+    invariants, the specification's invariants, events, then setters."""
     specs = [spec] if spec is not None else []
     unknown = check_trace_tags(requirements, diagrams, specs)
     if unknown:
@@ -245,9 +250,12 @@ def link(
 
     for r in requirements:
         add_node(REQ, r.id, r.id)
+    behaviour: list[tuple[str, str]] = []  # cases and transitions, in event order
     for kind, ident, display, _, tags, _ in _tagged(diagrams, specs):
         key = add_node(kind, ident, display)
         edges.extend(TraceEdge(EDGE_DECLARED, key, (REQ, tag)) for tag in tags)
+        if kind in (RSML_CASE, RSML_TRANSITION):
+            behaviour.append(key)
     for diagram in diagrams:
         for phenomenon in diagram.all_phenomena:
             add_node(PHENOMENON, f"{diagram.name}/{phenomenon}", phenomenon)
@@ -269,27 +277,32 @@ def link(
                         )
                     )
 
-    if generated is not None:
-        for event in generated.machine.events:
-            add_node(EB_EVENT, event.name, f"event {event.name}")
-        for inv in generated.machine.invariants:
-            add_node(EB_INVARIANT, inv.label, f"machine invariant {inv.label}")
-        kind_of_source = {
-            "case": RSML_CASE,
-            "transition": RSML_TRANSITION,
-            "variable": RSML_VARIABLE,
-            "invariant": RSML_INVARIANT,
-        }
-        kind_of_target = {"event": EB_EVENT, "invariant": EB_INVARIANT}
-        for p in generated.provenance:
-            # Variable nodes are keyed by qualified name without the prefix.
-            source_ident = (
-                p.source_id.split(":", 1)[1] if p.source_kind == "variable" else p.source_id
-            )
-            source = (kind_of_source[p.source_kind], source_ident)
-            target = (kind_of_target[p.target_kind], p.target_id)
-            if source in nodes and target in nodes:
-                edges.append(TraceEdge(EDGE_PROVENANCE, source, target))
+    if names is not None:
+        flat = next(names.steps("flat"))
+        held = [names.held[h] for h in flat.held]
+        setters = [names.held[h] for h in flat.gained]
+        events = [event for comp in flat.added for event in names.events[comp]]
+        for event in events + [v.setter for v in setters]:
+            add_node(EB_EVENT, event, f"event {event}")
+        labels = [f"@inv{k}" for k in range(1, len(held) + len(spec.invariants) + 1)]
+        for label in labels:
+            add_node(EB_INVARIANT, label, f"machine invariant {label}")
+        provenance = [
+            ((RSML_VARIABLE, v.source), (EB_INVARIANT, label))
+            for v, label in zip(held, labels)
+            if v.direction != "machine"
+        ]
+        provenance += [
+            ((RSML_INVARIANT, f"invariant:{inv.name}"), (EB_INVARIANT, label))
+            for inv, label in zip(spec.invariants, labels[len(held) :])
+        ]
+        provenance += [(key, (EB_EVENT, event)) for key, event in zip(behaviour, events)]
+        provenance += [
+            ((RSML_VARIABLE, v.source), (EB_EVENT, v.setter))
+            for v in setters
+            if v.direction != "machine"
+        ]
+        edges += [TraceEdge(EDGE_PROVENANCE, source, target) for source, target in provenance]
 
     return TraceGraph(nodes, edges)
 

@@ -4,9 +4,9 @@ completeness/consistency verdicts, and the interpretive step semantics
 (every guard set evaluated at every step over freshly built dicts) with a
 breadth-first search and a script fold on top of it, whose traces are
 named states, the trace renderers over those named states, the per-machine
-Event-B assembly that rebuilds every refinement from scratch, the trace
-report that scans every edge per neighbour lookup, and the character-loop
-tokenizer."""
+Event-B assembly that rebuilds every refinement from scratch and records
+the flat machine's provenance as it goes, the trace report that scans
+every edge per neighbour lookup, and the character-loop tokenizer."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from rsml_kit.eventb import (
     EventBMachine,
     GenResult,
     Labeled,
-    Provenance,
     _trace_comment,
     _type_set,
     gen_context,
@@ -50,10 +49,14 @@ from rsml_kit.names import value_token as _value_token
 from rsml_kit.pftrace import (
     _EB_KINDS,
     _RSML_KINDS,
+    EB_EVENT,
+    EB_INVARIANT,
     PF_BLOCK,
     REQ,
     RSML_CASE,
+    RSML_INVARIANT,
     RSML_TRANSITION,
+    RSML_VARIABLE,
     TraceGraph,
     TraceNode,
     TraceReport,
@@ -440,6 +443,10 @@ def reference_trace_text(spec, trace: NamedTrace) -> str:
 # ---------------------------------------------------------------------------
 # Reference Event-B assembly: every machine built from scratch, each
 # component's events translated again for every machine that holds it.
+# Provenance is a (source, target) pair of trace-graph node keys: which
+# model element produced which Event-B element.
+
+Provenance = tuple[tuple[str, str], tuple[str, str]]
 
 
 class _Names:
@@ -487,7 +494,7 @@ def _ref_component_events(
                 EventBEvent(event_name, guards, actions, comment=_trace_comment(case.trace))
             )
             provenance.append(
-                Provenance("case", f"case:{a.target.qualified}#{idx}", "event", event_name)
+                ((RSML_CASE, f"case:{a.target.qualified}#{idx}"), (EB_EVENT, event_name))
             )
     for m in comp.machines:
         claimed = set()
@@ -502,9 +509,8 @@ def _ref_component_events(
             ]
             actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
             events.append(EventBEvent(event_name, guards, actions, comment=_trace_comment(t.trace)))
-            provenance.append(
-                Provenance("transition", f"transition:{m.qualified}#{idx}", "event", event_name)
-            )
+            source = (RSML_TRANSITION, f"transition:{m.qualified}#{idx}")
+            provenance.append((source, (EB_EVENT, event_name)))
     return events
 
 
@@ -537,7 +543,7 @@ def _ref_machine_variables(
             invariants.append(Labeled(label, f"{bare} {MEMBER} {_machine_set(m)}"))
         else:
             invariants.append(Labeled(label, f"{bare} {MEMBER} {_type_set(vtype)}"))
-            provenance.append(Provenance("variable", f"var:{qualified}", "invariant", label))
+            provenance.append(((RSML_VARIABLE, qualified), (EB_INVARIANT, label)))
         init_actions.append(Labeled(f"@act{idx}", f"{bare} := {init}"))
     return variables, invariants, init_actions, provenance
 
@@ -553,6 +559,17 @@ def _ref_claim_context_names(names: _Names, context: EventBContext) -> None:
 def reference_gen_flat(spec: Specification, closed: bool = False) -> GenResult:
     """Single machine covering the whole specification; `closed` omits the
     environment events that drive the input variables."""
+    return _reference_flat(spec, closed)[0]
+
+
+def reference_provenance(spec: Specification) -> list[Provenance]:
+    """The provenance of :func:`reference_gen_flat`'s machine, in the order
+    it claims the Event-B elements: typing invariants, the specification's
+    invariants, the component events, then the setters."""
+    return _reference_flat(spec, False)[1]
+
+
+def _reference_flat(spec: Specification, closed: bool) -> tuple[GenResult, list[Provenance]]:
     context = gen_context(spec)
     names = _Names()
     _ref_claim_context_names(names, context)
@@ -567,7 +584,7 @@ def reference_gen_flat(spec: Specification, closed: bool = False) -> GenResult:
         if inv.trace:
             comment += f" trace: {', '.join(inv.trace)}"
         invariants.append(Labeled(label, table_formula(inv.body.table), comment=comment))
-        provenance.append(Provenance("invariant", f"invariant:{inv.name}", "invariant", label))
+        provenance.append(((RSML_INVARIANT, f"invariant:{inv.name}"), (EB_INVARIANT, label)))
 
     events: list[EventBEvent] = []
     for comp in spec.components:
@@ -577,12 +594,12 @@ def reference_gen_flat(spec: Specification, closed: bool = False) -> GenResult:
             event_name = names.claim(f"Env_Set_{v.name}", "event")
             actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
             events.append(EventBEvent(event_name, [], actions))
-            provenance.append(Provenance("variable", f"var:{v.qualified}", "event", event_name))
+            provenance.append(((RSML_VARIABLE, v.qualified), (EB_EVENT, event_name)))
 
     machine = _ref_machine(
         f"{spec.name}_mch", context, None, variables, invariants, init_actions, events
     )
-    return GenResult(context, [machine], provenance)
+    return GenResult(context, [machine]), provenance
 
 
 def _ref_machine(
@@ -677,7 +694,6 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
         )
 
     machines: list[EventBMachine] = []
-    provenance: list[Provenance] = []
     terminal_q = {v.qualified for v in terminal}
 
     for i in range(len(add_order) + 1):
@@ -692,12 +708,11 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
 
         names = _Names()
         _ref_claim_context_names(names, context)
-        step_prov: list[Provenance] = []
         variables, invariants, init_actions, _ = _ref_machine_variables(spec, names, include)
 
         events: list[EventBEvent] = []
         for comp_name in added:
-            events.extend(_ref_component_events(spec, comp_name, names, step_prov))
+            events.extend(_ref_component_events(spec, comp_name, names, []))
 
         written = {
             a.target.qualified
@@ -736,9 +751,8 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
         machines.append(
             _ref_machine(name, context, refines, variables, invariants, init_actions, events)
         )
-        provenance = step_prov  # keep the provenance of the most refined machine
 
-    return GenResult(context, machines, provenance)
+    return GenResult(context, machines)
 
 
 # ---------------------------------------------------------------------------

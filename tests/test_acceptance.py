@@ -338,10 +338,12 @@ def test_acceptance_5_generation_simulation_agreement():
         machine = parse_machine(render(result.machine))
         parse_context(render(result.context))  # exercised for completeness
         target = "SSE_Driver_Needs_HMI.HMI_Stop_Ena"
+        reqs = parse_requirements(Path(REQ).read_text(encoding="utf-8"), "startstop.req")
+        graph = link(reqs, [], spec, spec.eventb_names)
         event_of_case = {
-            int(p.source_id.rsplit("#", 1)[1]): p.target_id
-            for p in result.provenance
-            if p.source_kind == "case"
+            int(e.source[1].rsplit("#", 1)[1]): e.target[1]
+            for e in graph.edges
+            if e.kind == "provenance" and e.source[0] == "case"
         }
 
         # Reachable states via fixed point over the step function.
@@ -389,8 +391,8 @@ def test_acceptance_6_traceability_integrity():
         spec = load_corpus_spec()
         reqs = parse_requirements(Path(REQ).read_text(encoding="utf-8"), "startstop.req")
         diagrams = parse_pf(Path(PF).read_text(encoding="utf-8"), "startstop.pf")
-        generated = gen_flat(spec)
-        graph = link(reqs, diagrams, spec, generated)
+        names = spec.eventb_names
+        graph = link(reqs, diagrams, spec, names)
 
         target = "SSE_Driver_Needs_HMI.HMI_Stop_Ena"
         by_kind: dict[str, set[tuple[str, str]]] = {}
@@ -423,7 +425,7 @@ def test_acceptance_6_traceability_integrity():
         # Injecting an unknown requirement id must fail.
         bogus = [r for r in reqs if r.id != "REQ-002"]
         with pytest.raises(SpecError) as exc:
-            link(bogus, diagrams, spec, generated)
+            link(bogus, diagrams, spec, names)
         assert exc.value.code == "UnknownRequirementId"
 
         # Stripping every tag leaves exactly one orphan warning per requirement.
@@ -431,7 +433,7 @@ def test_acceptance_6_traceability_integrity():
             r" trace REQ[^\n]*", "", Path(STARTSTOP).read_text(encoding="utf-8")
         )
         stripped = resolve(parse_spec(stripped_text, "stripped.rsml"), "stripped.rsml")
-        bare_graph = link(reqs, [], stripped, gen_flat(stripped))
+        bare_graph = link(reqs, [], stripped, stripped.eventb_names)
         report = trace_report(bare_graph)
         orphan_warnings = [w for w in report.warnings if w.code == "OrphanRequirement"]
         assert len(orphan_warnings) == len(reqs) == 2

@@ -27,6 +27,7 @@ from rsml_kit.diagnostics import Diagnostic, SpecError
 from rsml_kit.eventb import gen_flat, render
 from rsml_kit.model import resolve
 from rsml_kit.parser import parse_spec
+from rsml_kit.pftrace import Requirement, link
 from rsml_kit.simulator import explore, input_combinations, parse_script
 from rsml_kit.table_logic import eval_condition
 
@@ -147,10 +148,12 @@ class TestInterpreterTransitionAgreement:
                         states[state_key(succ)] = succ
                         nxt.append(succ)
             frontier = nxt
+        reqs = [Requirement("REQ-100", "", None, "t.req")]
+        graph = link(reqs, [], traffic, traffic.eventb_names)
         event_name = {
-            int(p.source_id.rsplit("#", 1)[1]): p.target_id
-            for p in result.provenance
-            if p.source_kind == "transition"
+            int(e.source[1].rsplit("#", 1)[1]): e.target[1]
+            for e in graph.edges
+            if e.kind == "provenance" and e.source[0] == "transition"
         }
         for state in states.values():
             for combo in combos:
@@ -213,14 +216,16 @@ component C {
 
 
 class TestProvenanceSoundness:
-    def test_every_provenance_target_exists_in_rendered_text(self, startstop):
-        result = gen_flat(startstop)
-        rendered = render(result.machine)
-        for p in result.provenance:
-            if p.target_kind == "event":
-                assert f"event {p.target_id}" in rendered
+    def test_every_provenance_target_exists_in_rendered_text(self, startstop, startstop_reqs):
+        graph = link(startstop_reqs, [], startstop, startstop.eventb_names)
+        rendered = render(gen_flat(startstop).machine)
+        targets = [e.target for e in graph.edges if e.kind == "provenance"]
+        assert targets
+        for kind, ident in targets:
+            if kind == "event":
+                assert f"event {ident}" in rendered
             else:
-                assert f"{p.target_id} " in rendered
+                assert f"{ident} " in rendered
 
 
 class TestDiagnosticsColor:

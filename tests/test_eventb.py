@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import spec_from
@@ -161,13 +163,14 @@ class TestFlatMachine:
 
     def test_typing_invariants_in_declaration_order(self, startstop):
         result = gen_flat(startstop)
-        invs = [(i.label, i.text) for i in result.machine.invariants]
-        assert invs == [
-            ("@inv1", "HMI_Stop_Ena ∈ BOOL"),
-            ("@inv2", "Clutch_Pedal ∈ T_Clutch_Pedal"),
-            ("@inv3", "Steering_Wheel ∈ T_Steering_Wheel"),
-            ("@inv4", "Gearbox ∈ T_Gearbox"),
+        assert result.machine.typing == [
+            "HMI_Stop_Ena ∈ BOOL",
+            "Clutch_Pedal ∈ T_Clutch_Pedal",
+            "Steering_Wheel ∈ T_Steering_Wheel",
+            "Gearbox ∈ T_Gearbox",
         ]
+        assert result.machine.spec_invariants == []
+        assert "  @inv4 Gearbox ∈ T_Gearbox\nevents\n" in render(result.machine)
 
     def test_env_events_have_no_guards(self, startstop):
         result = gen_flat(startstop)
@@ -193,7 +196,8 @@ class TestFlatMachine:
 
     def test_user_invariant_appended_with_name_comment(self, mutex_toy):
         result = gen_flat(mutex_toy)
-        last = result.machine.invariants[-1]
+        assert len(result.machine.typing) == 4
+        last = result.machine.spec_invariants[-1]
         assert last.label == "@inv5"
         assert last.comment == "mutual_exclusion"
         assert last.text == "Strt_Req ≠ TRUE ∨ Stop_Req ≠ TRUE"
@@ -455,7 +459,8 @@ class TestRender:
 
     def test_labels_consecutive_from_one(self, traffic):
         machine = gen_flat(traffic).machine
-        assert [i.label for i in machine.invariants] == ["@inv1", "@inv2", "@inv3"]
+        labels = re.findall(r"^  (@inv\d+) ", render(machine), re.MULTILINE)
+        assert labels == ["@inv1", "@inv2", "@inv3"]
         for event in machine.events:
             assert [g.label for g in event.guards] == [
                 f"@grd{i}" for i in range(1, len(event.guards) + 1)

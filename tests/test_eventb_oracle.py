@@ -7,7 +7,13 @@ whose names clash; every case and transition translated once per ``gen``
 call, and each name entered once along the chain's steps.  ``check`` is
 held to ``gen`` too: it reports exactly the name collisions that the
 reference raises, and when it reports no error, ``gen`` succeeds in both
-modes unless ``check`` warned that chain mode refuses the specification."""
+modes unless ``check`` warned that chain mode refuses the specification.
+
+The trace graph reads the same name table as ``gen`` and is held to it on
+the same specifications: ``link``'s Event-B nodes are the events of
+``gen_flat``'s machine, in order, and the ``@inv`` labels of its rendered
+text; its provenance edges are the reference's; and where ``gen_flat``
+refuses the specification, ``trace``'s refusal is the same error."""
 
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -27,10 +34,12 @@ from hypothesis import strategies as st
 import rsml_kit.eventb as eventb
 from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
 from test_cli import COMPONENT_BEHIND_CYCLE, COMPONENT_CYCLE
-from oracle_helpers import reference_gen_chain, reference_gen_flat
+from oracle_helpers import reference_gen_chain, reference_gen_flat, reference_provenance
+from rsml_kit.ast_nodes import Requirement
 from rsml_kit.cli import main
 from rsml_kit.diagnostics import Diagnostic, SpecError
 from rsml_kit.eventb import gen_chain, gen_flat, render
+from rsml_kit.pftrace import EB_EVENT, EB_INVARIANT, EDGE_PROVENANCE, _tagged, link
 from test_stepper_oracle import specs
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -38,24 +47,43 @@ import workloads  # noqa: E402
 
 
 def _generated(generate, spec, closed: bool):
-    """Every rendered unit and the provenance, or the text of the error."""
+    """Every rendered unit, or the text of the error."""
     try:
         result = generate(spec, closed=closed)
     except SpecError as exc:
         return "error", str(exc)
-    units = [render(unit) for unit in [result.context, *result.machines]]
-    return "ok", units, result.provenance
+    return "ok", [render(unit) for unit in [result.context, *result.machines]]
 
 
 def _assert_same(spec) -> None:
     for closed in (False, True):
-        flat = _generated(gen_flat, spec, closed)
-        assert flat == _generated(reference_gen_flat, spec, closed)
+        assert _generated(gen_flat, spec, closed) == _generated(reference_gen_flat, spec, closed)
         chain = _generated(gen_chain, spec, closed)
-        reference = _generated(reference_gen_chain, spec, closed)
-        # Only the rendered chain is compared: its provenance now lists the
-        # last machine's variables and setters too, as flat's does.
-        assert chain[:2] == reference[:2]
+        assert chain == _generated(reference_gen_chain, spec, closed)
+    _assert_link_reads_the_flat_machine(spec)
+
+
+def _assert_link_reads_the_flat_machine(spec) -> None:
+    """``link``, given the name table, has the flat machine's events in
+    order and its rendered ``@inv`` labels as Event-B nodes, and the
+    reference's provenance as its provenance edges; where ``gen_flat``
+    refuses the specification, ``trace`` refuses it with the same error."""
+    names = spec.eventb_names
+    refusal = names.collision("context") or names.collision("flat")  # as cmd_trace
+    try:
+        machine = gen_flat(spec).machine
+    except SpecError as exc:
+        assert exc.diagnostics == [refusal]
+        return
+    assert refusal is None
+    tags = sorted({tag for *_, tags, _ in _tagged([], [spec]) for tag in tags})
+    graph = link([Requirement(tag, "", None, "spec.req") for tag in tags], [], spec, names)
+    events = [ident for kind, ident in graph.nodes if kind == EB_EVENT]
+    assert events == [event.name for event in machine.events]
+    labels = [ident for kind, ident in graph.nodes if kind == EB_INVARIANT]
+    assert labels == re.findall(r"^  (@inv\d+) ", render(machine), re.MULTILINE)
+    provenance = [(e.source, e.target) for e in graph.edges if e.kind == EDGE_PROVENANCE]
+    assert provenance == reference_provenance(spec)
 
 
 @given(specs())

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import spec_from
 from rsml_kit.diagnostics import SpecError
-from rsml_kit.eventb import gen_flat
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec
 from rsml_kit.pftrace import (
     EDGE_DECLARED,
@@ -67,8 +66,7 @@ problem P {
 class TestLink:
     @pytest.fixture(autouse=True)
     def _graph(self, startstop, startstop_pf, startstop_reqs):
-        self.generated = gen_flat(startstop)
-        self.graph = link(startstop_reqs, startstop_pf, startstop, self.generated)
+        self.graph = link(startstop_reqs, startstop_pf, startstop, startstop.eventb_names)
 
     def test_name_match_edges(self):
         matches = {
@@ -106,7 +104,7 @@ class TestLink:
     def test_unknown_requirement_id_raises(self, startstop, startstop_pf):
         bogus = [Requirement("REQ-999", "ghost", None, "x.req")]
         with pytest.raises(SpecError) as exc:
-            link(bogus, startstop_pf, startstop, self.generated)
+            link(bogus, startstop_pf, startstop, startstop.eventb_names)
         assert exc.value.code == "UnknownRequirementId"
 
     def test_empty_spec_one_isolated_requirement(self):
@@ -118,7 +116,7 @@ class TestLink:
 
 class TestReport:
     def test_corpus_rows(self, startstop, startstop_pf, startstop_reqs):
-        graph = link(startstop_reqs, startstop_pf, startstop, gen_flat(startstop))
+        graph = link(startstop_reqs, startstop_pf, startstop, startstop.eventb_names)
         report = trace_report(graph)
         assert [r.requirement for r in report.rows] == ["REQ-001", "REQ-002"]
         row1, row2 = report.rows
@@ -146,7 +144,7 @@ component C {
 }
 """
         )
-        graph = link(startstop_reqs, [], spec, gen_flat(spec))
+        graph = link(startstop_reqs, [], spec, spec.eventb_names)
         silent = trace_report(graph, require_trace=False)
         assert not any(w.code == "UntracedElement" for w in silent.warnings)
         strict = trace_report(graph, require_trace=True)

@@ -17,7 +17,6 @@ from rsml_kit import parse_spec, resolve
 from rsml_kit.analysis import GuardSet
 from rsml_kit.ast_nodes import ElseNode, NameRef
 from rsml_kit.diagnostics import Diagnostic, Span
-from rsml_kit.eventb import Provenance
 from rsml_kit.model import (
     AndOrTable,
     BoolType,
@@ -58,7 +57,6 @@ FROZEN = {
     VarOperand: lambda: VarOperand("C.x"),
     LitOperand: lambda: LitOperand(2),
     Diagnostic: lambda: Diagnostic("error", "X", "m", Span("f", 1, 2, 3)),
-    Provenance: lambda: Provenance("case", "C.x#0", "event", "x_0"),
     TraceNode: lambda: TraceNode("req", "REQ-1", "REQ-1"),
     TraceEdge: lambda: TraceEdge("tag", ("req", "REQ-1"), ("case", "C.x#0")),
     SystemState: lambda: SystemState((("C.x", 1),), (("C.M", "Idle"),), 0),

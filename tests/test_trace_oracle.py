@@ -1,7 +1,8 @@
 """The trace report against the edge-scanning reference in ``oracle_helpers``:
 equal rows, warnings in order, and edges, with ``require_trace`` on and off,
 on the corpus, the benchmark's chain and counter projects, and random
-graphs whose edges join nodes of every kind."""
+graphs whose edges join nodes of every kind.  And ``trace`` assembles no
+Event-B: it reads the Event-B names from the model's name table."""
 
 from __future__ import annotations
 
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsml_kit.eventb as eventb
 from conftest import CORPUS, spec_from
 from oracle_helpers import reference_trace_report
-from rsml_kit.eventb import gen_flat
+from rsml_kit.cli import main
 from rsml_kit.parser import parse_pf, parse_requirements
+from test_golden_cli import FLAT_COLLISION
 from rsml_kit.pftrace import (
     EB_EVENT,
     EB_INVARIANT,
@@ -85,7 +88,7 @@ _PROJECTS = _projects()
 @pytest.mark.parametrize("name,rsml,pf,req", _PROJECTS, ids=[p[0] for p in _PROJECTS])
 def test_projects_match_reference(name, rsml, pf, req):
     spec = spec_from(rsml, f"{name}.rsml")
-    graph = link(parse_requirements(req), parse_pf(pf), spec, gen_flat(spec))
+    graph = link(parse_requirements(req), parse_pf(pf), spec, spec.eventb_names)
     _assert_same(graph)
 
 
@@ -117,3 +120,47 @@ def graphs(draw) -> TraceGraph:
 @given(graphs())
 def test_random_graphs_match_reference(graph):
     _assert_same(graph)
+
+
+def test_trace_assembles_no_eventb(monkeypatch, tmp_path, capsys):
+    """With the Event-B context and machine assembly unable to run,
+    ``trace`` prints what it prints without the patch, in text and JSON,
+    with and without ``--require-trace``, on the corpus, a chain project
+    and a specification whose flat machine collides."""
+    _, rsml, chain_pf, chain_req = _PROJECTS[0]  # the chain project
+    files = {
+        "chain.rsml": rsml,
+        "chain.pf": chain_pf,
+        "chain.req": chain_req,
+        "going.rsml": FLAT_COLLISION,
+    }
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text, encoding="utf-8")
+    pf, req = str(CORPUS / "startstop.pf"), str(CORPUS / "startstop.req")
+    projects = [
+        [str(CORPUS / "startstop.rsml"), pf, req],
+        [str(tmp_path / f"chain.{ext}") for ext in ("rsml", "pf", "req")],
+        [str(tmp_path / "going.rsml"), pf, req],
+    ]
+    forms = ([], ["--require-trace"], ["--format", "json"], ["--require-trace", "--format", "json"])
+    commands = [["trace", *paths, *form] for paths in projects for form in forms]
+
+    def outputs() -> list[tuple[int, str, str]]:
+        runs = []
+        for argv in commands:
+            code = main(argv)
+            out = capsys.readouterr()
+            runs.append((code, out.out, out.err))
+        return runs
+
+    expected = outputs()
+    assert {code for code, _, _ in expected} == {0, 1}  # going.rsml collides
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Event-B was assembled")
+
+    monkeypatch.setattr(eventb, "gen_context", refuse)
+    monkeypatch.setattr(eventb, "_Assembler", refuse)
+    assert outputs() == expected
+    with pytest.raises(AssertionError, match="Event-B was assembled"):
+        eventb.gen_flat(spec_from(rsml))  # the patch holds for gen
