@@ -37,6 +37,7 @@ from typing import Callable, Optional
 
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
 from .model import (
+    DEFAULT_CAP,
     AndOrTable,
     DomainRef,
     ElseCondition,
@@ -53,8 +54,6 @@ from .model import (
 )
 from .record import Record
 from .table_logic import OPS
-
-DEFAULT_CAP = 10**7
 
 
 class GuardSet(Record):

@@ -23,26 +23,64 @@ stdout and stderr, and ends the process with ``os._exit``, skipping the
 interpreter's teardown, which the CLI does not need: it reads and writes
 whole files and starts no threads.  In-process callers use ``main``,
 which returns the exit code.
+
+Start-up compiles only the layers a command runs.  The front end
+(``parser``, ``model``) loads with this module; the back-end layers
+``analysis``, ``eventb``, ``pftrace`` and ``simulator`` are registered by
+``_lazy`` as ``importlib.util.LazyLoader`` modules, which run on their
+first attribute access.  So ``check`` runs ``analysis`` (and ``pftrace``
+for a ``.pf`` or ``.req`` file), ``simulate`` and ``explore`` run
+``analysis`` and ``simulator``, ``gen`` runs ``analysis`` and ``eventb``,
+``trace`` runs ``pftrace``, and ``--help`` or a usage error runs none.
+The argument parser's one constant from the back end, ``DEFAULT_CAP``,
+lives in ``model`` for that reason.  They are lazy modules, not imports
+inside each command, because the benchmark's traced mode
+(``bench/inproc.py traced``) wraps functions only in the modules that
+``sys.modules`` holds right after ``import rsml_kit.cli``, and a lazy
+module is there.  Once that mode stops wrapping functions (ROADMAP item
+2), ``_lazy`` can give way to plain imports inside each command.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
+import importlib.util
 import os
 import sys
+import types
 from pathlib import Path
 from typing import Callable, NoReturn
 
 from . import __version__
-from .analysis import DEFAULT_CAP, analyze, summary_line
 from .ast_nodes import ProblemDiagram, Requirement
 from .diagnostics import Diagnostic, SpecError, color_enabled, warning
-from .eventb import gen_chain, gen_flat, render
-from .model import Specification, resolve
+from .model import DEFAULT_CAP, Specification, resolve
 from .parser import parse_pf, parse_requirements, parse_spec
-from .pftrace import TraceReport, check_pf, check_trace_tags, link, trace_report
-from .simulator import Trace, explore, parse_script, run_script
+
+
+def _lazy(name: str) -> types.ModuleType:
+    """The package's module ``name``, registered now and run on first use.
+
+    A module already imported is returned as it is: a second copy would
+    define its classes twice.  Otherwise a ``LazyLoader`` module goes into
+    ``sys.modules`` and onto the package, where an import would put it, and
+    its source is compiled and run on its first attribute access."""
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+analysis = _lazy("analysis")
+eventb = _lazy("eventb")
+pftrace = _lazy("pftrace")
+simulator = _lazy("simulator")
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -122,7 +160,7 @@ def _gate(spec: Specification, args: argparse.Namespace, verb: str) -> None:
     """Static checks guard simulate, explore and gen; --force skips them."""
     if args.force:
         return
-    errors = [d for d in analyze(spec, args.cap).diagnostics if d.severity == "error"]
+    errors = [d for d in analysis.analyze(spec, args.cap).diagnostics if d.severity == "error"]
     if errors:
         raise _Exit(
             EXIT_FINDINGS, errors, f"static checks failed; rerun with --force to {verb} anyway"
@@ -142,10 +180,10 @@ def _columns(rows: list[tuple[str, ...]]) -> list[str]:
 def cmd_check(args: argparse.Namespace) -> _Result:
     specs, diagrams, requirements, diags = _load(args.paths)
     for diagram in diagrams:
-        diags.extend(check_pf(diagram))
+        diags.extend(pftrace.check_pf(diagram))
     if requirements or any(d.requirements for d in diagrams):
-        diags.extend(check_trace_tags(requirements, diagrams, specs))
-    reports = [(spec, analyze(spec, args.cap)) for spec in specs]
+        diags.extend(pftrace.check_trace_tags(requirements, diagrams, specs))
+    reports = [(spec, analysis.analyze(spec, args.cap)) for spec in specs]
     for spec, report in reports:
         diags.extend(report.diagnostics)
         # Chain mode's other refusal, a component cycle, is ComponentCycle there.
@@ -171,7 +209,7 @@ def cmd_check(args: argparse.Namespace) -> _Result:
                         }
                         for r in report.results
                     ],
-                    "summary": summary_line(report),
+                    "summary": analysis.summary_line(report),
                 }
                 for spec, report in reports
             ],
@@ -188,7 +226,7 @@ def cmd_check(args: argparse.Namespace) -> _Result:
                     consistent = "consistent" if r.consistency.consistent else "conflicting"
                     verdict = f"{complete}, {consistent}"
                 lines.append(f"guard set {r.guard_set.owner}: domain {r.domain_size}, {verdict}")
-            lines.append(summary_line(report))
+            lines.append(analysis.summary_line(report))
         return "\n".join(lines)
 
     severities = {d.severity for d in diags}
@@ -202,7 +240,7 @@ def cmd_check(args: argparse.Namespace) -> _Result:
 
 
 def _display_names(
-    spec: Specification, trace: Trace
+    spec: Specification, trace: simulator.Trace
 ) -> tuple[list[str], list[str], dict[str, str]]:
     """The display names of a trace's variables and of its machines, in
     row order, looked up once per trace, and each variable's by its
@@ -212,7 +250,7 @@ def _display_names(
     return shown, machines, dict(zip(trace.var_names, shown))
 
 
-def _trace_json(spec: Specification, trace: Trace) -> dict:
+def _trace_json(spec: Specification, trace: simulator.Trace) -> dict:
     shown, machines, by_name = _display_names(spec, trace)
     width = len(shown)
 
@@ -243,7 +281,7 @@ def _trace_json(spec: Specification, trace: Trace) -> dict:
     }
 
 
-def _trace_text(spec: Specification, trace: Trace) -> str:
+def _trace_text(spec: Specification, trace: simulator.Trace) -> str:
     """One row per state: the inputs its step set, the values that changed
     (every value in the initial state) and the machine states.  Each
     state's values are compared with the previous state's by position."""
@@ -272,8 +310,8 @@ def cmd_simulate(args: argparse.Namespace) -> _Result:
     spec = _spec(args.spec)
     text = _read(args.script)
     _gate(spec, args, "simulate")
-    script = parse_script(text, spec, args.script)
-    trace = run_script(spec, script, keep_going=args.keep_going)
+    script = simulator.parse_script(text, spec, args.script)
+    trace = simulator.run_script(spec, script, keep_going=args.keep_going)
     code = EXIT_FINDINGS if trace.violation else EXIT_OK
     return code, [], lambda: _trace_json(spec, trace), lambda: _trace_text(spec, trace)
 
@@ -285,7 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> _Result:
 def cmd_explore(args: argparse.Namespace) -> _Result:
     spec = _spec(args.spec)
     _gate(spec, args, "explore")
-    report = explore(spec, max_states=args.max_states, max_depth=args.max_depth)
+    report = simulator.explore(spec, max_states=args.max_states, max_depth=args.max_depth)
 
     def payload() -> dict:
         return {
@@ -322,7 +360,7 @@ def cmd_explore(args: argparse.Namespace) -> _Result:
 def cmd_gen(args: argparse.Namespace) -> _Result:
     spec = _spec(args.spec)
     _gate(spec, args, "generate")
-    generate = gen_chain if args.mode == "chain" else gen_flat
+    generate = eventb.gen_chain if args.mode == "chain" else eventb.gen_flat
     result = generate(spec, closed=args.closed)
     outdir = Path(args.out)
     units = [(f"{result.context.name}.ebc", result.context)]
@@ -330,7 +368,7 @@ def cmd_gen(args: argparse.Namespace) -> _Result:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         for name, unit in units:
-            (outdir / name).write_text(render(unit, ascii_mode=args.ascii), encoding="utf-8")
+            (outdir / name).write_text(eventb.render(unit, ascii_mode=args.ascii), encoding="utf-8")
     except OSError as exc:
         raise _Exit(EXIT_FINDINGS, message=f"cannot write output: {exc}")
     return EXIT_OK, [], None, lambda: "\n".join((outdir / name).as_posix() for name, _ in units)
@@ -340,7 +378,7 @@ def cmd_gen(args: argparse.Namespace) -> _Result:
 # trace
 
 
-def _trace_report_text(report: TraceReport) -> str:
+def _trace_report_text(report: pftrace.TraceReport) -> str:
     lines = _columns(
         [("requirement", "pf-blocks", "rsml", "eventb")]
         + [
@@ -377,7 +415,7 @@ def cmd_trace(args: argparse.Namespace) -> _Result:
     if diags:
         raise _Exit(EXIT_FINDINGS, diags)
     for diagram in diagrams:
-        diags.extend(check_pf(diagram))
+        diags.extend(pftrace.check_pf(diagram))
     spec = specs[0] if specs else None
     names = spec.eventb_names if spec is not None else None
     if names is not None:
@@ -387,10 +425,10 @@ def cmd_trace(args: argparse.Namespace) -> _Result:
             diags.append(collision)
             names = None
     try:
-        graph = link(requirements, diagrams, spec, names)
+        graph = pftrace.link(requirements, diagrams, spec, names)
     except SpecError as exc:
         raise _Exit(EXIT_FINDINGS, diags + exc.diagnostics)
-    report = trace_report(graph, require_trace=args.require_trace)
+    report = pftrace.trace_report(graph, require_trace=args.require_trace)
     diags.extend(report.warnings)
 
     def payload() -> dict:

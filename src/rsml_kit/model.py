@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 
 
 class EnumType(FrozenRecord):
-    __slots__ = _fields = ("name", "literals")
+    __slots__ = _fields = ("name", "literals", "span")
 
     @property
     def values(self) -> tuple[str, ...]:
@@ -103,6 +103,12 @@ class Radix:
         first, this indexes a domain only as far as the count has gone, so a
         wide range stays a range."""
         return map(self.decode, range(self.size))
+
+
+# The most points a guard set's referenced domain (a ``Radix``) may have
+# before the checker skips it.  Kept here, not in ``analysis``, because the
+# CLI's argument parser reads it on every run.
+DEFAULT_CAP = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +528,7 @@ class _Resolver:
                     seen.add(lit)
                 if len(self.diags) > reported:
                     continue
-                t = EnumType(decl.name, tuple(decl.literals))
+                t = EnumType(decl.name, tuple(decl.literals), decl.span)
                 self.literal_types.update(dict.fromkeys(decl.literals, t))
             self.types.append(t)
             self.type_map[decl.name] = t

@@ -75,11 +75,13 @@ class EventBNames:
     ``chain_error`` says why chain mode refuses the model, or is None."""
 
     def __init__(self, spec: Specification) -> None:
-        self.sets: list[tuple[str, tuple[str, ...]]] = [
-            (t.name, t.literals) for t in spec.types if isinstance(t, EnumType)
-        ]
+        enums = [t for t in spec.types if isinstance(t, EnumType)]
+        self.sets: list[tuple[str, tuple[str, ...]]] = [(t.name, t.literals) for t in enums]
         self.sets += [(machine_set(m), m.states) for m in spec.machines]
-        self._machine_sources = [m.qualified for m in spec.machines]
+        # Each set's state machine (None for an enum type) and the span that
+        # locates a collision with its names: the type's or the machine's.
+        self._set_sources: list[tuple[str | None, Span | None]] = [(None, t.span) for t in enums]
+        self._set_sources += [(m.qualified, m.span) for m in spec.machines]
 
         deps = build_dependency_graph(spec)
         read = {ref.name for refs in deps.reads.values() for ref in refs if ref.kind == "var"}
@@ -209,16 +211,15 @@ class EventBNames:
         return list(dict.fromkeys(d for d in found if d is not None))
 
     def _context_claims(self) -> Iterator[tuple[str, str, Span | None]]:
-        """The context's names in the order generation claims them."""
-        enums = len(self.sets) - len(self._machine_sources)
-        for k, (set_name, constants) in enumerate(self.sets):
-            if k < enums:
-                yield set_name, "carrier set", None
-                yield from ((c, f"constant of {set_name}", None) for c in constants)
+        """The context's names in the order generation claims them, each at
+        its type's or state machine's span."""
+        for (set_name, constants), (source, span) in zip(self.sets, self._set_sources):
+            if source is None:
+                yield set_name, "carrier set", span
+                yield from ((c, f"constant of {set_name}", span) for c in constants)
             else:
-                source = self._machine_sources[k - enums]
-                yield set_name, f"state set of {source}", None
-                yield from ((c, f"state constant of {source}", None) for c in constants)
+                yield set_name, f"state set of {source}", span
+                yield from ((c, f"state constant of {source}", span) for c in constants)
 
     def _claims(
         self, held: list[int], added: list[str], setters: list[int]
@@ -226,9 +227,9 @@ class EventBNames:
         """A machine's names in the order generation claims them: the
         context's, the ``held`` items', the events of the components
         ``added``, in that order, and the ``setters``."""
-        for set_name, constants in self.sets:
-            yield set_name, "carrier set", None
-            yield from ((c, f"constant of {set_name}", None) for c in constants)
+        for (set_name, constants), (_, span) in zip(self.sets, self._set_sources):
+            yield set_name, "carrier set", span
+            yield from ((c, f"constant of {set_name}", span) for c in constants)
         for h in held:
             yield self.held[h].bare, f"variable of {self.held[h].source}", self.held[h].span
         for comp in added:

@@ -83,6 +83,34 @@ def test_traced_trace(tmp_path):
     assert traced["counts"]["edges"] == 17
 
 
+def test_traced_simulate(tmp_path):
+    """``simulator`` is lazy at the tracer's snapshot of ``sys.modules``,
+    and its spans survive."""
+    out = tmp_path / "spans.json"
+    run = _inproc("traced", str(out), "simulate", STARTSTOP, "corpus/startstop.script")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("step")
+    traced = json.loads(out.read_text(encoding="utf-8"))
+    names = [name for name, *_ in traced["spans"]]
+    assert {"main", "analyze", "parse_script", "run_script"} <= set(names)
+    assert traced["counts"]["script_steps"] > 0
+
+
+def test_traced_check(tmp_path):
+    """``analysis`` and ``pftrace`` are lazy at the tracer's snapshot, and
+    their spans survive."""
+    out = tmp_path / "spans.json"
+    run = _inproc(
+        "traced", str(out), "check", STARTSTOP, "corpus/startstop.pf", "corpus/startstop.req"
+    )
+    assert run.returncode == 0, run.stderr
+    traced = json.loads(out.read_text(encoding="utf-8"))
+    names = [name for name, *_ in traced["spans"]]
+    assert {"main", "parse_pf", "parse_requirements", "check_pf", "analyze"} <= set(names)
+    assert names.count("analyze") == 1
+    assert traced["counts"]["guard_sets"] > 0
+
+
 def test_cli_import_loads_every_traced_module():
     """The traced mode rebinds only the modules that ``import rsml_kit.cli``
     loaded, so a layer imported lazily would silently lose its spans."""

@@ -511,7 +511,7 @@ class TestGen:
         def analyze(*args, **kwargs):
             raise AssertionError("--force must not run the static checks")
 
-        monkeypatch.setattr(cli, "analyze", analyze)
+        monkeypatch.setattr(cli.analysis, "analyze", analyze)
         assert main(["gen", STARTSTOP, "-o", str(tmp_path / "x"), "--force"]) == 0
         assert main(["simulate", STARTSTOP, SCRIPT, "--force"]) == 0
         assert main(["explore", STARTSTOP, "--force"]) == 0

@@ -438,6 +438,32 @@ component B {
             "(generated Event-B names must be unique)"
         )
 
+    @pytest.mark.parametrize(
+        "text,rendered",
+        [
+            # An enum literal named as its own type: located at the type.
+            (
+                "specification s\ntype A = { A, B }\ncomponent C {\n  input x : A\n}\n",
+                "s.rsml:2:1: error[NameCollision]: constant of A 'A' collides with carrier set",
+            ),
+            # A state set named as an enum type: located at the machine.
+            (
+                "specification s\ntype T_M_States = { a }\ncomponent C {\n  input x : bool\n"
+                "  statemachine M {\n    initial Idle ;\n    state Idle { }\n  }\n}\n",
+                "s.rsml:5:3: error[NameCollision]: state set of C.M 'T_M_States' collides "
+                "with carrier set",
+            ),
+        ],
+        ids=["enum", "state-set"],
+    )
+    def test_context_names_are_located(self, text, rendered):
+        spec = spec_from(text, "s.rsml")
+        with pytest.raises(SpecError) as exc:
+            gen_flat(spec)
+        [diag] = exc.value.diagnostics
+        assert diag.render() == f"{rendered} (generated Event-B names must be unique)"
+        assert spec.eventb_names.collisions() == [diag]
+
 
 class TestRender:
     def test_render_is_deterministic(self, startstop):

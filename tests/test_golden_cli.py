@@ -550,7 +550,7 @@ CTXGO_MESSAGE = (
 )
 CTXGO_ORPHAN = "requirement REQ-001 reaches no specification element"
 CTXGO_ERR = f"""\
-error[NameCollision]: {CTXGO_MESSAGE}
+ctxgo.rsml:5:3: error[NameCollision]: {CTXGO_MESSAGE}
 warning[OrphanRequirement]: {CTXGO_ORPHAN}
 """
 CTXGO_WARNING = {"severity": "warning", "code": "OrphanRequirement", "message": CTXGO_ORPHAN}
@@ -566,7 +566,13 @@ CTXGO_JSON = _trace_json(
     ],
     warnings=[CTXGO_WARNING],
     diagnostics=[
-        {"severity": "error", "code": "NameCollision", "message": CTXGO_MESSAGE},
+        {
+            "severity": "error",
+            "code": "NameCollision",
+            "message": CTXGO_MESSAGE,
+            # The span of the state machine whose state claims the name.
+            "span": {"file": "ctxgo.rsml", "line": 5, "column": 3, "length": 12},
+        },
         CTXGO_WARNING,
     ],
 )
