@@ -362,16 +362,11 @@ def cmd_gen(args: argparse.Namespace) -> _Result:
     _gate(spec, args, "generate")
     generate = eventb.gen_chain if args.mode == "chain" else eventb.gen_flat
     result = generate(spec, closed=args.closed)
-    outdir = Path(args.out)
-    units = [(f"{result.context.name}.ebc", result.context)]
-    units += [(f"{machine.name}.ebm", machine) for machine in result.machines]
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, unit in units:
-            (outdir / name).write_text(eventb.render(unit, ascii_mode=args.ascii), encoding="utf-8")
+        paths = eventb.write_units(result, args.out, ascii_mode=args.ascii)
     except OSError as exc:
         raise _Exit(EXIT_FINDINGS, message=f"cannot write output: {exc}")
-    return EXIT_OK, [], None, lambda: "\n".join((outdir / name).as_posix() for name, _ in units)
+    return EXIT_OK, [], None, lambda: "\n".join(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +470,14 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError("must be a positive integer")
 
 
+def _directory(text: str) -> Path:
+    """A directory named by a non-empty path: an empty one, as an unset
+    shell variable gives, would be the current directory."""
+    if text:
+        return Path(text)
+    raise argparse.ArgumentTypeError("must not be empty")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rsmlkit",
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate textual Event-B")
     p_gen.add_argument("spec", help=".rsml file")
-    p_gen.add_argument("-o", "--out", required=True, help="output directory")
+    p_gen.add_argument("-o", "--out", type=_directory, required=True, help="output directory")
     p_gen.add_argument("--mode", choices=["flat", "chain"], default="flat")
     p_gen.add_argument("--ascii", action="store_true", help="ASCII operator spellings")
     p_gen.add_argument("--closed", action="store_true", help="omit environment events")

@@ -25,9 +25,9 @@ variable (one per specification variable, one ``<Machine>_state`` per
 state machine) its typing invariant, initial value and unguarded setter,
 ``Set_<Var>`` for a terminal output (one that no component reads), else
 ``Env_Set_<Var>``.  Machines share the event objects, so each event block
-renders once.  ``pftrace`` reads the flat machine's events and invariant
-labels from the same name table without building them, so both must keep
-the order above.
+is rendered and encoded once when written.  ``pftrace`` reads the flat
+machine's events and invariant labels from the same name table without
+building them, so both must keep the order above.
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of each column's literals (``AndOrTable.columns``: T as
@@ -36,14 +36,22 @@ and pushed inward; when the result is a pure conjunction of atoms it is
 split into one guard per conjunct, otherwise it stays a single guard.
 Negating an atom rewrites its operator.
 
-Rendering is deterministic: identical input yields identical bytes.  In
-ASCII mode a machine converts its own lines, and each event block is
-converted once, for every machine that holds it.
+Rendering is deterministic: identical input yields identical bytes.
+``render`` gives a unit's text: for a machine, its head (its clauses and
+initialisation), then each event's block, then ``end``.  ``write_units``,
+which ``gen`` calls, writes each unit as the UTF-8 of that text without
+building it: it encodes each machine's head, joins it once with the
+encoded blocks of its events and ``end``, and keeps each event's encoded
+block, so a block shared by many machines is rendered and encoded once per
+spelling.  In ASCII mode the head and each block are converted on their
+own.  A file that exists is written over in place, on every run, and cut
+to its new length.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import os
+from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .diagnostics import SpecError
@@ -104,26 +112,8 @@ class Labeled(Record):
 class EventBEvent(Record):
     _fields = ("name", "guards", "actions", "comment")
     _defaults = {"comment": None}
-    __slots__ = (*_fields, "__dict__")  # the cached blocks live in __dict__
-
-    @cached_property
-    def block(self) -> str:
-        """The event's rendered lines.  Every machine of one ``gen`` call
-        shares the event objects of a component and the setters, so each
-        is rendered once."""
-        lines = [f"  event {self.name}{_comment_suffix(self.comment)}"]
-        if self.guards:
-            lines.append("    when")
-            lines.extend(f"      {guard.label} {guard.text}" for guard in self.guards)
-        lines.append("    then")
-        lines.extend(f"      {act.label} {act.text}" for act in self.actions)
-        lines.append("  end")
-        return "\n".join(lines)
-
-    @cached_property
-    def ascii_block(self) -> str:
-        """``block`` in ASCII spellings, converted once like ``block``."""
-        return _ascii(self.block)
+    # The block's UTF-8 in each spelling, which ``write_units`` sets once.
+    __slots__ = (*_fields, "_utf8", "_ascii_utf8")
 
 
 class EventBContext(Record):
@@ -268,7 +258,7 @@ class _Assembler:
     """Builds the machines of one ``gen`` call from parts made once: each
     component's events, and each held variable's typing invariant,
     initialisation and setter event.  Machines share those objects, so
-    each event block renders once."""
+    each event block is encoded once."""
 
     def __init__(self, spec: Specification, context: EventBContext) -> None:
         self.spec, self.context = spec, context
@@ -371,10 +361,13 @@ def _comment_suffix(comment: Optional[str]) -> str:
 
 
 def render(unit: Union[EventBContext, EventBMachine], ascii_mode: bool = False) -> str:
+    """The unit's text.  A machine's is its head, each event's block and
+    ``end``, one per line: the parts that ``write_units`` encodes."""
     if isinstance(unit, EventBContext):
         text = _render_context(unit)
         return _ascii(text) if ascii_mode else text
-    return _render_machine(unit, ascii_mode)
+    blocks = [_block(event, ascii_mode) for event in unit.events]
+    return "\n".join([_machine_head(unit, ascii_mode), *blocks, "end\n"])
 
 
 def _ascii(text: str) -> str:
@@ -397,9 +390,9 @@ def _render_context(ctx: EventBContext) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_machine(mch: EventBMachine, ascii_mode: bool) -> str:
-    """The machine's text.  In ASCII mode its own part is converted here,
-    and each event block once, by the event, for every machine it is in."""
+def _machine_head(mch: EventBMachine, ascii_mode: bool) -> str:
+    """The machine's lines before its first event block: its clauses and
+    its initialisation."""
     header = f"machine {mch.name}"
     if mch.refines:
         header += f" refines {mch.refines}"
@@ -421,10 +414,71 @@ def _render_machine(mch: EventBMachine, ascii_mode: bool) -> str:
             lines.append("    then")
             lines += [f"      @act{k} {text}" for k, text in enumerate(mch.init, 1)]
             lines.append("  end")
-    if ascii_mode:
-        lines = [_ascii("\n".join(lines))]
-        lines += [event.ascii_block for event in mch.events]
-    else:
-        lines += [event.block for event in mch.events]
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines)
+    return _ascii(text) if ascii_mode else text
+
+
+def _block(event: EventBEvent, ascii_mode: bool) -> str:
+    """The event's lines."""
+    lines = [f"  event {event.name}{_comment_suffix(event.comment)}"]
+    if event.guards:
+        lines.append("    when")
+        lines.extend(f"      {guard.label} {guard.text}" for guard in event.guards)
+    lines.append("    then")
+    lines.extend(f"      {act.label} {act.text}" for act in event.actions)
+    lines.append("  end")
+    text = "\n".join(lines)
+    return _ascii(text) if ascii_mode else text
+
+
+# ---------------------------------------------------------------------------
+# Writing
+
+
+def write_units(result: GenResult, outdir: Path, ascii_mode: bool = False) -> list[str]:
+    """Write the context and each machine of ``result`` into ``outdir``,
+    made first if it is missing, as the UTF-8 of ``render``; return the
+    paths written, in that order.
+
+    A machine's bytes are its encoded head, the encoded block of each of
+    its events and ``end``, joined once.  Each event keeps its encoded
+    block in each spelling, so a block is rendered and encoded once, for
+    every machine that holds it, and no machine's text outlives its
+    write."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = str(outdir / f"{result.context.name}.ebc")
+    _write_over(path, render(result.context, ascii_mode).encode())
+    paths = [path]
+    slot = "_ascii_utf8" if ascii_mode else "_utf8"
+    for mch in result.machines:
+        parts = [_machine_head(mch, ascii_mode).encode()]
+        for event in mch.events:
+            block = getattr(event, slot, None)
+            if block is None:
+                block = _block(event, ascii_mode).encode()
+                setattr(event, slot, block)
+            parts.append(block)
+        parts.append(b"end\n")
+        path = str(outdir / f"{mch.name}.ebm")
+        _write_over(path, b"\n".join(parts))
+        paths.append(path)
+    return paths
+
+
+def _write_over(path: str, data: bytes) -> None:
+    """Make the file at ``path`` hold ``data``, writing over an existing
+    file in place: it is opened without truncation, written, then cut to
+    the length written, which costs less than truncating it on open.  A
+    write that fails still cuts the file at what was written, so no tail
+    of the old file is left, and the error propagates."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        try:
+            with memoryview(data) as view:
+                while written < len(data):
+                    written += os.write(fd, view[written:])
+        finally:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)

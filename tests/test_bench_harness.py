@@ -63,11 +63,13 @@ def test_traced_gen_chain(tmp_path):
     assert run.stdout.splitlines()[-1].endswith("twocomp_r2.ebm")
     traced = json.loads(out.read_text(encoding="utf-8"))
     names = [name for name, *_ in traced["spans"]]
-    assert {"main", "analyze", "build_dependency_graph", "gen_chain"} <= set(names)
-    assert names.count("render") == 4  # the context and three machines
-    assert traced["counts"]["output_bytes"] == sum(
-        len(f.read_bytes()) for f in eb.iterdir()
-    )
+    # ``write_units`` renders the context alone with ``render``; each
+    # machine is joined from parts encoded once, outside any span.
+    assert names == [
+        "main", "parse_spec", "tokenize", "resolve", "analyze", "build_dependency_graph",
+        "gen_chain", "build_dependency_graph", "render",
+    ]
+    assert traced["counts"]["output_bytes"] == len((eb / "twocomp_ctx.ebc").read_bytes())
 
 
 def test_traced_trace(tmp_path):

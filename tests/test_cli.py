@@ -497,6 +497,62 @@ class TestGen:
         assert main(["gen", STARTSTOP, "-o", str(blocker / "sub")]) == 1
         assert "cannot write output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old", [b"x" * 20_000, b"y"], ids=["longer", "shorter"])
+    def test_rewrites_existing_files_in_place(self, tmp_path, capsys, old):
+        """Each unit file is written over, whatever its old length, and cut
+        to the new length; files that ``gen`` does not write stay."""
+        argv = [str(CORPUS / "twocomp.rsml"), "--mode", "chain"]
+        assert main(["gen", *argv, "-o", str(tmp_path / "fresh")]) == 0
+        expected = _tree(tmp_path / "fresh")
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in [*expected, "twocomp_r3.ebm", "notes.txt"]:
+            (out / name).write_bytes(old)
+        assert main(["gen", *argv, "-o", str(out)]) == 0
+        assert _tree(out) == {**expected, "twocomp_r3.ebm": old, "notes.txt": old}
+
+    def test_a_directory_where_a_unit_file_goes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        blocked = out / "startstop_mch.ebm"
+        blocked.mkdir(parents=True)
+        assert main(["gen", STARTSTOP, "-o", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"cannot write output: [Errno 21] Is a directory: '{blocked}'\n"
+        )
+        assert (out / "startstop_ctx.ebc").is_file() and blocked.is_dir()
+
+    def test_a_failed_write_leaves_no_old_tail(self, tmp_path, capsys, monkeypatch):
+        """A write that fails cuts the file at what it wrote, then the
+        error ends the command."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "startstop_ctx.ebc").write_bytes(b"x" * 20_000)
+        write = os.write
+        writes = []
+
+        def full_disk(fd: int, data) -> int:
+            """Writes 7 bytes, then finds the disk full."""
+            writes.append(fd)
+            if len(writes) > 1:
+                raise OSError(28, "No space left on device")
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", full_disk)
+        assert main(["gen", STARTSTOP, "-o", str(out)]) == 1
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert err == "cannot write output: [Errno 28] No space left on device\n"
+        assert (out / "startstop_ctx.ebc").read_bytes() == b"context"
+        assert not (out / "startstop_mch.ebm").exists()
+
+    def test_empty_output_directory_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        """``-o ""`` (an unset shell variable) would write into the current
+        directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", STARTSTOP, "-o", ""]) == 2
+        assert capsys.readouterr().err.endswith("argument -o/--out: must not be empty\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_gate_blocks_broken_model(self, conflicting_file, tmp_path, capsys):
         assert main(["gen", conflicting_file, "-o", str(tmp_path / "x")]) == 1
         capsys.readouterr()

@@ -4,7 +4,9 @@ text, for flat and chain mode with and without ``closed``, on the corpus,
 the benchmark's chain projects, name-collision specifications, the
 generated specifications of ``test_stepper_oracle`` and generated chains
 whose names clash; every case and transition translated once per ``gen``
-call, and each name entered once along the chain's steps.  ``check`` is
+call, and each name entered once along the chain's steps.  On the same
+specifications, each file that ``write_units`` writes, decoded, is the
+unit's ``render`` in either spelling, whichever runs first.  ``check`` is
 held to ``gen`` too: it reports exactly the name collisions that the
 reference raises, and when it reports no error, ``gen`` succeeds in both
 modes unless ``check`` warned that chain mode refuses the specification.
@@ -38,7 +40,7 @@ from oracle_helpers import reference_gen_chain, reference_gen_flat, reference_pr
 from rsml_kit.ast_nodes import Requirement
 from rsml_kit.cli import main
 from rsml_kit.diagnostics import Diagnostic, SpecError
-from rsml_kit.eventb import gen_chain, gen_flat, render
+from rsml_kit.eventb import gen_chain, gen_flat, render, write_units
 from rsml_kit.pftrace import EB_EVENT, EB_INVARIANT, EDGE_PROVENANCE, _tagged, link
 from test_stepper_oracle import specs
 
@@ -60,7 +62,33 @@ def _assert_same(spec) -> None:
         assert _generated(gen_flat, spec, closed) == _generated(reference_gen_flat, spec, closed)
         chain = _generated(gen_chain, spec, closed)
         assert chain == _generated(reference_gen_chain, spec, closed)
+        _assert_written_as_rendered(gen_flat, spec, closed)
+        _assert_written_as_rendered(gen_chain, spec, closed)
     _assert_link_reads_the_flat_machine(spec)
+
+
+def _written(result, ascii_mode: bool) -> list[str]:
+    """The decoded text of each file ``write_units`` writes, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_units(result, Path(tmp), ascii_mode)
+        return [Path(path).read_bytes().decode("utf-8") for path in paths]
+
+
+def _assert_written_as_rendered(generate, spec, closed: bool) -> None:
+    """``write_units`` writes every unit as ``render`` renders it, in both
+    spellings, whichever of the two runs first and in whichever mode: a
+    fresh result is rendered in one mode, then written in the other, then
+    in the first."""
+    for first in (False, True):
+        try:
+            result = generate(spec, closed=closed)
+        except SpecError:
+            return
+        units = [result.context, *result.machines]
+        before = [render(unit, first) for unit in units]
+        for ascii_mode in (not first, first):
+            assert _written(result, ascii_mode) == [render(unit, ascii_mode) for unit in units]
+        assert _written(result, first) == before
 
 
 def _assert_link_reads_the_flat_machine(spec) -> None:
