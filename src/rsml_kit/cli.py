@@ -21,8 +21,12 @@ flags.
 rsml_kit.cli``): it calls ``main``, runs the atexit handlers, flushes
 stdout and stderr, and ends the process with ``os._exit``, skipping the
 interpreter's teardown, which the CLI does not need: it reads and writes
-whole files and starts no threads.  In-process callers use ``main``,
-which returns the exit code.
+whole files and starts no threads.  It also switches the cyclic garbage
+collector off for the run: loading a specification makes tens of
+thousands of objects that live to the end, and each collection would scan
+them again, while the garbage a run makes in cycles is bounded by the
+model, not by the states or steps it visits.  In-process callers use
+``main``, which returns the exit code and leaves the collector as it was.
 
 Start-up compiles only the layers a command runs.  The front end
 (``parser``, ``model``) loads with this module; the back-end layers
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import gc
 import importlib.util
 import os
 import sys
@@ -583,7 +588,9 @@ def run() -> NoReturn:
     """Run ``main`` as a whole process and end it without the interpreter's
     teardown.  The atexit handlers run first, so coverage or a profiler
     still writes its data.  A flush that fails leaves the exit to the
-    interpreter, which reports the failure as it would without ``run``."""
+    interpreter, which reports the failure as it would without ``run``.
+    The cyclic collector stays off (see the module docstring)."""
+    gc.disable()
     code = main()
     atexit._run_exitfuncs()
     try:

@@ -6,24 +6,26 @@ Keywords are reserved in every file format so that diagnostics stay uniform.
 in ASCII (`!=`, `<=`, `>=`) or with the usual mathematical glyphs
 (`≠`, `≤`, `≥`); the lexer normalizes to the ASCII spelling.
 
-One compiled pattern does the scanning: each match skips the blanks,
-newlines and comments before a token and then matches exactly one token,
-the end of the input, or one character no token starts with.  Its
-alternatives keep maximal munch: a comment before a negative integer, a
-``REQ-`` id before an identifier, longer operators before their prefixes.
-A token is a flat tuple; the parser builds its :class:`Span` only when it
-asks for one.  Columns count characters from 1, so a tab or a carriage
-return is one column.  A comment advances no column: the end-of-file token
-after a trailing comment sits where that comment starts.
+One ``re.split`` over a single capturing alternation cuts the text into
+lexemes and the gaps between them; the parts' lengths give every offset.
+The alternatives keep maximal munch: a ``REQ-`` id before an identifier,
+longer operators before their prefixes.  A gap holds only blanks and
+newlines, and its first other character is where the error is.  A
+lexeme's kind is one table lookup or else its first character; comments
+are dropped.  A token's :class:`Span` is built only when the parser asks
+for it.  Columns count characters from 1, so a tab or a carriage return is
+one column.  A comment advances no column: the end-of-file token after a
+trailing comment sits where that comment starts.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import accumulate
-from typing import NamedTuple
+from bisect import bisect_right
+from itertools import accumulate, compress, count
 
 from .diagnostics import Span, SpecError, error
+from .record import Record
 
 KEYWORDS = frozenset(
     {
@@ -41,94 +43,94 @@ KEYWORDS = frozenset(
 )
 
 _UNICODE_OPS = {"≠": "!=", "≤": "<=", "≥": ">="}
+# Keywords and operators are their own kinds; other lexemes are looked up by first character.
+_KINDS = {w: w for w in (*KEYWORDS, "<->", "..", "!=", "<=", ">=", *"=<>:;{}()[],.")} | _UNICODE_OPS
+# `R` and `-` start two kinds each: see _kind.
+_FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ID")
+_FIRST |= dict.fromkeys("0123456789", "INT") | {'"': "STRING"}
+_COMMENT = "--"
 
 # A string body: `\"` and `\\` are escapes; any other backslash is itself.
 # The lookahead keeps the reading unique, so backtracking cannot turn an
 # escaped quote into a closing one.
 _STRING_BODY = r'"(?:[^"\\\n]|\\["\\]|\\(?!["\\]))*'
 
-# The skip part is greedy and one of the alternatives always matches after
-# it (BAD takes any character, EOF the end), so the engine never backtracks
-# into the skip.
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|--[^\n]*)*"
-    r"(?:"
-    rf"(?P<STRING>{_STRING_BODY}\")"
-    r"|(?P<GLYPH>[≠≤≥])"
-    r"|(?P<REQID>REQ-[A-Za-z0-9_]+)"
-    r"|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<INT>-?[0-9]+)"
-    r"|(?P<OP><->|\.\.|[!<>]=|[=<>:;{}()\[\],.])"
-    r"|(?P<EOF>\Z)"
-    r"|(?P<BAD>.)"
-    r")"
+# The most frequent lexemes come first.
+_SPLIT_RE = re.compile(
+    r"(REQ-[A-Za-z0-9_]+|[A-Za-z_][A-Za-z0-9_]*"
+    r"|<->|\.\.|[!<>]=|[=<>:;{}()\[\],.]"
+    r"|-?[0-9]+|--[^\n]*"
+    rf"|{_STRING_BODY}\""
+    r"|[≠≤≥])"
 )
-_UNTERMINATED_RE = re.compile(_STRING_BODY)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-class Token(NamedTuple):
-    kind: str  # "ID" | "INT" | "STRING" | "REQID" | "EOF" | keyword | operator
-    value: str
-    file: str
-    line: int
-    column: int
-    length: int
+class Lexemes(Record):
+    """The tokens of one file as parallel lists, the end of file last.
+    ``kinds[i]`` is a keyword, an operator, ``ID``, ``INT``, ``STRING``,
+    ``REQID`` or ``EOF``; ``values[i]`` the text, a string's unescaped body
+    or a glyph's ASCII spelling; ``starts[i]``/``ends[i]`` character offsets."""
 
-    @property
-    def span(self) -> Span:
-        return tuple.__new__(Span, self[2:])  # the last four fields are a Span's
+    __slots__ = _fields = ("file", "kinds", "values", "starts", "ends", "line_starts")
 
-    def describe(self) -> str:
-        if self.kind == "EOF":
-            return "end of file"
-        if self.kind in ("ID", "INT", "STRING", "REQID"):
-            return f"{self.kind.lower()} '{self.value}'"
-        return f"'{self.value}'"
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        line = bisect_right(self.line_starts, start)
+        column = start - self.line_starts[line - 1] + 1
+        return tuple.__new__(Span, (self.file, line, column, self.ends[i] - start))
 
 
-def tokenize(text: str, filename: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__
-    keywords = KEYWORDS
-    # line_starts[k] is the index where line k + 1 starts; the last entry lies
-    # past the end of the text.
-    line_starts = list(accumulate([len(part) + 1 for part in text.split("\n")], initial=0))
-    line = 1
-    line_start = 0
-    next_line = line_starts[1]
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        while start >= next_line:
-            line += 1
-            line_start = next_line
-            next_line = line_starts[line]
-        value = text[start:end]
-        if kind == "ID":
-            if value in keywords:
-                kind = value
-        elif kind == "OP":
-            kind = value
-        elif kind == "STRING":
-            value = value[1:-1]
-            if "\\" in value:
-                value = _ESCAPE_RE.sub(r"\1", value)
-        elif kind == "GLYPH":
-            kind = value = _UNICODE_OPS[value]
-        elif kind == "EOF":
-            # A comment on the last line does not advance the column; the
-            # match starts where the previous token ends.
-            comment = text.find("--", max(m.start(), line_start))
-            column = (start if comment < 0 else comment) - line_start + 1
-            append(new(Token, ("EOF", "", filename, line, column, 0)))
+def _kind(lexeme: str) -> str:
+    if lexeme[0] == "R":
+        return "REQID" if lexeme.startswith("REQ-") else "ID"
+    return _COMMENT if lexeme[1] == "-" else "INT"
+
+
+def tokenize(text: str, filename: str) -> Lexemes:
+    parts = _SPLIT_RE.split(text)
+    if "".join(parts[0::2]).strip(" \t\r\n"):
+        _fail(text, filename, parts)
+    values = parts[1::2]
+    get, first = _KINDS.get, _FIRST.get
+    kinds = [get(v) or first(v[0]) or _kind(v) for v in values]
+    bounds = [*accumulate(map(len, parts))]
+    starts = bounds[0::2]  # the last entry, the text's length, is the end of file's
+    ends = bounds[1::2]
+    if kinds and kinds[-1] == _COMMENT and not parts[-1]:  # a comment on the last line
+        starts[-1] = starts[-2]
+    ends.append(starts[-1])
+    kinds.append("EOF")
+    values.append("")
+    if not text.isascii():
+        for i in compress(count(), map(_UNICODE_OPS.__contains__, values)):
+            values[i] = kinds[i]
+    if '"' in text:
+        for i in compress(count(), map("STRING".__eq__, kinds)):
+            body = values[i][1:-1]
+            values[i] = _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+    if "--" in text:
+        keep = [*map(_COMMENT.__ne__, kinds)]
+        kinds, values, starts, ends = ([*compress(c, keep)] for c in (kinds, values, starts, ends))
+    # Where each line starts; the last entry lies past the end of the text.
+    line_starts = [*accumulate(map((1).__add__, map(len, text.split("\n"))), initial=0)]
+    return Lexemes(filename, kinds, values, starts, ends, line_starts)
+
+
+def _fail(text: str, filename: str, parts: list[str]) -> None:
+    """Raise the error at the first character that is neither a blank nor in a token."""
+    at = 0
+    for k, part in enumerate(parts):
+        if k % 2 == 0 and part.strip(" \t\r\n"):  # a gap
+            at += len(part) - len(part.lstrip(" \t\r\n"))
             break
-        elif kind == "BAD":
-            here = Span(filename, line, start - line_start + 1, 1)
-            if value != '"':
-                raise SpecError(error("Syntax", f"unexpected character {value!r}", here))
-            length = _UNTERMINATED_RE.match(text, start).end() - start
-            raise SpecError(error("Syntax", "unterminated string", here._replace(length=length)))
-        append(new(Token, (kind, value, filename, line, start - line_start + 1, end - start)))
-    return tokens
+        at += len(part)
+    line_start = text.rfind("\n", 0, at) + 1
+    here = Span(filename, text.count("\n", 0, at) + 1, at - line_start + 1, 1)
+    if text[at] != '"':
+        raise SpecError(error("Syntax", f"unexpected character {text[at]!r}", here))
+    end = (text + "\n").index("\n", at)  # an unterminated string runs to the end of its line
+    raise SpecError(error("Syntax", "unterminated string", here._replace(length=end - at)))

@@ -34,8 +34,6 @@ Grammar for ``.rsml``::
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .ast_nodes import (
     AssignNode,
     CaseNode,
@@ -63,69 +61,84 @@ from .ast_nodes import (
     VarDeclNode,
 )
 from .diagnostics import Span, SpecError, error
-from .lexer import KEYWORDS, Token, tokenize
+from .lexer import KEYWORDS, tokenize
 
 _RELOPS = ("=", "!=", "<", "<=", ">", ">=")
 _CELLS = ("T", "F", ".")
+_VALUED = ("ID", "INT", "STRING", "REQID")  # the kinds a message names with their value
 
 PF_DOMAIN_KINDS = ("given", "designed", "biddable", "lexical")
 
 
 class _Parser:
     def __init__(self, text: str, filename: str):
-        self.tokens = tokenize(text, filename)
-        # One EOF more than there are tokens, so peeking one past the end is safe.
-        self.kinds = [*map(itemgetter(0), self.tokens), "EOF"]
-        self.pos = 0
-        self.cur = self.tokens[0]  # always tokens[pos]
+        lexemes = tokenize(text, filename)
+        self.kinds, self.values, self.span = lexemes.kinds, lexemes.values, lexemes.span
+        self.pos = 0  # the current token's index
         self.filename = filename
 
     # -- token plumbing ----------------------------------------------------
+    # A token is its index.  Only a token whose kind was tested is taken, and
+    # none takes the end of file, so peeking one past any other is safe.
 
     def peek(self, kind: str, ahead: int = 0) -> bool:
         return self.kinds[self.pos + ahead] == kind
 
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "EOF":
-            self.pos += 1
-            self.cur = self.tokens[self.pos]
-        return tok
+    def advance(self) -> int:
+        self.pos += 1
+        return self.pos - 1
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.cur
-        if tok.kind != kind:
-            expected = what or (kind.lower() if kind in ("ID", "INT", "STRING", "REQID") else f"'{kind}'")
-            self.fail(f"expected {expected}, found {tok.describe()}")
-        if kind != "EOF":
-            self.pos += 1
-            self.cur = self.tokens[self.pos]
-        return tok
+    def expect(self, kind: str, what: str | None = None) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            expected = what or (kind.lower() if kind in _VALUED else f"'{kind}'")
+            self.fail(f"expected {expected}, found {self.found()}")
+        self.pos = i + 1
+        return i
+
+    def word(self, kind: str = "ID", what: str | None = None) -> str:
+        """The value of the token ``expect`` takes."""
+        return self.values[self.expect(kind, what)]
+
+    def words(self, kind: str = "ID", what: str | None = None) -> list[str]:
+        """``word ("," word)*``"""
+        words = [self.word(kind, what)]
+        while self.peek(","):
+            self.advance()
+            words.append(self.word(kind, what))
+        return words
+
+    def found(self) -> str:
+        """The current token as an error message names it."""
+        kind, value = self.kinds[self.pos], self.values[self.pos]
+        if kind in _VALUED:
+            return f"{kind.lower()} '{value}'"
+        return "end of file" if kind == "EOF" else f"'{value}'"
 
     def fail(self, message: str, span: Span | None = None) -> None:
-        raise SpecError(error("Syntax", message, span or self.cur.span))
+        raise SpecError(error("Syntax", message, span or self.span(self.pos)))
 
     # -- shared pieces -----------------------------------------------------
 
     def parse_name(self) -> NameRef:
         """``ID ("." ID)?``, spanned at the first identifier."""
         first = self.expect("ID")
+        name, span = self.values[first], self.span(first)
         if self.peek(".") and self.peek("ID", ahead=1):
             self.advance()
-            return NameRef(self.advance().value, component=first.value, span=first.span)
-        return NameRef(first.value, span=first.span)
+            return NameRef(self.values[self.advance()], component=name, span=span)
+        return NameRef(name, span=span)
 
     def parse_operand(self) -> Operand:
-        tok = self.cur
-        if tok.kind == "INT":
-            self.advance()
-            return IntLit(int(tok.value), tok.span)
-        if tok.kind in ("TRUE", "FALSE"):
-            self.advance()
-            return NameRef(tok.value, span=tok.span)
-        if tok.kind == "ID":
+        kind = self.kinds[self.pos]
+        if kind == "INT":
+            tok = self.advance()
+            return IntLit(int(self.values[tok]), self.span(tok))
+        if kind in ("TRUE", "FALSE"):
+            return NameRef(kind, span=self.span(self.advance()))
+        if kind == "ID":
             return self.parse_name()
-        self.fail(f"expected operand, found {tok.describe()}")
+        self.fail(f"expected operand, found {self.found()}")
         raise AssertionError  # unreachable
 
     def parse_predicate(self):
@@ -134,13 +147,13 @@ class _Parser:
             self.expect("(")
             machine = self.parse_name()
             self.expect(",")
-            state = self.expect("ID")
+            state = self.word()
             self.expect(")")
-            return StateTestNode(machine, state.value, head.span)
+            return StateTestNode(machine, state, self.span(head))
         lhs = self.parse_operand()
-        if self.cur.kind not in _RELOPS:
-            self.fail(f"expected comparison operator, found {self.cur.describe()}")
-        op = self.advance().kind
+        if self.kinds[self.pos] not in _RELOPS:
+            self.fail(f"expected comparison operator, found {self.found()}")
+        op = self.kinds[self.advance()]
         rhs = self.parse_operand()
         return PredicateNode(lhs, op, rhs, lhs.span)
 
@@ -148,7 +161,7 @@ class _Parser:
         head = self.expect("table")
         self.expect("{")
         if self.peek("}"):
-            self.fail("empty table", head.span)
+            self.fail("empty table", self.span(head))
         rows: list[RowNode] = []
         while not self.peek("}"):
             pred = self.parse_predicate()
@@ -157,7 +170,7 @@ class _Parser:
             while self.kinds[end] in _CELLS:
                 end += 1
             cells = self.kinds[start:end]
-            self.pos, self.cur = end, self.tokens[end]
+            self.pos = end
             if not cells:
                 self.fail("table row has no cells")
             rows.append(RowNode(pred, cells, pred.span))
@@ -169,23 +182,18 @@ class _Parser:
                     f"ragged table: row 1 has {width} cells, row {idx} has {len(row.cells)}",
                     row.span,
                 )
-        return TableNode(rows, head.span)
+        return TableNode(rows, self.span(head))
 
     def parse_condition(self) -> ConditionNode:
         if self.peek("else"):
-            tok = self.advance()
-            return ElseNode(tok.span)
+            return ElseNode(self.span(self.advance()))
         return self.parse_table()
 
     def parse_trace(self) -> list[str]:
         if not self.peek("trace"):
             return []
         self.advance()
-        tags = [self.expect("REQID", "requirement id").value]
-        while self.peek(","):
-            self.advance()
-            tags.append(self.expect("REQID", "requirement id").value)
-        return tags
+        return self.words("REQID", "requirement id")
 
     def check_condition_set(self, conditions: list[ConditionNode], what: str) -> None:
         """A condition list may use `else` at most once and only next to a table."""
@@ -199,19 +207,20 @@ class _Parser:
     def fail_at(self, span: Span | None, code: str, message: str) -> None:
         raise SpecError(error(code, message, span))
 
-    def expect_word(self, what: str) -> Token:
-        """An identifier-like token where keywords are allowed (phase tags
-        may spell pipeline stages that are reserved words elsewhere)."""
-        if self.cur.kind == "ID" or self.cur.value in KEYWORDS:
-            return self.advance()
-        self.fail(f"expected {what}, found {self.cur.describe()}")
+    def expect_word(self, what: str) -> str:
+        """The value of an identifier or a keyword (phase tags may spell
+        pipeline stages that are reserved words elsewhere)."""
+        kind = self.kinds[self.pos]
+        if kind == "ID" or kind in KEYWORDS:
+            return self.values[self.advance()]
+        self.fail(f"expected {what}, found {self.found()}")
         raise AssertionError  # unreachable
 
     # -- .rsml -------------------------------------------------------------
 
     def parse_spec(self) -> SpecNode:
         head = self.expect("specification")
-        name = self.expect("ID").value
+        name = self.word()
         types: list[TypeDeclNode] = []
         components: list[ComponentNode] = []
         invariants: list[InvariantNode] = []
@@ -223,51 +232,44 @@ class _Parser:
             elif self.peek("invariant"):
                 invariants.append(self.parse_invariant())
             else:
-                self.fail(
-                    f"expected 'type', 'component' or 'invariant', found {self.cur.describe()}"
-                )
-        return SpecNode(name, types, components, invariants, head.span)
+                self.fail(f"expected 'type', 'component' or 'invariant', found {self.found()}")
+        return SpecNode(name, types, components, invariants, self.span(head))
 
     def parse_typedef(self) -> TypeDeclNode:
         head = self.expect("type")
-        name = self.expect("ID").value
+        name = self.word()
         self.expect("=")
         if self.peek("int"):
             self.advance()
             self.expect("[")
-            lo = int(self.expect("INT").value)
+            lo = int(self.word("INT"))
             self.expect("..")
-            hi = int(self.expect("INT").value)
+            hi = int(self.word("INT"))
             self.expect("]")
-            return TypeDeclNode(name, None, (lo, hi), head.span)
+            return TypeDeclNode(name, None, (lo, hi), self.span(head))
         self.expect("{")
-        literals = [self.expect("ID").value]
-        while self.peek(","):
-            self.advance()
-            literals.append(self.expect("ID").value)
+        literals = self.words()
         self.expect("}")
-        return TypeDeclNode(name, literals, None, head.span)
+        return TypeDeclNode(name, literals, None, self.span(head))
 
     def parse_component(self) -> ComponentNode:
         head = self.expect("component")
-        name = self.expect("ID").value
+        name = self.word()
         self.expect("{")
         variables: list[VarDeclNode] = []
         assigns: list[AssignNode] = []
         machines: list[StateMachineNode] = []
         while not self.peek("}"):
-            if self.cur.kind in ("input", "output", "internal"):
-                direction = self.advance().kind
-                var_tok = self.expect("ID")
+            if self.kinds[self.pos] in ("input", "output", "internal"):
+                direction = self.kinds[self.advance()]
+                var = self.expect("ID")
                 self.expect(":")
-                type_name = self.expect("ID").value
+                type_name = self.word()
                 init = None
                 if self.peek("init"):
                     self.advance()
                     init = self.parse_operand()
-                variables.append(
-                    VarDeclNode(direction, var_tok.value, type_name, init, var_tok.span)
-                )
+                variables.append(VarDeclNode(direction, self.values[var], type_name, init, self.span(var)))
             elif self.peek("assign"):
                 assigns.append(self.parse_assign())
             elif self.peek("statemachine"):
@@ -277,10 +279,10 @@ class _Parser:
             else:
                 self.fail(
                     "expected variable declaration, 'assign' or 'statemachine', "
-                    f"found {self.cur.describe()}"
+                    f"found {self.found()}"
                 )
         self.expect("}")
-        return ComponentNode(name, variables, assigns, machines, head.span)
+        return ComponentNode(name, variables, assigns, machines, self.span(head))
 
     def parse_assign(self) -> AssignNode:
         head = self.expect("assign")
@@ -293,48 +295,48 @@ class _Parser:
             self.expect("then")
             value = self.parse_operand()
             trace = self.parse_trace()
-            cases.append(CaseNode(cond, value, trace, when.span))
+            cases.append(CaseNode(cond, value, trace, self.span(when)))
         if not cases:
             self.fail("assignment needs at least one 'when' case")
         self.expect("}")
         self.check_condition_set([c.condition for c in cases], "among assignment cases")
-        return AssignNode(target, cases, head.span)
+        return AssignNode(target, cases, self.span(head))
 
     def parse_statemachine(self) -> StateMachineNode:
         head = self.expect("statemachine")
-        name = self.expect("ID").value
+        name = self.word()
         self.expect("{")
         self.expect("initial")
-        initial = self.expect("ID").value
+        initial = self.word()
         self.expect(";")
         states: list[StateNode] = []
         while self.peek("state"):
             st_head = self.advance()
-            st_name = self.expect("ID").value
+            st_name = self.word()
             self.expect("{")
             transitions: list[TransitionNode] = []
             while self.peek("goto"):
                 goto = self.advance()
-                target = self.expect("ID").value
+                target = self.word()
                 self.expect("when")
                 cond = self.parse_condition()
                 trace = self.parse_trace()
-                transitions.append(TransitionNode(target, cond, trace, goto.span))
+                transitions.append(TransitionNode(target, cond, trace, self.span(goto)))
             self.expect("}")
             self.check_condition_set(
                 [t.condition for t in transitions], f"among transitions of state '{st_name}'"
             )
-            states.append(StateNode(st_name, transitions, st_head.span))
+            states.append(StateNode(st_name, transitions, self.span(st_head)))
         self.expect("}")
-        return StateMachineNode(name, initial, states, head.span)
+        return StateMachineNode(name, initial, states, self.span(head))
 
     def parse_invariant(self) -> InvariantNode:
         head = self.expect("invariant")
-        name = self.expect("ID").value
+        name = self.word()
         self.expect(":")
         table = self.parse_table()
         trace = self.parse_trace()
-        return InvariantNode(name, table, trace, head.span)
+        return InvariantNode(name, table, trace, self.span(head))
 
     # -- .req ----------------------------------------------------------------
 
@@ -344,17 +346,16 @@ class _Parser:
         while not self.peek("EOF"):
             head = self.expect("requirement")
             rid = self.expect("REQID", "requirement id")
-            prose = self.expect("STRING", "quoted prose").value
+            req_id, span = self.values[rid], self.span(rid)
+            prose = self.word("STRING", "quoted prose")
             phase = None
             if self.peek("phase"):
                 self.advance()
-                phase = self.expect_word("phase tag").value
-            if rid.value in seen:
-                self.fail_at(
-                    rid.span, "DuplicateRequirement", f"requirement id {rid.value} already declared"
-                )
-            seen[rid.value] = rid.span
-            reqs.append(Requirement(rid.value, prose, phase, self.filename, head.span))
+                phase = self.expect_word("phase tag")
+            if req_id in seen:
+                self.fail_at(span, "DuplicateRequirement", f"requirement id {req_id} already declared")
+            seen[req_id] = span
+            reqs.append(Requirement(req_id, prose, phase, self.filename, self.span(head)))
         return reqs
 
     # -- .pf -----------------------------------------------------------------
@@ -367,7 +368,7 @@ class _Parser:
 
     def parse_problem(self) -> ProblemDiagram:
         head = self.expect("problem")
-        name = self.expect("ID").value
+        name = self.word()
         self.expect("{")
         machines: list[tuple[str, Span]] = []
         domains: list[PfDomain] = []
@@ -377,27 +378,27 @@ class _Parser:
             if self.peek("machine"):
                 self.advance()
                 tok = self.expect("ID")
-                machines.append((tok.value, tok.span))
+                machines.append((self.values[tok], self.span(tok)))
             elif self.peek("domain"):
                 self.advance()
-                dom_tok = self.expect("ID")
+                domain = self.expect("ID")
                 self.expect("kind")
-                kind_tok = self.expect("ID", "domain kind")
-                if kind_tok.value not in PF_DOMAIN_KINDS:
+                kind = self.expect("ID", "domain kind")
+                if self.values[kind] not in PF_DOMAIN_KINDS:
                     self.fail_at(
-                        kind_tok.span,
+                        self.span(kind),
                         "UnknownDomainKind",
-                        f"unknown domain kind '{kind_tok.value}' "
+                        f"unknown domain kind '{self.values[kind]}' "
                         f"(expected one of: {', '.join(PF_DOMAIN_KINDS)})",
                     )
-                domains.append(PfDomain(dom_tok.value, kind_tok.value, dom_tok.span))
+                domains.append(PfDomain(self.values[domain], self.values[kind], self.span(domain)))
             elif self.peek("interface"):
                 if_head = self.advance()
-                end_a = self.expect("ID").value
+                end_a = self.word()
                 self.expect("<->")
-                end_b = self.expect("ID").value
+                end_b = self.word()
                 phenomena = self.parse_phenomena()
-                interfaces.append(Interface(end_a, end_b, phenomena, if_head.span))
+                interfaces.append(Interface(end_a, end_b, phenomena, self.span(if_head)))
             elif self.peek("requirement"):
                 requirements.append(self.parse_pf_requirement())
             elif self.peek("EOF"):
@@ -405,44 +406,41 @@ class _Parser:
             else:
                 self.fail(
                     "expected 'machine', 'domain', 'interface' or 'requirement', "
-                    f"found {self.cur.describe()}"
+                    f"found {self.found()}"
                 )
         self.expect("}")
-        return ProblemDiagram(name, machines, domains, interfaces, requirements, head.span)
+        return ProblemDiagram(name, machines, domains, interfaces, requirements, self.span(head))
 
     def parse_phenomena(self) -> list[str]:
         self.expect("{")
-        names = [self.expect("ID", "phenomenon name").value]
-        while self.peek(","):
-            self.advance()
-            names.append(self.expect("ID", "phenomenon name").value)
+        names = self.words("ID", "phenomenon name")
         self.expect("}")
         return names
 
     def parse_pf_requirement(self) -> PfRequirement:
         head = self.expect("requirement")
         rid = self.expect("REQID", "requirement id")
-        prose = self.expect("STRING", "quoted prose").value
+        prose = self.word("STRING", "quoted prose")
         self.expect("{")
         constrains: tuple[str, list[str]] | None = None
         refs: list[tuple[str, list[str]]] = []
         while not self.peek("}"):
             if self.peek("constrains"):
                 tok = self.advance()
-                domain = self.expect("ID").value
+                domain = self.word()
                 phenomena = self.parse_phenomena()
                 if constrains is not None:
-                    self.fail_at(tok.span, "Syntax", "duplicate 'constrains' clause")
+                    self.fail_at(self.span(tok), "Syntax", "duplicate 'constrains' clause")
                 constrains = (domain, phenomena)
             elif self.peek("refs"):
                 self.advance()
-                domain = self.expect("ID").value
+                domain = self.word()
                 refs.append((domain, self.parse_phenomena()))
             else:
-                self.fail(f"expected 'constrains' or 'refs', found {self.cur.describe()}")
+                self.fail(f"expected 'constrains' or 'refs', found {self.found()}")
         self.expect("}")
         trace = self.parse_trace()
-        return PfRequirement(rid.value, prose, constrains, refs, trace, rid.span)
+        return PfRequirement(self.values[rid], prose, constrains, refs, trace, self.span(rid))
 
 
 def parse_spec(text: str, filename: str = "<spec>") -> SpecNode:

@@ -1,7 +1,9 @@
-"""The one-pattern tokenizer against the character-loop reference in
+"""The split tokenizer against the character-loop reference in
 ``oracle_helpers``: the same ``(kind, value, span)`` list, or the same
-diagnostic, on the corpus, the benchmark's projects, fixed edge cases and
-random text drawn from the token alphabet plus junk."""
+diagnostic, on the corpus, the benchmark's projects (the full seed-7
+``chain-pipeline`` chain among them), fixed edge cases, errors the split
+must locate exactly, and random text drawn from the token alphabet plus
+junk."""
 
 from __future__ import annotations
 
@@ -29,9 +31,19 @@ def _outcome(fn, text: str):
         return [d.render() for d in exc.diagnostics], [d.span for d in exc.diagnostics]
 
 
+def _triples(toks):
+    return [(toks.kinds[i], toks.values[i], toks.span(i)) for i in range(len(toks))]
+
+
 def _assert_same(text: str) -> None:
-    got = _outcome(lambda t, f: [(tok.kind, tok.value, tok.span) for tok in tokenize(t, f)], text)
+    got = _outcome(lambda t, f: _triples(tokenize(t, f)), text)
     assert got == _outcome(reference_tokenize, text)
+
+
+def _bench_chain() -> dict[str, str]:
+    """The files of ``bench/run.py --workload chain-pipeline --seed 7``."""
+    rng = random.Random("chain-pipeline:7")
+    return workloads.chain_project(rng, "chain", components=100, steps=500, dead_rows=10, explore=False).files
 
 
 def _texts():
@@ -41,6 +53,7 @@ def _texts():
         workloads.counters_project(rng(2), "reach", components=3, states=4, steps=1),
     ]
     out = [(f"{p.name}{suffix}", p.files[suffix]) for p in projects for suffix in (".rsml", ".pf", ".req")]
+    out += [(f"bench-chain{suffix}", _bench_chain()[suffix]) for suffix in (".rsml", ".pf", ".req")]
     out += [(path.name, path.read_text(encoding="utf-8")) for path in sorted(CORPUS.iterdir())
             if path.suffix in (".rsml", ".pf", ".req")]
     return out
@@ -52,6 +65,13 @@ _TEXTS = _texts()
 @pytest.mark.parametrize("name,text", _TEXTS, ids=[t[0] for t in _TEXTS])
 def test_files_match_reference(name, text):
     _assert_same(text)
+
+
+@pytest.mark.parametrize("suffix,count", [(".rsml", 11_996), (".pf", 4_301), (".req", 501)])
+def test_bench_chain_token_counts(suffix, count):
+    """``bench/run.py --trace 1`` reports ``len(tokenize(...))`` as
+    ``lexer.tokens``; the end of file counts."""
+    assert len(tokenize(_bench_chain()[suffix], "f")) == count
 
 
 @pytest.mark.parametrize(
@@ -67,8 +87,8 @@ def test_files_match_reference(name, text):
     ],
 )
 def test_end_of_file_column(text, line, column):
-    eof = tokenize(text, "f")[-1]
-    assert (eof.kind, eof.span.line, eof.span.column, eof.span.length) == ("EOF", line, column, 0)
+    kind, _, span = _triples(tokenize(text, "f"))[-1]
+    assert (kind, span.line, span.column, span.length) == ("EOF", line, column, 0)
     _assert_same(text)
 
 
@@ -92,6 +112,34 @@ def test_edge_cases_match_reference(text):
     _assert_same(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a -- c\n?", "f:2:1: error[Syntax]: unexpected character '?'"),  # after a trailing comment
+        ("a -- c ?\n\x0c", "f:2:1: error[Syntax]: unexpected character '\\x0c'"),
+        ('a "x"\n b\n  "yz\\"', "f:3:3: error[Syntax]: unterminated string"),  # on a later line
+        ('"a"\n"b\n"', "f:2:1: error[Syntax]: unterminated string"),
+        ("\xa0", "f:1:1: error[Syntax]: unexpected character '\\xa0'"),
+        ("\x85", "f:1:1: error[Syntax]: unexpected character '\\x85'"),
+        ("\u2028", "f:1:1: error[Syntax]: unexpected character '\\u2028'"),
+        ("\x0c", "f:1:1: error[Syntax]: unexpected character '\\x0c'"),
+        ("x\xa0y", "f:1:2: error[Syntax]: unexpected character '\\xa0'"),
+        ("type\r\n  X\r\n\t?\r\n", "f:3:2: error[Syntax]: unexpected character '?'"),  # CRLF
+        ('a\r\n"b\r\n', "f:2:1: error[Syntax]: unterminated string"),
+    ],
+)
+def test_errors_are_located_exactly(text, message):
+    with pytest.raises(SpecError) as exc:
+        tokenize(text, "f")
+    assert [d.render() for d in exc.value.diagnostics] == [message]
+    _assert_same(text)
+
+
+def test_crlf_text_matches_reference():
+    """A carriage return is one column, so CRLF lines end one column later."""
+    _assert_same("type X = { A,\r\n B } -- c\r\n\r\ncomponent C {\r\n}\r\n")
+
+
 _ALPHABET = [
     "x", "Abc_9", "_", "type", "trace", "T", "F", "TRUE", "in", "phase",
     "REQ-", "REQ-7", "REQ-a_1", "REQ",
@@ -101,7 +149,7 @@ _ALPHABET = [
     "≠", "≤", "≥",
     '"', '"s"', '\\"', "\\\\", "\\",
     " ", "\t", "\r", "\n", "\r\n", "--", "-- note",
-    "é", "∧", "\x00", "\x0c", "?",
+    "é", "∧", "\x00", "\x0c", "?", "\xa0", "\x85", "\u2028",
 ]
 
 

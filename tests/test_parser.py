@@ -37,23 +37,23 @@ component SSE_Driver_Needs_HMI {
 class TestLexer:
     def test_comments_and_spans(self):
         toks = tokenize("-- nothing\ntype X", "f.rsml")
-        assert [t.kind for t in toks] == ["type", "ID", "EOF"]
-        assert toks[0].span.line == 2
-        assert toks[1].span.column == 6
+        assert toks.kinds == ["type", "ID", "EOF"]
+        assert toks.span(0).line == 2
+        assert toks.span(1).column == 6
 
     def test_reqid_and_negative_int(self):
         toks = tokenize("REQ-001 trace -42", "f")
-        assert toks[0].kind == "REQID"
-        assert toks[1].kind == "trace"
-        assert (toks[2].kind, toks[2].value) == ("INT", "-42")
+        assert toks.kinds[0] == "REQID"
+        assert toks.kinds[1] == "trace"
+        assert (toks.kinds[2], toks.values[2]) == ("INT", "-42")
 
     def test_unicode_operator_normalization(self):
         toks = tokenize("a ≠ b ≤ c ≥ d", "f")
-        assert [t.kind for t in toks[:7]] == ["ID", "!=", "ID", "<=", "ID", ">=", "ID"]
+        assert toks.kinds[:7] == ["ID", "!=", "ID", "<=", "ID", ">=", "ID"]
 
     def test_range_vs_cell_dot(self):
         toks = tokenize("[0 .. 3] .", "f")
-        assert [t.kind for t in toks] == ["[", "INT", "..", "INT", "]", ".", "EOF"]
+        assert toks.kinds == ["[", "INT", "..", "INT", "]", ".", "EOF"]
 
     def test_unterminated_string(self):
         with pytest.raises(SpecError) as exc:
@@ -218,6 +218,14 @@ class TestRequirements:
     def test_phase_tag_may_be_keyword(self):
         reqs = parse_requirements('requirement REQ-9 "p." phase specification', "r.req")
         assert reqs[0].phase == "specification"
+
+    @pytest.mark.parametrize("word", ["state", "T", "design"])
+    def test_phase_tag_is_never_a_string(self, word):
+        """A quoted tag is a string token, whatever its text spells."""
+        with pytest.raises(SpecError) as exc:
+            parse_requirements(f'requirement REQ-1 "x" phase "{word}"', "r.req")
+        [diag] = exc.value.diagnostics
+        assert diag.render() == f"r.req:1:29: error[Syntax]: expected phase tag, found string '{word}'"
 
     def test_duplicate_id(self):
         text = 'requirement REQ-001 "a" requirement REQ-001 "b"'
