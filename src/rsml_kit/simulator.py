@@ -18,9 +18,11 @@ machines keep their previous value/state.
 
 Every step runs through a :class:`_Stepper`, built once per model and
 evaluation order and kept on the :class:`Specification`, so every call on
-one model shares it and its memos.  A state is packed, the one state form
-here: a flat tuple of the variable values, then the machine states, in
-declaration order.  :func:`initial_state` returns one, :func:`step_core`
+one model shares it and its memos.  It copies the display names and the
+span it needs and keeps no reference to the model, so no reference cycle
+holds a model once its caller drops it.  A state is packed, the one state
+form here: a flat tuple of the variable values, then the machine states,
+in declaration order.  :func:`initial_state` returns one, :func:`step_core`
 takes and returns one, and a :class:`Trace` (what :func:`run_script`
 returns, and each of :func:`explore`'s counterexamples) holds the name
 tuples once and one row per state, which the CLI renders by position.
@@ -30,7 +32,7 @@ it reads (``model.reads(..., live_only=True)``, so all-dot rows are left
 out), and a machine also on its own current state, since its transitions
 are filtered by source: a guard set is evaluated by
 ``table_logic.eval_condition`` once per distinct key, and every later step
-with that key reuses the fired index and value, or re-raises the same
+with that key reuses the fired choice's action, or re-raises the same
 ``NondeterministicFiring``.  A memo holds at most one entry per point of
 its node's read domain.  The stepper's ``successors`` takes a state and
 input combinations: for each it copies the row, sets the inputs, fires
@@ -79,12 +81,10 @@ from .table_logic import Valuation, eval_condition
 
 
 class StepResult(Record):
-    """``state``: the packed successor; ``fired_cases``: assignment target
-    -> enabled case index; ``fired_transitions``: machine -> index into
-    ``machine.transitions``; ``violations``: invariant names false in the
-    resulting state."""
+    """``state``: the packed successor; ``violations``: invariant names
+    false in it."""
 
-    __slots__ = _fields = ("state", "fired_cases", "fired_transitions", "violations")
+    __slots__ = _fields = ("state", "violations")
 
 
 class Trace(Record):
@@ -108,8 +108,8 @@ class ExplorationReport(Record):
 Packed = tuple  # variable values, then machine states, in declaration order
 PackedInputs = Sequence[tuple[int, Value]]  # (slot, value)
 _Node = Union[StateMachine, AssignmentSpec]  # what a step fires
-# (name, is machine, target slot, key of row, memo, outcome on a miss)
-_Firing = tuple[str, bool, int, Callable, dict, Callable]
+# (is machine, target slot, key of row, memo, outcome on a miss)
+_Firing = tuple[bool, int, Callable, dict, Callable]
 # (name, key of row, memo, body, view)
 _Check = tuple[str, Callable, dict, Condition, Callable]
 
@@ -132,7 +132,7 @@ class _Stepper:
     """
 
     def __init__(self, spec: Specification, order: list[str]):
-        self.spec = spec
+        self.span = spec.span
         self.var_names = tuple(v.qualified for v in spec.variables)
         self.machine_names = tuple(m.qualified for m in spec.machines)
         self.width = len(self.var_names)
@@ -150,8 +150,8 @@ class _Stepper:
             own = self.machine_slot.get(node)  # a machine also reads its own state
             slots, view = self._reader([cond for cond, _, _ in _choices(owner)], own)
             target = self.slot[node] if own is None else own - self.width
-            fire = self._outcome(node, owner, own, view)
-            self.nodes.append((node, own is not None, target, slots, {}, fire))
+            fire = _outcome(spec.display_name(node), owner, own, view)
+            self.nodes.append((own is not None, target, slots, {}, fire))
         self.invariants: list[_Check] = []
         for inv in spec.invariants:
             key, view = self._reader([inv.body])
@@ -177,33 +177,6 @@ class _Stepper:
 
         return key, view
 
-    def _outcome(self, node: str, owner: _Node, own: int | None, view: Callable) -> Callable:
-        """The firing rule, stated once: the first enabled choice fires, and
-        enabled choices that disagree on the action are a
-        ``NondeterministicFiring``.  A machine (``own`` is its state's slot)
-        chooses among the transitions out of its current state."""
-
-        def outcome(row: list):
-            current = None if own is None else row[own]
-            v = view(row)
-            enabled = [
-                (idx, action)
-                for idx, (cond, action, source) in enumerate(_choices(owner))
-                if source == current and eval_condition(cond, v)
-            ]
-            actions = {action for _, action in enabled}
-            if len(actions) > 1:
-                if own is None:
-                    cases = [idx for idx, _ in enabled]
-                    clash = f"cases {cases} enabled together with different values"
-                else:
-                    clash = f"transitions to {sorted(actions)} enabled together in state {current}"
-                name = self.spec.display_name(node)
-                return error("NondeterministicFiring", f"{name}: {clash}", owner.span)
-            return enabled[0] if enabled else None
-
-        return outcome
-
     def violated(self, row: Packed | list) -> list[str]:
         """The invariants false on ``row`` (values, then machine states)."""
         violated = []
@@ -218,21 +191,20 @@ class _Stepper:
         return violated
 
     def successors(
-        self, state: Packed, combos: Iterable[PackedInputs], fired: list | None = None
+        self, state: Packed, combos: Iterable[PackedInputs]
     ) -> Iterator[tuple[Packed, list[str]]]:
         """The successor of ``state`` under each input combination in turn,
         and the invariants it violates.  Each combination copies the row,
         sets its inputs and fires the nodes in evaluation order: an
         assignment's value goes into the row, a machine's new state into
-        the machine part once all have fired.  The first clash raises.
-        ``fired`` collects ``(node, is machine, index)``."""
+        the machine part once all have fired.  The first clash raises."""
         width = self.width
         for combo in combos:
             row = list(state)
             for slot, value in combo:
                 row[slot] = value
             states = row[width:]
-            for node, is_machine, target, key_of, memo, fire in self.nodes:
+            for is_machine, target, key_of, memo, fire in self.nodes:
                 key = key_of(row)
                 try:
                     outcome = memo[key]
@@ -242,13 +214,10 @@ class _Stepper:
                     continue
                 if outcome.__class__ is Diagnostic:
                     raise SpecError(outcome)
-                idx, value = outcome
                 if is_machine:
-                    states[target] = value
+                    states[target] = outcome[1]
                 else:
-                    row[target] = value
-                if fired is not None:
-                    fired.append((node, is_machine, idx))
+                    row[target] = outcome[1]
             row[width:] = states
             yield tuple(row), self.violated(row)
 
@@ -264,10 +233,37 @@ class _Stepper:
                 error(
                     "InvariantViolatedInitially",
                     f"invariant '{violated[0]}' is violated in the initial state",
-                    self.spec.span,
+                    self.span,
                 )
             )
         return self.initial
+
+
+def _outcome(name: str, owner: _Node, own: int | None, view: Callable) -> Callable:
+    """The firing rule, stated once: the first enabled choice fires as its
+    ``(index, action)``, and enabled choices that disagree on the action
+    are a ``NondeterministicFiring`` of ``name``.  A machine (``own`` is its
+    state's slot) chooses among the transitions out of its current state."""
+
+    def outcome(row: list):
+        current = None if own is None else row[own]
+        v = view(row)
+        enabled = [
+            (idx, action)
+            for idx, (cond, action, source) in enumerate(_choices(owner))
+            if source == current and eval_condition(cond, v)
+        ]
+        actions = {action for _, action in enabled}
+        if len(actions) > 1:
+            if own is None:
+                cases = [idx for idx, _ in enabled]
+                clash = f"cases {cases} enabled together with different values"
+            else:
+                clash = f"transitions to {sorted(actions)} enabled together in state {current}"
+            return error("NondeterministicFiring", f"{name}: {clash}", owner.span)
+        return enabled[0] if enabled else None
+
+    return outcome
 
 
 def _choices(owner: _Node) -> Iterator[tuple[Condition, Value, str | None]]:
@@ -320,12 +316,8 @@ def step_core(
 ) -> StepResult:
     """Single synchronous step from the packed ``row``; invariant
     violations are reported in the result rather than raised."""
-    fired: list[tuple[str, bool, int]] = []
     stepper = _stepper(spec, order)
-    succ, violations = next(stepper.successors(row, [stepper.combination(inputs)], fired))
-    cases = {node: idx for node, is_machine, idx in fired if not is_machine}
-    transitions = {node: idx for node, is_machine, idx in fired if is_machine}
-    return StepResult(succ, cases, transitions, violations)
+    return StepResult(*next(stepper.successors(row, [stepper.combination(inputs)])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Brute-force oracles kept deliberately independent of the shipped
 evaluation path: truth-vector table semantics and naive enumeration for
 completeness/consistency verdicts, and the interpretive step semantics
-(every guard set evaluated at every step over freshly built dicts) with a
-breadth-first search and a script fold on top of it, whose traces are
+(every guard set and invariant evaluated at every step by those same
+truth-vector semantics over one freshly built dict) with a breadth-first
+search and a script fold on top of it, whose traces are
 named states, the trace renderers over those named states, the per-machine
 Event-B assembly that rebuilds every refinement from scratch and records
 the flat machine's provenance as it goes, the trace report that scans
@@ -65,13 +66,12 @@ from rsml_kit.pftrace import (
 from rsml_kit.record import Record
 from rsml_kit.simulator import (
     ExplorationReport,
-    StepResult,
     Trace,
     check_inputs,
     evaluation_order,
     input_combinations,
 )
-from rsml_kit.table_logic import Valuation, eval_condition
+from rsml_kit.table_logic import Valuation
 
 _OPS = {
     "=": operator.eq,
@@ -222,15 +222,25 @@ def _make_state(spec, values: dict, states: dict, step: int) -> SystemState:
     return SystemState(ordered_values, ordered_states, step)
 
 
-def reference_violated(spec, v: Valuation) -> list[str]:
-    return [inv.name for inv in spec.invariants if not eval_condition(inv.body, v)]
+class ReferenceStep(Record):
+    """One reference step: the named successor ``state``, the invariants
+    it violates, and what fired: ``fired_cases`` maps an assignment's
+    target to its case index, ``fired_transitions`` a machine to the index
+    into ``machine.transitions``."""
+
+    __slots__ = _fields = ("state", "violations", "fired_cases", "fired_transitions")
+
+
+def reference_violated(spec, env: dict) -> list[str]:
+    """The invariants false in ``env`` (see :func:`oracle_pred`)."""
+    return [inv.name for inv in spec.invariants if not oracle_condition(inv.body, env)]
 
 
 def reference_initial_state(spec) -> SystemState:
     values = {v.qualified: v.initial_value for v in spec.variables}
     states = {m.qualified: m.initial for m in spec.machines}
     state = _make_state(spec, values, states, 0)
-    violated = reference_violated(spec, Valuation(values, states))
+    violated = reference_violated(spec, {**values, **states})
     if violated:
         raise SpecError(
             error(
@@ -242,25 +252,23 @@ def reference_initial_state(spec) -> SystemState:
     return state
 
 
-def reference_step(spec, cur: SystemState, inputs: dict, order: list[str]) -> StepResult:
-    """One synchronous step, every guard set interpreted afresh."""
-    values = dict(cur.values)
-    snapshot = dict(cur.states)  # machine states as read by every guard
+def reference_step(spec, cur: SystemState, inputs: dict, order: list[str]) -> ReferenceStep:
+    """One synchronous step, every guard set interpreted afresh over one
+    env: the variables at their current-step value, the machines at their
+    step-entry state (a model never names a variable and a machine alike)."""
+    env = {**dict(cur.values), **dict(cur.states), **inputs}
     new_states = dict(cur.states)
-    values.update(inputs)
-
-    view = Valuation(values, snapshot)
     fired_cases: dict[str, int] = {}
     fired_transitions: dict[str, int] = {}
 
     for node in order:
         machine = spec.machine_map.get(node)
         if machine is not None:
-            current = snapshot[node]
+            current = env[node]
             enabled = [
                 (idx, t)
                 for idx, t in enumerate(machine.transitions)
-                if t.source == current and eval_condition(t.guard, view)
+                if t.source == current and oracle_condition(t.guard, env)
             ]
             targets = {t.target for _, t in enabled}
             if len(targets) > 1:
@@ -283,7 +291,7 @@ def reference_step(spec, cur: SystemState, inputs: dict, order: list[str]) -> St
         enabled_cases = [
             (idx, case)
             for idx, case in enumerate(assign.cases)
-            if eval_condition(case.condition, view)
+            if oracle_condition(case.condition, env)
         ]
         case_values = {case.value for _, case in enabled_cases}
         if len(case_values) > 1:
@@ -298,12 +306,12 @@ def reference_step(spec, cur: SystemState, inputs: dict, order: list[str]) -> St
             )
         if enabled_cases:
             idx, case = enabled_cases[0]
-            values[node] = case.value
+            env[node] = case.value
             fired_cases[node] = idx
 
-    state = _make_state(spec, values, new_states, cur.step + 1)
-    violations = reference_violated(spec, Valuation(values, new_states))
-    return StepResult(state, fired_cases, fired_transitions, violations)
+    env.update(new_states)
+    state = _make_state(spec, env, new_states, cur.step + 1)
+    return ReferenceStep(state, reference_violated(spec, env), fired_cases, fired_transitions)
 
 
 def reference_run_script(spec, script: list[dict], keep_going: bool = False) -> NamedTrace:
@@ -334,7 +342,7 @@ def reference_explore(spec, max_states: int = 100_000, max_depth: int = 1_000) -
     visited = {state_key(init): 0}
     parents: dict = {state_key(init): None}
     violations: dict = {}
-    for name in reference_violated(spec, Valuation(values, states)):
+    for name in reference_violated(spec, {**values, **states}):
         violations.setdefault(name, state_key(init))
 
     frontier = [init]

@@ -732,6 +732,36 @@ _ENTRY_CASES = [
 ]
 
 
+# Each command on the chain, in text and JSON where it has JSON.
+_GC_CASES = [case for case in _ENTRY_CASES if case[0] == "chain"] + [
+    ("chain", ["gen", "RSML", "-o", "flat"], 0)
+]
+
+
+def _cyclic_garbage(argv: list[str], expected: int) -> tuple[int, list[str]]:
+    """How many objects ``gc.collect()`` finds in cycles after ``main(argv)``
+    exits with ``expected`` under a disabled collector, and the sorted
+    types among them that ``rsml_kit`` defines."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == expected
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        ours = {
+            f"{kind.__module__}.{kind.__qualname__}"
+            for kind in map(type, gc.garbage)
+            if kind.__module__.startswith("rsml_kit")
+        }
+        return found, sorted(ours)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+
+
 def _child_env() -> dict[str, str]:
     """The sources under test, without colour, and with buffered stdout, so
     that what ``run`` leaves unflushed would be lost."""
@@ -832,30 +862,29 @@ class TestEntryPoint:
         finally:
             (gc.enable if was else gc.disable)()
 
+    @pytest.mark.parametrize(
+        "project, argv, expected",
+        _GC_CASES,
+        ids=lambda x: "-".join(x) if isinstance(x, list) else str(x),
+    )
+    def test_a_command_leaves_no_model_in_cycles(
+        self, projects, tmp_path, monkeypatch, capsys, project, argv, expected
+    ):
+        """With the collector off, nothing of the model outlives a command:
+        no ``rsml_kit`` object is left in a reference cycle."""
+        monkeypatch.chdir(tmp_path)
+        _, ours = _cyclic_garbage([projects[project].get(a, a) for a in argv], expected)
+        assert ours == []
+
     def test_explore_leaves_the_model_not_garbage_per_state(self, projects, capsys):
-        """With the collector off, what a run leaves in cycles must not grow
-        with the states it visits: after ``explore`` on the 100-component
-        chain it is the model graph (about 15,300 objects, held by the
-        ``Specification`` and its ``_Stepper``) at 500 states and at 8,000."""
-        was = gc.isenabled()
-        gc.disable()
-        found, kinds = {}, set()
-        try:
-            for states in (500, 8000):
-                gc.collect()
-                assert main(["explore", projects["chain"]["RSML"], "--max-states", str(states)]) == 3
-                gc.set_debug(gc.DEBUG_SAVEALL)
-                found[states] = gc.collect()
-                kinds |= {type(obj).__qualname__ for obj in gc.garbage}
-                gc.set_debug(0)
-                gc.garbage.clear()
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            if was:
-                gc.enable()
-        assert {"Specification", "_Stepper"} <= kinds
-        assert found[500] < 20_000
+        """With the collector off, what ``explore`` on the 100-component
+        chain leaves in cycles holds no ``rsml_kit`` object and does not
+        grow with the states it visits, from 500 to 8,000."""
+        found = {}
+        for states in (500, 8000):
+            argv = ["explore", projects["chain"]["RSML"], "--max-states", str(states)]
+            found[states], ours = _cyclic_garbage(argv, 3)
+            assert ours == []
         assert found[8000] - found[500] < 1_000
 
     def test_closed_stderr_ends_clean(self):

@@ -16,7 +16,7 @@ from conftest import (
     step_core,
 )
 from eventb_interp import eval_expr, parse_machine
-from oracle_helpers import witness_valuation
+from oracle_helpers import reference_step, witness_valuation
 from rsml_kit.analysis import (
     check_completeness,
     check_consistency,
@@ -28,7 +28,7 @@ from rsml_kit.eventb import gen_flat, render
 from rsml_kit.model import resolve
 from rsml_kit.parser import parse_spec
 from rsml_kit.pftrace import Requirement, link
-from rsml_kit.simulator import explore, input_combinations, parse_script
+from rsml_kit.simulator import evaluation_order, explore, input_combinations, parse_script
 from rsml_kit.table_logic import eval_condition
 
 
@@ -155,9 +155,14 @@ class TestInterpreterTransitionAgreement:
             for e in graph.edges
             if e.kind == "provenance" and e.source[0] == "transition"
         }
+        # The fired transition comes from the reference step, whose
+        # successor the shipped step must match.
+        order = evaluation_order(traffic)
         for state in states.values():
             for combo in combos:
-                fired = step_core(traffic, state, combo).fired_transitions.get("Ctl.Light")
+                reference = reference_step(traffic, state, combo, order)
+                assert step_core(traffic, state, combo).state == reference.state
+                fired = reference.fired_transitions.get("Ctl.Light")
                 env = {k.split(".", 1)[1]: v for k, v in state.values}
                 env.update({k.split(".", 1)[1]: v for k, v in combo.items()})
                 env["Light_state"] = machine_state(state, "Ctl.Light")

@@ -1,7 +1,8 @@
 """The memoized, packed stepper against the interpretive reference step in
-``oracle_helpers``: equal script traces (and fired indices) and equal
-exploration reports, every state compared by name, on generated one- and
-two-component specifications, the corpus, and small benchmark projects."""
+``oracle_helpers``: equal script traces, equal steps (successors and
+violations) and equal exploration reports, every state compared by name,
+on generated one- and two-component specifications, the corpus, and small
+benchmark projects."""
 
 from __future__ import annotations
 
@@ -49,6 +50,12 @@ def _outcome(run):
         return "ok", run()
     except SpecError as exc:
         return "error", str(exc)
+
+
+def _step(run):
+    """A step's successor and violations, or the text of its SpecError."""
+    status, result = _outcome(run)
+    return (status, result) if status == "error" else (status, (result.state, result.violations))
 
 
 @st.composite
@@ -190,17 +197,17 @@ def _assert_same_run(spec, script: list[dict], keep_going: bool) -> None:
 
 
 def _assert_same_steps(spec, script: list[dict], order: list[str] | None = None) -> None:
-    """step_core and the reference step agree on every StepResult, fired
-    indices included, along the script, in ``order`` (default: the
-    dependency order)."""
+    """step_core and the reference step agree on every successor and its
+    violations along the script, in ``order`` (default: the dependency
+    order)."""
     order = evaluation_order(spec) if order is None else order
     state = reference_initial_state(spec)
     for row in script:
-        ours = _outcome(lambda: step_core(spec, state, row, order))
-        assert ours == _outcome(lambda: reference_step(spec, state, row, order))
+        ours = _step(lambda: step_core(spec, state, row, order))
+        assert ours == _step(lambda: reference_step(spec, state, row, order))
         if ours[0] == "error":
             return
-        state = ours[1].state
+        state = ours[1][0]
 
 
 def _assert_same_exploration(spec, **limits) -> tuple:
@@ -323,8 +330,8 @@ def test_the_first_clash_in_evaluation_order_is_raised(second, clash, first):
     initial = reference_initial_state(spec)
     for state in (initial, SystemState(initial.values, (("A.N", "Q"),), 1)):
         for x in (0, 1, 2):
-            ours = _outcome(lambda: step_core(spec, state, {"A.x": x}, order))
-            assert ours == _outcome(lambda: reference_step(spec, state, {"A.x": x}, order))
+            ours = _step(lambda: step_core(spec, state, {"A.x": x}, order))
+            assert ours == _step(lambda: reference_step(spec, state, {"A.x": x}, order))
     script = [{"A.x": 1}, {"A.x": 0}, {"A.x": 2}]
     _assert_same_run(spec, script, keep_going=True)
 
