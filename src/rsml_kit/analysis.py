@@ -15,13 +15,13 @@ of the guard set's tables mentions, all-dot rows included
 (``model.reads(..., live_only=False)``), each over its type's ``values`` or
 its machine's states, as one ``model.Radix`` in first-occurrence order.  One
 ``_GuardSetMasks`` per guard set holds it, gives the ``domain N`` count,
-checks the cap, builds the masks from each table's ``columns`` (never its
-cells), one block per run of matching values (over an int range that a
-test compares with one int, at most three runs found from the int alone),
+checks the cap, builds each row's mask, one block per run of matching
+values (over an int range that a test compares with one int, at most three
+runs found from the int alone), folds them with ``table_logic.table_truth``
 and decodes witnesses through the radix; :func:`analyze` emits each guard
-set's diagnostics as it checks it, then both cycle diagnostics from one
-``model.build_dependency_graph``: a same-step variable cycle is an error,
-and a component cycle without one only a warning.
+set's diagnostics as it checks it, then the same-step variable cycle of
+``model.build_dependency_graph`` as an error (``check`` reports a component
+cycle, which only chain generation refuses, from ``names``).
 
 Bit n of a mask is the radix's n-th valuation in lexicographic order, so a
 witness, the lowest set bit of a mask, is the lexicographically smallest
@@ -38,7 +38,6 @@ from typing import Callable, Optional
 from .diagnostics import Diagnostic, Span, SpecError, error, info, warning
 from .model import (
     DEFAULT_CAP,
-    AndOrTable,
     DomainRef,
     ElseCondition,
     LitOperand,
@@ -53,7 +52,7 @@ from .model import (
     reads,
 )
 from .record import Record
-from .table_logic import OPS
+from .table_logic import OPS, table_truth
 
 
 class GuardSet(Record):
@@ -208,7 +207,7 @@ class _GuardSetMasks:
     def tables(self) -> dict[int, int]:
         """The mask of each table condition, by position."""
         return {
-            idx: self.table(cond.table)
+            idx: table_truth(cond.table, self.predicate, self.full)
             for idx, (cond, _) in enumerate(self.g.conditions)
             if isinstance(cond, TableCondition)
         }
@@ -257,21 +256,6 @@ class _GuardSetMasks:
         for b in self.radix.domains[self.refs.index(right)]:
             lhs_holds = self.where(lhs, lambda a, b=b: test(a, b), b)
             mask |= lhs_holds & self.where(right, lambda r, b=b: r == b, b)
-        return mask
-
-    def table(self, t: AndOrTable) -> int:
-        """OR of the columns; a column is the AND of its literals' rows,
-        each complemented where the literal wants false."""
-        full = self.full
-        rows: dict[int, int] = {}  # built on first use, so an all-dot row costs nothing
-        mask = 0
-        for literals in t.columns:
-            column = full
-            for r, wants_true in literals:
-                if r not in rows:
-                    rows[r] = self.predicate(t.rows[r])
-                column &= rows[r] if wants_true else full ^ rows[r]
-            mask |= column
         return mask
 
     def witness(self, bit: int) -> dict[str, Value]:
@@ -333,7 +317,7 @@ def check_consistency(
 
 
 def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisReport:
-    """Every guard set's verdicts and diagnostics in one pass, then the cycles."""
+    """Every guard set's verdicts and diagnostics in one pass, then the cycle."""
     guard_sets, diagnostics = collect_guard_sets(spec)
     results: list[GuardSetResult] = []
     for g in guard_sets:
@@ -364,18 +348,9 @@ def analyze(spec: Specification, cap: int | None = DEFAULT_CAP) -> AnalysisRepor
             text = f"{label}: conditions {i} and {j} overlap at {at} but agree on the action"
             diagnostics.append(warning("OverlappingEquivalentCases", text, g.span))
 
-    graph = build_dependency_graph(spec)
-    if graph.cycle is not None:
-        diagnostics.append(cycle_error(spec, graph.cycle))
-    if graph.cyclic:
-        diagnostics.append(
-            warning(
-                "ComponentCycle",
-                f"component dependency cycle among: {', '.join(graph.cyclic)}; "
-                "gen --mode chain will refuse this specification",
-                spec.span,
-            )
-        )
+    cycle = build_dependency_graph(spec).cycle
+    if cycle is not None:
+        diagnostics.append(cycle_error(spec, cycle))
     return AnalysisReport(results, diagnostics)
 
 

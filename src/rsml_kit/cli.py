@@ -191,12 +191,13 @@ def cmd_check(args: argparse.Namespace) -> _Result:
     reports = [(spec, analysis.analyze(spec, args.cap)) for spec in specs]
     for spec, report in reports:
         diags.extend(report.diagnostics)
-        # Chain mode's other refusal, a component cycle, is ComponentCycle there.
+        # What gen --mode chain would refuse is only a warning here.
         names = spec.eventb_names
         refusal = names.chain_error
-        if refusal is not None and refusal.code == "NoOutputs":
+        if refusal is not None:
+            code = "ComponentCycle" if refusal.code == "CyclicDependency" else "NoOutputs"
             message = f"{refusal.message}; gen --mode chain will refuse this specification"
-            diags.append(warning("NoOutputs", message, refusal.span))
+            diags.append(warning(code, message, refusal.span))
         diags.extend(names.collisions())  # what gen would refuse
 
     def payload() -> dict:

@@ -358,7 +358,10 @@ def parse_script(text: str, spec: Specification, filename: str = "<script>") -> 
             if len(matches) != 1:
                 raise SpecError(_name_error(name, matches, f"{filename}:{lineno}"))
             row[matches[0]] = int(raw_value) if _INTEGER.fullmatch(raw_value) else raw_value
-        check_inputs(spec, row)
+        try:
+            check_inputs(spec, row)
+        except SpecError as exc:  # at the script's line, not the spec's header
+            raise SpecError(error(exc.code, f"{filename}:{lineno}: {exc.diagnostics[0].message}"))
         rows.append(row)
     return rows
 

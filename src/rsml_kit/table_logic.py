@@ -1,13 +1,13 @@
-"""Evaluation semantics for predicates, AND/OR table columns and tables, and
-`else` conditions over a variable valuation.
+"""Evaluation semantics for predicates, AND/OR tables and `else` conditions.
 
-A column holds when each of its literals (``AndOrTable.columns``) holds: T
-needs the row predicate true, F needs it false, and a dot is no literal.  A
-table holds when some column holds, and `else` holds when none of its
-sibling tables do.
+:func:`table_truth` is the one AND/OR fold, for the stepper and the checker
+alike: it folds bools here, and int masks over a domain in ``analysis``, as
+a point is a one-bit mask.  `else` holds when none of its sibling tables do.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .model import (
     AndOrTable,
@@ -53,12 +53,25 @@ def eval_predicate(p: Predicate, v: Valuation) -> bool:
     return OPS[p.op](lhs, rhs)
 
 
-def eval_column(t: AndOrTable, col: int, v: Valuation) -> bool:
-    return all(eval_predicate(t.rows[r], v) == wants for r, wants in t.columns[col])
+def table_truth(t: AndOrTable, row: Callable[[Predicate], int], full: int) -> int:
+    """OR of the columns; a column is the AND of its literals
+    (``AndOrTable.columns``): T wants the row true, F wants it false, so its
+    truth is complemented against ``full``, the all-true value, and a dot is
+    no literal.  ``row`` gives a row's truth, asked once per row that a
+    literal names, so an all-dot row costs nothing."""
+    named = dict.fromkeys(r for literals in t.columns for r, _ in literals)
+    truths = {r: row(t.rows[r]) for r in named}
+    holds = full ^ full  # nowhere: 0, or False at a point
+    for literals in t.columns:
+        column = full
+        for r, wants_true in literals:
+            column &= truths[r] if wants_true else full ^ truths[r]
+        holds |= column
+    return holds
 
 
 def eval_table(t: AndOrTable, v: Valuation) -> bool:
-    return any(eval_column(t, col, v) for col in range(len(t.columns)))
+    return table_truth(t, lambda p: eval_predicate(p, v), True)
 
 
 def eval_condition(c: Condition, v: Valuation) -> bool:

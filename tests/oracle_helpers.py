@@ -647,6 +647,68 @@ def _reaches_itself(start: str, successors: dict[str, set[str]]) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# Dependency graph
+
+
+def _reference_kahn(nodes: list[str], successors: dict[str, set[str]]) -> list[str]:
+    """Place, again and again, the earliest node in ``nodes`` whose
+    predecessors are all placed; what is never ready is left out."""
+    preds = {node: {u for u in nodes if node in successors[u]} for node in nodes}
+    order: list[str] = []
+    while True:
+        ready = [node for node in nodes if node not in order and preds[node] <= set(order)]
+        if not ready:
+            return order
+        order.append(ready[0])
+
+
+def _shortest_simple_cycle(start: str, successors: dict[str, set[str]], index: dict[str, int]):
+    """Every simple cycle through ``start``, listed from it: the shortest,
+    ties going to the smallest sequence of declaration indices; or None."""
+    cycles: list[list[str]] = []
+
+    def extend(path: list[str]) -> None:
+        for succ in successors[path[-1]]:
+            if succ == start:
+                cycles.append(path)
+            elif succ not in path:
+                extend(path + [succ])
+
+    extend([start])
+    return min(cycles, key=lambda c: (len(c), [index[n] for n in c]), default=None)
+
+
+def reference_dependencies(
+    nodes: list[str], edges: set[tuple[str, str]], component_of: dict[str, str]
+) -> dict:
+    """``model.Dependencies``' ``order``, ``cycle``, ``component_order`` and
+    ``cyclic`` by brute force, from the nodes in declaration order, the
+    edges (u, v) for "v reads u", and each node's component.  Components
+    are declared in their nodes' order, and one depends on another when
+    an edge crosses from it."""
+    successors = {node: {v for u, v in edges if u == node} for node in nodes}
+    index = {node: i for i, node in enumerate(nodes)}
+    order = _reference_kahn(nodes, successors)
+    cycle = None
+    for start in nodes:
+        if start not in order:
+            found = _shortest_simple_cycle(start, successors, index)
+            if found is not None and (cycle is None or len(found) < len(cycle)):
+                cycle = found
+    components = list(dict.fromkeys(component_of[node] for node in nodes))
+    consumers: dict[str, set[str]] = {comp: set() for comp in components}
+    for u, v in edges:
+        if component_of[u] != component_of[v]:
+            consumers[component_of[u]].add(component_of[v])
+    return {
+        "order": order if len(order) == len(nodes) else None,
+        "cycle": cycle,
+        "component_order": _reference_kahn(components, consumers),
+        "cyclic": [comp for comp in components if _reaches_itself(comp, consumers)],
+    }
+
+
 def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
     """Refinement chain: a most-abstract machine with only the terminal
     outputs set nondeterministically, then one refinement per component in

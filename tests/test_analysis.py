@@ -3,9 +3,11 @@ from __future__ import annotations
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, domain_product, spec_from
-from oracle_helpers import oracle_verdicts
+from oracle_helpers import oracle_verdicts, reference_dependencies
 from rsml_kit.analysis import (
     DomainTooLarge,
     GuardSet,
@@ -399,15 +401,53 @@ component B {
         spec = spec_from(text)
         verdict = build_dependency_graph(spec)
         assert verdict.cycle is None and verdict.order is not None
-        assert [d.code for d in analyze(spec).diagnostics] == ["ComponentCycle"]
+        # Only chain generation refuses a component cycle; check warns of it.
+        assert analyze(spec).diagnostics == []
         path = tmp_path / "s.rsml"
         path.write_text(text, encoding="utf-8")
         assert main(["check", str(path)]) == 0
-        capsys.readouterr()
+        assert "warning[ComponentCycle]" in capsys.readouterr().err
         assert main(["gen", str(path), "-o", str(tmp_path / "out"), "--mode", "chain"]) == 1
         assert capsys.readouterr().err == (
             f"{path}:2:1: error[CyclicDependency]: component dependency cycle among: A, B\n"
         )
+
+
+@st.composite
+def digraph_specs(draw) -> tuple[str, list[str], set[tuple[str, str]], dict[str, str]]:
+    """A random digraph over 1-8 boolean outputs, split across 1-4
+    components in declaration order, each output read by at most three,
+    and its specification: an edge u->v ("v reads u"), self-edges
+    included, is a row ``U.u = TRUE`` in v's assignment."""
+    n = draw(st.integers(1, 8))
+    drawn = sorted(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    comps = [f"C{sorted(set(drawn)).index(c)}" for c in drawn]
+    nodes = [f"{comp}.o{i}" for i, comp in enumerate(comps)]
+    component_of = dict(zip(nodes, comps))
+    readers = st.sets(st.integers(0, n - 1), max_size=3)
+    edges = {(u, nodes[v]) for u in nodes for v in draw(readers)}
+    lines = ["specification s"]
+    for comp in dict.fromkeys(comps):
+        own = [node for node in nodes if component_of[node] == comp]
+        lines.append(f"component {comp} {{")
+        lines += [f"  output {node.partition('.')[2]} : bool" for node in own]
+        for v in own:
+            rows = [f"    {u} = TRUE : T" for u in nodes if (u, v) in edges]
+            if rows:
+                lines += [f"  assign {v.partition('.')[2]} {{ when table {{", *rows]
+                lines.append("  } then TRUE when else then FALSE }")
+        lines.append("}")
+    return "\n".join(lines), nodes, edges, component_of
+
+
+@given(digraph_specs())
+@settings(max_examples=300, deadline=None)
+def test_dependency_graph_matches_brute_force(drawn):
+    text, nodes, edges, component_of = drawn
+    graph = build_dependency_graph(spec_from(text))
+    fields = ("order", "cycle", "component_order", "cyclic")
+    got = {field: getattr(graph, field) for field in fields}
+    assert got == reference_dependencies(nodes, edges, component_of)
 
 
 class TestAnalyzeReport:

@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, MUTEX_TOY, TRAFFIC
+from conftest import CORPUS, MUTEX_TOY, TRAFFIC, spec_from
 from rsml_kit import cli
 from rsml_kit.cli import main
+from rsml_kit.diagnostics import SpecError
+from rsml_kit.simulator import parse_script
 
 sys.path.insert(0, str(CORPUS.parent / "bench"))
 import workloads  # noqa: E402
@@ -386,6 +388,28 @@ class TestSimulate:
         script.write_text("HMI_Stop_Ena=TRUE\n", encoding="utf-8")
         assert main(["simulate", STARTSTOP, str(script)]) == 1
         assert "not an input: HMI_Stop_Ena" in capsys.readouterr().err
+
+    # A row the spec refuses is located at its script line, as a malformed
+    # row or an unknown name is, not at the specification's header.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("Level=HIGH", "error[NotAnInput]: {}:3: not an input: Level"),
+            ("Raw=9", "error[TypeMismatch]: {}:3: value 9 is outside the domain of Raw"),
+        ],
+        ids=["NotAnInput", "TypeMismatch"],
+    )
+    def test_script_row_refusal_names_the_script_line(self, tmp_path, capsys, fmt, row, message):
+        script = tmp_path / "s.script"
+        script.write_text(f"# warm up\nRaw=1\n{row}\n", encoding="utf-8")
+        twocomp = CORPUS / "twocomp.rsml"
+        assert main(["simulate", str(twocomp), str(script), "--format", fmt]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", message.format(script) + "\n")
+        with pytest.raises(SpecError) as exc:
+            parse_script(script.read_text(encoding="utf-8"), spec_from(twocomp.read_text()), "s")
+        assert "span" not in exc.value.diagnostics[0].to_json()
 
     # Arabic-Indic and fullwidth 3: a script value is ASCII, as in the spec.
     @pytest.mark.parametrize("value", ["\u0663", "\uff13"], ids=["arabic-indic", "fullwidth"])
@@ -973,6 +997,22 @@ def test_sources_parse_at_the_declared_python_floor():
     assert pyproject["project"]["requires-python"] == ">=3.10"
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_table_truth_lives_in_table_logic_alone():
+    """The checker and the stepper read a table through one AND/OR fold,
+    ``table_logic.table_truth``.  Only it reads ``AndOrTable.columns``,
+    besides ``model``, which builds them, and ``eventb``, which writes them
+    as formula text."""
+    allowed = {"model.py", "table_logic.py", "eventb.py"}
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "columns":
+                found.append((path.name, node.lineno))
+    assert found == []
 
 
 def test_mixed_radix_lives_in_model_alone():

@@ -17,13 +17,7 @@ from rsml_kit.model import (
     TableCondition,
     VarOperand,
 )
-from rsml_kit.table_logic import (
-    Valuation,
-    eval_column,
-    eval_condition,
-    eval_predicate,
-    eval_table,
-)
+from rsml_kit.table_logic import Valuation, eval_condition, eval_predicate, eval_table
 
 # ---------------------------------------------------------------------------
 # Hand-checked relational semantics
@@ -77,6 +71,11 @@ CLASSIC = bool_table(
     [("T", "F", "."), ("T", "F", "."), (".", "T", "T"), (".", ".", "T")],
     CLASSIC_NAMES,
 )
+
+
+def eval_column(t: AndOrTable, col: int, v: Valuation) -> bool:
+    """Column ``col`` of ``t``, as the one column of a table of its own."""
+    return eval_table(AndOrTable(t.rows, tuple((r[col],) for r in t.cells)), v)
 
 
 def classic_val(b1: bool, b2: bool, b3: bool, b4: bool) -> Valuation:
