@@ -245,19 +245,16 @@ def cmd_check(args: argparse.Namespace) -> _Result:
 # simulate
 
 
-def _display_names(
-    spec: Specification, trace: simulator.Trace
-) -> tuple[list[str], list[str], dict[str, str]]:
+def _display_names(spec: Specification, trace: simulator.Trace) -> tuple[list[str], list[str]]:
     """The display names of a trace's variables and of its machines, in
-    row order, looked up once per trace, and each variable's by its
-    qualified name, for the inputs."""
+    row order, looked up once per trace; an input's is at its slot."""
     shown = [spec.display_name(name) for name in trace.var_names]
     machines = [spec.display_name(name) for name in trace.machine_names]
-    return shown, machines, dict(zip(trace.var_names, shown))
+    return shown, machines
 
 
 def _trace_json(spec: Specification, trace: simulator.Trace) -> dict:
-    shown, machines, by_name = _display_names(spec, trace)
+    shown, machines = _display_names(spec, trace)
     width = len(shown)
 
     def values(row: tuple) -> dict[str, str]:
@@ -273,7 +270,7 @@ def _trace_json(spec: Specification, trace: simulator.Trace) -> dict:
         "steps": [
             {
                 "step": step,
-                "inputs": {by_name[k]: str(v) for k, v in inputs.items()},
+                "inputs": {shown[slot]: str(v) for slot, v in inputs},
                 "values": values(row),
                 "machines": machine_states(row),
             }
@@ -291,7 +288,7 @@ def _trace_text(spec: Specification, trace: simulator.Trace) -> str:
     """One row per state: the inputs its step set, the values that changed
     (every value in the initial state) and the machine states.  Each
     state's values are compared with the previous state's by position."""
-    shown, machines, by_name = _display_names(spec, trace)
+    shown, machines = _display_names(spec, trace)
     width = len(shown)
 
     def machine_states(row: tuple) -> str:
@@ -302,7 +299,7 @@ def _trace_text(spec: Specification, trace: simulator.Trace) -> str:
     initial = ", ".join([f"{k}={v}" for k, v in zip(shown, prev)]) or "-"
     rows.append(("0", "-", initial, machine_states(prev)))
     for step, (step_inputs, row) in enumerate(zip(trace.inputs, trace.rows[1:]), start=1):
-        inputs = ", ".join([f"{by_name[k]}={v}" for k, v in step_inputs.items()]) or "-"
+        inputs = ", ".join([f"{shown[slot]}={v}" for slot, v in step_inputs]) or "-"
         changes = ", ".join([f"{k}={v}" for k, v, before in zip(shown, row, prev) if v != before])
         rows.append((str(step), inputs, changes or "-", machine_states(row)))
         prev = row

@@ -25,7 +25,10 @@ form here: a flat tuple of the variable values, then the machine states,
 in declaration order.  :func:`initial_state` returns one, :func:`step_core`
 takes and returns one, and a :class:`Trace` (what :func:`run_script`
 returns, and each of :func:`explore`'s counterexamples) holds the name
-tuples once and one row per state, which the CLI renders by position.
+tuples once, one row per state and each step's inputs as the ``(slot,
+value)`` pairs it stepped with, which the CLI renders by position.
+:func:`parse_script` is the one check of a script row: each name an input,
+each value in its domain.
 
 Each machine, assignment and invariant memoizes its outcome on the values
 it reads (``model.reads(..., live_only=True)``, so all-dot rows are left
@@ -90,8 +93,8 @@ class StepResult(Record):
 class Trace(Record):
     """A run, packed: the variable and machine names once; ``rows``, one
     packed state per step, the initial state first; ``inputs``, the
-    inputs of step k at k - 1; ``violation``, the first violated
-    invariant and its step index."""
+    ``(slot, value)`` pairs of step k at k - 1; ``violation``, the first
+    violated invariant and its step index."""
 
     __slots__ = _fields = ("var_names", "machine_names", "rows", "inputs", "violation")
     _defaults = {"violation": None}
@@ -222,8 +225,7 @@ class _Stepper:
             yield tuple(row), self.violated(row)
 
     def combination(self, inputs: dict[str, Value]) -> PackedInputs:
-        # Names that are not variables are read by no guard, so they are dropped.
-        return [(self.slot[name], value) for name, value in inputs.items() if name in self.slot]
+        return [(self.slot[name], value) for name, value in inputs.items()]
 
     def start(self) -> Packed:
         """The initial state; raises if an invariant is already violated."""
@@ -292,25 +294,6 @@ def initial_state(spec: Specification) -> Packed:
     return _stepper(spec, order=[]).start()  # takes no step, so needs no order
 
 
-def check_inputs(spec: Specification, inputs: dict[str, Value]) -> None:
-    for name, value in inputs.items():
-        var = spec.var_map.get(name)
-        if var is None:
-            raise SpecError(error("UnknownName", f"unknown variable: {name}", spec.span))
-        if var.direction != "input":
-            raise SpecError(
-                error("NotAnInput", f"not an input: {spec.display_name(name)}", spec.span)
-            )
-        if not in_domain(value, var.type):
-            raise SpecError(
-                error(
-                    "TypeMismatch",
-                    f"value {value} is outside the domain of {spec.display_name(name)}",
-                    spec.span,
-                )
-            )
-
-
 def step_core(
     spec: Specification, row: Packed, inputs: dict[str, Value], order: list[str] | None = None
 ) -> StepResult:
@@ -330,7 +313,10 @@ _INTEGER = re.compile(r"-?\d+", re.ASCII)
 
 def parse_script(text: str, spec: Specification, filename: str = "<script>") -> list[dict[str, Value]]:
     """One step per line: comma-separated name=value pairs; '#' comments.
-    Names may be bare (when unambiguous) or qualified."""
+    Names may be bare (when unambiguous) or qualified; the last value of a
+    name in a line wins.  Once the whole line has parsed, each name must be
+    an input and each value in its domain; a failure is reported at
+    ``filename:line``."""
     # Each name a script may write, and the variables it may mean: a
     # qualified name means its own, a bare one every variable of that name.
     names: dict[str, list[str]] = {}
@@ -342,26 +328,27 @@ def parse_script(text: str, spec: Specification, filename: str = "<script>") -> 
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{filename}:{lineno}"
         row: dict[str, Value] = {}
         for item in line.split(","):
             item = item.strip()
             m = _SCRIPT_ITEM.fullmatch(item)
             if m is None:
                 raise SpecError(
-                    error(
-                        "MalformedScript",
-                        f"{filename}:{lineno}: expected name=value, found '{item}'",
-                    )
+                    error("MalformedScript", f"{where}: expected name=value, found '{item}'")
                 )
             name, raw_value = m.group(1), m.group(2)
             matches = names.get(name, [])
             if len(matches) != 1:
-                raise SpecError(_name_error(name, matches, f"{filename}:{lineno}"))
+                raise SpecError(_name_error(name, matches, where))
             row[matches[0]] = int(raw_value) if _INTEGER.fullmatch(raw_value) else raw_value
-        try:
-            check_inputs(spec, row)
-        except SpecError as exc:  # at the script's line, not the spec's header
-            raise SpecError(error(exc.code, f"{filename}:{lineno}: {exc.diagnostics[0].message}"))
+        for name, value in row.items():  # once the line has parsed: its last values
+            var, shown = spec.var_map[name], spec.display_name(name)
+            if var.direction != "input":
+                raise SpecError(error("NotAnInput", f"{where}: not an input: {shown}"))
+            if not in_domain(value, var.type):
+                outside = f"value {value} is outside the domain of {shown}"
+                raise SpecError(error("TypeMismatch", f"{where}: {outside}"))
         rows.append(row)
     return rows
 
@@ -375,16 +362,17 @@ def _name_error(name: str, matches: list[str], where: str) -> Diagnostic:
 def run_script(
     spec: Specification, script: list[dict[str, Value]], keep_going: bool = False
 ) -> Trace:
-    """Fold the step over the script rows; stops at the first invariant
-    violation unless keep_going is set."""
+    """Fold the step over the script rows, which :func:`parse_script`
+    accepted; stops at the first invariant violation unless keep_going is
+    set."""
     stepper = _stepper(spec)
     state = stepper.start()
     trace = Trace(stepper.var_names, stepper.machine_names, [state], [])
     for row in script:
-        check_inputs(spec, row)
-        state, violations = next(stepper.successors(state, [stepper.combination(row)]))
+        inputs = stepper.combination(row)
+        state, violations = next(stepper.successors(state, [inputs]))
         trace.rows.append(state)
-        trace.inputs.append(row)
+        trace.inputs.append(inputs)
         if violations and trace.violation is None:
             trace.violation = (violations[0], len(trace.inputs))
             if not keep_going:
@@ -478,19 +466,18 @@ def explore(
         depth += 1
 
     def counterexample(state: Packed, invariant: str) -> Trace:
-        """The path to ``state``, each step's inputs read off its
-        combination index."""
+        """The path to ``state``, each step's inputs the combination at its
+        index."""
         path: list[tuple[int, Packed]] = []
         while (parent := parents[state]) is not None:
             path.append((parent[1], state))
             state = parent[0]
         path.reverse()
-        names = stepper.var_names
         return Trace(
-            names,
+            stepper.var_names,
             stepper.machine_names,
             [state, *(s for _, s in path)],
-            [{names[slot]: x for slot, x in built[index]} for index, _ in path],
+            [built[index] for index, _ in path],
             (invariant, len(path)),
         )
 

@@ -12,7 +12,7 @@ from rsml_kit.diagnostics import SpecError, error
 from rsml_kit.model import Specification, Value, resolve
 from rsml_kit.parser import parse_pf, parse_requirements, parse_spec
 from rsml_kit.record import FrozenRecord
-from rsml_kit.simulator import StepResult, Trace, check_inputs
+from rsml_kit.simulator import StepResult, Trace
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -153,7 +153,6 @@ def step(
     order: list[str] | None = None,
 ) -> SystemState:
     """Like :func:`step_core` but raises on an invariant violation."""
-    check_inputs(spec, inputs)
     result = step_core(spec, cur, inputs, order)
     if result.violations:
         raise SpecError(

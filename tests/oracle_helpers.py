@@ -67,7 +67,6 @@ from rsml_kit.record import Record
 from rsml_kit.simulator import (
     ExplorationReport,
     Trace,
-    check_inputs,
     evaluation_order,
     input_combinations,
 )
@@ -204,9 +203,14 @@ class NamedTrace(Record):
 
 
 def named(trace: Trace) -> NamedTrace:
-    """A packed :class:`simulator.Trace` as named states, so that two
-    traces compare state by state and name by name."""
-    steps = [(inputs, trace_state(trace, k)) for k, inputs in enumerate(trace.inputs, start=1)]
+    """A packed :class:`simulator.Trace` as named states, and each step's
+    ``(slot, value)`` inputs keyed by qualified name, so that two traces
+    compare state by state and name by name."""
+    names = trace.var_names
+    steps = [
+        ({names[slot]: value for slot, value in inputs}, trace_state(trace, k))
+        for k, inputs in enumerate(trace.inputs, start=1)
+    ]
     return NamedTrace(trace_state(trace, 0), steps, trace.violation)
 
 
@@ -319,7 +323,6 @@ def reference_run_script(spec, script: list[dict], keep_going: bool = False) -> 
     state = reference_initial_state(spec)
     trace = NamedTrace(state, [], None)
     for row in script:
-        check_inputs(spec, row)
         result = reference_step(spec, state, row, order)
         state = result.state
         trace.steps.append((row, state))

@@ -1015,6 +1015,40 @@ def test_table_truth_lives_in_table_logic_alone():
     assert found == []
 
 
+def test_every_definition_in_the_package_is_used_in_it():
+    """Each top-level function and class, and each method other than a
+    dunder, is named somewhere in the package outside its own definition,
+    but for the entry points the benchmark harness (``bench/inproc.py``)
+    calls on their own.  Names are matched as names only, so a helper that
+    stays for the tests alone fails here."""
+    defined, used = set(), set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    item.name
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defined - used == {
+        "referenced_domain",
+        "check_completeness",
+        "check_consistency",
+        "initial_state",
+        "step_core",
+        "input_combinations",
+    }
+
+
 def test_mixed_radix_lives_in_model_alone():
     """The checker's domain index and explore's input combinations count in
     one ``model.Radix``; no other module builds a product of domains."""

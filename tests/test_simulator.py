@@ -20,6 +20,7 @@ from conftest import (
     trace_state,
     trace_states,
 )
+from oracle_helpers import named
 from rsml_kit import simulator
 from rsml_kit.diagnostics import SpecError
 from rsml_kit.simulator import (
@@ -112,17 +113,6 @@ class TestStep:
         a = step(startstop, s0, {CP: "RELEASED"})
         b = step(startstop, s0, {CP: "RELEASED"})
         assert a == b
-
-    def test_rejects_output_as_input(self, startstop):
-        with pytest.raises(SpecError) as exc:
-            step(startstop, initial_state(startstop), {ENA: "TRUE"})
-        assert exc.value.code == "NotAnInput"
-        assert "not an input: HMI_Stop_Ena" in str(exc.value)
-
-    def test_rejects_out_of_domain_value(self, startstop):
-        with pytest.raises(SpecError) as exc:
-            step(startstop, initial_state(startstop), {CP: "HALFWAY"})
-        assert exc.value.code == "TypeMismatch"
 
     def test_invariant_violation_raises(self, mutex_toy):
         s0 = initial_state(mutex_toy)
@@ -265,6 +255,28 @@ class TestScripts:
             parse_script("HMI_Stop_Ena=TRUE", startstop)
         assert "not an input: HMI_Stop_Ena" in str(exc.value)
 
+    def test_script_rejects_out_of_domain_value(self, startstop):
+        with pytest.raises(SpecError) as exc:
+            parse_script("Clutch_Pedal=HALFWAY", startstop, "s")
+        (diagnostic,) = exc.value.diagnostics
+        assert diagnostic.code == "TypeMismatch" and diagnostic.span is None
+        assert diagnostic.message == "s:1: value HALFWAY is outside the domain of Clutch_Pedal"
+
+    def test_script_checks_a_line_once_it_has_parsed(self, twocomp):
+        """A line is checked as a whole: an output in it does not hide a
+        later item's unknown name or malformed pair, and the last value
+        of a name is the one checked and stepped with."""
+        for line, code, message in [
+            ("Level=HIGH, Bogus=1", "UnknownName", "s:1: unknown variable: Bogus"),
+            ("Level=HIGH, Raw+1", "MalformedScript", "s:1: expected name=value, found 'Raw+1'"),
+        ]:
+            with pytest.raises(SpecError) as exc:
+                parse_script(line, twocomp, "s")
+            assert [(d.code, d.message) for d in exc.value.diagnostics] == [(code, message)]
+        rows = parse_script("Raw=9, Raw=1", twocomp, "s")
+        assert rows == [{"Sensor.Raw": 1}]
+        assert state_value(trace_state(run_script(twocomp, rows), 1), "Sensor.Raw") == 1
+
     def test_script_malformed_row(self, startstop):
         with pytest.raises(SpecError) as exc:
             parse_script("Clutch_Pedal + PRESSED", startstop)
@@ -275,10 +287,11 @@ class TestScripts:
         calm = {"HMI.Driver_Wants_Start": "FALSE", "HMI.Driver_Wants_Stop": "FALSE"}
         trace = run_script(mutex_toy, [both, calm])
         assert trace.violation == ("mutual_exclusion", 1)
-        assert trace.inputs == [both]
+        assert [inputs for inputs, _ in named(trace).steps] == [both]
         kept = run_script(mutex_toy, [both, calm], keep_going=True)
         assert kept.violation == ("mutual_exclusion", 1)
-        assert kept.inputs == [both, calm] and len(kept.rows) == 3
+        assert [inputs for inputs, _ in named(kept).steps] == [both, calm]
+        assert len(kept.rows) == 3
 
 
 class TestExplore:
@@ -301,7 +314,7 @@ class TestExplore:
         trace = report.violations[0][1]
         assert trace.violation == ("mutual_exclusion", 1)
         assert len(trace.inputs) == 1
-        inputs, state = trace.inputs[0], trace_state(trace, 1)
+        ((inputs, state),) = named(trace).steps
         assert state.step == 1
         assert inputs["HMI.Driver_Wants_Start"] == "TRUE"
         assert inputs["HMI.Driver_Wants_Stop"] == "TRUE"
