@@ -10,11 +10,14 @@ step that ends the command early raises ``_Exit`` with its code,
 diagnostics and message, or lets a ``SpecError`` through.  ``_run``, under
 ``main``, alone prints: the one form that ``--format`` names, built only
 then, or an early end's diagnostics and message (a ``SpecError`` is exit
-1); then it returns the code.
+1), to stderr in text mode and under ``--format json`` as one object on
+stdout, ``{"diagnostics": [...], "message": <text or null>}``; then it
+returns the code.
 
 Exit codes: 0 clean, 1 findings or errors (also when stdout is closed
-early), 2 usage problems, 3 resource limits.  Reports go to stdout,
-diagnostics to stderr; output is deterministic for identical inputs and
+early), 2 usage problems, 3 resource limits.  Reports go to stdout;
+diagnostics go to stderr in text mode and into the one JSON object under
+``--format json``.  Output is deterministic for identical inputs and
 flags.
 
 ``run`` is the process entry (the ``rsmlkit`` script and ``python -m
@@ -527,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--closed", action="store_true", help="omit environment events")
     p_gen.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     p_gen.add_argument("--force", action="store_true", help="skip the static-check gate")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, format="text")  # gen has no JSON form
 
     p_trace = sub.add_parser("trace", help="traceability matrix")
     p_trace.add_argument("spec", help=".rsml file")
@@ -558,28 +561,31 @@ def _run(argv: list[str] | None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    stop = None
     try:
         code, diags, payload, text = args.func(args)
     except SpecError as exc:
         stop = _Exit(EXIT_FINDINGS, exc.diagnostics)
     except _Exit as exc:
         stop = exc
-    else:
-        # gen has neither --format nor a payload.
-        if payload is not None and args.format == "json":
-            import json  # text mode, every command's default, never loads it
+    if stop is not None:
+        code, diags = stop.code, stop.diagnostics
+    if args.format == "json":
+        import json  # text mode, every command's default, never loads it
 
-            print(json.dumps(payload(), indent=2))
+        if stop is None:
+            data = payload()
         else:
-            _print_diagnostics(diags)
-            report = text()
-            if report:  # check on no specification reports nothing
-                print(report)
-        return code
-    _print_diagnostics(stop.diagnostics)
-    if stop.message is not None:
-        print(stop.message, file=sys.stderr)
-    return stop.code
+            data = {"diagnostics": [d.to_json() for d in diags], "message": stop.message}
+        print(json.dumps(data, indent=2))
+    else:
+        _print_diagnostics(diags)
+        if stop is not None:
+            if stop.message is not None:
+                print(stop.message, file=sys.stderr)
+        elif report := text():  # check on no specification reports nothing
+            print(report)
+    return code
 
 
 def run() -> NoReturn:

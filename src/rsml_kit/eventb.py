@@ -18,7 +18,7 @@ machine holding only the terminal outputs.  A machine lists its held
 variables in declaration order, the events of its components in the order
 added, then its setters.
 
-One assembler builds every machine from parts made once per ``gen`` call:
+``_generate`` builds every machine from parts made once per ``gen`` call:
 each component's events, one per assignment case (``Set_<Var>_<Value>``)
 and one per transition (``<Machine>_<From>_to_<To>``); and for each held
 variable (one per specification variable, one ``<Machine>_state`` per
@@ -28,6 +28,10 @@ state machine) its typing invariant, initial value and unguarded setter,
 is rendered and encoded once when written.  ``pftrace`` reads the flat
 machine's events and invariant labels from the same name table without
 building them, so both must keep the order above.
+
+No part stores a label: rendering numbers guards, actions, axioms and
+invariants by position (``@grd<k>``, ``@act<k>``, ``@axm<k>``, ``@inv<k>``
+from 1; the specification's invariants follow the typing invariants).
 
 A table condition becomes a single guard: the disjunction over columns of
 the conjunction of each column's literals (``AndOrTable.columns``: T as
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .diagnostics import SpecError
 from .model import (
@@ -104,12 +108,10 @@ _ASCII_MAP = [
 ]
 
 
-class Labeled(Record):
-    __slots__ = _fields = ("label", "text", "comment")
-    _defaults = {"comment": None}
-
-
 class EventBEvent(Record):
+    """``guards`` and ``actions`` are texts, labelled ``@grd<k>`` and
+    ``@act<k>`` by position when rendered."""
+
     _fields = ("name", "guards", "actions", "comment")
     _defaults = {"comment": None}
     # The block's UTF-8 in each spelling, which ``write_units`` sets once.
@@ -117,14 +119,17 @@ class EventBEvent(Record):
 
 
 class EventBContext(Record):
-    __slots__ = _fields = ("name", "sets", "axioms")  # sets: (set name, constants)
+    # sets: (set name, constants); axioms: texts, labelled @axm<k> by position
+    __slots__ = _fields = ("name", "sets", "axioms")
 
 
 class EventBMachine(Record):
     """Each of ``variables`` has its typing predicate in ``typing`` and its
-    initial value's action in ``init``, labelled ``@inv<k>`` and ``@act<k>``
-    by position, so the machines of a chain share those texts; the flat
-    machine's ``spec_invariants`` follow the typing invariants."""
+    initial value's action in ``init``; the flat machine's
+    ``spec_invariants`` are (text, comment) pairs.  No field holds a label:
+    rendering numbers the invariants ``@inv<k>`` by position, typing first,
+    and the initial actions ``@act<k>``, as it does each event's guards and
+    actions, which are texts too.  So the machines of a chain share them."""
 
     __slots__ = _fields = (
         "name", "sees", "refines", "variables", "typing", "init", "spec_invariants", "events"
@@ -219,20 +224,15 @@ def gen_context(spec: Specification) -> EventBContext:
     if collision is not None:
         raise SpecError(collision)
     sets = [(set_name, list(constants)) for set_name, constants in names.sets]
-    axioms: list[Labeled] = []
-    for idx, (set_name, constants) in enumerate(sets, start=1):
-        members = ", ".join("{" + c + "}" for c in constants)
-        axioms.append(Labeled(f"@axm{idx}", f"partition({set_name}, {members})"))
+    axioms = [
+        f"partition({set_name}, {', '.join('{' + c + '}' for c in constants)})"
+        for set_name, constants in sets
+    ]
     return EventBContext(f"{spec.name}_ctx", sets, axioms)
 
 
 # ---------------------------------------------------------------------------
 # Machine assembly
-
-
-def _guards(cond: Condition, start: int = 1) -> list[Labeled]:
-    texts = translate_condition(cond)
-    return [Labeled(f"@grd{i}", text) for i, text in enumerate(texts, start=start)]
 
 
 def _component_events(comp: Component, names: list[str]) -> list[EventBEvent]:
@@ -243,71 +243,15 @@ def _component_events(comp: Component, names: list[str]) -> list[EventBEvent]:
     for a in comp.assigns:
         bare = a.target.name
         for case, name in zip(a.cases, names_left):
-            actions = [Labeled("@act1", f"{bare} := {case.value}")]
+            actions = [f"{bare} := {case.value}"]
             comment = _trace_comment(case.trace)
-            events.append(EventBEvent(name, _guards(case.condition), actions, comment))
+            events.append(EventBEvent(name, translate_condition(case.condition), actions, comment))
     for m in comp.machines:
         for t, name in zip(m.transitions, names_left):
-            guards = [Labeled("@grd1", f"{m.name}_state = {t.source}"), *_guards(t.guard, 2)]
-            actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
+            guards = [f"{m.name}_state = {t.source}", *translate_condition(t.guard)]
+            actions = [f"{m.name}_state := {t.target}"]
             events.append(EventBEvent(name, guards, actions, _trace_comment(t.trace)))
     return events
-
-
-class _Assembler:
-    """Builds the machines of one ``gen`` call from parts made once: each
-    component's events, and each held variable's typing invariant,
-    initialisation and setter event.  Machines share those objects, so
-    each event block is encoded once."""
-
-    def __init__(self, spec: Specification, context: EventBContext) -> None:
-        self.spec, self.context = spec, context
-        self.names = names = spec.eventb_names
-        self.events = {
-            comp.name: _component_events(comp, names.events[comp.name]) for comp in spec.components
-        }
-        # Per held item: its typing invariant, its initialisation, its setter.
-        self.typing: list[str] = []
-        self.init: list[str] = []
-        self.setters: list[EventBEvent] = []
-        for held in names.held:
-            if held.direction == "machine":
-                m = spec.machine(held.source)
-                carrier, initial = machine_set(m), m.initial
-            else:
-                v = spec.variable(held.source)
-                carrier, initial = _type_set(v.type), v.initial_value
-            self.typing.append(f"{held.bare} {MEMBER} {carrier}")
-            self.init.append(f"{held.bare} := {initial}")
-            actions = [Labeled("@act1", f"{held.bare} {BECOMES_MEMBER} {carrier}")]
-            self.setters.append(EventBEvent(held.setter, [], actions))
-
-    def machine(
-        self,
-        name: str,
-        refines: Optional[str],
-        held: list[int],
-        events: list[EventBEvent],
-        setters: Iterable[int],
-        with_invariants: bool,
-    ) -> EventBMachine:
-        """The machine holding ``held`` (indices into the name table, in
-        declaration order) with ``events``, then the setters of
-        ``setters``; the flat machine also states the specification's
-        invariants."""
-        variables = [self.names.held[h].bare for h in held]
-        typing = [self.typing[h] for h in held]
-        init = [self.init[h] for h in held]
-        spec_invariants: list[Labeled] = []
-        if with_invariants:
-            for k, inv in enumerate(self.spec.invariants, len(held) + 1):
-                comment = inv.name + (f" trace: {', '.join(inv.trace)}" if inv.trace else "")
-                text = table_formula(inv.body.table)
-                spec_invariants.append(Labeled(f"@inv{k}", text, comment=comment))
-        events = events + [self.setters[h] for h in setters]
-        return EventBMachine(
-            name, self.context.name, refines, variables, typing, init, spec_invariants, events
-        )
 
 
 def gen_flat(spec: Specification, closed: bool = False) -> GenResult:
@@ -335,20 +279,50 @@ def _generate(spec: Specification, mode: str, closed: bool) -> GenResult:
     if collision is not None:
         raise SpecError(collision)
 
-    assembler = _Assembler(spec, context)
+    events = {
+        comp.name: _component_events(comp, names.events[comp.name]) for comp in spec.components
+    }
+    # Per held item: its typing invariant, its initialisation, its setter.
+    typing: list[str] = []
+    init: list[str] = []
+    setter_events: list[EventBEvent] = []
+    for item in names.held:
+        if item.direction == "machine":
+            m = spec.machine(item.source)
+            carrier, initial = machine_set(m), m.initial
+        else:
+            v = spec.variable(item.source)
+            carrier, initial = _type_set(v.type), v.initial_value
+        typing.append(f"{item.bare} {MEMBER} {carrier}")
+        init.append(f"{item.bare} := {initial}")
+        actions = [f"{item.bare} {BECOMES_MEMBER} {carrier}"]
+        setter_events.append(EventBEvent(item.setter, [], actions))
     flat = mode == "flat"
+    invariants: list[tuple[str, str]] = []
+    if flat:  # only the flat machine states the specification's invariants
+        for inv in spec.invariants:
+            comment = inv.name + (f" trace: {', '.join(inv.trace)}" if inv.trace else "")
+            invariants.append((table_formula(inv.body.table), comment))
+
     held: list[int] = []  # in declaration order
-    events: list[EventBEvent] = []
+    added: list[EventBEvent] = []
     setters: set[int] = set()
     machines: list[EventBMachine] = []
     for i, step in enumerate(names.steps(mode, closed)):
         held = sorted(held + step.held)
-        events += [event for comp in step.added for event in assembler.events[comp]]
+        added += [event for comp in step.added for event in events[comp]]
         setters.difference_update(step.retired)
         setters.update(step.gained)
         name = f"{spec.name}_mch" if flat else f"{spec.name}_r{i}" if i else f"{spec.name}_m0"
         refines = machines[-1].name if machines else None
-        machines.append(assembler.machine(name, refines, held, events, sorted(setters), flat))
+        variables = [names.held[h].bare for h in held]
+        typed, initial = [typing[h] for h in held], [init[h] for h in held]
+        mch_events = added + [setter_events[h] for h in sorted(setters)]
+        machines.append(
+            EventBMachine(
+                name, context.name, refines, variables, typed, initial, invariants, mch_events
+            )
+        )
     return GenResult(context, machines)
 
 
@@ -384,8 +358,7 @@ def _render_context(ctx: EventBContext) -> str:
         lines.append("constants")
         lines.append("  " + " ".join(c for _, constants in ctx.sets for c in constants))
         lines.append("axioms")
-        for axiom in ctx.axioms:
-            lines.append(f"  {axiom.label} {axiom.text}")
+        lines += [f"  @axm{k} {text}" for k, text in enumerate(ctx.axioms, 1)]
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -405,7 +378,8 @@ def _machine_head(mch: EventBMachine, ascii_mode: bool) -> str:
         lines.append("invariants")
         lines += [f"  @inv{k} {text}" for k, text in enumerate(mch.typing, 1)]
         lines += [
-            f"  {inv.label} {inv.text}{_comment_suffix(inv.comment)}" for inv in mch.spec_invariants
+            f"  @inv{k} {text}{_comment_suffix(comment)}"
+            for k, (text, comment) in enumerate(mch.spec_invariants, len(mch.typing) + 1)
         ]
     if mch.init or mch.events:
         lines.append("events")
@@ -423,9 +397,9 @@ def _block(event: EventBEvent, ascii_mode: bool) -> str:
     lines = [f"  event {event.name}{_comment_suffix(event.comment)}"]
     if event.guards:
         lines.append("    when")
-        lines.extend(f"      {guard.label} {guard.text}" for guard in event.guards)
+        lines += [f"      @grd{k} {text}" for k, text in enumerate(event.guards, 1)]
     lines.append("    then")
-    lines.extend(f"      {act.label} {act.text}" for act in event.actions)
+    lines += [f"      @act{k} {text}" for k, text in enumerate(event.actions, 1)]
     lines.append("  end")
     text = "\n".join(lines)
     return _ascii(text) if ascii_mode else text

@@ -25,7 +25,6 @@ from rsml_kit.eventb import (
     EventBEvent,
     EventBMachine,
     GenResult,
-    Labeled,
     _trace_comment,
     _type_set,
     gen_context,
@@ -460,6 +459,29 @@ def reference_trace_text(spec, trace: NamedTrace) -> str:
 Provenance = tuple[tuple[str, str], tuple[str, str]]
 
 
+class Labeled(Record):
+    """A text with the label the reference gives it.  ``eventb``'s records
+    store no label, so ``_numbered`` checks each list's labels against
+    their positions before the texts go into those records."""
+
+    __slots__ = _fields = ("label", "text", "comment")
+    _defaults = {"comment": None}
+
+
+def _numbered(items: list[Labeled], tag: str, start: int = 1) -> list[Labeled]:
+    """``items``, whose labels must be ``@<tag><k>`` for ``k`` counting
+    from ``start`` by position, as ``eventb`` renders them."""
+    assert [i.label for i in items] == [f"@{tag}{k}" for k in range(start, start + len(items))]
+    return items
+
+
+def _ref_event(
+    name: str, guards: list[Labeled], actions: list[Labeled], comment: str | None = None
+) -> EventBEvent:
+    guards, actions = _numbered(guards, "grd"), _numbered(actions, "act")
+    return EventBEvent(name, [g.text for g in guards], [a.text for a in actions], comment)
+
+
 class _Names:
     """The flat Event-B namespace of one machine: each claim of a name
     already taken is a collision naming both claimants, at ``span``."""
@@ -501,9 +523,7 @@ def _ref_component_events(
                 for i, text in enumerate(translate_condition(case.condition), start=1)
             ]
             actions = [Labeled("@act1", f"{bare} := {case.value}")]
-            events.append(
-                EventBEvent(event_name, guards, actions, comment=_trace_comment(case.trace))
-            )
+            events.append(_ref_event(event_name, guards, actions, _trace_comment(case.trace)))
             provenance.append(
                 ((RSML_CASE, f"case:{a.target.qualified}#{idx}"), (EB_EVENT, event_name))
             )
@@ -519,7 +539,7 @@ def _ref_component_events(
                 for i, text in enumerate(translate_condition(t.guard), start=2)
             ]
             actions = [Labeled("@act1", f"{m.name}_state := {t.target}")]
-            events.append(EventBEvent(event_name, guards, actions, comment=_trace_comment(t.trace)))
+            events.append(_ref_event(event_name, guards, actions, _trace_comment(t.trace)))
             source = (RSML_TRANSITION, f"transition:{m.qualified}#{idx}")
             provenance.append((source, (EB_EVENT, event_name)))
     return events
@@ -604,7 +624,7 @@ def _reference_flat(spec: Specification, closed: bool) -> tuple[GenResult, list[
         for v in spec.inputs:
             event_name = names.claim(f"Env_Set_{v.name}", "event")
             actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
-            events.append(EventBEvent(event_name, [], actions))
+            events.append(_ref_event(event_name, [], actions))
             provenance.append(((RSML_VARIABLE, v.qualified), (EB_EVENT, event_name)))
 
     machine = _ref_machine(
@@ -622,14 +642,15 @@ def _ref_machine(
     init_actions: list[Labeled],
     events: list[EventBEvent],
 ) -> EventBMachine:
-    """The machine record, which labels each variable's typing invariant
-    and initialisation by position: the reference's own labels must agree."""
+    """The machine record, which holds texts that rendering labels by
+    position: the reference's own labels must agree, the specification's
+    invariants numbered on from the typing invariants."""
     n = len(variables)
-    assert [i.label for i in invariants[:n]] == [f"@inv{k}" for k in range(1, n + 1)]
-    assert [a.label for a in init_actions] == [f"@act{k}" for k in range(1, n + 1)]
-    typing, init = [i.text for i in invariants[:n]], [a.text for a in init_actions]
+    typing = [i.text for i in _numbered(invariants[:n], "inv")]
+    init = [a.text for a in _numbered(init_actions, "act")]
+    spec_invariants = [(i.text, i.comment) for i in _numbered(invariants[n:], "inv", n + 1)]
     return EventBMachine(
-        name, context.name, refines, variables, typing, init, invariants[n:], events
+        name, context.name, refines, variables, typing, init, spec_invariants, events
     )
 
 
@@ -806,7 +827,7 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
                 else:
                     continue  # output without an assignment spec: constant
                 actions = [Labeled("@act1", f"{v.name} {BECOMES_MEMBER} {_type_set(v.type)}")]
-                events.append(EventBEvent(event_name, [], actions))
+                events.append(_ref_event(event_name, [], actions))
             for m in comp.machines:
                 # A machine observed by an added component but whose owner is
                 # not added yet is driven nondeterministically for now.
@@ -817,7 +838,7 @@ def reference_gen_chain(spec: Specification, closed: bool = False) -> GenResult:
                             "@act1", f"{m.name}_state {BECOMES_MEMBER} {_machine_set(m)}"
                         )
                     ]
-                    events.append(EventBEvent(event_name, [], actions))
+                    events.append(_ref_event(event_name, [], actions))
 
         name = f"{spec.name}_m0" if i == 0 else f"{spec.name}_r{i}"
         refines = None if i == 0 else machines[-1].name

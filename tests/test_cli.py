@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -122,6 +123,27 @@ def conflicting_file(tmp_path: Path) -> str:
     path = tmp_path / "broken.rsml"
     path.write_text(CONFLICTING, encoding="utf-8")
     return str(path)
+
+
+def _json_stop(out) -> dict:
+    """The one object that an early stop prints under ``--format json``,
+    which leaves stderr empty."""
+    assert out.err == ""
+    stop = json.loads(out.out)
+    assert set(stop) == {"diagnostics", "message"}
+    return stop
+
+
+def _assert_firing_conflict(out, fmt: str) -> None:
+    """A step that fires two rows at once stops the run with a diagnostic,
+    not a traceback: on stderr in text mode, in the JSON stop otherwise."""
+    if fmt == "text":
+        assert out.out == ""
+        assert "error[NondeterministicFiring]" in out.err and "Traceback" not in out.err
+    else:
+        stop = _json_stop(out)
+        assert stop["message"] is None
+        assert [d["code"] for d in stop["diagnostics"]] == ["NondeterministicFiring"]
 
 
 class TestCheck:
@@ -406,7 +428,13 @@ class TestSimulate:
         twocomp = CORPUS / "twocomp.rsml"
         assert main(["simulate", str(twocomp), str(script), "--format", fmt]) == 1
         out = capsys.readouterr()
-        assert (out.out, out.err) == ("", message.format(script) + "\n")
+        if fmt == "text":
+            assert (out.out, out.err) == ("", message.format(script) + "\n")
+        else:
+            stop = _json_stop(out)
+            assert stop["message"] is None
+            lines = [f"{d['severity']}[{d['code']}]: {d['message']}" for d in stop["diagnostics"]]
+            assert lines == [message.format(script)]
         with pytest.raises(SpecError) as exc:
             parse_script(script.read_text(encoding="utf-8"), spec_from(twocomp.read_text()), "s")
         assert "span" not in exc.value.diagnostics[0].to_json()
@@ -432,15 +460,18 @@ class TestSimulate:
         out = capsys.readouterr()
         assert (out.out, out.err) == ("", message)
 
+    def test_usage_stop_under_json_is_one_object(self, capsys):
+        assert main(["simulate", STARTSTOP, "nope.script", "--format", "json"]) == 2
+        stop = _json_stop(capsys.readouterr())
+        assert stop == {"diagnostics": [], "message": "no such file: nope.script"}
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_forced_conflict_is_a_diagnostic(self, conflicting_file, tmp_path, capsys, fmt):
         script = tmp_path / "s.script"
         script.write_text("b=TRUE\n", encoding="utf-8")
         argv = ["simulate", conflicting_file, str(script), "--force", "--format", fmt]
         assert main(argv) == 1
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "error[NondeterministicFiring]" in out.err and "Traceback" not in out.err
+        _assert_firing_conflict(capsys.readouterr(), fmt)
 
 
 class TestExplore:
@@ -482,13 +513,18 @@ class TestExplore:
         assert "error[Conflict]" in out.err and "NondeterministicFiring" not in out.err
         assert out.err.endswith("static checks failed; rerun with --force to explore anyway\n")
 
+    def test_gate_refusal_under_json_is_one_object(self, conflicting_file, capsys):
+        assert main(["explore", conflicting_file, "--format", "json"]) == 1
+        stop = _json_stop(capsys.readouterr())
+        assert stop["message"] == "static checks failed; rerun with --force to explore anyway"
+        codes = {d["code"] for d in stop["diagnostics"]}
+        assert "Conflict" in codes and "NondeterministicFiring" not in codes
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_conflict_mid_search_is_a_diagnostic(self, conflicting_file, capsys, fmt):
         # --force skips the static-check gate: the conflict surfaces as a step fails.
         assert main(["explore", conflicting_file, "--force", "--format", fmt]) == 1
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "error[NondeterministicFiring]" in out.err and "Traceback" not in out.err
+        _assert_firing_conflict(capsys.readouterr(), fmt)
 
 
 class TestGen:
@@ -1013,6 +1049,44 @@ def test_table_truth_lives_in_table_logic_alone():
             if isinstance(node, ast.Attribute) and node.attr == "columns":
                 found.append((path.name, node.lineno))
     assert found == []
+
+
+def _strings_by_definition(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """Each string constant of a module that is not a docstring, with the
+    name of the top-level function or class it is in ("" for none)."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    for top in tree.body:
+        name = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in docstrings:
+                    yield name, node.value
+
+
+def test_each_label_rule_is_spelled_where_it_renders():
+    """An Event-B label is its tag and its position, a rule that ``eventb``
+    states when it renders and nowhere else: outside docstrings, only its
+    renderers spell ``@grd``, ``@act`` or ``@axm``, so no record stores a
+    label.  ``pftrace.link`` also spells ``@inv``: it names the flat
+    machine's invariants as graph nodes without importing ``eventb``."""
+    allowed = {
+        "@grd": {"eventb.py:_block"},
+        "@act": {"eventb.py:_block", "eventb.py:_machine_head"},
+        "@axm": {"eventb.py:_render_context"},
+        "@inv": {"eventb.py:_machine_head", "pftrace.py:link"},
+    }
+    spelled: dict[str, set[str]] = {tag: set() for tag in allowed}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for name, text in _strings_by_definition(ast.parse(path.read_text(encoding="utf-8"))):
+            for tag in allowed:
+                if tag in text:
+                    spelled[tag].add(f"{path.name}:{name}")
+    assert spelled == allowed
 
 
 def test_every_definition_in_the_package_is_used_in_it():

@@ -217,7 +217,7 @@ component C {
         assert "Set_x_m2" in names and "Set_x_0" in names
         # The action itself still carries the literal value.
         event = next(e for e in result.machine.events if e.name == "Set_x_m2")
-        assert event.actions[0].text == "x := -2"
+        assert event.actions == ["x := -2"]
 
 
 class TestProvenanceSoundness:

@@ -20,9 +20,9 @@ class TestContext:
     def test_enum_partition(self, startstop):
         ctx = gen_context(startstop)
         assert ("T_Clutch_Pedal", ["PRESSED", "RELEASED"]) in ctx.sets
-        axioms = [a.text for a in ctx.axioms]
-        assert "partition(T_Clutch_Pedal, {PRESSED}, {RELEASED})" in axioms
-        assert ctx.axioms[0].label == "@axm1"
+        assert "partition(T_Clutch_Pedal, {PRESSED}, {RELEASED})" in ctx.axioms
+        axioms = [line for line in render(ctx).splitlines() if line.startswith("  @axm")]
+        assert axioms == [f"  @axm{k} {text}" for k, text in enumerate(ctx.axioms, 1)]
 
     def test_bool_only_spec_has_empty_context(self):
         spec = spec_from("specification s component C { output o : bool input b : bool }")
@@ -33,8 +33,7 @@ class TestContext:
     def test_machine_state_set(self, traffic):
         ctx = gen_context(traffic)
         assert ("T_Light_States", ["Red", "Green"]) in ctx.sets
-        axioms = [a.text for a in ctx.axioms]
-        assert "partition(T_Light_States, {Red}, {Green})" in axioms
+        assert "partition(T_Light_States, {Red}, {Green})" in ctx.axioms
 
     def test_int_range_produces_no_set(self, twocomp):
         ctx = gen_context(twocomp)
@@ -176,7 +175,7 @@ class TestFlatMachine:
         result = gen_flat(startstop)
         env = [e for e in result.machine.events if e.name.startswith("Env_Set_")]
         assert env and all(e.guards == [] for e in env)
-        assert env[0].actions[0].text == "Clutch_Pedal :∈ T_Clutch_Pedal"
+        assert env[0].actions == ["Clutch_Pedal :∈ T_Clutch_Pedal"]
 
     def test_closed_mode_omits_env_events(self, startstop):
         result = gen_flat(startstop, closed=True)
@@ -190,17 +189,16 @@ class TestFlatMachine:
     def test_transition_events(self, traffic):
         result = gen_flat(traffic)
         event = next(e for e in result.machine.events if e.name == "Light_Red_to_Green")
-        assert [g.text for g in event.guards] == ["Light_state = Red", "Cmd = GO"]
-        assert event.actions[0].text == "Light_state := Green"
+        assert event.guards == ["Light_state = Red", "Cmd = GO"]
+        assert event.actions == ["Light_state := Green"]
         assert event.comment == "trace: REQ-100"
 
     def test_user_invariant_appended_with_name_comment(self, mutex_toy):
         result = gen_flat(mutex_toy)
         assert len(result.machine.typing) == 4
-        last = result.machine.spec_invariants[-1]
-        assert last.label == "@inv5"
-        assert last.comment == "mutual_exclusion"
-        assert last.text == "Strt_Req ≠ TRUE ∨ Stop_Req ≠ TRUE"
+        text, comment = result.machine.spec_invariants[-1]
+        assert (text, comment) == ("Strt_Req ≠ TRUE ∨ Stop_Req ≠ TRUE", "mutual_exclusion")
+        assert f"  @inv5 {text}  // {comment}\n" in render(result.machine)
 
     def test_trace_tags_carried_as_comments(self, startstop):
         result = gen_flat(startstop)
@@ -259,7 +257,7 @@ class TestChain:
         m0, r1 = result.machines
         assert m0.variables == ["HMI_Stop_Ena"]
         assert [e.name for e in m0.events] == ["Set_HMI_Stop_Ena"]
-        assert m0.events[0].actions[0].text == "HMI_Stop_Ena :∈ BOOL"
+        assert m0.events[0].actions == ["HMI_Stop_Ena :∈ BOOL"]
         assert r1.refines == "startstop_m0"
         flat = gen_flat(startstop)
         assert [e.name for e in r1.events] == [e.name for e in flat.machine.events]
@@ -485,15 +483,15 @@ class TestRender:
 
     def test_labels_consecutive_from_one(self, traffic):
         machine = gen_flat(traffic).machine
-        labels = re.findall(r"^  (@inv\d+) ", render(machine), re.MULTILINE)
+        text = render(machine)
+        labels = re.findall(r"^  (@inv\d+) ", text, re.MULTILINE)
         assert labels == ["@inv1", "@inv2", "@inv3"]
-        for event in machine.events:
-            assert [g.label for g in event.guards] == [
-                f"@grd{i}" for i in range(1, len(event.guards) + 1)
-            ]
-            assert [a.label for a in event.actions] == [
-                f"@act{i}" for i in range(1, len(event.actions) + 1)
-            ]
+        blocks = text.split("\n  event ")[2:]  # after the head and INITIALISATION
+        assert len(blocks) == len(machine.events)
+        for block, event in zip(blocks, machine.events):
+            for tag, texts in (("grd", event.guards), ("act", event.actions)):
+                lines = re.findall(rf"^      (@{tag}\d+ .*)$", block, re.MULTILINE)
+                assert lines == [f"@{tag}{k} {t}" for k, t in enumerate(texts, 1)]
 
     def test_machine_header_with_refines(self, twocomp):
         r1 = gen_chain(twocomp).machines[1]

@@ -1,4 +1,4 @@
-"""The Event-B assembler against the per-machine reference assembly in
+"""The Event-B assembly of ``gen`` against the per-machine reference in
 ``oracle_helpers``: byte-equal rendered units, or the same ``SpecError``
 text, for flat and chain mode with and without ``closed``, on the corpus,
 the benchmark's chain projects, name-collision specifications, the

@@ -149,7 +149,6 @@ DEFAULTS = {
     "EventBEvent": {"comment": None},
     "ExplorationReport": {"limit": None},
     "GuardSetResult": {"error": None},
-    "Labeled": {"comment": None},
     "NameRef": {"component": None},
     "Specification": {"file": "<spec>"},
     "Trace": {"violation": None},

@@ -160,7 +160,7 @@ def test_trace_assembles_no_eventb(monkeypatch, tmp_path, capsys):
         raise AssertionError("Event-B was assembled")
 
     monkeypatch.setattr(eventb, "gen_context", refuse)
-    monkeypatch.setattr(eventb, "_Assembler", refuse)
+    monkeypatch.setattr(eventb, "_generate", refuse)
     assert outputs() == expected
     with pytest.raises(AssertionError, match="Event-B was assembled"):
         eventb.gen_flat(spec_from(rsml))  # the patch holds for gen
